@@ -16,9 +16,10 @@ namespace {
 constexpr std::chrono::milliseconds kArmedPopTick{1};
 }  // namespace
 
-void Mailbox::push(Message msg) {
+void Mailbox::push(Message msg, int duplicates) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    for (int i = 0; i < duplicates; ++i) queue_.push_back(msg);
     queue_.push_back(std::move(msg));
   }
   cv_.notify_all();
@@ -176,6 +177,7 @@ void Context::post(int src, int dest, int tag, std::vector<std::byte> payload) {
     msg.seq = send_seq_[{src, dest, tag}]++;
   }
   auto& inj = faults();
+  int duplicates = 0;
   if (inj.armed()) {
     const FaultDecision d = inj.on_message(src, dest, tag, msg.seq);
     if (d.drop) {
@@ -185,9 +187,9 @@ void Context::post(int src, int dest, int tag, std::vector<std::byte> payload) {
       return;
     }
     msg.delay = d.delay_pops;
-    for (int i = 0; i < d.duplicates; ++i) mailbox(dest).push(msg);
+    duplicates = d.duplicates;
   }
-  mailbox(dest).push(std::move(msg));
+  mailbox(dest).push(std::move(msg), duplicates);
 }
 
 std::vector<Message> Context::take_recovered(int src, int dst, int tag,

@@ -55,7 +55,10 @@ struct Message {
 /// equivalent of an MPI receive queue for one rank.
 class Mailbox {
  public:
-  void push(Message msg);
+  /// Enqueue `msg` plus `duplicates` extra copies of it under one lock, so
+  /// no scan can see part of the set: the scan that delivers the sequence
+  /// number also purges every other copy.
+  void push(Message msg, int duplicates = 0);
 
   /// Block until the next in-sequence message with matching source and tag
   /// is available and return it. Messages from the same source with the

@@ -42,19 +42,23 @@ Tessellator::Tessellator(comm::Comm& comm, const diy::Decomposition& decomp,
 
 namespace {
 
-/// Emit the per-pass geom.backend.* metrics from the builder's counter
-/// deltas — on every run, not just parity runs, so production traces always
-/// carry the filter hit rate, batch occupancy, and exact-fallback rate.
+/// Emit the per-pass geom.cuts* and geom.backend.* metrics from the
+/// builder's counter deltas — on every run, not just parity runs, so
+/// production traces always carry the wasted-work counts, filter hit rate,
+/// batch occupancy, and exact-fallback rate.
 void emit_backend_metrics(geom::TessBackend backend,
                           const geom::CellBuilder::BackendStats& before,
                           const geom::CellBuilder::BackendStats& after,
-                          std::uint64_t cuts_delta,
                           unsigned long long exact_before) {
+  const std::uint64_t cuts_delta = after.cuts - before.cuts;
   const std::uint64_t seen = after.cand_seen - before.cand_seen;
   const std::uint64_t kept = after.cand_kept - before.cand_kept;
   const std::uint64_t batches = after.batches - before.batches;
   const std::uint64_t lanes = after.lanes - before.lanes;
   const unsigned long long exact = geom::exact_fallback_count() - exact_before;
+  TESS_COUNT("geom.cuts", cuts_delta);
+  TESS_COUNT("geom.cuts_noop", after.cuts_noop - before.cuts_noop);
+  TESS_COUNT("geom.bins_pruned", after.bins_pruned - before.bins_pruned);
   TESS_COUNT("geom.backend.cand_seen", seen);
   TESS_COUNT("geom.backend.cand_kept", kept);
   TESS_COUNT("geom.backend.batches", batches);
@@ -332,7 +336,6 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       double cpu_seconds = 0.0;
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
-    const std::uint64_t cuts_before = builder->cuts_attempted();
     const auto backend_stats_before = builder->backend_stats();
     const auto exact_before = geom::exact_fallback_count();
     timer.stop();
@@ -416,10 +419,8 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
     TESS_COUNT("tess.ghost_sent", iter.ghost_sent);
     TESS_COUNT("tess.ghost_received", iter.ghost_received);
     TESS_COUNT("tess.cells_built", np);
-    TESS_COUNT("geom.cuts", builder->cuts_attempted() - cuts_before);
     emit_backend_metrics(backend_, backend_stats_before,
-                         builder->backend_stats(),
-                         builder->cuts_attempted() - cuts_before, exact_before);
+                         builder->backend_stats(), exact_before);
 
     stats_.exchange_seconds += iter.exchange_seconds;
     stats_.compute_seconds += iter.compute_seconds;
@@ -677,9 +678,8 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
   // the pool width (== the loop CPU itself when threads == 1).
   stats_.compute_seconds =
       timer.seconds() + loop_cpu / static_cast<double>(nthreads);
-  TESS_COUNT("geom.cuts", builder.cuts_attempted());
   emit_backend_metrics(backend_, backend_stats_before, builder.backend_stats(),
-                       builder.cuts_attempted(), exact_before);
+                       exact_before);
   return mesh;
 }
 

@@ -12,6 +12,16 @@
 
 namespace tess::geom {
 
+namespace {
+
+// Relative radius inflation of the vertex balls in the bin prune. Far above
+// the rounding of the ball bounds, so a pruned candidate lies outside every
+// ball by a margin that also dominates the rounding of its clip() plane
+// distances: clip() would classify every vertex inside and reject the cut.
+constexpr double kBallMargin = 1e-6;
+
+}  // namespace
+
 CellBuilder::CellBuilder(std::vector<Vec3> points, std::vector<std::int64_t> ids,
                          const Vec3& bounds_min, const Vec3& bounds_max,
                          TessBackend backend)
@@ -111,13 +121,16 @@ void CellBuilder::add_points(const std::vector<Vec3>& points,
   }
 }
 
+int CellBuilder::bin_coord(int a, double x) const {
+  // Clamp in double first so far-out coordinates (the vertex-ball bounds of
+  // a seed-box cell) never overflow the int conversion. Both steps are
+  // monotone in x, which the bin prune relies on.
+  const double rel = (x - lo_[static_cast<std::size_t>(a)]) / h_[a];
+  return static_cast<int>(std::clamp(rel, 0.0, static_cast<double>(nb_[a] - 1)));
+}
+
 int CellBuilder::bin_of(const Vec3& p) const {
-  int c[3];
-  for (int a = 0; a < 3; ++a) {
-    const double rel = (p[static_cast<std::size_t>(a)] - lo_[static_cast<std::size_t>(a)]) / h_[a];
-    c[a] = std::clamp(static_cast<int>(rel), 0, nb_[a] - 1);
-  }
-  return (c[2] * nb_[1] + c[1]) * nb_[0] + c[0];
+  return (bin_coord(2, p.z) * nb_[1] + bin_coord(1, p.y)) * nb_[0] + bin_coord(0, p.x);
 }
 
 VoronoiCell CellBuilder::build(int site, const Vec3& box_min,
@@ -148,15 +161,11 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
   const Vec3& s = points_[static_cast<std::size_t>(site)];
   cell.reset(s, box_min, box_max);
   scratch.backend = backend_;
-  std::uint64_t cuts = 0;
-  std::uint64_t cand_seen = 0, cand_kept = 0, batches = 0, lanes = 0;
+  BackendStats st;
 
   // Site's bin coordinates.
   int sc[3];
-  for (int a = 0; a < 3; ++a) {
-    const double rel = (s[static_cast<std::size_t>(a)] - lo_[static_cast<std::size_t>(a)]) / h_[a];
-    sc[a] = std::clamp(static_cast<int>(rel), 0, nb_[a] - 1);
-  }
+  for (int a = 0; a < 3; ++a) sc[a] = bin_coord(a, s[static_cast<std::size_t>(a)]);
   const int site_bin = (sc[2] * nb_[1] + sc[1]) * nb_[0] + sc[0];
   const double hmin = std::min({h_[0], h_[1], h_[2]});
   const int max_ring = std::max({nb_[0], nb_[1], nb_[2]});
@@ -169,12 +178,13 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
   auto& cidx = scratch.cand_idx;
 
   auto merge_counters = [&] {
-    scratch.cuts_attempted += cuts;
-    cuts_.fetch_add(cuts, std::memory_order_relaxed);
-    cand_seen_.fetch_add(cand_seen, std::memory_order_relaxed);
-    cand_kept_.fetch_add(cand_kept, std::memory_order_relaxed);
-    batches_.fetch_add(batches, std::memory_order_relaxed);
-    lanes_.fetch_add(lanes, std::memory_order_relaxed);
+    cuts_.fetch_add(st.cuts, std::memory_order_relaxed);
+    cuts_noop_.fetch_add(st.cuts_noop, std::memory_order_relaxed);
+    bins_pruned_.fetch_add(st.bins_pruned, std::memory_order_relaxed);
+    cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
+    cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
+    batches_.fetch_add(st.batches, std::memory_order_relaxed);
+    lanes_.fetch_add(st.lanes, std::memory_order_relaxed);
   };
 
   for (int r = 0; r <= max_ring; ++r) {
@@ -186,6 +196,55 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
       if (ring_min * ring_min > 4.0 * cell.max_radius2()) break;
     }
 
+    // Shell bounds: ring r clipped to the grid, and past the site's own bin
+    // to the bins that can hold a cutter. A point cuts the cell only if it
+    // lies in some vertex ball B(v, |v - s|), so only bins meeting the
+    // bounding box of those balls (radii inflated by kBallMargin) are
+    // gathered; bin coordinates are monotone in position, so every other bin
+    // holds only points outside the box. The balls only shrink as cuts land:
+    // a skipped bin stays useless for the rest of the build, and once the
+    // box lies inside earlier rings, no later shell can hold a cutter.
+    const int x0 = sc[0] - r, x1 = sc[0] + r;
+    const int y0 = sc[1] - r, y1 = sc[1] + r;
+    const int z0 = sc[2] - r, z1 = sc[2] + r;
+    int lo[3] = {std::max(x0, 0), std::max(y0, 0), std::max(z0, 0)};
+    int hi[3] = {std::min(x1, nb_[0] - 1), std::min(y1, nb_[1] - 1),
+                 std::min(z1, nb_[2] - 1)};
+    if (r > 0) {
+      Vec3 bmin = s, bmax = s;
+      for (const Vec3& v : cell.vertices()) {
+        const double rad = std::sqrt(dist2(v, s)) * (1.0 + kBallMargin);
+        for (std::size_t a = 0; a < 3; ++a) {
+          bmin[a] = std::min(bmin[a], v[a] - rad);
+          bmax[a] = std::max(bmax[a], v[a] + rad);
+        }
+      }
+      int ball_lo[3], ball_hi[3], reach = 0;
+      for (int a = 0; a < 3; ++a) {
+        ball_lo[a] = bin_coord(a, bmin[static_cast<std::size_t>(a)]);
+        ball_hi[a] = bin_coord(a, bmax[static_cast<std::size_t>(a)]);
+        reach = std::max({reach, sc[a] - ball_lo[a], ball_hi[a] - sc[a]});
+      }
+      if (reach < r) break;
+      // Shell bins of the box [l, h]: all of it minus its part strictly
+      // inside ring r.
+      auto shell_bins = [&](const int* l, const int* h) {
+        std::int64_t all = 1, inner = 1;
+        for (int a = 0; a < 3; ++a) {
+          all *= std::max(0, h[a] - l[a] + 1);
+          inner *= std::max(0, std::min(h[a], sc[a] + r - 1) -
+                                   std::max(l[a], sc[a] - r + 1) + 1);
+        }
+        return static_cast<std::uint64_t>(all - inner);
+      };
+      const std::uint64_t in_grid = shell_bins(lo, hi);
+      for (int a = 0; a < 3; ++a) {
+        lo[a] = std::max(lo[a], ball_lo[a]);
+        hi[a] = std::min(hi[a], ball_hi[a]);
+      }
+      st.bins_pruned += in_grid - shell_bins(lo, hi);
+    }
+
     // Gather the shell's candidates into contiguous SoA batches: one
     // three-array copy per bin segment (the CSR slabs are already SoA).
     cx.clear();
@@ -193,12 +252,9 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     cz.clear();
     cidx.clear();
     std::ptrdiff_t site_slot = -1;
-    const int x0 = sc[0] - r, x1 = sc[0] + r;
-    const int y0 = sc[1] - r, y1 = sc[1] + r;
-    const int z0 = sc[2] - r, z1 = sc[2] + r;
-    for (int z = std::max(z0, 0); z <= std::min(z1, nb_[2] - 1); ++z)
-      for (int y = std::max(y0, 0); y <= std::min(y1, nb_[1] - 1); ++y)
-        for (int x = std::max(x0, 0); x <= std::min(x1, nb_[0] - 1); ++x) {
+    for (int z = lo[2]; z <= hi[2]; ++z)
+      for (int y = lo[1]; y <= hi[1]; ++y)
+        for (int x = lo[0]; x <= hi[0]; ++x) {
           // Shell only: skip interior bins already visited at smaller r.
           if (r > 0 && x != x0 && x != x1 && y != y0 && y != y1 && z != z0 &&
               z != z1)
@@ -226,10 +282,10 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
         }
 
     const std::size_t n = cidx.size();
-    cand_seen += n;
+    st.cand_seen += n;
     if (backend_ == TessBackend::kSimd) {
-      batches += (n + util::simd::kLanes - 1) / util::simd::kLanes;
-      lanes += n;
+      st.batches += (n + util::simd::kLanes - 1) / util::simd::kLanes;
+      st.lanes += n;
     }
 
     // Batched squared distances (bitwise equal across backends), then the
@@ -245,7 +301,7 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
       cd2[static_cast<std::size_t>(site_slot)] =
           std::numeric_limits<double>::infinity();
     ring_pts.clear();
-    cand_kept += kernels::screen_candidates(backend_, cd2.data(), cidx.data(),
+    st.cand_kept += kernels::screen_candidates(backend_, cd2.data(), cidx.data(),
                                             n, 4.0 * cell.max_radius2(),
                                             ring_pts);
 
@@ -278,9 +334,10 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     for (const auto& [d2, j] : ring_pts) {
       if (d2 > 4.0 * cell.max_radius2()) break;  // sorted: rest are farther
       const std::int64_t id = ids_.empty() ? j : ids_[static_cast<std::size_t>(j)];
-      ++cuts;
+      ++st.cuts;
       if (trace) trace->cut_ids.push_back(id);
-      cell.cut(points_[static_cast<std::size_t>(j)], id, scratch);
+      if (!cell.cut(points_[static_cast<std::size_t>(j)], id, scratch))
+        ++st.cuts_noop;
       if (cell.empty()) {
         merge_counters();
         return;

@@ -8,6 +8,16 @@
 // box). This is the "local Voronoi cell computation" stage of the paper's
 // pipeline, standing in for the per-block Qhull invocation.
 //
+// Within that radius, a ring skips every bin that misses the bounding box
+// of the vertex balls B(v, |v - s|) (the Voro++ criterion). A point p cuts
+// the cell only if some vertex v is closer to p than to the site s, i.e. p
+// lies in some vertex ball; cuts only shrink the cell, and with it the union
+// of the balls. So a skipped bin holds only candidates whose cut would
+// change nothing, and skipping them leaves every cell's geometry and the
+// order of its effective cuts unchanged. The radii are inflated by a small
+// relative margin so the prune stays conservative under rounding, and the
+// bounding box costs O(1) per bin.
+//
 // The grid is stored in CSR form (bin_offsets_ + bin_items_) with the point
 // coordinates permuted alongside into structure-of-arrays slabs (csr_x_/y_/
 // z_), so a ring sweep gathers each bin's candidates with three contiguous
@@ -35,13 +45,19 @@ namespace tess::geom {
 
 class CellBuilder {
  public:
-  /// Candidate-pipeline counters accumulated across build() calls, the
-  /// source of the geom.backend.* obs metrics. `cand_seen` counts grid
-  /// candidates gathered into batches, `cand_kept` the survivors of the
-  /// security-radius screen (kept/seen = filter hit rate); `batches`/`lanes`
-  /// count SIMD sweeps and the elements they carried (lanes / (4 * batches)
-  /// = batch occupancy; both zero under the scalar backend).
+  /// Work counters accumulated across build() calls, the source of the
+  /// geom.cuts* and geom.backend.* obs metrics. `cuts` counts bisector cuts
+  /// attempted, `cuts_noop` those that left the cell unchanged, and
+  /// `bins_pruned` the shell bins the vertex-ball prune skipped. `cand_seen`
+  /// counts grid candidates gathered into batches, `cand_kept` the
+  /// survivors of the security-radius screen (kept/seen = filter hit rate);
+  /// `batches`/`lanes` count SIMD sweeps and the elements they carried
+  /// (lanes / (4 * batches) = batch occupancy; both zero under the scalar
+  /// backend). All are deterministic for a given point set.
   struct BackendStats {
+    std::uint64_t cuts = 0;
+    std::uint64_t cuts_noop = 0;
+    std::uint64_t bins_pruned = 0;
     std::uint64_t cand_seen = 0;
     std::uint64_t cand_kept = 0;
     std::uint64_t batches = 0;
@@ -107,15 +123,13 @@ class CellBuilder {
   [[nodiscard]] const std::vector<Vec3>& points() const { return points_; }
   [[nodiscard]] TessBackend backend() const { return backend_; }
 
-  /// Total bisector cuts attempted across all build() calls (diagnostics).
-  /// Per-call counts accumulate in the caller's ClipScratch and are merged
-  /// here once per build, so concurrent builders stay race-free.
-  [[nodiscard]] std::uint64_t cuts_attempted() const {
-    return cuts_.load(std::memory_order_relaxed);
-  }
-
+  /// Counter totals. Each build counts locally and merges here once at its
+  /// end, so concurrent builds stay race-free.
   [[nodiscard]] BackendStats backend_stats() const {
     BackendStats s;
+    s.cuts = cuts_.load(std::memory_order_relaxed);
+    s.cuts_noop = cuts_noop_.load(std::memory_order_relaxed);
+    s.bins_pruned = bins_pruned_.load(std::memory_order_relaxed);
     s.cand_seen = cand_seen_.load(std::memory_order_relaxed);
     s.cand_kept = cand_kept_.load(std::memory_order_relaxed);
     s.batches = batches_.load(std::memory_order_relaxed);
@@ -124,6 +138,8 @@ class CellBuilder {
   }
 
  private:
+  /// Grid coordinate along axis `a` of position `x`, clamped to the grid.
+  [[nodiscard]] int bin_coord(int a, double x) const;
   [[nodiscard]] int bin_of(const Vec3& p) const;
   /// Target bins per dimension (~4 points per bin) for `n` points.
   [[nodiscard]] static int target_per_dim(std::size_t n);
@@ -156,6 +172,8 @@ class CellBuilder {
   std::vector<int> csr_cursor_;  // counting-sort scratch
 
   mutable std::atomic<std::uint64_t> cuts_{0};
+  mutable std::atomic<std::uint64_t> cuts_noop_{0};
+  mutable std::atomic<std::uint64_t> bins_pruned_{0};
   mutable std::atomic<std::uint64_t> cand_seen_{0};
   mutable std::atomic<std::uint64_t> cand_kept_{0};
   mutable std::atomic<std::uint64_t> batches_{0};

@@ -133,8 +133,8 @@ ParityReport compare_backends(const std::vector<Vec3>& points,
       report.divergences.push_back(std::move(d));
     }
   }
-  report.cuts_scalar = scalar.cuts_attempted();
-  report.cuts_simd = simd.cuts_attempted();
+  report.cuts_scalar = scalar.backend_stats().cuts;
+  report.cuts_simd = simd.backend_stats().cuts;
 
   if (opts.emit_metrics) {
     // Reported on every run (the StageB lesson: a green parity run that

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_set>
 
 #include "geom/kernels.hpp"
 
@@ -89,9 +88,11 @@ bool VoronoiCell::clip(const Plane& plane) { return clip(plane, tls_scratch()); 
 bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   if (faces_.empty()) return false;
 
-  // Signed distances for every stored vertex (unused ones are harmless),
-  // batched through the shared kernel TU so scalar and SIMD backends get
-  // bitwise-equal distances (see geom/kernels.hpp).
+  // Signed distances for every stored vertex, batched through the shared
+  // kernel TU so scalar and SIMD backends get bitwise-equal distances (see
+  // geom/kernels.hpp). Every stored vertex is live (referenced by a face),
+  // so one flat sweep of the distances decides a no-op cut — the common
+  // case — before any face loop is walked.
   const std::size_t nv0 = verts_.size();
   double vert_scale = 0.0;
   s.dist.resize(nv0);
@@ -100,19 +101,11 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   const double eps = plane_eps(plane, vert_scale);
   auto outside = [&](int v) { return s.dist[static_cast<std::size_t>(v)] > eps; };
 
-  bool any_out = false, all_out = true;
-  for (const auto& f : faces_)
-    for (int v : f.verts) {
-      if (outside(v)) {
-        any_out = true;
-      } else {
-        all_out = false;
-      }
-    }
-  if (!any_out) return false;
-  if (all_out) {
-    faces_.clear();
-    max_radius2_ = 0.0;
+  std::size_t n_out = 0;
+  for (std::size_t i = 0; i < nv0; ++i) n_out += s.dist[i] > eps ? 1 : 0;
+  if (n_out == 0) return false;
+  if (n_out == nv0) {
+    clear();
     return true;
   }
 
@@ -273,9 +266,41 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   // Swap instead of move: faces_ adopts the new faces and the scratch keeps
   // the old storage (and its face-loop capacities) for the next cut.
   faces_.swap(s.faces_buf);
-  if (faces_.size() < 4) faces_.clear();  // a valid polyhedron needs >= 4 faces
+  if (faces_.size() < 4) {  // a valid polyhedron needs >= 4 faces
+    clear();
+    return true;
+  }
+  drop_dead_vertices(s.remap);
   recompute_radius();
   return true;
+}
+
+void VoronoiCell::clear() {
+  faces_.clear();
+  verts_.clear();
+  gens_.clear();
+  max_radius2_ = 0.0;
+}
+
+void VoronoiCell::drop_dead_vertices(std::vector<int>& remap) {
+  // Mark the vertices some face references, then slide them down in their
+  // existing order (gens_ in step): compact() welds coincident vertices onto
+  // the lower index, so keeping the order keeps its choices unchanged.
+  remap.assign(verts_.size(), -1);
+  for (const auto& f : faces_)
+    for (int v : f.verts) remap[static_cast<std::size_t>(v)] = 0;
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < verts_.size(); ++i) {
+    if (remap[i] < 0) continue;
+    remap[i] = static_cast<int>(live);
+    verts_[live] = verts_[i];
+    gens_[live] = gens_[i];
+    ++live;
+  }
+  verts_.resize(live);
+  gens_.resize(live);
+  for (auto& f : faces_)
+    for (auto& v : f.verts) v = remap[static_cast<std::size_t>(v)];
 }
 
 void VoronoiCell::add_generator(int vertex, std::int64_t source) {
@@ -301,24 +326,16 @@ bool VoronoiCell::complete() const {
 
 void VoronoiCell::recompute_radius() {
   max_radius2_ = 0.0;
-  for (const auto& f : faces_)
-    for (int v : f.verts)
-      max_radius2_ =
-          std::max(max_radius2_, dist2(site_, verts_[static_cast<std::size_t>(v)]));
+  for (const Vec3& v : verts_) max_radius2_ = std::max(max_radius2_, dist2(site_, v));
 }
 
 double VoronoiCell::max_vertex_separation2() const {
-  // Collect the used vertices once; cells are small (tens of vertices), so
-  // the quadratic pass is cheap.
-  std::unordered_set<int> used;
-  for (const auto& f : faces_) used.insert(f.verts.begin(), f.verts.end());
+  // Every stored vertex is live; cells are small (tens of vertices), so the
+  // quadratic pass is cheap.
   double best = 0.0;
-  for (auto it = used.begin(); it != used.end(); ++it) {
-    auto jt = it;
-    for (++jt; jt != used.end(); ++jt)
-      best = std::max(best, dist2(verts_[static_cast<std::size_t>(*it)],
-                                  verts_[static_cast<std::size_t>(*jt)]));
-  }
+  for (std::size_t i = 0; i < verts_.size(); ++i)
+    for (std::size_t j = i + 1; j < verts_.size(); ++j)
+      best = std::max(best, dist2(verts_[i], verts_[j]));
   return best;
 }
 

@@ -19,6 +19,13 @@
 // face vertex loops use inline small-buffer storage. A cell object itself
 // can be reset() and reused so its vertex/face arrays keep their capacity
 // from one site to the next.
+//
+// Live-vertex invariant: after reset() and after every cut that changes the
+// cell, each stored vertex is referenced by some face. A cut drops the
+// vertices it clipped away, renumbering the survivors in their existing
+// order with vertex_generators() kept in step. Most cuts a builder tries
+// change nothing; with only live vertices stored, clip() rejects those from
+// one flat sweep of the plane distances, before walking any face loop.
 #pragma once
 
 #include <array>
@@ -138,9 +145,11 @@ class VoronoiCell {
   /// cell's natural (Delaunay) neighbors.
   [[nodiscard]] std::vector<std::int64_t> neighbor_ids() const;
 
-  /// Drop vertices not referenced by any face and renumber face loops.
-  /// Also removes zero-area faces left by bisector planes that graze the
-  /// cell exactly along an edge or corner (degenerate, e.g. lattice inputs).
+  /// Remove zero-area faces left by bisector planes that graze the cell
+  /// exactly along an edge or corner (degenerate, e.g. lattice inputs), weld
+  /// coincident vertices, drop collinear loop vertices, and renumber the
+  /// vertices in face order, dropping any these steps leave unreferenced.
+  /// After a clean cut this keeps every vertex.
   void compact();
 
   /// Rewrite the cell into a canonical, construction-path-independent form
@@ -160,6 +169,10 @@ class VoronoiCell {
 
  private:
   void prune_degenerate_faces();
+  /// Empty the cell (every vertex clipped away).
+  void clear();
+  /// Restore the live-vertex invariant after a cut; `remap` is scratch.
+  void drop_dead_vertices(std::vector<int>& remap);
   void recompute_radius();
   void add_generator(int vertex, std::int64_t source);
 
@@ -191,6 +204,7 @@ struct ClipScratch {
   std::vector<int> loop;                  ///< clipped loop of the current face
   std::vector<VoronoiCell::Face> faces_buf;  ///< double buffer for new faces
   std::vector<int> cap_verts;             ///< degenerate-cap fallback order
+  std::vector<int> remap;                 ///< old -> live vertex index
 
   /// Candidate (dist2, index) pairs for the cell builder's ring sweep.
   /// Sorted by (dist2, id, position) — a key independent of point-array
@@ -205,9 +219,6 @@ struct ClipScratch {
   /// its resolved backend; the default keeps standalone cut()/clip() calls
   /// on the scalar sweep.
   TessBackend backend = TessBackend::kScalar;
-  /// Bisector cuts attempted through this scratch (per-thread accumulator;
-  /// merged by the owner, see CellBuilder::cuts_attempted).
-  std::uint64_t cuts_attempted = 0;
 };
 
 }  // namespace tess::geom

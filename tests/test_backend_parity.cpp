@@ -3,7 +3,7 @@
 // (traced stage-by-stage comparison via geom::compare_backends) and at
 // mesh granularity (serialized BlockMesh bytes through the full parallel
 // pipeline, across periodic/open domains, thread counts, and the
-// incremental auto-ghost loop), with identical cuts_attempted totals.
+// incremental auto-ghost loop), with identical cut totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>

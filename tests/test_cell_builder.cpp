@@ -1,9 +1,12 @@
 // Tests for the grid-accelerated cell builder: exactness against brute
 // force, the partition-of-space property (cell volumes sum to the box
-// volume), and completeness classification near boundaries.
+// volume), completeness classification near boundaries, and the work
+// counters of the vertex-ball bin prune.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "geom/cell_builder.hpp"
 #include "util/rng.hpp"
@@ -25,6 +28,27 @@ std::vector<Vec3> random_points(std::uint64_t seed, int n, double lo = 0.0,
   return pts;
 }
 
+// Two tight Gaussian blobs plus a sparse uniform background, clamped into
+// the unit box (mimics evolved cosmological particles).
+std::vector<Vec3> two_blob_points(std::uint64_t seed, int per_blob, int background) {
+  Rng rng(seed);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < per_blob; ++i)
+    pts.push_back({0.2 + 0.02 * rng.normal(), 0.2 + 0.02 * rng.normal(),
+                   0.2 + 0.02 * rng.normal()});
+  for (int i = 0; i < per_blob; ++i)
+    pts.push_back({0.8 + 0.02 * rng.normal(), 0.7 + 0.02 * rng.normal(),
+                   0.6 + 0.02 * rng.normal()});
+  for (int i = 0; i < background; ++i)
+    pts.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+  for (auto& p : pts) {
+    p.x = std::clamp(p.x, 0.001, 0.999);
+    p.y = std::clamp(p.y, 0.001, 0.999);
+    p.z = std::clamp(p.z, 0.001, 0.999);
+  }
+  return pts;
+}
+
 // Reference: clip against every other point, no grid, no security radius.
 tg::VoronoiCell brute_force_cell(const std::vector<Vec3>& pts, int site,
                                  const Vec3& lo, const Vec3& hi) {
@@ -37,18 +61,108 @@ tg::VoronoiCell brute_force_cell(const std::vector<Vec3>& pts, int site,
   return cell;
 }
 
+// Vertex coordinates (bitwise), face sources and face loops all equal.
+bool same_bits(const tg::VoronoiCell& a, const tg::VoronoiCell& b) {
+  if (a.vertices().size() != b.vertices().size() ||
+      a.faces().size() != b.faces().size())
+    return false;
+  if (std::memcmp(a.vertices().data(), b.vertices().data(),
+                  a.vertices().size() * sizeof(Vec3)) != 0)
+    return false;
+  for (std::size_t f = 0; f < a.faces().size(); ++f) {
+    const auto& fa = a.faces()[f];
+    const auto& fb = b.faces()[f];
+    if (fa.source != fb.source ||
+        !std::equal(fa.verts.begin(), fa.verts.end(), fb.verts.begin(),
+                    fb.verts.end()))
+      return false;
+  }
+  return true;
+}
+
 }  // namespace
 
+// Every site of three clouds against the brute-force cell. On all of them no
+// point of the set changes the finished cell — the statement the bin prune
+// and the security-radius stop rely on. Generic clouds must match bit for
+// bit once canonicalized. The near-lattice is degenerate: many bisectors
+// meet at each vertex, so which grazing faces survive depends on cut order,
+// and there only volumes are compared.
 TEST(CellBuilder, MatchesBruteForce) {
-  const auto pts = random_points(77, 100);
-  CellBuilder builder(pts, {}, {0, 0, 0}, {1, 1, 1});
-  for (int s = 0; s < 100; s += 7) {
-    auto fast = builder.build(s, {0, 0, 0}, {1, 1, 1});
-    auto ref = brute_force_cell(pts, s, {0, 0, 0}, {1, 1, 1});
-    EXPECT_NEAR(fast.volume(), ref.volume(), 1e-10) << "site " << s;
-    EXPECT_NEAR(fast.area(), ref.area(), 1e-9) << "site " << s;
-    EXPECT_EQ(fast.neighbor_ids(), ref.neighbor_ids()) << "site " << s;
+  struct Cloud {
+    const char* name;
+    std::vector<Vec3> pts;
+    bool bitwise;
+  };
+  std::vector<Cloud> clouds;
+  clouds.push_back({"uniform", random_points(77, 400), true});
+  clouds.push_back({"clustered", two_blob_points(4242, 200, 100), true});
+  {
+    Rng rng(99);
+    std::vector<Vec3> lattice;
+    for (int x = 0; x < 5; ++x)
+      for (int y = 0; y < 5; ++y)
+        for (int z = 0; z < 5; ++z)
+          lattice.push_back({(x + 0.5) / 5 + 1e-12 * rng.uniform(),
+                             (y + 0.5) / 5 + 1e-12 * rng.uniform(),
+                             (z + 0.5) / 5 + 1e-12 * rng.uniform()});
+    clouds.push_back({"near-lattice", std::move(lattice), false});
   }
+
+  const Vec3 lo{0, 0, 0}, hi{1, 1, 1};
+  for (const auto& cloud : clouds) {
+    const auto& pts = cloud.pts;
+    CellBuilder builder(pts, {}, lo, hi);
+    std::size_t complete = 0, bit_equal = 0;
+    for (int s = 0; s < static_cast<int>(pts.size()); ++s) {
+      auto fast = builder.build(s, lo, hi);
+      auto ref = brute_force_cell(pts, s, lo, hi);
+      EXPECT_NEAR(fast.volume(), ref.volume(), 1e-10) << cloud.name << " site " << s;
+      EXPECT_NEAR(fast.area(), ref.area(), 1e-9) << cloud.name << " site " << s;
+
+      tg::VoronoiCell probe = fast;
+      for (int j = 0; j < static_cast<int>(pts.size()); ++j) {
+        if (j == s || !probe.cut(pts[static_cast<std::size_t>(j)], j)) continue;
+        ADD_FAILURE() << cloud.name << ": point " << j << " cuts finished cell " << s;
+        probe = fast;
+      }
+
+      if (!cloud.bitwise) continue;
+      EXPECT_EQ(fast.neighbor_ids(), ref.neighbor_ids()) << cloud.name << " site " << s;
+      if (!fast.complete()) continue;
+      ++complete;
+      fast.canonicalize();
+      ref.canonicalize();
+      if (same_bits(fast, ref)) {
+        ++bit_equal;
+      } else {
+        ADD_FAILURE() << cloud.name << ": canonical cell " << s
+                      << " differs from brute force";
+      }
+    }
+    if (cloud.bitwise) {
+      EXPECT_GT(complete, pts.size() / 4) << cloud.name;
+      EXPECT_EQ(bit_equal, complete) << cloud.name;
+    }
+  }
+}
+
+TEST(CellBuilder, PruneSkipsBinsOnClusteredCloud) {
+  const auto pts = two_blob_points(31337, 150, 20);
+  CellBuilder builder(pts, {}, {0, 0, 0}, {1, 1, 1});
+  for (int s = 0; s < static_cast<int>(pts.size()); ++s)
+    (void)builder.build(s, {0, 0, 0}, {1, 1, 1});
+  const auto st = builder.backend_stats();
+  EXPECT_GT(st.bins_pruned, 0u);
+  EXPECT_GT(st.cuts_noop, 0u);
+  EXPECT_LT(st.cuts_noop, st.cuts);
+
+  // Counters are a pure function of the point set and the sites built.
+  CellBuilder again(pts, {}, {0, 0, 0}, {1, 1, 1});
+  for (int s = 0; s < static_cast<int>(pts.size()); ++s)
+    (void)again.build(s, {0, 0, 0}, {1, 1, 1});
+  EXPECT_EQ(again.backend_stats().bins_pruned, st.bins_pruned);
+  EXPECT_EQ(again.backend_stats().cuts_noop, st.cuts_noop);
 }
 
 class CellPartition : public ::testing::TestWithParam<int> {};
@@ -137,24 +251,7 @@ TEST(CellBuilder, DuplicatePointsDoNotCrash) {
 }
 
 TEST(CellBuilder, ClusteredPointsStillPartition) {
-  // Heavily clustered distribution (mimics evolved cosmological particles):
-  // two tight clusters plus sparse background.
-  Rng rng(31337);
-  std::vector<Vec3> pts;
-  for (int i = 0; i < 150; ++i)
-    pts.push_back({0.2 + 0.02 * rng.normal(), 0.2 + 0.02 * rng.normal(),
-                   0.2 + 0.02 * rng.normal()});
-  for (int i = 0; i < 150; ++i)
-    pts.push_back({0.8 + 0.02 * rng.normal(), 0.7 + 0.02 * rng.normal(),
-                   0.6 + 0.02 * rng.normal()});
-  for (int i = 0; i < 20; ++i)
-    pts.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
-  // Clamp into the box.
-  for (auto& p : pts) {
-    p.x = std::clamp(p.x, 0.001, 0.999);
-    p.y = std::clamp(p.y, 0.001, 0.999);
-    p.z = std::clamp(p.z, 0.001, 0.999);
-  }
+  const auto pts = two_blob_points(31337, 150, 20);
   CellBuilder builder(pts, {}, {0, 0, 0}, {1, 1, 1});
   double total = 0.0;
   for (int s = 0; s < static_cast<int>(pts.size()); ++s)

@@ -391,6 +391,33 @@ TEST(ObsStats, CumulativeGhostTrafficEqualsPerPassSumAndRegistry) {
   EXPECT_EQ(reg.counter("tess.ghost_received").value(), all_received);
 }
 
+// The wasted-work counters ride along with geom.cuts in both build loops:
+// the one-pass fixed-ghost loop and the auto-ghost pass loop.
+TEST(ObsStats, WastedWorkCountersEmittedWithCuts) {
+  constexpr double kDomain = 6.0;
+  const auto particles = clustered_particles(600, kDomain);
+  for (const bool auto_ghost : {false, true}) {
+    tess::obs::metrics().reset();
+    Runtime::run(2, [&](Comm& c) {
+      Decomposition d({0, 0, 0}, {kDomain, kDomain, kDomain},
+                      Decomposition::factor(2), true);
+      TessOptions opt;
+      opt.ghost = auto_ghost ? 0.3 : 1.5;
+      opt.auto_ghost = auto_ghost;
+      tess::core::standalone_tessellate(
+          c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt);
+    });
+    auto& reg = tess::obs::metrics();
+    const std::uint64_t cuts = reg.counter("geom.cuts").value();
+    const std::uint64_t noop = reg.counter("geom.cuts_noop").value();
+    EXPECT_GT(cuts, 0u) << "auto_ghost=" << auto_ghost;
+    EXPECT_GT(noop, 0u) << "auto_ghost=" << auto_ghost;
+    EXPECT_LT(noop, cuts) << "auto_ghost=" << auto_ghost;
+    EXPECT_GT(reg.counter("geom.bins_pruned").value(), 0u)
+        << "auto_ghost=" << auto_ghost;
+  }
+}
+
 TEST(ObsStats, FinalizeRecomputesFromIterations) {
   TessStats s;
   s.ghost_sent = 123;  // stale

@@ -187,7 +187,12 @@ struct IdentityCase {
   int nranks;
   int threads;
   bool periodic;
+  // gtest prints this parameter as its raw bytes, and ctest names each case
+  // after that print. An explicit zeroed tail instead of implicit padding
+  // keeps uninitialized stack bytes out of the case names.
+  char zero_tail[3] = {};
 };
+static_assert(sizeof(IdentityCase) == 12, "IdentityCase must have no padding");
 
 class PipelineIdentity : public ::testing::TestWithParam<IdentityCase> {};
 

@@ -180,15 +180,49 @@ TEST(VoronoiCell, MaxVertexSeparationBoundsDiameter) {
   EXPECT_NEAR(cell.max_vertex_separation2(), 3.0, 1e-12);  // cube diagonal^2
 }
 
-TEST(VoronoiCell, CompactRemovesUnusedVertices) {
+// The live-vertex invariant: after every cut each stored vertex is
+// referenced by a face and the generator table stays in step, so compact()
+// of a cleanly cut cell has no vertex to drop.
+TEST(VoronoiCell, CutsStoreOnlyLiveVertices) {
+  auto expect_all_live = [](const VoronoiCell& cell) {
+    ASSERT_EQ(cell.vertices().size(), cell.vertex_generators().size());
+    std::vector<char> used(cell.vertices().size(), 0);
+    for (const auto& f : cell.faces())
+      for (int v : f.verts) used[static_cast<std::size_t>(v)] = 1;
+    EXPECT_EQ(std::count(used.begin(), used.end(), 0), 0);
+  };
+
   VoronoiCell cell({0.25, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1});
-  cell.cut({0.75, 0.5, 0.5}, 1);
-  const auto before = cell.vertices().size();
-  cell.compact();
-  EXPECT_LT(cell.vertices().size(), before);
+  expect_all_live(cell);
+  ASSERT_TRUE(cell.cut({0.75, 0.5, 0.5}, 1));
+  expect_all_live(cell);
   EXPECT_EQ(cell.vertices().size(), 8u);  // half-box has 8 corners
+  cell.compact();
+  EXPECT_EQ(cell.vertices().size(), 8u);
   EXPECT_NEAR(cell.volume(), 0.5, 1e-12);
   expect_euler(cell);
+
+  // Random cuts, effective and no-op alike; a cell clipped away entirely
+  // keeps no vertex.
+  Rng rng(7);
+  VoronoiCell rnd({0.5, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1});
+  for (int i = 0; i < 200; ++i) {
+    const double spread = i < 100 ? 1.0 : 0.2;
+    rnd.cut({0.5 + spread * (rng.uniform() - 0.5), 0.5 + spread * (rng.uniform() - 0.5),
+             0.5 + spread * (rng.uniform() - 0.5)},
+            i);
+    expect_all_live(rnd);
+    if (i == 99) {
+      const auto before = rnd.vertices().size();
+      VoronoiCell compacted = rnd;
+      compacted.compact();
+      EXPECT_EQ(compacted.vertices().size(), before);
+    }
+  }
+  ASSERT_TRUE(rnd.clip({{1, 0, 0}, -10.0, 42}));
+  EXPECT_TRUE(rnd.empty());
+  expect_all_live(rnd);
+  EXPECT_TRUE(rnd.vertices().empty());
 }
 
 TEST(VoronoiCell, VolumeNeverIncreasesUnderCuts) {
