@@ -1,35 +1,58 @@
 #include "core/block_mesh.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace tess::core {
 
 namespace {
-// Welding quantum: Voronoi vertices computed independently from adjacent
-// cells agree to ~1e-10 relative, so a 1e-7 grid merges them while keeping
-// genuinely distinct vertices (>= particle-spacing scale apart) separate.
-constexpr double kWeldQuantum = 1e-7;
+
+/// Mix of a quantized key; the table uses its high bits.
+std::uint64_t weld_hash(std::int64_t x, std::int64_t y, std::int64_t z) {
+  std::uint64_t h = static_cast<std::uint64_t>(x) * 0x9e3779b97f4a7c15ULL;
+  h ^= static_cast<std::uint64_t>(y) * 0xc2b2ae3d27d4eb4fULL;
+  h ^= static_cast<std::uint64_t>(z) * 0x165667b19e3779f9ULL;
+  h ^= h >> 29;
+  return h * 0xbf58476d1ce4e5b9ULL;
+}
+
+constexpr std::size_t kMinWeldSlots = 64;
+
 }  // namespace
 
-std::size_t BlockMesh::KeyHash::operator()(const Key& k) const {
-  std::size_t h = static_cast<std::size_t>(k.x) * 0x9e3779b97f4a7c15ULL;
-  h ^= static_cast<std::size_t>(k.y) * 0xc2b2ae3d27d4eb4fULL + (h << 6);
-  h ^= static_cast<std::size_t>(k.z) * 0x165667b19e3779f9ULL + (h >> 2);
-  return h;
+std::size_t BlockMesh::weld_slot(std::int64_t x, std::int64_t y,
+                                 std::int64_t z) const {
+  const std::size_t mask = weld_slots_.size() - 1;
+  std::size_t i =
+      weld_hash(x, y, z) >> (64 - std::countr_zero(weld_slots_.size()));
+  for (;; i = (i + 1) & mask) {
+    const WeldSlot& s = weld_slots_[i];
+    if (s.index == kUnwelded || (s.x == x && s.y == y && s.z == z)) return i;
+  }
 }
 
 std::uint32_t BlockMesh::weld_vertex(const Vec3& v) {
-  const Key key{static_cast<std::int64_t>(std::llround(v.x / kWeldQuantum)),
-                static_cast<std::int64_t>(std::llround(v.y / kWeldQuantum)),
-                static_cast<std::int64_t>(std::llround(v.z / kWeldQuantum))};
-  const auto it = weld_map_.find(key);
-  if (it != weld_map_.end()) return it->second;
-  const auto idx = static_cast<std::uint32_t>(vertices.size());
+  const std::int64_t x = std::llround(v.x / kWeldQuantum);
+  const std::int64_t y = std::llround(v.y / kWeldQuantum);
+  const std::int64_t z = std::llround(v.z / kWeldQuantum);
+  if (2 * (weld_count_ + 1) > weld_slots_.size()) {
+    // Double (keeping the load at most 1/2) and reinsert.
+    const std::vector<WeldSlot> old = std::move(weld_slots_);
+    weld_slots_.assign(std::max(kMinWeldSlots, 2 * old.size()),
+                       WeldSlot{0, 0, 0, kUnwelded});
+    for (const WeldSlot& s : old)
+      if (s.index != kUnwelded) weld_slots_[weld_slot(s.x, s.y, s.z)] = s;
+  }
+  WeldSlot& slot = weld_slots_[weld_slot(x, y, z)];
+  if (slot.index != kUnwelded) return slot.index;
+  slot = {x, y, z, static_cast<std::uint32_t>(vertices.size())};
   vertices.push_back(v);
-  weld_map_.emplace(key, idx);
-  return idx;
+  ++weld_count_;
+  return slot.index;
 }
 
 void BlockMesh::add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
@@ -42,44 +65,52 @@ void BlockMesh::add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
   rec.first_face = static_cast<std::uint32_t>(num_faces());
   rec.num_faces = static_cast<std::uint32_t>(cell.faces().size());
 
+  const auto& verts = cell.vertices();
+  remap_.assign(verts.size(), kUnwelded);
   for (const auto& f : cell.faces()) {
-    for (int v : f.verts)
-      face_verts.push_back(
-          weld_vertex(cell.vertices()[static_cast<std::size_t>(v)]));
+    for (int v : f.verts) {
+      auto& mapped = remap_[static_cast<std::size_t>(v)];
+      if (mapped == kUnwelded)
+        mapped = weld_vertex(verts[static_cast<std::size_t>(v)]);
+      face_verts.push_back(mapped);
+    }
     face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
     face_neighbors.push_back(f.source);
   }
   cells.push_back(rec);
 }
 
+void BlockMesh::append_faces(const BlockMesh& src, std::size_t first,
+                             std::size_t count,
+                             std::vector<std::uint32_t>& remap) {
+  for (std::size_t f = first; f < first + count; ++f) {
+    for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i) {
+      auto& mapped = remap[src.face_verts[i]];
+      if (mapped == kUnwelded) mapped = weld_vertex(src.vertices[src.face_verts[i]]);
+      face_verts.push_back(mapped);
+    }
+    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
+    face_neighbors.push_back(src.face_neighbors[f]);
+  }
+}
+
 void BlockMesh::append(const BlockMesh& other) {
   const auto face_base = static_cast<std::uint32_t>(num_faces());
-  cells.reserve(cells.size() + other.cells.size());
   for (const auto& c : other.cells) {
     CellRecord rec = c;
     rec.first_face += face_base;
     cells.push_back(rec);
   }
-  face_verts.reserve(face_verts.size() + other.face_verts.size());
-  for (std::size_t f = 0; f < other.num_faces(); ++f) {
-    for (std::size_t i = other.face_offsets[f]; i < other.face_offsets[f + 1]; ++i)
-      face_verts.push_back(
-          weld_vertex(other.vertices[other.face_verts[i]]));
-    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
-    face_neighbors.push_back(other.face_neighbors[f]);
-  }
+  remap_.assign(other.vertices.size(), kUnwelded);
+  append_faces(other, 0, other.num_faces(), remap_);
 }
 
-void BlockMesh::append_cell(const BlockMesh& src, std::size_t cell) {
-  const CellRecord& c = src.cells[cell];
-  CellRecord rec = c;
+void BlockMesh::append_cell(const BlockMesh& src, std::size_t cell,
+                            std::vector<std::uint32_t>& remap) {
+  CellRecord rec = src.cells[cell];
+  const std::size_t first = rec.first_face;
   rec.first_face = static_cast<std::uint32_t>(num_faces());
-  for (std::size_t f = c.first_face; f < c.first_face + c.num_faces; ++f) {
-    for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i)
-      face_verts.push_back(weld_vertex(src.vertices[src.face_verts[i]]));
-    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
-    face_neighbors.push_back(src.face_neighbors[f]);
-  }
+  append_faces(src, first, rec.num_faces, remap);
   cells.push_back(rec);
 }
 
@@ -98,8 +129,11 @@ BlockMesh canonical_merge(const std::vector<BlockMesh>& blocks) {
       order.push_back({blocks[b].cells[i].site_id, {b, i}});
   }
   std::sort(order.begin(), order.end());
+  std::vector<std::vector<std::uint32_t>> remaps(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    remaps[b].assign(blocks[b].vertices.size(), BlockMesh::kUnwelded);
   for (const auto& [site, loc] : order)
-    merged.append_cell(blocks[loc.first], loc.second);
+    merged.append_cell(blocks[loc.first], loc.second, remaps[loc.first]);
   return merged;
 }
 
@@ -134,6 +168,40 @@ void BlockMesh::serialize(diy::Buffer& buf) const {
 
 namespace {
 
+[[noreturn]] void corrupt(const std::string& detail) {
+  throw std::runtime_error("corrupt mesh block: " + detail);
+}
+
+/// Reject index data that would send a reader of `m` out of bounds.
+void validate_indices(const BlockMesh& m) {
+  const auto& offsets = m.face_offsets;
+  if (offsets.empty() || offsets.front() != 0)
+    corrupt("face_offsets must start at 0");
+  for (std::size_t f = 1; f < offsets.size(); ++f)
+    if (offsets[f] < offsets[f - 1])
+      corrupt("face_offsets decrease at face " + std::to_string(f));
+  if (offsets.back() != m.face_verts.size())
+    corrupt("face_offsets end at " + std::to_string(offsets.back()) +
+            ", face_verts has " + std::to_string(m.face_verts.size()));
+  if (m.face_neighbors.size() != offsets.size() - 1)
+    corrupt(std::to_string(m.face_neighbors.size()) + " face_neighbors for " +
+            std::to_string(offsets.size() - 1) + " faces");
+  for (std::size_t k = 0; k < m.face_verts.size(); ++k)
+    if (m.face_verts[k] >= m.vertices.size())
+      corrupt("face_verts[" + std::to_string(k) + "] = " +
+              std::to_string(m.face_verts[k]) + " >= " +
+              std::to_string(m.vertices.size()) + " vertices");
+  const std::size_t nf = m.face_neighbors.size();
+  for (std::size_t c = 0; c < m.cells.size(); ++c) {
+    const auto& rec = m.cells[c];
+    if (rec.first_face > nf || rec.num_faces > nf - rec.first_face)
+      corrupt("cell " + std::to_string(c) + " faces [" +
+              std::to_string(rec.first_face) + ", +" +
+              std::to_string(rec.num_faces) + ") exceed " +
+              std::to_string(nf) + " faces");
+  }
+}
+
 template <typename Source>
 BlockMesh deserialize_from(Source& buf) {
   BlockMesh m;
@@ -144,6 +212,7 @@ BlockMesh deserialize_from(Source& buf) {
   m.face_offsets = buf.template read_vector<std::uint32_t>();
   m.face_verts = buf.template read_vector<std::uint32_t>();
   m.face_neighbors = buf.template read_vector<std::int64_t>();
+  validate_indices(m);
   return m;
 }
 

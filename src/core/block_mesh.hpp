@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "diy/decomposition.hpp"
@@ -20,6 +19,12 @@
 namespace tess::core {
 
 using geom::Vec3;
+
+/// Welding quantum: Voronoi vertices computed independently from adjacent
+/// cells agree to ~1e-10 relative, so a 1e-7 grid merges them while keeping
+/// genuinely distinct vertices (>= particle-spacing scale apart) separate.
+/// Two positions weld iff llround(coord / kWeldQuantum) agrees on all axes.
+inline constexpr double kWeldQuantum = 1e-7;
 
 struct CellRecord {
   std::int64_t site_id = -1;  ///< global particle id of the cell's site
@@ -50,6 +55,8 @@ class BlockMesh {
 
   /// Append a compacted Voronoi cell. Vertices are welded against the
   /// block's existing vertices so shared Voronoi vertices are listed once.
+  /// Each of the cell's vertices is welded once, at its first reference in
+  /// face-corner order; later corners reuse that result.
   void add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
                 double volume, double area);
 
@@ -57,12 +64,21 @@ class BlockMesh {
   /// mesh. Merging worker shards in site order through this call yields
   /// exactly the mesh a serial pass would have produced, because welding
   /// keys on quantized positions and shard-local representatives coincide
-  /// with the serial first-occurrence representatives.
+  /// with the serial first-occurrence representatives. Linear in the size
+  /// of `other` (amortized): storage grows geometrically.
   void append(const BlockMesh& other);
 
   /// Append a single cell of `src`, re-welding its vertices against this
-  /// mesh (the per-cell form of append, used by canonical_merge).
-  void append_cell(const BlockMesh& src, std::size_t cell);
+  /// mesh (the per-cell form of append, used by canonical_merge). `remap`
+  /// caches src vertex -> this mesh's vertex across calls: size it to
+  /// src.vertices.size() filled with kUnwelded before the first call for
+  /// `src`, then pass the same vector for every cell of `src` appended to
+  /// this mesh.
+  void append_cell(const BlockMesh& src, std::size_t cell,
+                   std::vector<std::uint32_t>& remap);
+
+  /// Marks a source vertex not yet welded in an append_cell remap.
+  static constexpr std::uint32_t kUnwelded = UINT32_MAX;
 
   /// Average faces per cell / vertices per face (paper's data-model stats).
   [[nodiscard]] double avg_faces_per_cell() const;
@@ -72,6 +88,9 @@ class BlockMesh {
   [[nodiscard]] double bytes_per_cell() const;
 
   void serialize(diy::Buffer& buf) const;
+  /// Throws std::runtime_error when the bytes are truncated or their
+  /// index data (face offsets, face vertices, cell face ranges) would index
+  /// out of bounds.
   static BlockMesh deserialize(diy::Buffer& buf);
   /// Zero-copy deserialization straight out of a memory-mapped block
   /// (diy::MappedBlockFile::block_view) — same wire format as above.
@@ -83,17 +102,26 @@ class BlockMesh {
   static diy::Bounds peek_bounds(diy::BufferView buf);
 
  private:
+  /// Index of the vertex at v's quantized position, appending v if none.
   [[nodiscard]] std::uint32_t weld_vertex(const Vec3& v);
+  /// Slot holding quantized key (x, y, z), or the free slot it would take.
+  [[nodiscard]] std::size_t weld_slot(std::int64_t x, std::int64_t y,
+                                      std::int64_t z) const;
+  /// Append src's face range [first, first + count) to the face arrays,
+  /// welding each source vertex once through `remap`.
+  void append_faces(const BlockMesh& src, std::size_t first,
+                    std::size_t count, std::vector<std::uint32_t>& remap);
 
-  // Spatial hash for vertex welding (quantized coordinates -> vertex index).
-  struct Key {
+  // Open-addressing weld table (quantized position -> vertex index):
+  // power-of-two slot array, linear probing, load kept at most 1/2. A
+  // mesh's table only ever grows; first occurrence of a key wins.
+  struct WeldSlot {
     std::int64_t x, y, z;
-    bool operator==(const Key&) const = default;
+    std::uint32_t index;  ///< kUnwelded marks a free slot
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-  std::unordered_map<Key, std::uint32_t, KeyHash> weld_map_;
+  std::vector<WeldSlot> weld_slots_;
+  std::size_t weld_count_ = 0;
+  std::vector<std::uint32_t> remap_;  ///< reused by add_cell and append
 };
 
 /// Merge per-block meshes into one canonical global mesh whose bytes are

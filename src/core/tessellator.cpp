@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <stdexcept>
+#include <type_traits>
 
 #include "comm/fault.hpp"
 #include "diy/blockio.hpp"
@@ -46,10 +48,12 @@ namespace {
 /// builder's counter deltas — on every run, not just parity runs, so
 /// production traces always carry the wasted-work counts, filter hit rate,
 /// batch occupancy, and exact-fallback rate.
-void emit_backend_metrics(geom::TessBackend backend,
-                          const geom::CellBuilder::BackendStats& before,
-                          const geom::CellBuilder::BackendStats& after,
-                          unsigned long long exact_before) {
+void emit_backend_metrics(
+    [[maybe_unused]] geom::TessBackend backend,
+    [[maybe_unused]] const geom::CellBuilder::BackendStats& before,
+    [[maybe_unused]] const geom::CellBuilder::BackendStats& after,
+    [[maybe_unused]] unsigned long long exact_before) {
+#if TESS_OBS_ENABLED
   const std::uint64_t cuts_delta = after.cuts - before.cuts;
   const std::uint64_t seen = after.cand_seen - before.cand_seen;
   const std::uint64_t kept = after.cand_kept - before.cand_kept;
@@ -76,6 +80,7 @@ void emit_backend_metrics(geom::TessBackend backend,
     TESS_GAUGE_SET("geom.exact_fallback_rate",
                    static_cast<double>(exact) /
                        static_cast<double>(cuts_delta));
+#endif
 }
 
 }  // namespace
@@ -662,8 +667,21 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
   timer.start();
   // Ordered merge: shard c holds sites [c*kGrain, (c+1)*kGrain), so
   // appending in chunk order reproduces the serial site order exactly.
-  double loop_cpu = 0.0;
+  // The cell and face arrays are sized once from the shard totals, and each
+  // shard is released once merged, so the shards and the block mesh are
+  // never both resident in full.
+  std::size_t total_cells = 0, total_faces = 0, total_corners = 0;
   for (const auto& shard : shards) {
+    total_cells += shard.mesh.cells.size();
+    total_faces += shard.mesh.num_faces();
+    total_corners += shard.mesh.face_verts.size();
+  }
+  mesh.cells.reserve(total_cells);
+  mesh.face_offsets.reserve(total_faces + 1);
+  mesh.face_neighbors.reserve(total_faces);
+  mesh.face_verts.reserve(total_corners);
+  double loop_cpu = 0.0;
+  for (auto& shard : shards) {
     mesh.append(shard.mesh);
     stats_.cells_incomplete += shard.incomplete;
     stats_.cells_uncertified += shard.uncertified;
@@ -671,6 +689,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
     stats_.cells_culled_volume += shard.culled_volume;
     stats_.cells_kept += shard.mesh.cells.size();
     loop_cpu += shard.cpu_seconds;
+    shard.mesh = BlockMesh{};
   }
   timer.stop();
   // Model the per-rank critical path: serial sections (builder setup and
@@ -696,37 +715,73 @@ std::uint64_t Tessellator::write(const std::string& path, const BlockMesh& mesh)
   return total;
 }
 
-TessStats Tessellator::reduced_stats() const {
-  TessStats r = stats_;
-  // Times: max across ranks (critical path); counters: sums.
-  r.exchange_seconds = comm_->allreduce_max(stats_.exchange_seconds);
-  r.compute_seconds = comm_->allreduce_max(stats_.compute_seconds);
-  r.output_seconds = comm_->allreduce_max(stats_.output_seconds);
-  r.local_particles = comm_->allreduce_sum(stats_.local_particles);
-  r.ghost_received = comm_->allreduce_sum(stats_.ghost_received);
-  r.ghost_sent = comm_->allreduce_sum(stats_.ghost_sent);
-  r.cells_kept = comm_->allreduce_sum(stats_.cells_kept);
-  r.cells_incomplete = comm_->allreduce_sum(stats_.cells_incomplete);
-  r.cells_culled_early = comm_->allreduce_sum(stats_.cells_culled_early);
-  r.cells_culled_volume = comm_->allreduce_sum(stats_.cells_culled_volume);
-  r.output_bytes = stats_.output_bytes;  // already global (file size)
-  r.ghost_used = comm_->allreduce_max(stats_.ghost_used);
-  r.auto_iterations = comm_->allreduce_max(stats_.auto_iterations);
-  r.cells_uncertified = comm_->allreduce_sum(stats_.cells_uncertified);
-  // Per-pass entries reduce element-wise; the loop is collective, so every
-  // rank holds the same number of iterations.
-  for (std::size_t k = 0; k < r.iterations.size(); ++k) {
-    auto& it = r.iterations[k];
-    const auto& mine = stats_.iterations[k];
-    it.ghost = comm_->allreduce_max(mine.ghost);
-    it.exchange_seconds = comm_->allreduce_max(mine.exchange_seconds);
-    it.compute_seconds = comm_->allreduce_max(mine.compute_seconds);
-    it.ghost_sent = comm_->allreduce_sum(mine.ghost_sent);
-    it.ghost_received = comm_->allreduce_sum(mine.ghost_received);
-    it.cells_built = comm_->allreduce_sum(mine.cells_built);
-    it.cells_incomplete = comm_->allreduce_sum(mine.cells_incomplete);
-    it.cells_uncertified = comm_->allreduce_sum(mine.cells_uncertified);
+namespace {
+
+/// Visits every field reduced_stats() folds across ranks, in one fixed
+/// record order. Times and the ghost size fold by max (the critical path),
+/// counts by sum; output_bytes is already global (the file size).
+template <typename Visit>
+void visit_reduced_fields(TessStats& s, Visit&& visit) {
+  constexpr bool kMax = true, kSum = false;
+  visit(s.exchange_seconds, kMax);
+  visit(s.compute_seconds, kMax);
+  visit(s.output_seconds, kMax);
+  visit(s.local_particles, kSum);
+  visit(s.ghost_received, kSum);
+  visit(s.ghost_sent, kSum);
+  visit(s.cells_kept, kSum);
+  visit(s.cells_incomplete, kSum);
+  visit(s.cells_culled_early, kSum);
+  visit(s.cells_culled_volume, kSum);
+  visit(s.ghost_used, kMax);
+  visit(s.auto_iterations, kMax);
+  visit(s.cells_uncertified, kSum);
+  for (auto& it : s.iterations) {
+    visit(it.ghost, kMax);
+    visit(it.exchange_seconds, kMax);
+    visit(it.compute_seconds, kMax);
+    visit(it.ghost_sent, kSum);
+    visit(it.ghost_received, kSum);
+    visit(it.cells_built, kSum);
+    visit(it.cells_incomplete, kSum);
+    visit(it.cells_uncertified, kSum);
   }
+}
+
+}  // namespace
+
+TessStats Tessellator::reduced_stats() const {
+  // One flat record per rank, gathered once, folded on rank 0 in rank order
+  // and broadcast: a fixed number of messages however many passes the run
+  // took. Counts travel as doubles, exact far beyond any particle count
+  // (2^53). The auto loop is collective, so every rank's record has the
+  // same length.
+  TessStats r = stats_;
+  std::vector<double> record;
+  std::vector<bool> is_max;
+  visit_reduced_fields(r, [&](auto& field, bool max) {
+    record.push_back(static_cast<double>(field));
+    is_max.push_back(max);
+  });
+  const std::size_t len = record.size();
+  const auto all = comm_->gatherv(record);
+  if (comm_->rank() == 0) {
+    if (all.size() == static_cast<std::size_t>(comm_->size()) * len) {
+      for (std::size_t i = len; i < all.size(); ++i) {
+        double& acc = record[i % len];
+        acc = is_max[i % len] ? (acc > all[i] ? acc : all[i]) : acc + all[i];
+      }
+    } else {
+      record.clear();  // ranks disagree on the pass count: fail everywhere
+    }
+  }
+  comm_->broadcast(record);
+  if (record.size() != len)
+    throw std::logic_error("reduced_stats: ranks disagree on the pass count");
+  std::size_t k = 0;
+  visit_reduced_fields(r, [&](auto& field, bool) {
+    field = static_cast<std::remove_reference_t<decltype(field)>>(record[k++]);
+  });
   return r;
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -28,16 +29,14 @@ class Buffer {
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    data_.insert(data_.end(), p, p + sizeof(T));
+    append(&value, sizeof(T));
   }
 
   template <typename T>
   void write_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     write<std::uint64_t>(v.size());
-    const auto* p = reinterpret_cast<const std::byte*>(v.data());
-    data_.insert(data_.end(), p, p + v.size() * sizeof(T));
+    append(v.data(), v.size() * sizeof(T));
   }
 
   template <typename T>
@@ -54,7 +53,7 @@ class Buffer {
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto n = read<std::uint64_t>();
-    require(n * sizeof(T));
+    require_elements(n, sizeof(T));
     std::vector<T> v(n);
     if (n > 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -62,11 +61,28 @@ class Buffer {
   }
 
  private:
+  // resize + memcpy rather than vector::insert of a byte range: GCC 12
+  // reports a false -Wstringop-overflow on the inlined insert.
+  void append(const void* p, std::size_t bytes) {
+    if (bytes == 0) return;
+    const std::size_t at = data_.size();
+    data_.resize(at + bytes);
+    std::memcpy(data_.data() + at, p, bytes);
+  }
+
   void require(std::size_t bytes) const {
-    if (pos_ + bytes > data_.size())
+    if (bytes > data_.size() - pos_)
       throw std::runtime_error("Buffer: read past end (offset " +
                                std::to_string(pos_) + " + " +
                                std::to_string(bytes) + " > " +
+                               std::to_string(data_.size()) + ")");
+  }
+  /// require(n * size), checked before the product can overflow.
+  void require_elements(std::uint64_t n, std::size_t size) const {
+    if (n > (data_.size() - pos_) / size)
+      throw std::runtime_error("Buffer: vector of " + std::to_string(n) +
+                               " elements runs past end (offset " +
+                               std::to_string(pos_) + " of " +
                                std::to_string(data_.size()) + ")");
   }
 
@@ -101,7 +117,7 @@ class BufferView {
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto n = read<std::uint64_t>();
-    require(n * sizeof(T));
+    require_elements(n, sizeof(T));
     std::vector<T> v(n);
     if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -110,10 +126,18 @@ class BufferView {
 
  private:
   void require(std::size_t bytes) const {
-    if (pos_ + bytes > size_)
+    if (bytes > size_ - pos_)
       throw std::runtime_error("BufferView: read past end (offset " +
                                std::to_string(pos_) + " + " +
                                std::to_string(bytes) + " > " +
+                               std::to_string(size_) + ")");
+  }
+  /// require(n * size), checked before the product can overflow.
+  void require_elements(std::uint64_t n, std::size_t size) const {
+    if (n > (size_ - pos_) / size)
+      throw std::runtime_error("BufferView: vector of " + std::to_string(n) +
+                               " elements runs past end (offset " +
+                               std::to_string(pos_) + " of " +
                                std::to_string(size_) + ")");
   }
 

@@ -1,6 +1,7 @@
 #include "geom/parity.hpp"
 
 #include <cstring>
+#include <sstream>
 
 #include "geom/cell_builder.hpp"
 #include "obs/metrics.hpp"
@@ -94,18 +95,17 @@ ParityDivergence compare_cell(int site, const CellBuilder::CellTrace& ta,
 }  // namespace
 
 std::string ParityReport::summary() const {
-  std::string s = "backend parity: " + std::to_string(cells) + " cells, " +
-                  std::to_string(divergences.size()) + " divergences, cuts " +
-                  std::to_string(cuts_scalar) + " (scalar) vs " +
-                  std::to_string(cuts_simd) + " (simd)";
+  std::ostringstream s;
+  s << "backend parity: " << cells << " cells, " << divergences.size()
+    << " divergences, cuts " << cuts_scalar << " (scalar) vs " << cuts_simd
+    << " (simd)";
   if (!divergences.empty()) {
     const auto& d = divergences.front();
-    s += "; first at site " + std::to_string(d.site) + " stage " + d.stage +
-         " (" + d.detail + ")";
-    s += "; debug cells:";
-    for (int c : debug_cells) s += " " + std::to_string(c);
+    s << "; first at site " << d.site << " stage " << d.stage << " ("
+      << d.detail << "); debug cells:";
+    for (int c : debug_cells) s << ' ' << c;
   }
-  return s;
+  return s.str();
 }
 
 ParityReport compare_backends(const std::vector<Vec3>& points,

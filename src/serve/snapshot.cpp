@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/density.hpp"
 #include "analysis/threshold.hpp"
@@ -84,7 +86,16 @@ const Snapshot::BlockSlot& Snapshot::slot(int block) const {
     TESS_SPAN("serve.snapshot.load_block");
     if (file_.block_size(block) > 0) {
       auto view = file_.block_view(block);
-      s.mesh = core::BlockMesh::deserialize(view);
+      try {
+        s.mesh = core::BlockMesh::deserialize(view);
+      } catch (const std::runtime_error& e) {
+        // Recorded and rethrown below rather than thrown through
+        // std::call_once, which can leave later callers blocked (e.g.
+        // under ThreadSanitizer); a corrupt block stays corrupt.
+        s.error = "corrupt tess block file '" + path() + "': block " +
+                  std::to_string(block) + ": " + e.what();
+        return;
+      }
     }
     s.grid.build(s.mesh);
     s.cell_of_site.reserve(s.mesh.cells.size());
@@ -96,6 +107,7 @@ const Snapshot::BlockSlot& Snapshot::slot(int block) const {
     TESS_COUNT("serve.snapshot.blocks_loaded", 1);
     TESS_COUNT("serve.snapshot.bytes_loaded", file_.block_size(block));
   });
+  if (!s.error.empty()) throw std::runtime_error(s.error);
   return s;
 }
 
@@ -151,9 +163,10 @@ void Snapshot::SiteGrid::build(const core::BlockMesh& mesh) {
 std::array<int, 3> Snapshot::SiteGrid::bin_of(const Vec3& p) const {
   std::array<int, 3> c{};
   for (std::size_t a = 0; a < 3; ++a) {
-    const double t = (p[a] - origin[a]) / cell_size[a];
-    c[a] = std::clamp(static_cast<int>(std::floor(t)), 0,
-                      dims[static_cast<std::size_t>(a)] - 1);
+    // Clamped before the conversion: a corrupt file can make t NaN or huge.
+    const double t = std::floor((p[a] - origin[a]) / cell_size[a]);
+    const double last = dims[a] - 1;
+    c[a] = t >= 0.0 ? static_cast<int>(std::min(t, last)) : 0;
   }
   return c;
 }

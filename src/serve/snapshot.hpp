@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -142,6 +143,7 @@ class Snapshot {
     core::BlockMesh mesh;
     SiteGrid grid;
     std::unordered_map<std::int64_t, std::uint32_t> cell_of_site;
+    std::string error;  ///< set once if the block's bytes are corrupt
   };
 
   const BlockSlot& slot(int block) const;

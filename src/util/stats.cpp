@@ -100,8 +100,11 @@ void Histogram::add(double x) {
     }
     return;
   }
-  const auto bin = static_cast<std::size_t>((x - lo_) / bin_width());
-  ++counts_[std::min(bin, counts_.size() - 1)];
+  // Compared as a double before the conversion, so a NaN sample (which
+  // fails both range tests above) lands in the last bin without UB.
+  const double t = (x - lo_) / bin_width();
+  const std::size_t last = counts_.size() - 1;
+  ++counts_[t < static_cast<double>(last) ? static_cast<std::size_t>(t) : last];
 }
 
 void Histogram::merge(const Histogram& o) {

@@ -288,7 +288,7 @@ TEST(ObsMetrics, CounterSlicesByRank) {
 TEST(ObsMetrics, GaugeReducesWithMax) {
   auto& reg = tess::obs::metrics();
   reg.reset();
-  Runtime::run(3, [&](Comm& c) {
+  Runtime::run(3, [&]([[maybe_unused]] Comm& c) {
     TESS_GAUGE_SET("test.obs.gauge", 1.5 * (c.rank() + 1));
   });
   const auto& g = reg.gauge("test.obs.gauge");

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <numeric>
@@ -325,4 +326,48 @@ TEST(ParallelTessellation, HardwareConcurrencyKnob) {
   const auto serial = tessellate_bytes(1, 1, kParticles);
   const auto automatic = tessellate_bytes(1, 0, kParticles);
   EXPECT_EQ(automatic[0], serial[0]);
+}
+
+// ---------------------------------------------------------------------------
+// Linear assembly: merging N one-cell shards grows every mesh array
+// geometrically, so the merge allocates O(log N) times in total — never
+// once per shard.
+// ---------------------------------------------------------------------------
+
+TEST(ParallelTessellation, OneCellShardMergeAllocatesLogarithmically) {
+  Rng rng(99);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 1500; ++i)
+    pts.push_back({rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 8)});
+  const Vec3 lo{0, 0, 0}, hi{8, 8, 8};
+  CellBuilder builder(pts, {}, lo, hi);
+  std::vector<BlockMesh> shards;
+  for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
+    auto cell = builder.build(site, lo, hi);
+    cell.compact();
+    BlockMesh shard;
+    shard.add_cell(site, cell, cell.volume(), cell.area());
+    shards.push_back(std::move(shard));
+  }
+
+  BlockMesh merged;
+  const auto before = g_alloc_count.load(std::memory_order_relaxed);
+  for (const auto& shard : shards) merged.append(shard);
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  // Each growing array reallocates about log2(final size) times; the weld
+  // table holds at most 4x the vertex count, and the per-append remap
+  // grows to the largest shard's vertex count.
+  auto growths = [](std::size_t n) {
+    return static_cast<std::uint64_t>(std::bit_width(n)) + 1;
+  };
+  const std::uint64_t bound =
+      growths(merged.cells.size()) + growths(merged.vertices.size()) +
+      growths(merged.face_offsets.size()) + growths(merged.face_verts.size()) +
+      growths(merged.face_neighbors.size()) +
+      growths(4 * merged.vertices.size()) + growths(128);
+  EXPECT_LE(allocs, bound) << "merging " << shards.size()
+                           << " one-cell shards allocated " << allocs
+                           << " times";
+  EXPECT_EQ(merged.cells.size(), shards.size());
 }

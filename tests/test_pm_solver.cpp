@@ -155,7 +155,7 @@ TEST(PMSolver, InvalidConfigThrows) {
   PMSolver pm(8, Cosmology{});
   std::vector<double> bad(10);
   EXPECT_THROW(pm.potential(bad, 1.0), std::invalid_argument);
-  EXPECT_THROW(pm.interpolate(bad, {1, 1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)pm.interpolate(bad, {1, 1, 1}), std::invalid_argument);
   std::vector<SimParticle> none;
   EXPECT_THROW(pm.deposit(none, 1.0, bad), std::invalid_argument);
 }

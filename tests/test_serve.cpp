@@ -10,6 +10,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <random>
@@ -535,4 +538,144 @@ TEST(ServeCacheConcurrency, ConcurrentLazyLoads) {
   const std::size_t per_pass = total.load() / 8;
   EXPECT_EQ(total.load(), per_pass * 8);  // every thread saw the same counts
   EXPECT_EQ(per_pass, 512u);              // 8^3 sites, all kept
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt files are untrusted input: a bad index is rejected with a
+// diagnostic naming the block, and no byte mutation crashes a query. The
+// suite name keeps these out of the TSan slice (Serve*); the sanitizer job
+// runs them under ASan+UBSan with the rest of the suite.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string corrupt_path(const std::string& tag) {
+  return ::testing::TempDir() + "tess_corrupt_" + tag + "_" +
+         std::to_string(::getpid()) + ".bin";
+}
+
+/// File offsets of block b's five vector-length words (vertices, cells,
+/// face_offsets, face_verts, face_neighbors), in wire order.
+std::array<std::uint64_t, 5> length_word_offsets(const std::string& path,
+                                                 int b) {
+  const tess::diy::BlockFileReader reader(path);
+  auto buf = reader.read_block(b);
+  const auto m = BlockMesh::deserialize(buf);
+  std::array<std::uint64_t, 5> at{};
+  at[0] = reader.block_offset(b) + 2 * sizeof(Vec3);
+  at[1] = at[0] + 8 + m.vertices.size() * sizeof(Vec3);
+  at[2] = at[1] + 8 + m.cells.size() * sizeof(tess::core::CellRecord);
+  at[3] = at[2] + 8 + m.face_offsets.size() * sizeof(std::uint32_t);
+  at[4] = at[3] + 8 + m.face_verts.size() * sizeof(std::uint32_t);
+  return at;
+}
+
+/// Opens `path` and runs point location, a region extraction and a volume
+/// histogram. True when every query succeeded, false when one threw a
+/// std::exception; anything else (a crash) fails the test run.
+bool queries_succeed(const std::string& path, double extent) {
+  try {
+    Snapshot snap(path);
+    for (const auto& p : random_points(12, 0.0, extent, 99u))
+      (void)snap.locate(p);
+    const double lo = 0.2 * extent, hi = 0.8 * extent;
+    (void)snap.extract_region({{lo, lo, lo}, {hi, hi, hi}});
+    (void)snap.volume_histogram(0.0, 2.0, 16);
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+}  // namespace
+
+TEST(SnapshotCorruption, OutOfRangeFaceVertexThrows) {
+  const auto good = serial_file();
+  auto bytes = read_bytes(good);
+  const auto at = length_word_offsets(good, 0)[3] + 8;  // face_verts[0]
+  const std::uint32_t bad = 0x7fffffff;
+  std::memcpy(bytes.data() + at, &bad, sizeof(bad));
+  const auto path = corrupt_path("face_vert");
+  write_bytes(path, bytes);
+
+  Snapshot snap(path);  // the footer is intact, so the file opens
+  try {
+    (void)snap.block(0);
+    FAIL() << "an out-of-range face vertex was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("block 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("face_verts[0]"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)snap.extract_region({{0, 0, 0}, {6, 6, 6}}),
+               std::runtime_error);
+  EXPECT_THROW((void)tess::analysis::TessReader(path).read_all(),
+               std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotCorruption, ByteMutationSweepNeverCrashes) {
+  // Periodic 4^3 jittered lattice on two blocks (~45 KB).
+  const double extent = 4.0;
+  const auto good = write_snapshot_file("sweep", 2, {2, 1, 1}, 4, true);
+  const auto bytes = read_bytes(good);
+  ASSERT_TRUE(queries_succeed(good, extent));
+  const auto path = corrupt_path("sweep");
+  const std::size_t n = bytes.size();
+  std::size_t cases = 0, rejected = 0;
+  auto check = [&](const std::vector<char>& mutated) {
+    write_bytes(path, mutated);
+    ++cases;
+    if (!queries_succeed(path, extent)) ++rejected;
+  };
+
+  // Truncations: every 61st length, then every length across the footer.
+  for (std::size_t len = 0; len < n; len += (len + 128 < n ? 61 : 1))
+    check(std::vector<char>(bytes.begin(),
+                            bytes.begin() + static_cast<std::ptrdiff_t>(len)));
+
+  // Single-bit flips at a fixed stride, cycling through the bit positions.
+  for (std::size_t i = 0; i < n; i += 37) {
+    auto m = bytes;
+    m[i] = static_cast<char>(m[i] ^ (1 << (i % 8)));
+    check(m);
+  }
+
+  // Footer words (block count, per-block offset and size, footer offset)
+  // and each block's vector lengths, set to boundary values.
+  auto set_word = [&](std::uint64_t at, std::uint64_t value) {
+    auto m = bytes;
+    std::memcpy(m.data() + at, &value, sizeof(value));
+    check(m);
+  };
+  std::uint64_t footer_off = 0;
+  std::memcpy(&footer_off, bytes.data() + n - 16, sizeof(footer_off));
+  std::vector<std::uint64_t> words;
+  for (std::uint64_t at = footer_off; at + 8 < n; at += 8) words.push_back(at);
+  for (int b = 0; b < 2; ++b)
+    for (const auto at : length_word_offsets(good, b)) words.push_back(at);
+  for (const auto at : words) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    const std::uint64_t one = 1;
+    const std::uint64_t values[] = {
+        0, 1, v - 1, v + 1, v + 8, v ^ (one << 40), n, n - 1,
+        (one << 62) + 1, std::numeric_limits<std::uint64_t>::max()};
+    for (const std::uint64_t value : values) set_word(at, value);
+  }
+
+  std::remove(path.c_str());
+  EXPECT_GT(cases, 2000u);
+  // Every truncation breaks the trailer, so at least those are rejected.
+  EXPECT_GT(rejected, n / 61);
 }

@@ -4,8 +4,8 @@
 // files the benches write under TESS_OBS_EXPORT) phase by phase and exits
 // nonzero when any phase's wall time regressed past its threshold:
 //
-//   obs_compare baseline.summary.json current.summary.json \
-//       [--threshold 0.20] [--min-seconds 1e-3] \
+//   obs_compare baseline.summary.json current.summary.json
+//       [--threshold 0.20] [--min-seconds 1e-3]
 //       [--phase-threshold name=0.5]... [--report report.md]
 //
 // Exit codes: 0 = within thresholds, 1 = regression, 2 = usage/IO error.
