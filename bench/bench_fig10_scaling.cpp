@@ -3,10 +3,10 @@
 //
 // Paper setup: 128^3-1024^3 particles on 128-16384 BG/P nodes; strong
 // scaling efficiency 30-41%, weak scaling efficiency 86%. Scaled here to
-// 16^3-32^3 particles on 1-8 thread-ranks. Because ranks share one core,
-// the scaling metric is the per-rank critical path (max across ranks of
-// exchange + Voronoi + output), which models distributed wall clock; the
-// serialized wall time is also printed for reference.
+// 16^3-32^3 particles on 1-8 thread-ranks. Ranks can outnumber the host's
+// cores, so the scaling metric is the per-rank critical path (max across
+// ranks of exchange + Voronoi + output), which models distributed wall
+// clock; the wall time is also printed for reference.
 //
 // Observability: this bench always records (prefix BENCH_fig10, overridable
 // via TESS_OBS_EXPORT) and emits a per-rank load-imbalance report for the

@@ -5,10 +5,10 @@
 // Paper setup: particle counts 128^3-1024^3 on 128-16384 BG/P nodes with
 // time-step counts 100/100/50/25, culling the smallest 10% of the volume
 // range. Scaled here to 16^3-48^3 particles on 1-8 thread-ranks. Simulation
-// and tessellation wall times are serialized on this single-core machine;
-// the per-stage tessellation columns report the per-rank critical path
-// (max over ranks), which models the distributed wall clock. Expected
-// shape: tessellation is a few percent of total time, exchange is
+// and tessellation wall times are partly serialized when ranks outnumber
+// the host's cores; the per-stage tessellation columns report the per-rank
+// critical path (max over ranks), which models the distributed wall clock.
+// Expected shape: tessellation is a few percent of total time, exchange is
 // negligible, Voronoi computation dominates and scales with rank count.
 #include <cstdio>
 #include <cstdlib>

@@ -20,6 +20,44 @@ namespace {
 // distances: clip() would classify every vertex inside and reject the cut.
 constexpr double kBallMargin = 1e-6;
 
+// Incremental quicksort: makes v[i] final in `less` order, for i = 0, 1, ...
+// in turn. Positions below `settled` are final; `pivots` holds the final
+// positions of pivots above them, v.size() at the bottom. Unsettled ranges
+// are partitioned around a median of three until i is a pivot or its range
+// is short enough to sort. Settling the first k of n costs O(n + k log k).
+template <class T, class Less>
+void settle(std::vector<T>& v, std::vector<std::size_t>& pivots,
+            std::size_t i, std::size_t& settled, Less less) {
+  constexpr std::size_t kSortRun = 16;
+  if (i < settled) return;
+  for (;;) {
+    const std::size_t top = pivots.back();
+    if (top == i) {
+      pivots.pop_back();
+      settled = i + 1;
+      return;
+    }
+    const auto lo = v.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto hi = v.begin() + static_cast<std::ptrdiff_t>(top);
+    if (top - i <= kSortRun) {
+      std::sort(lo, hi, less);
+      settled = top;
+      return;
+    }
+    const auto mid = lo + static_cast<std::ptrdiff_t>((top - i) / 2);
+    if (less(*mid, *lo)) std::iter_swap(mid, lo);
+    if (less(*(hi - 1), *mid)) {
+      std::iter_swap(hi - 1, mid);
+      if (less(*mid, *lo)) std::iter_swap(mid, lo);
+    }
+    std::iter_swap(lo, mid);  // park the pivot at i, partition the rest
+    const auto split =
+        std::partition(lo + 1, hi, [&](const T& x) { return less(x, *lo); });
+    std::iter_swap(lo, split - 1);
+    pivots.push_back(static_cast<std::size_t>(split - 1 - v.begin()));
+  }
+}
+
 }  // namespace
 
 CellBuilder::CellBuilder(std::vector<Vec3> points, std::vector<std::int64_t> ids,
@@ -185,6 +223,7 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
     batches_.fetch_add(st.batches, std::memory_order_relaxed);
     lanes_.fetch_add(st.lanes, std::memory_order_relaxed);
+    TESS_HIST_ADD("geom.cell_cuts", st.cuts);
   };
 
   for (int r = 0; r <= max_ring; ++r) {
@@ -310,28 +349,38 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     // incrementally grown builder and a from-scratch builder over the same
     // point set cut every cell in the identical sequence — the invariant
     // behind byte-identical incremental auto-ghost. Position breaks id ties
-    // between periodic self-images, which share one id.
-    std::sort(ring_pts.begin(), ring_pts.end(),
-              [this](const std::pair<double, int>& a,
-                     const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first < b.first;
-                const std::int64_t ia =
-                    ids_.empty() ? a.second : ids_[static_cast<std::size_t>(a.second)];
-                const std::int64_t ib =
-                    ids_.empty() ? b.second : ids_[static_cast<std::size_t>(b.second)];
-                if (ia != ib) return ia < ib;
-                const Vec3& pa = points_[static_cast<std::size_t>(a.second)];
-                const Vec3& pb = points_[static_cast<std::size_t>(b.second)];
-                if (pa.x != pb.x) return pa.x < pb.x;
-                if (pa.y != pb.y) return pa.y < pb.y;
-                return pa.z < pb.z;
-              });
-    if (trace)
+    // between periodic self-images, which share one id. Distinct candidate
+    // images have distinct keys, so the sorted sequence is unique; it is
+    // settled lazily, as a cell cuts only its nearest fifth or so. Trace
+    // mode settles every position first, to record the full list.
+    auto canonical_less = [this](const std::pair<double, int>& a,
+                                 const std::pair<double, int>& b) {
+      if (a.first != b.first) return a.first < b.first;
+      const std::int64_t ia =
+          ids_.empty() ? a.second : ids_[static_cast<std::size_t>(a.second)];
+      const std::int64_t ib =
+          ids_.empty() ? b.second : ids_[static_cast<std::size_t>(b.second)];
+      if (ia != ib) return ia < ib;
+      const Vec3& pa = points_[static_cast<std::size_t>(a.second)];
+      const Vec3& pb = points_[static_cast<std::size_t>(b.second)];
+      if (pa.x != pb.x) return pa.x < pb.x;
+      if (pa.y != pb.y) return pa.y < pb.y;
+      return pa.z < pb.z;
+    };
+    const std::size_t kept = ring_pts.size();
+    scratch.ring_pivots.assign(1, kept);
+    std::size_t settled = 0;
+    if (trace) {
+      for (std::size_t i = 0; i < kept; ++i)
+        settle(ring_pts, scratch.ring_pivots, i, settled, canonical_less);
       for (const auto& [d2, j] : ring_pts)
         trace->candidates.emplace_back(
             d2, ids_.empty() ? j : ids_[static_cast<std::size_t>(j)]);
+    }
 
-    for (const auto& [d2, j] : ring_pts) {
+    for (std::size_t i = 0; i < kept; ++i) {
+      settle(ring_pts, scratch.ring_pivots, i, settled, canonical_less);
+      const auto [d2, j] = ring_pts[i];
       if (d2 > 4.0 * cell.max_radius2()) break;  // sorted: rest are farther
       const std::int64_t id = ids_.empty() ? j : ids_[static_cast<std::size_t>(j)];
       ++st.cuts;

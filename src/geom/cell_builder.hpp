@@ -1,12 +1,15 @@
 // Builds Voronoi cells for sites inside a block.
 //
-// Candidates are served from a uniform grid in order of (approximately)
-// increasing distance from the site, and clipping stops once the nearest
-// unprocessed candidate lies beyond twice the cell's current maximum vertex
-// radius — at that point no further bisector can intersect the cell, so the
-// produced polyhedron is the exact Voronoi cell (intersected with the seed
-// box). This is the "local Voronoi cell computation" stage of the paper's
-// pipeline, standing in for the per-block Qhull invocation.
+// Candidates are served from a uniform grid one Chebyshev ring of bins at
+// a time, and within a ring in increasing canonical (dist2, id, position)
+// order. Clipping stops once the nearest unprocessed candidate lies beyond
+// twice the cell's current maximum vertex radius — at that point no further
+// bisector can intersect the cell, so the produced polyhedron is the exact
+// Voronoi cell (intersected with the seed box). A ring's order is settled
+// lazily, one position per consumed candidate (an incremental quicksort),
+// because a cell stops long before its last candidate. This is the "local
+// Voronoi cell computation" stage of the paper's pipeline, standing in for
+// the per-block Qhull invocation.
 //
 // Within that radius, a ring skips every bin that misses the bounding box
 // of the vertex balls B(v, |v - s|) (the Voro++ criterion). A point p cuts
@@ -124,7 +127,8 @@ class CellBuilder {
   [[nodiscard]] TessBackend backend() const { return backend_; }
 
   /// Counter totals. Each build counts locally and merges here once at its
-  /// end, so concurrent builds stay race-free.
+  /// end, so concurrent builds stay race-free; the merge also adds the
+  /// build's cut count as one sample of the geom.cell_cuts histogram.
   [[nodiscard]] BackendStats backend_stats() const {
     BackendStats s;
     s.cuts = cuts_.load(std::memory_order_relaxed);

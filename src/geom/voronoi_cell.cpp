@@ -24,6 +24,26 @@ ClipScratch& tls_scratch() {
   return scratch;
 }
 
+// Working storage of compact() and canonicalize(), one per thread. Each
+// buffer keeps one role and its capacity from cell to cell, so a warm
+// worker tidies cells without touching the heap.
+struct TidyScratch {
+  std::vector<int> canon;      ///< weld target of each vertex
+  std::vector<char> used;      ///< vertex referenced by some face
+  std::vector<int> used_list;  ///< referenced vertices in index order
+  std::vector<int> loop;       ///< the face loop being cleaned
+  std::vector<int> remap;      ///< old -> renumbered vertex index
+  std::vector<Vec3> verts;     ///< pre-renumbering copy of the vertices
+  std::vector<std::array<std::int64_t, 3>> gens;  ///< ... and generators
+  /// Incident faces per vertex (only the first verts_.size() are in use).
+  std::vector<util::SmallVector<int, 8>> incident;
+};
+
+TidyScratch& tls_tidy() {
+  thread_local TidyScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 VoronoiCell::VoronoiCell(const Vec3& site, const Vec3& box_min, const Vec3& box_max) {
@@ -99,15 +119,21 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   kernels::plane_distances(s.backend, verts_.data(), nv0, plane.n, plane.d,
                            s.dist.data(), &vert_scale);
   const double eps = plane_eps(plane, vert_scale);
-  auto outside = [&](int v) { return s.dist[static_cast<std::size_t>(v)] > eps; };
 
-  std::size_t n_out = 0;
-  for (std::size_t i = 0; i < nv0; ++i) n_out += s.dist[i] > eps ? 1 : 0;
-  if (n_out == 0) return false;
-  if (n_out == nv0) {
+  // Survivor numbering straight from the sweep: a kept vertex becomes its
+  // prefix count among kept vertices, and the k-th new vertex becomes
+  // live + k. Every kept vertex stays referenced (each face through it is
+  // kept) and every new vertex is referenced by the face that made it, so
+  // this is exactly the order-preserving slide of the referenced vertices.
+  s.remap.resize(nv0);
+  int live = 0;
+  for (std::size_t i = 0; i < nv0; ++i) s.remap[i] = s.dist[i] > eps ? -1 : live++;
+  if (live == static_cast<int>(nv0)) return false;
+  if (live == 0) {
     clear();
     return true;
   }
+  auto outside = [&](int v) { return s.remap[static_cast<std::size_t>(v)] < 0; };
 
   // Generator position for this plane: the raw neighbor coordinates when
   // known, else reconstructed (direct clip() callers). Logged per cut so
@@ -118,8 +144,8 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
 
   // New vertex on each cut edge, keyed by the undirected edge so the two
   // faces sharing the edge reuse one vertex (exact connectivity, no
-  // position-tolerance welding). Cut vertices are appended at indices
-  // >= nv0; s.cap_next is indexed by that offset.
+  // position-tolerance welding). The k-th new vertex is stored at nv0 + k
+  // until the final slide; s.cap_next is indexed by k.
   auto ukey = [](int u, int v) {
     if (u > v) std::swap(u, v);
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)) << 32) |
@@ -129,107 +155,109 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   s.cap_next.clear();
   auto intersect = [&](int u, int v) -> int {
     const auto key = ukey(u, v);
-    for (const auto& [k, idx] : s.cut_vertex)
-      if (k == key) return idx;
+    for (const auto& [edge, k] : s.cut_vertex)
+      if (edge == key) return k;
     const double du = s.dist[static_cast<std::size_t>(u)];
     const double dv = s.dist[static_cast<std::size_t>(v)];
     const double t = du / (du - dv);
     const Vec3 p = verts_[static_cast<std::size_t>(u)] +
                    (verts_[static_cast<std::size_t>(v)] -
                     verts_[static_cast<std::size_t>(u)]) * t;
-    const int idx = static_cast<int>(verts_.size());
+    const int k = static_cast<int>(s.cap_next.size());
     verts_.push_back(p);
     gens_.push_back({plane.source, kNoGenerator, kNoGenerator});
-    s.cut_vertex.emplace_back(key, idx);
+    s.cut_vertex.emplace_back(key, k);
     s.cap_next.push_back(-1);
-    return idx;
+    return k;
   };
 
-  // Clip every face loop (Sutherland-Hodgman) and collect the directed cap
-  // edges. Within a clipped face the new edge runs exit -> entry; the cap
-  // face needs it reversed (entry -> exit) to stay outward-oriented.
-  s.faces_buf.clear();
-  s.faces_buf.reserve(faces_.size() + 1);
+  // Edit the faces in place, keeping their order. A face with no clipped
+  // vertex is only renumbered and one with every vertex clipped is erased.
+  // A crossing face is clipped (Sutherland-Hodgman) and keeps at least
+  // three corners: a kept vertex plus the two crossings. Its new edge runs
+  // exit -> entry; the cap face needs it reversed (entry -> exit) to stay
+  // outward-oriented.
   int cap_edges = 0;
-
-  for (auto& f : faces_) {
-    s.loop.clear();
+  std::size_t n_faces = 0;
+  for (std::size_t fi = 0; fi < faces_.size(); ++fi) {
+    Face& f = faces_[fi];
     const std::size_t m = f.verts.size();
-    // A convex loop crosses the plane at most twice: once leaving the kept
-    // side (exit) and once returning (entry) — in either walk order.
-    int exit_w = -1, entry_w = -1;
-    for (std::size_t i = 0; i < m; ++i) {
-      const int u = f.verts[i];
-      const int v = f.verts[(i + 1) % m];
-      const bool u_out = outside(u), v_out = outside(v);
-      if (!u_out) s.loop.push_back(u);
-      if (u_out != v_out) {
-        const int w = intersect(u, v);
-        s.loop.push_back(w);
-        add_generator(w, f.source);
-        if (!u_out) {
-          exit_w = w;  // in -> out crossing
-        } else {
-          entry_w = w;  // out -> in crossing
+    std::size_t f_out = 0;
+    for (const int v : f.verts) f_out += outside(v) ? 1 : 0;
+    if (f_out == m) continue;
+    if (f_out == 0) {
+      for (int& v : f.verts) v = s.remap[static_cast<std::size_t>(v)];
+    } else {
+      s.loop.clear();
+      // A convex loop crosses the plane at most twice: once leaving the
+      // kept side (exit) and once returning (entry) — in either walk order.
+      int exit_k = -1, entry_k = -1;
+      for (std::size_t i = 0; i < m; ++i) {
+        const int u = f.verts[i];
+        const int v = f.verts[(i + 1) % m];
+        const bool u_out = outside(u), v_out = outside(v);
+        if (!u_out) s.loop.push_back(s.remap[static_cast<std::size_t>(u)]);
+        if (u_out != v_out) {
+          const int k = intersect(u, v);
+          s.loop.push_back(live + k);
+          add_generator(static_cast<int>(nv0) + k, f.source);
+          if (!u_out) {
+            exit_k = k;  // in -> out crossing
+          } else {
+            entry_k = k;  // out -> in crossing
+          }
         }
       }
+      if (exit_k >= 0 && entry_k >= 0 && exit_k != entry_k) {
+        // Overwrite like the map it replaces: count distinct entry vertices.
+        int& slot = s.cap_next[static_cast<std::size_t>(entry_k)];
+        if (slot < 0) ++cap_edges;
+        slot = exit_k;
+      }
+      f.verts.assign(s.loop.begin(), s.loop.end());
     }
-    if (exit_w >= 0 && entry_w >= 0 && exit_w != entry_w) {
-      // Overwrite like the map it replaces: count distinct entry vertices.
-      int& slot = s.cap_next[static_cast<std::size_t>(entry_w) - nv0];
-      if (slot < 0) ++cap_edges;
-      slot = exit_w;
-    }
-    if (s.loop.size() >= 3) {
-      auto& nf = s.faces_buf.emplace_back();
-      nf.source = f.source;
-      nf.plane_n = f.plane_n;
-      nf.plane_d = f.plane_d;
-      nf.gen = f.gen;
-      nf.verts.assign(s.loop.begin(), s.loop.end());
-    }
+    if (n_faces != fi) faces_[n_faces] = std::move(f);
+    ++n_faces;
   }
+  faces_.erase(faces_.begin() + static_cast<std::ptrdiff_t>(n_faces),
+               faces_.end());
 
   // Build the cap face on the cutting plane by chaining the directed edges,
   // starting from the first-created cap vertex with an outgoing edge (a
   // deterministic choice: creation order is the face iteration order).
   if (cap_edges >= 3) {
-    auto& cap = s.faces_buf.emplace_back();
-    cap.source = plane.source;
-    cap.plane_n = plane.n;
-    cap.plane_d = plane.d;
-    cap.gen = cap_gen;
+    s.cap_verts.clear();
     int start = -1;
-    for (std::size_t i = 0; i < s.cap_next.size(); ++i)
-      if (s.cap_next[i] >= 0) {
-        start = static_cast<int>(nv0 + i);
+    for (std::size_t k = 0; k < s.cap_next.size(); ++k)
+      if (s.cap_next[k] >= 0) {
+        start = static_cast<int>(k);
         break;
       }
     int cur = start;
     for (int guard = 0; guard <= cap_edges; ++guard) {
-      cap.verts.push_back(cur);
-      const int nxt = s.cap_next[static_cast<std::size_t>(cur) - nv0];
+      s.cap_verts.push_back(cur);
+      const int nxt = s.cap_next[static_cast<std::size_t>(cur)];
       if (nxt < 0) break;
       cur = nxt;
       if (cur == start) break;
     }
-    if (!(static_cast<int>(cap.verts.size()) == cap_edges && cur == start)) {
+    if (!(static_cast<int>(s.cap_verts.size()) == cap_edges && cur == start)) {
       // Chain failed (degenerate classification); fall back to an angular
       // sort of the cap vertices around the plane normal.
-      s.faces_buf.pop_back();  // discard the partial chain
+      auto pos = [&](int k) -> const Vec3& {
+        return verts_[nv0 + static_cast<std::size_t>(k)];
+      };
       s.cap_verts.clear();
-      for (std::size_t i = 0; i < s.cap_next.size(); ++i)
-        if (s.cap_next[i] >= 0) s.cap_verts.push_back(static_cast<int>(nv0 + i));
-      for (std::size_t i = 0; i < s.cap_next.size(); ++i) {
-        const int v = s.cap_next[i];
-        if (v >= 0 &&
-            std::find(s.cap_verts.begin(), s.cap_verts.end(), v) ==
+      for (std::size_t k = 0; k < s.cap_next.size(); ++k)
+        if (s.cap_next[k] >= 0) s.cap_verts.push_back(static_cast<int>(k));
+      for (const int k : s.cap_next)
+        if (k >= 0 &&
+            std::find(s.cap_verts.begin(), s.cap_verts.end(), k) ==
                 s.cap_verts.end())
-          s.cap_verts.push_back(v);
-      }
+          s.cap_verts.push_back(k);
       if (s.cap_verts.size() >= 3) {
         Vec3 c{};
-        for (int v : s.cap_verts) c += verts_[static_cast<std::size_t>(v)];
+        for (const int k : s.cap_verts) c += pos(k);
         c = c / static_cast<double>(s.cap_verts.size());
         const Vec3 nz = normalized(plane.n);
         Vec3 ux = cross(nz, Vec3{1, 0, 0});
@@ -237,41 +265,51 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
         ux = normalized(ux);
         const Vec3 uy = cross(nz, ux);
         std::sort(s.cap_verts.begin(), s.cap_verts.end(), [&](int a, int b) {
-          const Vec3 pa = verts_[static_cast<std::size_t>(a)] - c;
-          const Vec3 pb = verts_[static_cast<std::size_t>(b)] - c;
+          const Vec3 pa = pos(a) - c;
+          const Vec3 pb = pos(b) - c;
           return std::atan2(dot(pa, uy), dot(pa, ux)) <
                  std::atan2(dot(pb, uy), dot(pb, ux));
         });
         // Orient the loop so its normal points along +n (outward).
         Vec3 nrm{};
-        for (std::size_t i = 1; i + 1 < s.cap_verts.size(); ++i) {
-          const Vec3 a = verts_[static_cast<std::size_t>(s.cap_verts[i])] -
-                         verts_[static_cast<std::size_t>(s.cap_verts[0])];
-          const Vec3 b = verts_[static_cast<std::size_t>(s.cap_verts[i + 1])] -
-                         verts_[static_cast<std::size_t>(s.cap_verts[0])];
-          nrm += cross(a, b);
-        }
+        for (std::size_t i = 1; i + 1 < s.cap_verts.size(); ++i)
+          nrm += cross(pos(s.cap_verts[i]) - pos(s.cap_verts[0]),
+                       pos(s.cap_verts[i + 1]) - pos(s.cap_verts[0]));
         if (dot(nrm, plane.n) < 0.0)
           std::reverse(s.cap_verts.begin(), s.cap_verts.end());
-        auto& cap2 = s.faces_buf.emplace_back();
-        cap2.source = plane.source;
-        cap2.plane_n = plane.n;
-        cap2.plane_d = plane.d;
-        cap2.gen = cap_gen;
-        cap2.verts.assign(s.cap_verts.begin(), s.cap_verts.end());
+      } else {
+        s.cap_verts.clear();
       }
+    }
+    if (!s.cap_verts.empty()) {
+      auto& cap = faces_.emplace_back();
+      cap.source = plane.source;
+      cap.plane_n = plane.n;
+      cap.plane_d = plane.d;
+      cap.gen = cap_gen;
+      for (const int k : s.cap_verts) cap.verts.push_back(live + k);
     }
   }
 
-  // Swap instead of move: faces_ adopts the new faces and the scratch keeps
-  // the old storage (and its face-loop capacities) for the next cut.
-  faces_.swap(s.faces_buf);
   if (faces_.size() < 4) {  // a valid polyhedron needs >= 4 faces
     clear();
     return true;
   }
-  drop_dead_vertices(s.remap);
-  recompute_radius();
+
+  // Slide the survivors into their numbers — kept vertices in index order,
+  // then the new ones — with generators in step, refreshing the radius on
+  // the way.
+  max_radius2_ = 0.0;
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < verts_.size(); ++i) {
+    if (i < nv0 && s.remap[i] < 0) continue;
+    verts_[out] = verts_[i];
+    gens_[out] = gens_[i];
+    max_radius2_ = std::max(max_radius2_, dist2(site_, verts_[out]));
+    ++out;
+  }
+  verts_.resize(out);
+  gens_.resize(out);
   return true;
 }
 
@@ -280,27 +318,6 @@ void VoronoiCell::clear() {
   verts_.clear();
   gens_.clear();
   max_radius2_ = 0.0;
-}
-
-void VoronoiCell::drop_dead_vertices(std::vector<int>& remap) {
-  // Mark the vertices some face references, then slide them down in their
-  // existing order (gens_ in step): compact() welds coincident vertices onto
-  // the lower index, so keeping the order keeps its choices unchanged.
-  remap.assign(verts_.size(), -1);
-  for (const auto& f : faces_)
-    for (int v : f.verts) remap[static_cast<std::size_t>(v)] = 0;
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < verts_.size(); ++i) {
-    if (remap[i] < 0) continue;
-    remap[i] = static_cast<int>(live);
-    verts_[live] = verts_[i];
-    gens_[live] = gens_[i];
-    ++live;
-  }
-  verts_.resize(live);
-  gens_.resize(live);
-  for (auto& f : faces_)
-    for (auto& v : f.verts) v = remap[static_cast<std::size_t>(v)];
 }
 
 void VoronoiCell::add_generator(int vertex, std::int64_t source) {
@@ -418,6 +435,7 @@ void VoronoiCell::prune_degenerate_faces() {
 
 void VoronoiCell::compact() {
   prune_degenerate_faces();
+  TidyScratch& t = tls_tidy();
 
   // Weld coincident vertices (grazing cuts can create the same geometric
   // vertex on several edges) and drop collinear loop vertices, so exported
@@ -425,29 +443,28 @@ void VoronoiCell::compact() {
   // cheap.
   const double weld_eps2 = 1e-18 * std::max(max_radius2_, 1e-300);
   {
-    std::vector<int> canon(verts_.size());
-    for (std::size_t i = 0; i < verts_.size(); ++i) canon[i] = static_cast<int>(i);
-    std::vector<int> used_list;
-    {
-      std::vector<char> used(verts_.size(), 0);
-      for (const auto& f : faces_)
-        for (int v : f.verts) used[static_cast<std::size_t>(v)] = 1;
-      for (std::size_t i = 0; i < verts_.size(); ++i)
-        if (used[i]) used_list.push_back(static_cast<int>(i));
-    }
-    for (std::size_t a = 0; a < used_list.size(); ++a)
-      for (std::size_t b = a + 1; b < used_list.size(); ++b) {
-        const int i = used_list[a], j = used_list[b];
-        if (canon[static_cast<std::size_t>(j)] != j) continue;
+    t.canon.resize(verts_.size());
+    for (std::size_t i = 0; i < verts_.size(); ++i) t.canon[i] = static_cast<int>(i);
+    t.used.assign(verts_.size(), 0);
+    for (const auto& f : faces_)
+      for (int v : f.verts) t.used[static_cast<std::size_t>(v)] = 1;
+    t.used_list.clear();
+    for (std::size_t i = 0; i < verts_.size(); ++i)
+      if (t.used[i]) t.used_list.push_back(static_cast<int>(i));
+    for (std::size_t a = 0; a < t.used_list.size(); ++a)
+      for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
+        const int i = t.used_list[a], j = t.used_list[b];
+        if (t.canon[static_cast<std::size_t>(j)] != j) continue;
         if (dist2(verts_[static_cast<std::size_t>(i)],
                   verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
-          canon[static_cast<std::size_t>(j)] = canon[static_cast<std::size_t>(i)];
+          t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
       }
     const double collinear_eps = 1e-12 * std::max(max_radius2_, 1e-300);
+    auto& loop = t.loop;
     for (auto& f : faces_) {
-      for (auto& v : f.verts) v = canon[static_cast<std::size_t>(v)];
+      for (auto& v : f.verts) v = t.canon[static_cast<std::size_t>(v)];
       // Drop consecutive duplicates.
-      std::vector<int> loop;
+      loop.clear();
       for (int v : f.verts)
         if (loop.empty() || loop.back() != v) loop.push_back(v);
       while (loop.size() > 1 && loop.front() == loop.back()) loop.pop_back();
@@ -471,21 +488,28 @@ void VoronoiCell::compact() {
     std::erase_if(faces_, [](const Face& f) { return f.verts.size() < 3; });
   }
 
-  std::vector<int> remap(verts_.size(), -1);
-  std::vector<Vec3> new_verts;
-  std::vector<std::array<std::int64_t, 3>> new_gens;
+  renumber_in_face_order();
+}
+
+void VoronoiCell::renumber_in_face_order() {
+  // Copy the old arrays aside and refill verts_/gens_ in place, so both
+  // keep their own storage (a swap would hand each role the other's).
+  TidyScratch& t = tls_tidy();
+  t.remap.assign(verts_.size(), -1);
+  t.verts.assign(verts_.begin(), verts_.end());
+  t.gens.assign(gens_.begin(), gens_.end());
+  verts_.clear();
+  gens_.clear();
   for (auto& f : faces_)
     for (auto& v : f.verts) {
-      auto& slot = remap[static_cast<std::size_t>(v)];
+      auto& slot = t.remap[static_cast<std::size_t>(v)];
       if (slot < 0) {
-        slot = static_cast<int>(new_verts.size());
-        new_verts.push_back(verts_[static_cast<std::size_t>(v)]);
-        new_gens.push_back(gens_[static_cast<std::size_t>(v)]);
+        slot = static_cast<int>(verts_.size());
+        verts_.push_back(t.verts[static_cast<std::size_t>(v)]);
+        gens_.push_back(t.gens[static_cast<std::size_t>(v)]);
       }
       v = slot;
     }
-  verts_ = std::move(new_verts);
-  gens_ = std::move(new_gens);
 }
 
 namespace {
@@ -514,7 +538,9 @@ void VoronoiCell::canonicalize() {
   if (faces_.empty()) return;
 
   // Incident faces per vertex, in face order.
-  std::vector<util::SmallVector<int, 8>> incident(verts_.size());
+  auto& incident = tls_tidy().incident;
+  if (incident.size() < verts_.size()) incident.resize(verts_.size());
+  for (std::size_t v = 0; v < verts_.size(); ++v) incident[v].clear();
   for (std::size_t fi = 0; fi < faces_.size(); ++fi)
     for (int v : faces_[fi].verts)
       incident[static_cast<std::size_t>(v)].push_back(static_cast<int>(fi));
@@ -628,7 +654,6 @@ void VoronoiCell::canonicalize() {
   // each loop to start at its lexicographically smallest vertex (orientation
   // is preserved, so loops stay CCW from outside).
   std::sort(faces_.begin(), faces_.end(), plane_key_less);
-  std::vector<int> loop;
   for (auto& f : faces_) {
     const std::size_t m = f.verts.size();
     std::size_t best = 0;
@@ -636,31 +661,13 @@ void VoronoiCell::canonicalize() {
       if (vec3_lex_less(verts_[static_cast<std::size_t>(f.verts[i])],
                         verts_[static_cast<std::size_t>(f.verts[best])]))
         best = i;
-    if (best == 0) continue;
-    loop.assign(f.verts.begin(), f.verts.end());
-    std::rotate(loop.begin(), loop.begin() + static_cast<std::ptrdiff_t>(best),
-                loop.end());
-    f.verts.assign(loop.begin(), loop.end());
+    std::rotate(f.verts.begin(),
+                f.verts.begin() + static_cast<std::ptrdiff_t>(best),
+                f.verts.end());
   }
 
   // Renumber vertices by first use in the canonical face order.
-  std::vector<int> remap(verts_.size(), -1);
-  std::vector<Vec3> new_verts;
-  std::vector<std::array<std::int64_t, 3>> new_gens;
-  new_verts.reserve(verts_.size());
-  new_gens.reserve(verts_.size());
-  for (auto& f : faces_)
-    for (auto& v : f.verts) {
-      auto& slot = remap[static_cast<std::size_t>(v)];
-      if (slot < 0) {
-        slot = static_cast<int>(new_verts.size());
-        new_verts.push_back(verts_[static_cast<std::size_t>(v)]);
-        new_gens.push_back(gens_[static_cast<std::size_t>(v)]);
-      }
-      v = slot;
-    }
-  verts_ = std::move(new_verts);
-  gens_ = std::move(new_gens);
+  renumber_in_face_order();
   recompute_radius();
 }
 

@@ -149,7 +149,9 @@ class VoronoiCell {
   /// exactly along an edge or corner (degenerate, e.g. lattice inputs), weld
   /// coincident vertices, drop collinear loop vertices, and renumber the
   /// vertices in face order, dropping any these steps leave unreferenced.
-  /// After a clean cut this keeps every vertex.
+  /// After a clean cut this keeps every vertex. Working arrays are
+  /// per-thread and reused, so a warm thread compacts without allocating
+  /// (canonicalize() likewise).
   void compact();
 
   /// Rewrite the cell into a canonical, construction-path-independent form
@@ -169,10 +171,11 @@ class VoronoiCell {
 
  private:
   void prune_degenerate_faces();
+  /// Renumber the vertices by first use in face order, dropping any no
+  /// face references (generators in step).
+  void renumber_in_face_order();
   /// Empty the cell (every vertex clipped away).
   void clear();
-  /// Restore the live-vertex invariant after a cut; `remap` is scratch.
-  void drop_dead_vertices(std::vector<int>& remap);
   void recompute_radius();
   void add_generator(int vertex, std::int64_t source);
 
@@ -191,25 +194,31 @@ class VoronoiCell {
 /// Reusable working storage for VoronoiCell::clip/cut and CellBuilder.
 /// One instance per thread; contents are overwritten by every cut, so the
 /// clipped geometry is bit-identical whether a scratch is fresh or reused.
-/// After a warm-up cell, steady-state clipping performs no heap allocation.
+/// Every buffer keeps one role, so after a warm-up cell steady-state
+/// clipping performs no heap allocation.
 struct ClipScratch {
   std::vector<double> dist;  ///< signed distance of each vertex to the plane
-  /// New vertex per cut edge, keyed by the undirected edge (packed u,v).
-  /// A convex cut crosses few edges, so a flat array with linear search
-  /// replaces the per-cut unordered_map.
+  /// Surviving index of each pre-cut vertex, read straight off the distance
+  /// sweep (prefix count of kept vertices); -1 = clipped away.
+  std::vector<int> remap;
+  /// k of the k-th new vertex per cut edge, keyed by the undirected edge
+  /// (packed u,v). A convex cut crosses few edges, so a flat array with
+  /// linear search replaces the per-cut unordered_map.
   std::vector<std::pair<std::uint64_t, int>> cut_vertex;
-  /// Directed cap edges entry->exit, indexed by (vertex - first new index);
+  /// Directed cap edges entry->exit between new vertices, indexed by k;
   /// -1 = no outgoing cap edge.
   std::vector<int> cap_next;
-  std::vector<int> loop;                  ///< clipped loop of the current face
-  std::vector<VoronoiCell::Face> faces_buf;  ///< double buffer for new faces
-  std::vector<int> cap_verts;             ///< degenerate-cap fallback order
-  std::vector<int> remap;                 ///< old -> live vertex index
+  std::vector<int> loop;       ///< clipped loop of the current crossing face
+  std::vector<int> cap_verts;  ///< cap loop of new vertices, by k
 
-  /// Candidate (dist2, index) pairs for the cell builder's ring sweep.
-  /// Sorted by (dist2, id, position) — a key independent of point-array
-  /// layout, so incremental and from-scratch builders cut in the same order.
+  /// Candidate (dist2, index) pairs for the cell builder's ring sweep,
+  /// consumed in (dist2, id, position) order — a key independent of
+  /// point-array layout, so incremental and from-scratch builders cut in
+  /// the same order. The order is settled lazily, one position at a time.
   std::vector<std::pair<double, int>> ring_pts;
+  /// Pivot stack of the incremental quicksort over ring_pts: each entry is
+  /// the settled position of a pivot, nearest the consume cursor on top.
+  std::vector<std::size_t> ring_pivots;
   /// SoA gather buffers for the ring sweep: candidate coordinates and point
   /// indices copied from the builder's CSR slabs, plus the batched squared
   /// distances (geom/kernels.hpp) screened into ring_pts.

@@ -258,3 +258,54 @@ TEST(CellBuilder, ClusteredPointsStillPartition) {
     total += builder.build(s, {0, 0, 0}, {1, 1, 1}).volume();
   EXPECT_NEAR(total, 1.0, 1e-8);
 }
+
+// The cut loop settles the canonical (dist2, id, position) candidate order
+// lazily, while build_traced() settles every position before the first
+// cut. Both must cut the same sequence, so their cells agree bit for bit.
+// The recorded list is sorted ring by ring, so its key (dist2, id) can fall
+// only where a ring of the 5-bin grid ends: at most 5 times per cell. On
+// the lattice every distance shell is a tie and ids run against the array
+// order, so a wrong tie-break would fall inside rings.
+TEST(CellBuilder, LazyCandidateOrderIsCanonical) {
+  constexpr int kSide = 8;
+  std::vector<Vec3> lattice;
+  std::vector<std::int64_t> lattice_ids;
+  for (int z = 0; z < kSide; ++z)
+    for (int y = 0; y < kSide; ++y)
+      for (int x = 0; x < kSide; ++x) {
+        lattice.push_back({x + 0.5, y + 0.5, z + 0.5});
+        lattice_ids.push_back(kSide * kSide * kSide - 1 -
+                              static_cast<std::int64_t>(lattice_ids.size()));
+      }
+  const Vec3 lo{0, 0, 0}, hi{kSide, kSide, kSide};
+  struct Case {
+    std::vector<Vec3> pts;
+    std::vector<std::int64_t> ids;
+  };
+  const Case cases[] = {{lattice, lattice_ids},
+                        {random_points(17, 500, 0.0, kSide), {}}};
+  for (const auto& c : cases) {
+    const CellBuilder builder(c.pts, c.ids, lo, hi);
+    tg::VoronoiCell lazy(c.pts[0], lo, hi), traced(c.pts[0], lo, hi);
+    tg::ClipScratch lazy_scratch, traced_scratch;
+    CellBuilder::CellTrace trace;
+    std::size_t ties = 0;
+    for (int site = 0; site < static_cast<int>(c.pts.size()); ++site) {
+      builder.build_into(lazy, lazy_scratch, site, lo, hi);
+      builder.build_traced(traced, traced_scratch, site, lo, hi, trace);
+      ASSERT_TRUE(same_bits(lazy, traced)) << "site " << site;
+      ASSERT_FALSE(trace.cut_ids.empty());
+      int falls = 0;
+      for (std::size_t k = 1; k < trace.candidates.size(); ++k) {
+        const auto& a = trace.candidates[k - 1];
+        const auto& b = trace.candidates[k];
+        ties += a.first == b.first ? 1 : 0;
+        falls += b < a ? 1 : 0;
+      }
+      EXPECT_LE(falls, 5) << "site " << site;
+    }
+    if (!c.ids.empty()) {
+      EXPECT_GT(ties, 10000u);
+    }
+  }
+}

@@ -418,6 +418,31 @@ TEST(ObsStats, WastedWorkCountersEmittedWithCuts) {
   }
 }
 
+// geom.cell_cuts takes one sample per cell build, its cut attempts: on a
+// one-pass fixed-ghost run the samples are the cells built and their sum
+// is the cut total.
+TEST(ObsStats, CellCutsHistogramSamplesEveryBuild) {
+  constexpr double kDomain = 6.0;
+  const auto particles = clustered_particles(600, kDomain);
+  auto& reg = tess::obs::metrics();
+  const auto& hist = reg.histogram("geom.cell_cuts");
+  const std::uint64_t samples0 = hist.count(), sum0 = hist.sum();
+  const std::uint64_t built0 = reg.counter("tess.cells_built").value();
+  const std::uint64_t cuts0 = reg.counter("geom.cuts").value();
+  Runtime::run(1, [&](Comm& c) {
+    Decomposition d({0, 0, 0}, {kDomain, kDomain, kDomain},
+                    Decomposition::factor(1), true);
+    TessOptions opt;
+    opt.ghost = 1.5;
+    tess::core::standalone_tessellate(c, d, particles, opt);
+  });
+  const std::uint64_t built = reg.counter("tess.cells_built").value() - built0;
+  EXPECT_EQ(built, particles.size());
+  EXPECT_EQ(hist.count() - samples0, built);
+  EXPECT_EQ(hist.sum() - sum0, reg.counter("geom.cuts").value() - cuts0);
+  EXPECT_GT(hist.sum() - sum0, 10 * built);
+}
+
 TEST(ObsStats, FinalizeRecomputesFromIterations) {
   TessStats s;
   s.ghost_sent = 123;  // stale

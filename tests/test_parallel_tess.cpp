@@ -249,6 +249,48 @@ TEST(ClipScratchSteadyState, SecondSweepAllocatesNothing) {
   EXPECT_DOUBLE_EQ(steady_volume, warm_volume);
 }
 
+// The same on a random cloud, where cells differ in vertex and face counts
+// from site to site, and with each cell then tidied the way the
+// tessellator does: a buffer whose role rotated between cells would regrow
+// in a later sweep.
+TEST(ClipScratchSteadyState, RandomCloudWarmCellsFinishWithoutAllocating) {
+  Rng rng(400);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 400; ++i)
+    pts.push_back({rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6)});
+  const Vec3 lo{0, 0, 0}, hi{6, 6, 6};
+  const CellBuilder builder(pts, {}, lo, hi);
+  const int n = static_cast<int>(pts.size());
+
+  auto second_sweep_allocations = [&](auto&& finish) {
+    VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
+    ClipScratch scratch;
+    auto sweep = [&] {
+      double volume = 0.0;
+      for (int site = 0; site < n; ++site) {
+        builder.build_into(cell, scratch, site, lo, hi);
+        finish(cell);
+        if (cell.complete()) volume += cell.volume();
+      }
+      return volume;
+    };
+    const double warm_volume = sweep();
+    const auto before = g_alloc_count.load(std::memory_order_relaxed);
+    const double steady_volume = sweep();
+    const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(steady_volume, warm_volume);
+    return allocs;
+  };
+
+  EXPECT_EQ(second_sweep_allocations([](VoronoiCell&) {}), 0u)
+      << "build_into";
+  EXPECT_EQ(second_sweep_allocations([](VoronoiCell& c) { c.compact(); }), 0u)
+      << "build_into + compact()";
+  EXPECT_EQ(
+      second_sweep_allocations([](VoronoiCell& c) { c.canonicalize(); }), 0u)
+      << "build_into + canonicalize()";
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: the tessellation output must be byte-identical for any
 // thread count (fixed chunk grain + ordered shard merge).
