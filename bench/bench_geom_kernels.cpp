@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "geom/backend.hpp"
 #include "geom/cell_builder.hpp"
 #include "geom/convex_hull.hpp"
 #include "geom/kernels.hpp"
@@ -15,7 +14,6 @@
 #include "util/rng.hpp"
 
 using namespace tess;
-using geom::TessBackend;
 using geom::Vec3;
 
 namespace {
@@ -148,12 +146,11 @@ static void BM_BlockTessellation(benchmark::State& state) {
 BENCHMARK(BM_BlockTessellation)->Arg(1000)->Arg(4096);
 
 // ---------------------------------------------------------------------------
-// Backend A/B benches: the batched kernels under the clip loop, scalar vs
-// SIMD over identical inputs (the acceptance target is >= 1.5x on the
-// batched plane-distance / filter kernels in a Release build).
+// Batched kernels under the clip loop: the 4-lane sweeps of geom/kernels.hpp
+// and the batched orient3d filter of the hull's conflict lists.
 // ---------------------------------------------------------------------------
 
-static void BM_Dist2Batch(benchmark::State& state, TessBackend backend) {
+static void BM_Dist2Batch(benchmark::State& state) {
   const int n = 4096;
   const auto pts = random_points(7, n);
   std::vector<double> x, y, z, d2(static_cast<std::size_t>(n));
@@ -164,33 +161,30 @@ static void BM_Dist2Batch(benchmark::State& state, TessBackend backend) {
   }
   const Vec3 site{0.5, 0.5, 0.5};
   for (auto _ : state) {
-    geom::kernels::dist2_batch(backend, x.data(), y.data(), z.data(),
+    geom::kernels::dist2_batch(x.data(), y.data(), z.data(),
                                static_cast<std::size_t>(n), site, d2.data());
     benchmark::DoNotOptimize(d2.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_Dist2Batch, scalar, TessBackend::kScalar);
-BENCHMARK_CAPTURE(BM_Dist2Batch, simd, TessBackend::kSimd);
+BENCHMARK(BM_Dist2Batch);
 
-static void BM_PlaneDistanceBatch(benchmark::State& state, TessBackend backend) {
+static void BM_PlaneDistanceBatch(benchmark::State& state) {
   const int n = 1024;
   const auto verts = random_points(8, n);
   std::vector<double> dist(static_cast<std::size_t>(n));
   const Vec3 normal{0.3, -0.9, 0.316};
   double amax = 0.0;
   for (auto _ : state) {
-    geom::kernels::plane_distances(backend, verts.data(),
-                                   static_cast<std::size_t>(n), normal, -0.2,
-                                   dist.data(), &amax);
+    geom::kernels::plane_distances(verts.data(), static_cast<std::size_t>(n),
+                                   normal, -0.2, dist.data(), &amax);
     benchmark::DoNotOptimize(amax);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_PlaneDistanceBatch, scalar, TessBackend::kScalar);
-BENCHMARK_CAPTURE(BM_PlaneDistanceBatch, simd, TessBackend::kSimd);
+BENCHMARK(BM_PlaneDistanceBatch);
 
-static void BM_ScreenCandidates(benchmark::State& state, TessBackend backend) {
+static void BM_ScreenCandidates(benchmark::State& state) {
   // range(0) = percent of candidates kept. Outer grid rings are almost
   // entirely beyond the shrinking 2*r_max ball (a few percent kept), which
   // is where the batch-reject fast path pays; ~25% kept models the first
@@ -208,19 +202,13 @@ static void BM_ScreenCandidates(benchmark::State& state, TessBackend backend) {
   for (auto _ : state) {
     kept.clear();
     benchmark::DoNotOptimize(geom::kernels::screen_candidates(
-        backend, d2.data(), idx.data(), static_cast<std::size_t>(n), limit,
-        kept));
+        d2.data(), idx.data(), static_cast<std::size_t>(n), limit, kept));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_ScreenCandidates, scalar, TessBackend::kScalar)
-    ->Arg(25)
-    ->Arg(2);
-BENCHMARK_CAPTURE(BM_ScreenCandidates, simd, TessBackend::kSimd)
-    ->Arg(25)
-    ->Arg(2);
+BENCHMARK(BM_ScreenCandidates)->Arg(25)->Arg(2);
 
-static void BM_Orient3DFilterBatch(benchmark::State& state, TessBackend backend) {
+static void BM_Orient3DFilterBatch(benchmark::State& state) {
   // Random (well-separated) queries: the semi-static filter certifies every
   // lane, so this measures the batched filter itself, not the exact path.
   const int n = 1024;
@@ -234,35 +222,13 @@ static void BM_Orient3DFilterBatch(benchmark::State& state, TessBackend backend)
   }
   std::vector<int> sign(static_cast<std::size_t>(n));
   for (auto _ : state) {
-    geom::orient3d_batch(backend, a, b, c, dx.data(), dy.data(), dz.data(),
+    geom::orient3d_batch(a, b, c, dx.data(), dy.data(), dz.data(),
                          static_cast<std::size_t>(n), sign.data());
     benchmark::DoNotOptimize(sign.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_Orient3DFilterBatch, scalar, TessBackend::kScalar);
-BENCHMARK_CAPTURE(BM_Orient3DFilterBatch, simd, TessBackend::kSimd);
-
-static void BM_CellSweepBackend(benchmark::State& state, TessBackend backend) {
-  // End-to-end per-cell clip loop on one backend: the number the tentpole
-  // is judged by at the pipeline level (dominated by clipping, not the
-  // batched filters, so the expected win here is smaller than kernel-level).
-  const int n = static_cast<int>(state.range(0));
-  geom::CellBuilder builder(random_points(4, n), {}, {0, 0, 0}, {1, 1, 1},
-                            backend);
-  geom::VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
-  geom::ClipScratch scratch;
-  std::size_t site = 0;
-  for (auto _ : state) {
-    builder.build_into(cell, scratch,
-                       static_cast<int>(site % static_cast<std::size_t>(n)),
-                       {0, 0, 0}, {1, 1, 1});
-    benchmark::DoNotOptimize(cell.volume());
-    ++site;
-  }
-}
-BENCHMARK_CAPTURE(BM_CellSweepBackend, scalar, TessBackend::kScalar)->Arg(8000);
-BENCHMARK_CAPTURE(BM_CellSweepBackend, simd, TessBackend::kSimd)->Arg(8000);
+BENCHMARK(BM_Orient3DFilterBatch);
 
 static void BM_Fft3D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,8 +4,6 @@
 // pass that orders vertices into faces and computes volume/area (§III-C).
 #pragma once
 
-#include "geom/backend.hpp"
-
 namespace tess::core {
 
 struct TessOptions {
@@ -80,15 +78,6 @@ struct TessOptions {
 
   /// Minimum number of steps between adaptive repartitions (thrash guard).
   int repart_cooldown = 2;
-
-  /// Geometry backend for the per-cell clip loop: kScalar sweeps candidates
-  /// one at a time, kSimd runs the batched filters four lanes wide. kAuto
-  /// (default) resolves via the TESS_GEOM_BACKEND environment variable
-  /// ("scalar"/"simd", default scalar) — the env override applies only to
-  /// kAuto, so an explicit choice here always wins. Every backend produces
-  /// byte-identical meshes (enforced by the parity suite); this is purely a
-  /// performance switch.
-  geom::TessBackend backend = geom::TessBackend::kAuto;
 };
 
 }  // namespace tess::core

@@ -37,7 +37,6 @@ Tessellator::Tessellator(comm::Comm& comm, const diy::Decomposition& decomp,
     : comm_(&comm),
       decomp_(&decomp),
       options_(options),
-      backend_(geom::resolve_backend(options.backend)),
       active_(&decomp),
       exchanger_(std::make_unique<diy::Exchanger>(comm, decomp)),
       pool_(std::make_unique<util::ThreadPool>(options.threads)) {}
@@ -45,21 +44,19 @@ Tessellator::Tessellator(comm::Comm& comm, const diy::Decomposition& decomp,
 namespace {
 
 /// Emit the per-pass geom.cuts* and geom.backend.* metrics from the
-/// builder's counter deltas — on every run, not just parity runs, so
-/// production traces always carry the wasted-work counts, filter hit rate,
-/// batch occupancy, and exact-fallback rate.
+/// builder's counter deltas, and this rank's exact fallbacks summed over the
+/// pass's cell chunks — on every run, so production traces always carry the
+/// wasted-work counts, filter hit rate, batch occupancy, and exact-fallback
+/// rate.
 void emit_backend_metrics(
-    [[maybe_unused]] geom::TessBackend backend,
     [[maybe_unused]] const geom::CellBuilder::BackendStats& before,
     [[maybe_unused]] const geom::CellBuilder::BackendStats& after,
-    [[maybe_unused]] unsigned long long exact_before) {
+    [[maybe_unused]] unsigned long long exact) {
 #if TESS_OBS_ENABLED
   const std::uint64_t cuts_delta = after.cuts - before.cuts;
   const std::uint64_t seen = after.cand_seen - before.cand_seen;
   const std::uint64_t kept = after.cand_kept - before.cand_kept;
   const std::uint64_t batches = after.batches - before.batches;
-  const std::uint64_t lanes = after.lanes - before.lanes;
-  const unsigned long long exact = geom::exact_fallback_count() - exact_before;
   TESS_COUNT("geom.cuts", cuts_delta);
   TESS_COUNT("geom.cuts_noop", after.cuts_noop - before.cuts_noop);
   TESS_COUNT("geom.bins_pruned", after.bins_pruned - before.bins_pruned);
@@ -67,14 +64,12 @@ void emit_backend_metrics(
   TESS_COUNT("geom.backend.cand_kept", kept);
   TESS_COUNT("geom.backend.batches", batches);
   TESS_COUNT("geom.exact_fallbacks", exact);
-  TESS_GAUGE_SET("geom.backend.simd",
-                 backend == geom::TessBackend::kSimd ? 1.0 : 0.0);
   if (seen > 0)
     TESS_GAUGE_SET("geom.backend.filter_hit_rate",
                    static_cast<double>(kept) / static_cast<double>(seen));
   if (batches > 0)
     TESS_GAUGE_SET("geom.backend.batch_occupancy",
-                   static_cast<double>(lanes) /
+                   static_cast<double>(seen) /
                        (4.0 * static_cast<double>(batches)));
   if (cuts_delta > 0)
     TESS_GAUGE_SET("geom.exact_fallback_rate",
@@ -319,8 +314,7 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       ids.push_back(g.id);
     }
     if (fresh) {
-      builder.emplace(std::move(pts), std::move(ids), seed.min, seed.max,
-                      backend_);
+      builder.emplace(std::move(pts), std::move(ids), seed.min, seed.max);
       pending.resize(n);
       for (std::size_t i = 0; i < n; ++i) pending[i] = i;
     } else {
@@ -338,11 +332,11 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       std::size_t uncertified = 0;
       std::size_t culled_early = 0;
       std::size_t culled_volume = 0;
+      unsigned long long exact_fallbacks = 0;
       double cpu_seconds = 0.0;
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
     const auto backend_stats_before = builder->backend_stats();
-    const auto exact_before = geom::exact_fallback_count();
     timer.stop();
 
     TESS_SPAN("tess.build_cells");
@@ -352,6 +346,7 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
           TESS_SPAN("tess.cell_chunk");
           util::ThreadCpuTimer chunk_timer;
           chunk_timer.start();
+          const auto exact0 = geom::thread_exact_fallback_count();
           ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
           auto& cell = cells[static_cast<std::size_t>(worker)];
           auto& scratch = scratches[static_cast<std::size_t>(worker)];
@@ -385,7 +380,7 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
             double volume = cell.volume();
             double area = cell.area();
             if (options_.hull_pass) {
-              const auto hull = geom::convex_hull(cell.vertices(), backend_);
+              const auto hull = geom::convex_hull(cell.vertices());
               if (!hull.degenerate) {
                 volume = hull.volume;
                 area = hull.area;
@@ -403,16 +398,19 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
             vol_of[i] = volume;
             area_of[i] = area;
           }
+          cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
           chunk_timer.stop();
           cs.cpu_seconds = chunk_timer.seconds();
         });
 
     timer.start();
     std::size_t pass_incomplete = 0, pass_uncertified = 0;
+    unsigned long long pass_exact = 0;
     double loop_cpu = 0.0;
     for (const auto& cs : chunk_stats) {
       pass_incomplete += cs.incomplete;
       pass_uncertified += cs.uncertified;
+      pass_exact += cs.exact_fallbacks;
       loop_cpu += cs.cpu_seconds;
     }
     timer.stop();
@@ -424,8 +422,8 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
     TESS_COUNT("tess.ghost_sent", iter.ghost_sent);
     TESS_COUNT("tess.ghost_received", iter.ghost_received);
     TESS_COUNT("tess.cells_built", np);
-    emit_backend_metrics(backend_, backend_stats_before,
-                         builder->backend_stats(), exact_before);
+    emit_backend_metrics(backend_stats_before, builder->backend_stats(),
+                         pass_exact);
 
     stats_.exchange_seconds += iter.exchange_seconds;
     stats_.compute_seconds += iter.compute_seconds;
@@ -562,10 +560,8 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
     pts.push_back(g.pos);
     ids.push_back(g.id);
   }
-  geom::CellBuilder builder(std::move(pts), std::move(ids), seed.min, seed.max,
-                            backend_);
+  geom::CellBuilder builder(std::move(pts), std::move(ids), seed.min, seed.max);
   const auto backend_stats_before = builder.backend_stats();
-  const auto exact_before = geom::exact_fallback_count();
 
   // Early-cull bound: a cell whose largest vertex separation is below the
   // diameter of the sphere of volume `min_volume` cannot reach the
@@ -598,6 +594,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
     std::size_t uncertified = 0;
     std::size_t culled_early = 0;
     std::size_t culled_volume = 0;
+    unsigned long long exact_fallbacks = 0;
     double cpu_seconds = 0.0;
   };
   std::vector<Shard> shards(num_chunks);
@@ -617,6 +614,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
           TESS_SPAN("tess.cell_chunk");
           util::ThreadCpuTimer chunk_timer;
           chunk_timer.start();
+          const auto exact0 = geom::thread_exact_fallback_count();
           Shard& shard = shards[static_cast<std::size_t>(chunk)];
           auto& cell = cells[static_cast<std::size_t>(worker)];
           auto& scratch = scratches[static_cast<std::size_t>(worker)];
@@ -642,7 +640,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
             if (options_.hull_pass) {
               // Paper-faithful step: order the cell's vertices into faces via
               // the convex hull and take volume/area from it.
-              const auto hull = geom::convex_hull(cell.vertices(), backend_);
+              const auto hull = geom::convex_hull(cell.vertices());
               if (!hull.degenerate) {
                 volume = hull.volume;
                 area = hull.area;
@@ -658,6 +656,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
             }
             shard.mesh.add_cell(mine[i].id, cell, volume, area);
           }
+          shard.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
           chunk_timer.stop();
           shard.cpu_seconds = chunk_timer.seconds();
         });
@@ -681,6 +680,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
   mesh.face_neighbors.reserve(total_faces);
   mesh.face_verts.reserve(total_corners);
   double loop_cpu = 0.0;
+  unsigned long long exact = 0;
   for (auto& shard : shards) {
     mesh.append(shard.mesh);
     stats_.cells_incomplete += shard.incomplete;
@@ -689,6 +689,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
     stats_.cells_culled_volume += shard.culled_volume;
     stats_.cells_kept += shard.mesh.cells.size();
     loop_cpu += shard.cpu_seconds;
+    exact += shard.exact_fallbacks;
     shard.mesh = BlockMesh{};
   }
   timer.stop();
@@ -697,8 +698,7 @@ BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
   // the pool width (== the loop CPU itself when threads == 1).
   stats_.compute_seconds =
       timer.seconds() + loop_cpu / static_cast<double>(nthreads);
-  emit_backend_metrics(backend_, backend_stats_before, builder.backend_stats(),
-                       exact_before);
+  emit_backend_metrics(backend_stats_before, builder.backend_stats(), exact);
   return mesh;
 }
 

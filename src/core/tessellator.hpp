@@ -27,7 +27,6 @@
 #include "comm/comm.hpp"
 #include "core/block_mesh.hpp"
 #include "core/options.hpp"
-#include "geom/backend.hpp"
 #include "diy/decomposition.hpp"
 #include "diy/exchange.hpp"
 #include "diy/particle.hpp"
@@ -160,9 +159,6 @@ class Tessellator {
   comm::Comm* comm_;
   const diy::Decomposition* decomp_;
   TessOptions options_;
-  /// options_.backend resolved once at construction (kAuto collapsed via
-  /// TESS_GEOM_BACKEND), so one tessellation never mixes backends.
-  geom::TessBackend backend_ = geom::TessBackend::kScalar;
   /// Adaptive state: `active_` points at the decomposition in use (the
   /// constructor's, or `adaptive_decomp_` after a repartition); the
   /// exchanger is rebuilt against it on every swap.

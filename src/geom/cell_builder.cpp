@@ -61,13 +61,11 @@ void settle(std::vector<T>& v, std::vector<std::size_t>& pivots,
 }  // namespace
 
 CellBuilder::CellBuilder(std::vector<Vec3> points, std::vector<std::int64_t> ids,
-                         const Vec3& bounds_min, const Vec3& bounds_max,
-                         TessBackend backend)
+                         const Vec3& bounds_min, const Vec3& bounds_max)
     : points_(std::move(points)),
       ids_(std::move(ids)),
       lo_(bounds_min),
-      hi_(bounds_max),
-      backend_(resolve_backend(backend)) {
+      hi_(bounds_max) {
   if (!ids_.empty() && ids_.size() != points_.size())
     throw std::invalid_argument("CellBuilder: ids/points size mismatch");
   rebuild_grid(target_per_dim(points_.size()));
@@ -198,7 +196,6 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
                              CellTrace* trace) const {
   const Vec3& s = points_[static_cast<std::size_t>(site)];
   cell.reset(s, box_min, box_max);
-  scratch.backend = backend_;
   BackendStats st;
 
   // Site's bin coordinates.
@@ -222,7 +219,6 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
     cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
     batches_.fetch_add(st.batches, std::memory_order_relaxed);
-    lanes_.fetch_add(st.lanes, std::memory_order_relaxed);
     TESS_HIST_ADD("geom.cell_cuts", st.cuts);
   };
 
@@ -322,27 +318,23 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
 
     const std::size_t n = cidx.size();
     st.cand_seen += n;
-    if (backend_ == TessBackend::kSimd) {
-      st.batches += (n + util::simd::kLanes - 1) / util::simd::kLanes;
-      st.lanes += n;
-    }
+    st.batches += (n + util::simd::kLanes - 1) / util::simd::kLanes;
 
-    // Batched squared distances (bitwise equal across backends), then the
-    // site itself is masked out and the screen drops everything already
-    // beyond the security radius at ring entry. The screen cannot change
-    // the cut sequence: the threshold only shrinks as cuts land, so any
-    // candidate past the entry threshold would have terminated the sorted
-    // consume loop before being reached.
+    // Batched squared distances (the bits of geom::dist2), then the site
+    // itself is masked out and the screen drops everything already beyond
+    // the security radius at ring entry. The screen cannot change the cut
+    // sequence: the threshold only shrinks as cuts land, so any candidate
+    // past the entry threshold would have terminated the sorted consume
+    // loop before being reached.
     cd2.resize(n);
-    kernels::dist2_batch(backend_, cx.data(), cy.data(), cz.data(), n, s,
-                         cd2.data());
+    kernels::dist2_batch(cx.data(), cy.data(), cz.data(), n, s, cd2.data());
     if (site_slot >= 0)
       cd2[static_cast<std::size_t>(site_slot)] =
           std::numeric_limits<double>::infinity();
     ring_pts.clear();
-    st.cand_kept += kernels::screen_candidates(backend_, cd2.data(), cidx.data(),
-                                            n, 4.0 * cell.max_radius2(),
-                                            ring_pts);
+    st.cand_kept += kernels::screen_candidates(cd2.data(), cidx.data(), n,
+                                               4.0 * cell.max_radius2(),
+                                               ring_pts);
 
     // Canonical candidate order: distance, then id, then position. The key
     // is a pure function of the particle (never its array index), so an

@@ -24,11 +24,9 @@
 // The grid is stored in CSR form (bin_offsets_ + bin_items_) with the point
 // coordinates permuted alongside into structure-of-arrays slabs (csr_x_/y_/
 // z_), so a ring sweep gathers each bin's candidates with three contiguous
-// copies and feeds them to the batched kernels in geom/kernels.hpp. Both
-// geometry backends (TessBackend) share this store; kScalar sweeps the
-// batches one element at a time, kSimd four lanes wide, with bitwise-equal
-// results (see kernels.hpp for the contract and DESIGN.md §4.11 for the
-// proof sketch).
+// copies and feeds them to the batched kernels in geom/kernels.hpp, which
+// sweep them four lanes wide with the bits of the scalar expressions (see
+// kernels.hpp for the contract and DESIGN.md §4.11).
 //
 // build_into() is the allocation-free hot path: it reuses a caller-owned
 // cell object and ClipScratch, so a worker thread sweeping many sites
@@ -40,7 +38,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "geom/backend.hpp"
 #include "geom/vec3.hpp"
 #include "geom/voronoi_cell.hpp"
 
@@ -54,9 +51,9 @@ class CellBuilder {
   /// `bins_pruned` the shell bins the vertex-ball prune skipped. `cand_seen`
   /// counts grid candidates gathered into batches, `cand_kept` the
   /// survivors of the security-radius screen (kept/seen = filter hit rate);
-  /// `batches`/`lanes` count SIMD sweeps and the elements they carried
-  /// (lanes / (4 * batches) = batch occupancy; both zero under the scalar
-  /// backend). All are deterministic for a given point set.
+  /// `batches` counts the 4-lane batches they were swept in, a partial tail
+  /// included (cand_seen / (4 * batches) = batch occupancy). All are
+  /// deterministic for a given point set.
   struct BackendStats {
     std::uint64_t cuts = 0;
     std::uint64_t cuts_noop = 0;
@@ -64,13 +61,13 @@ class CellBuilder {
     std::uint64_t cand_seen = 0;
     std::uint64_t cand_kept = 0;
     std::uint64_t batches = 0;
-    std::uint64_t lanes = 0;
   };
 
-  /// Per-cell trace captured by build_traced() for the parity harness:
-  /// the post-screen candidate sequence in consumption order and the cut
-  /// sequence actually attempted. Combined with the final cell geometry
-  /// this pins down every stage where the backends could diverge.
+  /// Per-cell trace captured by build_traced(): the post-screen candidate
+  /// sequence in consumption order and the cut sequence actually attempted.
+  /// The traced build settles every candidate's position before the first
+  /// cut, so it is the fully ordered reference the lazy build_into() is
+  /// tested against.
   struct CellTrace {
     /// (dist2, source id) per surviving candidate, in canonical order,
     /// concatenated ring by ring.
@@ -82,11 +79,8 @@ class CellBuilder {
   /// `points` are all particles available to the block (original + ghost).
   /// `ids` are the stable global identifiers recorded as cell-face sources;
   /// if empty, local indices are used. `bounds` must contain all points.
-  /// `backend` selects the clip-loop geometry backend; kAuto resolves via
-  /// the TESS_GEOM_BACKEND environment variable (default scalar).
   CellBuilder(std::vector<Vec3> points, std::vector<std::int64_t> ids,
-              const Vec3& bounds_min, const Vec3& bounds_max,
-              TessBackend backend = TessBackend::kAuto);
+              const Vec3& bounds_min, const Vec3& bounds_max);
 
   /// Incremental append for the auto-ghost loop: add newly arrived ghost
   /// particles without reconstructing the builder. `bounds` is the new
@@ -116,15 +110,15 @@ class CellBuilder {
   void build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
                   const Vec3& box_min, const Vec3& box_max) const;
 
-  /// build_into() that additionally records the per-stage trace consumed by
-  /// the parity harness (geom/parity.hpp). Slower; not for production use.
+  /// build_into() that additionally records the per-stage trace, settling
+  /// each ring's full candidate order first. Slower; a test reference, not
+  /// for production use.
   void build_traced(VoronoiCell& cell, ClipScratch& scratch, int site,
                     const Vec3& box_min, const Vec3& box_max,
                     CellTrace& trace) const;
 
   [[nodiscard]] std::size_t num_points() const { return points_.size(); }
   [[nodiscard]] const std::vector<Vec3>& points() const { return points_; }
-  [[nodiscard]] TessBackend backend() const { return backend_; }
 
   /// Counter totals. Each build counts locally and merges here once at its
   /// end, so concurrent builds stay race-free; the merge also adds the
@@ -137,7 +131,6 @@ class CellBuilder {
     s.cand_seen = cand_seen_.load(std::memory_order_relaxed);
     s.cand_kept = cand_kept_.load(std::memory_order_relaxed);
     s.batches = batches_.load(std::memory_order_relaxed);
-    s.lanes = lanes_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -163,7 +156,6 @@ class CellBuilder {
   Vec3 lo_, hi_;
   int nb_[3] = {1, 1, 1};    // grid bins per dimension
   double h_[3] = {0, 0, 0};  // bin extents
-  TessBackend backend_ = TessBackend::kScalar;
 
   // CSR grid over the points: bin b owns CSR slots
   // [bin_offsets_[b], bin_offsets_[b+1]); bin_items_[s] is the point index
@@ -181,7 +173,6 @@ class CellBuilder {
   mutable std::atomic<std::uint64_t> cand_seen_{0};
   mutable std::atomic<std::uint64_t> cand_kept_{0};
   mutable std::atomic<std::uint64_t> batches_{0};
-  mutable std::atomic<std::uint64_t> lanes_{0};
 };
 
 }  // namespace tess::geom

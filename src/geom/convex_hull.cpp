@@ -54,7 +54,7 @@ struct ConflictScratch {
 // no face are interior and dropped. `cands` is consumed.
 void assign_conflicts(const std::vector<Vec3>& pts, std::vector<Face>& faces,
                       const std::vector<int>& face_ids, std::vector<int>& cands,
-                      TessBackend backend, ConflictScratch& s) {
+                      ConflictScratch& s) {
   for (int fi : face_ids) {
     if (cands.empty()) break;
     Face& f = faces[static_cast<std::size_t>(fi)];
@@ -69,7 +69,7 @@ void assign_conflicts(const std::vector<Vec3>& pts, std::vector<Face>& faces,
       s.qy[i] = p.y;
       s.qz[i] = p.z;
     }
-    orient3d_batch(backend, pts[static_cast<std::size_t>(f.v[0])],
+    orient3d_batch(pts[static_cast<std::size_t>(f.v[0])],
                    pts[static_cast<std::size_t>(f.v[1])],
                    pts[static_cast<std::size_t>(f.v[2])], s.qx.data(),
                    s.qy.data(), s.qz.data(), n, s.sign.data());
@@ -173,8 +173,7 @@ bool initial_simplex(const std::vector<Vec3>& pts, std::array<int, 4>& out) {
 
 }  // namespace
 
-HullResult convex_hull(const std::vector<Vec3>& pts, TessBackend backend) {
-  const TessBackend bk = resolve_backend(backend);
+HullResult convex_hull(const std::vector<Vec3>& pts) {
   HullResult result;
   std::array<int, 4> seed{};
   if (!initial_simplex(pts, seed)) {
@@ -227,7 +226,7 @@ HullResult convex_hull(const std::vector<Vec3>& pts, TessBackend backend) {
     for (int p = 0; p < static_cast<int>(pts.size()); ++p)
       if (p != seed[0] && p != seed[1] && p != seed[2] && p != seed[3])
         cands.push_back(p);
-    assign_conflicts(pts, faces, {0, 1, 2, 3}, cands, bk, conflict_scratch);
+    assign_conflicts(pts, faces, {0, 1, 2, 3}, cands, conflict_scratch);
   }
 
   std::vector<int> pending;
@@ -320,7 +319,7 @@ HullResult convex_hull(const std::vector<Vec3>& pts, TessBackend backend) {
     }
 
     // Redistribute orphans to the new faces (batched, first-visible wins).
-    assign_conflicts(pts, faces, new_faces, orphans, bk, conflict_scratch);
+    assign_conflicts(pts, faces, new_faces, orphans, conflict_scratch);
     for (int nfi : new_faces)
       if (!faces[static_cast<std::size_t>(nfi)].outside.empty())
         pending.push_back(nfi);

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "geom/backend.hpp"
 #include "geom/vec3.hpp"
 
 namespace tess::geom {
@@ -31,11 +30,8 @@ struct HullResult {
 
 /// Compute the convex hull of `points`. Duplicates and interior points are
 /// handled; at least four affinely independent points are required for a
-/// non-degenerate result. `backend` selects how the conflict-list
-/// visibility tests are evaluated (batched orient3d filter under kSimd);
-/// the hull produced is identical for every backend because the predicate
-/// signs are exact either way.
-HullResult convex_hull(const std::vector<Vec3>& points,
-                       TessBackend backend = TessBackend::kAuto);
+/// non-degenerate result. The conflict-list visibility tests run through
+/// the batched orient3d filter, whose signs are exact.
+HullResult convex_hull(const std::vector<Vec3>& points);
 
 }  // namespace tess::geom

@@ -1,25 +1,25 @@
-// See kernels.hpp for the bit-identity contract. This file is compiled with
+// See kernels.hpp for the bit-exactness contract. This file is compiled with
 // -ffp-contract=off (src/geom/CMakeLists.txt): a fused multiply-add rounds
-// once where mul+add rounds twice, so letting the compiler contract one
-// backend's sweep but not the other's would silently break byte parity.
-// Keep every floating-point expression here in the exact association order
-// of its scalar counterpart (geom::dist2, VoronoiCell::clip).
+// once where mul+add rounds twice, so a contraction the compiler makes for
+// one ISA or clone but not another would make the kernels' bits depend on
+// the build or the host. Keep every floating-point expression here in the
+// exact association order of its scalar counterpart (geom::dist2,
+// VoronoiCell::clip).
 #include "geom/kernels.hpp"
 
 #include <cmath>
 
 #include "util/simd.hpp"
 
-// Runtime ISA dispatch for the hot sweeps: the "default" clone targets the
+// Runtime ISA dispatch for the sweeps: the "default" clone targets the
 // build's baseline ISA, the "avx2" clone runs the 4-lane vectors as single
 // 256-bit ops on hardware that has them. Both clones execute the same IEEE
-// operations (no FMA — contraction is off), so the dispatch is invisible to
-// the bit-identity contract. Disabled under sanitizers (ifunc resolvers run
-// before their runtimes initialize) and on compilers without the attribute.
+// operations (no FMA — contraction is off), so the dispatch never changes a
+// result bit. Disabled under sanitizers (ifunc resolvers run before their
+// runtimes initialize) and on compilers without the attribute.
 #if defined(__x86_64__) && defined(__linux__) && \
     (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__) && \
-    !defined(TESS_SIMD_SCALAR)
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #define TESS_KERNEL_CLONES __attribute__((target_clones("default", "avx2")))
 #else
 #define TESS_KERNEL_CLONES
@@ -27,13 +27,11 @@
 
 namespace tess::geom::kernels {
 
-namespace {
-
 namespace simd = tess::util::simd;
 
 TESS_KERNEL_CLONES
-void dist2_simd(const double* x, const double* y, const double* z,
-                std::size_t n, const Vec3& site, double* d2) {
+void dist2_batch(const double* x, const double* y, const double* z,
+                 std::size_t n, const Vec3& site, double* d2) {
   const simd::DVec sx = simd::DVec::broadcast(site.x);
   const simd::DVec sy = simd::DVec::broadcast(site.y);
   const simd::DVec sz = simd::DVec::broadcast(site.z);
@@ -54,14 +52,13 @@ void dist2_simd(const double* x, const double* y, const double* z,
 }
 
 TESS_KERNEL_CLONES
-void plane_distances_simd(const Vec3* verts, std::size_t n, const Vec3& normal,
-                          double plane_d, double* dist, double* abs_max_out) {
+void plane_distances(const Vec3* verts, std::size_t n, const Vec3& normal,
+                     double plane_d, double* dist, double* abs_max_out) {
   const simd::DVec nx = simd::DVec::broadcast(normal.x);
   const simd::DVec ny = simd::DVec::broadcast(normal.y);
   const simd::DVec nz = simd::DVec::broadcast(normal.z);
   const simd::DVec pd = simd::DVec::broadcast(plane_d);
   simd::DVec amax = simd::DVec::broadcast(0.0);
-  double abs_max = 0.0;
   std::size_t i = 0;
   for (; i + simd::kLanes <= n; i += simd::kLanes) {
     // Lane gather from the AoS vertex array; the arithmetic afterwards is
@@ -76,7 +73,7 @@ void plane_distances_simd(const Vec3* verts, std::size_t n, const Vec3& normal,
     (nv - pd).store(dist + i);
     amax = simd::max(amax, simd::abs(nv));
   }
-  abs_max = simd::hmax(amax);
+  double abs_max = simd::hmax(amax);
   for (; i < n; ++i) {
     const double nv =
         (normal.x * verts[i].x + normal.y * verts[i].y) + normal.z * verts[i].z;
@@ -88,9 +85,9 @@ void plane_distances_simd(const Vec3* verts, std::size_t n, const Vec3& normal,
 }
 
 TESS_KERNEL_CLONES
-std::size_t screen_simd(const double* d2, const int* idx, std::size_t n,
-                        double limit,
-                        std::vector<std::pair<double, int>>& out) {
+std::size_t screen_candidates(const double* d2, const int* idx, std::size_t n,
+                              double limit,
+                              std::vector<std::pair<double, int>>& out) {
   std::size_t kept = 0;
   const simd::DVec lim = simd::DVec::broadcast(limit);
   std::size_t i = 0;
@@ -115,53 +112,6 @@ std::size_t screen_simd(const double* d2, const int* idx, std::size_t n,
       ++kept;
     }
   return kept;
-}
-
-}  // namespace
-
-void dist2_batch(TessBackend backend, const double* x, const double* y,
-                 const double* z, std::size_t n, const Vec3& site, double* d2) {
-  if (backend == TessBackend::kSimd) {
-    dist2_simd(x, y, z, n, site, d2);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = x[i] - site.x;
-    const double dy = y[i] - site.y;
-    const double dz = z[i] - site.z;
-    d2[i] = (dx * dx + dy * dy) + dz * dz;
-  }
-}
-
-std::size_t screen_candidates(TessBackend backend, const double* d2,
-                              const int* idx, std::size_t n, double limit,
-                              std::vector<std::pair<double, int>>& out) {
-  std::size_t kept = 0;
-  if (backend == TessBackend::kSimd) return screen_simd(d2, idx, n, limit, out);
-  for (std::size_t i = 0; i < n; ++i)
-    if (d2[i] <= limit) {
-      out.emplace_back(d2[i], idx[i]);
-      ++kept;
-    }
-  return kept;
-}
-
-void plane_distances(TessBackend backend, const Vec3* verts, std::size_t n,
-                     const Vec3& normal, double plane_d, double* dist,
-                     double* abs_max_out) {
-  if (backend == TessBackend::kSimd) {
-    plane_distances_simd(verts, n, normal, plane_d, dist, abs_max_out);
-    return;
-  }
-  double abs_max = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double nv =
-        (normal.x * verts[i].x + normal.y * verts[i].y) + normal.z * verts[i].z;
-    dist[i] = nv - plane_d;
-    const double a = std::fabs(nv);
-    if (a > abs_max) abs_max = a;
-  }
-  *abs_max_out = abs_max;
 }
 
 }  // namespace tess::geom::kernels

@@ -12,6 +12,12 @@ namespace tess::geom {
 namespace {
 
 std::atomic<unsigned long long> g_exact_fallbacks{0};
+thread_local unsigned long long t_exact_fallbacks = 0;
+
+void count_exact_fallback() {
+  g_exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  ++t_exact_fallbacks;
+}
 
 // ---------------------------------------------------------------------------
 // Error-free transformations (Dekker/Knuth). Each returns (result, error)
@@ -158,6 +164,14 @@ double det3(double ux, double uy, double uz, double vx, double vy, double vz,
          uz * (vx * wy - vy * wx);
 }
 
+// One lane the batched filter could not decide, kept out of line: inlined,
+// the whole of orient3d (expansion arithmetic included) bloats the lane loop
+// and slows the common case where the filter decides every lane.
+[[gnu::noinline]] int orient3d_lane(const Vec3& a, const Vec3& b, const Vec3& c,
+                                    const Vec3& d) {
+  return orient3d(a, b, c, d);
+}
+
 }  // namespace
 
 double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
@@ -165,54 +179,52 @@ double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d)
               c.x - d.x, c.y - d.y, c.z - d.z);
 }
 
-void orient3d_batch(TessBackend backend, const Vec3& a, const Vec3& b,
-                    const Vec3& c, const double* dx, const double* dy,
-                    const double* dz, std::size_t n, int* out) {
+void orient3d_batch(const Vec3& a, const Vec3& b, const Vec3& c,
+                    const double* dx, const double* dy, const double* dz,
+                    std::size_t n, int* out) {
   namespace simd = tess::util::simd;
+  const simd::DVec ax = simd::DVec::broadcast(a.x), ay = simd::DVec::broadcast(a.y),
+                   az = simd::DVec::broadcast(a.z);
+  const simd::DVec bx = simd::DVec::broadcast(b.x), by = simd::DVec::broadcast(b.y),
+                   bz = simd::DVec::broadcast(b.z);
+  const simd::DVec cx = simd::DVec::broadcast(c.x), cy = simd::DVec::broadcast(c.y),
+                   cz = simd::DVec::broadcast(c.z);
+  const simd::DVec bound = simd::DVec::broadcast(kO3dErrBoundA);
+  const simd::DVec zero = simd::DVec::broadcast(0.0);
   std::size_t i = 0;
-  if (resolve_backend(backend) == TessBackend::kSimd) {
-    const simd::DVec ax = simd::DVec::broadcast(a.x), ay = simd::DVec::broadcast(a.y),
-                     az = simd::DVec::broadcast(a.z);
-    const simd::DVec bx = simd::DVec::broadcast(b.x), by = simd::DVec::broadcast(b.y),
-                     bz = simd::DVec::broadcast(b.z);
-    const simd::DVec cx = simd::DVec::broadcast(c.x), cy = simd::DVec::broadcast(c.y),
-                     cz = simd::DVec::broadcast(c.z);
-    const simd::DVec bound = simd::DVec::broadcast(kO3dErrBoundA);
-    const simd::DVec zero = simd::DVec::broadcast(0.0);
-    for (; i + simd::kLanes <= n; i += simd::kLanes) {
-      const simd::DVec qx = simd::DVec::load(dx + i);
-      const simd::DVec qy = simd::DVec::load(dy + i);
-      const simd::DVec qz = simd::DVec::load(dz + i);
-      const simd::DVec adx = ax - qx, ady = ay - qy, adz = az - qz;
-      const simd::DVec bdx = bx - qx, bdy = by - qy, bdz = bz - qz;
-      const simd::DVec cdx = cx - qx, cdy = cy - qy, cdz = cz - qz;
-      const simd::DVec bdxcdy = bdx * cdy, cdxbdy = cdx * bdy;
-      const simd::DVec cdxady = cdx * ady, adxcdy = adx * cdy;
-      const simd::DVec adxbdy = adx * bdy, bdxady = bdx * ady;
-      const simd::DVec det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) +
-                             cdz * (adxbdy - bdxady);
-      const simd::DVec permanent =
-          (simd::abs(bdxcdy) + simd::abs(cdxbdy)) * simd::abs(adz) +
-          (simd::abs(cdxady) + simd::abs(adxcdy)) * simd::abs(bdz) +
-          (simd::abs(adxbdy) + simd::abs(bdxady)) * simd::abs(cdz);
-      const simd::DVec errbound = bound * permanent;
-      const simd::Mask pos = det > errbound;
-      const simd::Mask neg = (zero - errbound) > det;
-      for (std::size_t l = 0; l < simd::kLanes; ++l) {
-        if (pos.lane(l)) {
-          out[i + l] = 1;
-        } else if (neg.lane(l)) {
-          out[i + l] = -1;
-        } else {
-          // Undecided lane: scalar exact fallback (counts toward
-          // exact_fallback_count like any filtered miss).
-          out[i + l] =
-              orient3d(a, b, c, Vec3{dx[i + l], dy[i + l], dz[i + l]});
-        }
+  for (; i + simd::kLanes <= n; i += simd::kLanes) {
+    const simd::DVec qx = simd::DVec::load(dx + i);
+    const simd::DVec qy = simd::DVec::load(dy + i);
+    const simd::DVec qz = simd::DVec::load(dz + i);
+    const simd::DVec adx = ax - qx, ady = ay - qy, adz = az - qz;
+    const simd::DVec bdx = bx - qx, bdy = by - qy, bdz = bz - qz;
+    const simd::DVec cdx = cx - qx, cdy = cy - qy, cdz = cz - qz;
+    const simd::DVec bdxcdy = bdx * cdy, cdxbdy = cdx * bdy;
+    const simd::DVec cdxady = cdx * ady, adxcdy = adx * cdy;
+    const simd::DVec adxbdy = adx * bdy, bdxady = bdx * ady;
+    const simd::DVec det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) +
+                           cdz * (adxbdy - bdxady);
+    const simd::DVec permanent =
+        (simd::abs(bdxcdy) + simd::abs(cdxbdy)) * simd::abs(adz) +
+        (simd::abs(cdxady) + simd::abs(adxcdy)) * simd::abs(bdz) +
+        (simd::abs(adxbdy) + simd::abs(bdxady)) * simd::abs(cdz);
+    const simd::DVec errbound = bound * permanent;
+    const simd::Mask pos = det > errbound;
+    const simd::Mask neg = (zero - errbound) > det;
+    for (std::size_t l = 0; l < simd::kLanes; ++l) {
+      if (pos.lane(l)) {
+        out[i + l] = 1;
+      } else if (neg.lane(l)) {
+        out[i + l] = -1;
+      } else {
+        // Undecided lane: scalar exact fallback (counts toward
+        // exact_fallback_count like any filtered miss).
+        out[i + l] =
+            orient3d_lane(a, b, c, Vec3{dx[i + l], dy[i + l], dz[i + l]});
       }
     }
   }
-  for (; i < n; ++i) out[i] = orient3d(a, b, c, Vec3{dx[i], dy[i], dz[i]});
+  for (; i < n; ++i) out[i] = orient3d_lane(a, b, c, Vec3{dx[i], dy[i], dz[i]});
 }
 
 int orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
@@ -234,7 +246,7 @@ int orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
   if (det < -errbound) return -1;
 
   // Exact fallback.
-  g_exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  count_exact_fallback();
   const ExpVec3 ad = diff_exact(a, d);
   const ExpVec3 bd = diff_exact(b, d);
   const ExpVec3 cd = diff_exact(c, d);
@@ -277,7 +289,7 @@ int insphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
   if (det < -errbound) return -1;
 
   // Exact fallback.
-  g_exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  count_exact_fallback();
   const ExpVec3 ae = diff_exact(a, e);
   const ExpVec3 be = diff_exact(b, e);
   const ExpVec3 ce = diff_exact(c, e);
@@ -305,5 +317,7 @@ unsigned long long exact_fallback_count() {
 void reset_exact_fallback_count() {
   g_exact_fallbacks.store(0, std::memory_order_relaxed);
 }
+
+unsigned long long thread_exact_fallback_count() { return t_exact_fallbacks; }
 
 }  // namespace tess::geom

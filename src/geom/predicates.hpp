@@ -13,7 +13,6 @@
 
 #include <cstddef>
 
-#include "geom/backend.hpp"
 #include "geom/vec3.hpp"
 
 namespace tess::geom {
@@ -32,17 +31,17 @@ int orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d);
 double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d);
 
 /// Signs of orient3d(a, b, c, (dx[i], dy[i], dz[i])) for n query points in
-/// SoA form, written to out[i] in {-1, 0, +1}. Under TessBackend::kSimd the
-/// semi-static filter (determinant vs. permanent error bound) runs four
-/// lanes wide; lanes the filter cannot certify fall back to the scalar
-/// exact-arithmetic path one at a time. Every backend returns the identical
-/// signs: the filter is conservative, so whichever route a lane takes ends
-/// at the true sign — bit-level agreement of the filter values is not
-/// required, only of the decisions, which is why this batch may live
-/// outside the contract-off kernels TU.
-void orient3d_batch(TessBackend backend, const Vec3& a, const Vec3& b,
-                    const Vec3& c, const double* dx, const double* dy,
-                    const double* dz, std::size_t n, int* out);
+/// SoA form, written to out[i] in {-1, 0, +1}. The semi-static filter
+/// (determinant vs. permanent error bound) runs four lanes wide; lanes the
+/// filter cannot certify, and the n % 4 tail, go through scalar orient3d
+/// one at a time, falling back to exact arithmetic where its own filter
+/// fails. The signs equal orient3d's: the filter is conservative, so
+/// whichever route a lane takes ends at the true sign — bit-level agreement
+/// of the filter values is not required, only of the decisions, which is
+/// why this batch may live outside the contract-off kernels TU.
+void orient3d_batch(const Vec3& a, const Vec3& b, const Vec3& c,
+                    const double* dx, const double* dy, const double* dz,
+                    std::size_t n, int* out);
 
 /// Sign of the 4x4 in-sphere determinant: positive when point e lies inside
 /// the sphere through a,b,c,d (with a,b,c,d positively oriented per
@@ -54,5 +53,11 @@ int insphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
 /// process start (diagnostics for the robustness benches).
 unsigned long long exact_fallback_count();
 void reset_exact_fallback_count();
+
+/// The calling thread's share of exact_fallback_count(), since the thread
+/// started (reset_exact_fallback_count() leaves it alone). Thread-ranks run
+/// predicates concurrently, so a build loop attributes fallbacks to itself
+/// by reading this around the work each thread does for it.
+unsigned long long thread_exact_fallback_count();
 
 }  // namespace tess::geom

@@ -108,16 +108,16 @@ bool VoronoiCell::clip(const Plane& plane) { return clip(plane, tls_scratch()); 
 bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   if (faces_.empty()) return false;
 
-  // Signed distances for every stored vertex, batched through the shared
-  // kernel TU so scalar and SIMD backends get bitwise-equal distances (see
-  // geom/kernels.hpp). Every stored vertex is live (referenced by a face),
-  // so one flat sweep of the distances decides a no-op cut — the common
-  // case — before any face loop is walked.
+  // Signed distances for every stored vertex, four lanes at a time through
+  // the kernel TU, with the bits of the unfused scalar dot product for any
+  // ISA (see geom/kernels.hpp). Every stored vertex is live (referenced by
+  // a face), so one flat sweep of the distances decides a no-op cut — the
+  // common case — before any face loop is walked.
   const std::size_t nv0 = verts_.size();
   double vert_scale = 0.0;
   s.dist.resize(nv0);
-  kernels::plane_distances(s.backend, verts_.data(), nv0, plane.n, plane.d,
-                           s.dist.data(), &vert_scale);
+  kernels::plane_distances(verts_.data(), nv0, plane.n, plane.d, s.dist.data(),
+                           &vert_scale);
   const double eps = plane_eps(plane, vert_scale);
 
   // Survivor numbering straight from the sweep: a kept vertex becomes its

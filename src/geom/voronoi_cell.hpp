@@ -25,7 +25,8 @@
 // vertices it clipped away, renumbering the survivors in their existing
 // order with vertex_generators() kept in step. Most cuts a builder tries
 // change nothing; with only live vertices stored, clip() rejects those from
-// one flat sweep of the plane distances, before walking any face loop.
+// one flat sweep of the plane distances (the 4-lane batched kernel in
+// geom/kernels.hpp), before walking any face loop.
 #pragma once
 
 #include <array>
@@ -34,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "geom/backend.hpp"
 #include "geom/vec3.hpp"
 #include "util/small_vector.hpp"
 
@@ -197,7 +197,9 @@ class VoronoiCell {
 /// Every buffer keeps one role, so after a warm-up cell steady-state
 /// clipping performs no heap allocation.
 struct ClipScratch {
-  std::vector<double> dist;  ///< signed distance of each vertex to the plane
+  /// Signed distance of each vertex to the plane, from the batched
+  /// kernels::plane_distances (geom/kernels.hpp).
+  std::vector<double> dist;
   /// Surviving index of each pre-cut vertex, read straight off the distance
   /// sweep (prefix count of kept vertices); -1 = clipped away.
   std::vector<int> remap;
@@ -224,10 +226,6 @@ struct ClipScratch {
   /// distances (geom/kernels.hpp) screened into ring_pts.
   std::vector<double> cand_x, cand_y, cand_z, cand_d2;
   std::vector<int> cand_idx;
-  /// Geometry backend for the batched clip kernels. Set by CellBuilder from
-  /// its resolved backend; the default keeps standalone cut()/clip() calls
-  /// on the scalar sweep.
-  TessBackend backend = TessBackend::kScalar;
 };
 
 }  // namespace tess::geom

@@ -1,28 +1,21 @@
-// Portable 4-wide double SIMD wrapper for the geometry kernels.
+// 4-wide double SIMD wrapper for the geometry kernels.
 //
-// On GCC/Clang the vector is a native vector-extension type, which lowers
-// to whatever the target ISA provides (2x SSE2 ops on baseline x86-64, one
-// AVX2 op under -march=x86-64-v3, NEON pairs on aarch64). Elsewhere — or
-// when TESS_SIMD_SCALAR is defined — every operation is a plain per-lane
-// loop. Both paths perform the identical IEEE-754 operation per lane in
-// the identical order, so results are bitwise equal between the native and
-// fallback implementations and equal to a scalar loop applying the same
-// expression lane by lane. That bit-identity (including signed zeros and
-// denormals; asserted by tests/test_simd.cpp) is what lets the SIMD
-// geometry backend promise byte-identical meshes to the scalar backend.
+// The vector is a GCC/Clang vector-extension type (the only supported
+// compilers), which lowers to whatever the target ISA provides: 2x SSE2 ops
+// on baseline x86-64, one AVX2 op under -march=x86-64-v3 or in an avx2
+// clone, NEON pairs on aarch64. Every operation is the IEEE-754 operation a
+// scalar loop would apply lane by lane, so results are bitwise equal to
+// that loop, including signed zeros and denormals (asserted by
+// tests/test_simd.cpp). That is what lets the batched kernels reproduce the
+// bits of their scalar expressions.
 //
 // Deliberately no FMA anywhere: a fused multiply-add rounds once where
-// mul+add rounds twice, which would break lane-vs-scalar bit parity. The
+// mul+add rounds twice, which would break lane-vs-scalar bit identity. The
 // kernels translation unit is additionally compiled with -ffp-contract=off
 // so the compiler cannot introduce contractions on its own.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-
-#if !defined(TESS_SIMD_SCALAR) && (defined(__GNUC__) || defined(__clang__))
-#define TESS_SIMD_NATIVE 1
-#endif
 
 namespace tess::util::simd {
 
@@ -35,30 +28,14 @@ struct Mask;
 
 /// Four doubles, operated on lane-wise.
 struct DVec {
-#if TESS_SIMD_NATIVE
   typedef double Native __attribute__((vector_size(sizeof(double) * kLanes)));
   Native v;
-#else
-  double v[kLanes];
-#endif
 
-  static DVec broadcast(double s) {
-#if TESS_SIMD_NATIVE
-    return {Native{s, s, s, s}};
-#else
-    DVec r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = s;
-    return r;
-#endif
-  }
+  static DVec broadcast(double s) { return {Native{s, s, s, s}}; }
 
   /// Four explicit lane values (the portable "gather" for AoS sources).
   static DVec set(double a, double b, double c, double d) {
-#if TESS_SIMD_NATIVE
     return {Native{a, b, c, d}};
-#else
-    return {{a, b, c, d}};
-#endif
   }
 
   /// Unaligned contiguous load of 4 doubles.
@@ -72,33 +49,9 @@ struct DVec {
 
   [[nodiscard]] double lane(std::size_t i) const { return v[i]; }
 
-  friend DVec operator+(const DVec& a, const DVec& b) {
-#if TESS_SIMD_NATIVE
-    return {a.v + b.v};
-#else
-    DVec r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-#endif
-  }
-  friend DVec operator-(const DVec& a, const DVec& b) {
-#if TESS_SIMD_NATIVE
-    return {a.v - b.v};
-#else
-    DVec r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] - b.v[i];
-    return r;
-#endif
-  }
-  friend DVec operator*(const DVec& a, const DVec& b) {
-#if TESS_SIMD_NATIVE
-    return {a.v * b.v};
-#else
-    DVec r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] * b.v[i];
-    return r;
-#endif
-  }
+  friend DVec operator+(const DVec& a, const DVec& b) { return {a.v + b.v}; }
+  friend DVec operator-(const DVec& a, const DVec& b) { return {a.v - b.v}; }
+  friend DVec operator*(const DVec& a, const DVec& b) { return {a.v * b.v}; }
 
   inline friend Mask operator>(const DVec& a, const DVec& b);
   inline friend Mask operator<=(const DVec& a, const DVec& b);
@@ -106,23 +59,13 @@ struct DVec {
 
 /// Lane-wise boolean result of a comparison (all-ones / all-zeros lanes).
 struct Mask {
-#if TESS_SIMD_NATIVE
   typedef long long Native __attribute__((vector_size(sizeof(long long) * kLanes)));
   Native m;
-#else
-  bool m[kLanes];
-#endif
 
-  [[nodiscard]] bool lane(std::size_t i) const {
-#if TESS_SIMD_NATIVE
-    return m[i] != 0;
-#else
-    return m[i];
-#endif
-  }
+  [[nodiscard]] bool lane(std::size_t i) const { return m[i] != 0; }
 
   [[nodiscard]] bool any() const {
-#if TESS_SIMD_NATIVE && defined(__GNUC__) && !defined(__clang__)
+#if defined(__GNUC__) && !defined(__clang__)
     // OR-reduce in vector registers (swap halves, then pairs) instead of
     // extracting four lanes through branches — any() guards the hot skip
     // path of the candidate screen. __builtin_shuffle is GCC-only; clang
@@ -136,72 +79,22 @@ struct Mask {
     return false;
 #endif
   }
-
-  [[nodiscard]] bool all() const {
-#if TESS_SIMD_NATIVE && defined(__GNUC__) && !defined(__clang__)
-    const Native h = m & __builtin_shuffle(m, Native{2, 3, 0, 1});
-    const Native q = h & __builtin_shuffle(h, Native{1, 0, 3, 2});
-    return q[0] != 0;
-#else
-    for (std::size_t i = 0; i < kLanes; ++i)
-      if (!lane(i)) return false;
-    return true;
-#endif
-  }
-
-  friend Mask operator|(const Mask& a, const Mask& b) {
-#if TESS_SIMD_NATIVE
-    return {a.m | b.m};
-#else
-    Mask r;
-    for (std::size_t i = 0; i < kLanes; ++i) r.m[i] = a.m[i] || b.m[i];
-    return r;
-#endif
-  }
 };
 
-inline Mask operator>(const DVec& a, const DVec& b) {
-#if TESS_SIMD_NATIVE
-  return {a.v > b.v};
-#else
-  Mask r;
-  for (std::size_t i = 0; i < kLanes; ++i) r.m[i] = a.v[i] > b.v[i];
-  return r;
-#endif
-}
+inline Mask operator>(const DVec& a, const DVec& b) { return {a.v > b.v}; }
 
-inline Mask operator<=(const DVec& a, const DVec& b) {
-#if TESS_SIMD_NATIVE
-  return {a.v <= b.v};
-#else
-  Mask r;
-  for (std::size_t i = 0; i < kLanes; ++i) r.m[i] = a.v[i] <= b.v[i];
-  return r;
-#endif
-}
+inline Mask operator<=(const DVec& a, const DVec& b) { return {a.v <= b.v}; }
 
 /// Lane-wise |x|: clears the sign bit, so abs(-0.0) == +0.0 and denormals
 /// pass through unchanged (bit-identical to std::fabs per lane).
 inline DVec abs(const DVec& a) {
-#if TESS_SIMD_NATIVE
-  typedef long long IVec __attribute__((vector_size(sizeof(long long) * kLanes)));
   union {
     DVec::Native d;
-    IVec i;
+    Mask::Native i;
   } u;
   u.d = a.v;
   u.i &= 0x7fffffffffffffffLL;
   return {u.d};
-#else
-  DVec r;
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    std::uint64_t bits;
-    __builtin_memcpy(&bits, &a.v[i], sizeof(bits));
-    bits &= 0x7fffffffffffffffULL;
-    __builtin_memcpy(&r.v[i], &bits, sizeof(bits));
-  }
-  return r;
-#endif
 }
 
 /// Lane-wise max via compare+select; for non-NaN inputs the result is one
@@ -209,27 +102,15 @@ inline DVec abs(const DVec& a) {
 /// the bit level (a tie between +0.0 and -0.0 picks `b`, matching the
 /// scalar `a > b ? a : b`).
 inline DVec max(const DVec& a, const DVec& b) {
-#if TESS_SIMD_NATIVE
   const Mask gt = a > b;
-  union {
-    Mask::Native m;
-    DVec::Native d;
-  } sel_a, sel_b;
-  sel_a.m = gt.m;
-  sel_b.m = ~gt.m;
   union {
     DVec::Native d;
     Mask::Native m;
   } ua, ub, out;
   ua.d = a.v;
   ub.d = b.v;
-  out.m = (ua.m & sel_a.m) | (ub.m & sel_b.m);
+  out.m = (ua.m & gt.m) | (ub.m & ~gt.m);
   return {out.d};
-#else
-  DVec r;
-  for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  return r;
-#endif
 }
 
 /// Horizontal max of the four lanes (order-insensitive for non-NaN input).

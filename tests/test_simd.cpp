@@ -3,9 +3,11 @@
 // The contract under test is *bit identity*: every wrapper operation must
 // produce, lane for lane, the exact bits a scalar loop applying the same
 // IEEE-754 expression would produce — including signed zeros, denormals,
-// and infinities — and every batched kernel must be bitwise equal between
-// its scalar and SIMD backends. EXPECT_EQ on doubles accepts -0.0 == +0.0,
-// so all comparisons here go through the bit pattern.
+// and infinities — and every batched kernel must be bitwise equal to a
+// test-local scalar loop over the expression it documents. This file is
+// compiled with -ffp-contract=off (tests/CMakeLists.txt), like the kernels,
+// so those references stay unfused under any -march. EXPECT_EQ on doubles
+// accepts -0.0 == +0.0, so all comparisons here go through the bit pattern.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "geom/backend.hpp"
 #include "geom/kernels.hpp"
 #include "geom/predicates.hpp"
 #include "geom/vec3.hpp"
@@ -24,7 +25,6 @@
 
 namespace simd = tess::util::simd;
 using simd::DVec;
-using tess::geom::TessBackend;
 using tess::geom::Vec3;
 using tess::util::Rng;
 
@@ -122,7 +122,7 @@ TEST(SimdWrapper, ComparisonsAndHmax) {
   EXPECT_FALSE(gt.lane(2));
   EXPECT_FALSE(gt.lane(3));
   EXPECT_TRUE(gt.any());
-  EXPECT_FALSE(gt.all());
+  EXPECT_FALSE((a > DVec::broadcast(5.0)).any());
   const simd::Mask le = a <= b;
   EXPECT_FALSE(le.lane(0));
   EXPECT_TRUE(le.lane(1));
@@ -133,7 +133,7 @@ TEST(SimdWrapper, ComparisonsAndHmax) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched kernels: scalar backend vs SIMD backend, bitwise.
+// Batched kernels vs test-local scalar references, bitwise.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -165,61 +165,62 @@ TEST(BatchedKernels, Dist2BatchBitwiseParity) {
   for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 63u, 256u}) {
     const Cloud c = make_cloud(n, 10.0, 100 + n);
     const Vec3 site{0.25, -3.5, 1e-3};
-    std::vector<double> ds(n, -1.0), dv(n, -2.0);
-    kernels::dist2_batch(TessBackend::kScalar, c.x.data(), c.y.data(),
-                         c.z.data(), n, site, ds.data());
-    kernels::dist2_batch(TessBackend::kSimd, c.x.data(), c.y.data(), c.z.data(),
-                         n, site, dv.data());
+    std::vector<double> d2(n, -1.0);
+    kernels::dist2_batch(c.x.data(), c.y.data(), c.z.data(), n, site,
+                         d2.data());
     for (std::size_t i = 0; i < n; ++i)
-      expect_bits_eq(ds[i], dv[i], "dist2", i);
+      expect_bits_eq(d2[i], tess::geom::dist2(c.verts[i], site), "dist2", i);
   }
 }
 
 TEST(BatchedKernels, PlaneDistancesBitwiseParity) {
   namespace kernels = tess::geom::kernels;
-  for (std::size_t n : {0u, 1u, 4u, 6u, 37u, 128u}) {
+  for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 6u, 7u, 8u, 37u, 63u, 128u}) {
     const Cloud c = make_cloud(n, 5.0, 200 + n);
     const Vec3 normal{0.3, -0.9, 0.316};
     const double d = -1.75;
-    std::vector<double> ds(n), dv(n);
-    double amax_s = -1.0, amax_v = -2.0;
-    kernels::plane_distances(TessBackend::kScalar, c.verts.data(), n, normal, d,
-                             ds.data(), &amax_s);
-    kernels::plane_distances(TessBackend::kSimd, c.verts.data(), n, normal, d,
-                             dv.data(), &amax_v);
-    for (std::size_t i = 0; i < n; ++i)
-      expect_bits_eq(ds[i], dv[i], "plane_dist", i);
-    expect_bits_eq(amax_s, amax_v, "abs_max", n);
+    std::vector<double> dist(n, -1.0);
+    double amax = -1.0;
+    kernels::plane_distances(c.verts.data(), n, normal, d, dist.data(), &amax);
+    double want_amax = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3& v = c.verts[i];
+      const double dot = (normal.x * v.x + normal.y * v.y) + normal.z * v.z;
+      expect_bits_eq(dist[i], dot - d, "plane_dist", i);
+      if (std::fabs(dot) > want_amax) want_amax = std::fabs(dot);
+    }
+    expect_bits_eq(amax, want_amax, "abs_max", n);
   }
 }
 
 TEST(BatchedKernels, ScreenCandidatesParity) {
   namespace kernels = tess::geom::kernels;
   Rng rng(31);
-  for (std::size_t n : {0u, 1u, 5u, 64u, 255u}) {
+  for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 255u}) {
     std::vector<double> d2;
     std::vector<int> idx;
     for (std::size_t i = 0; i < n; ++i) {
       d2.push_back(rng.uniform(0.0, 2.0));
-      idx.push_back(static_cast<int>(i));
+      idx.push_back(static_cast<int>(1000 + i));
+    }
+    if (n >= 8) {
+      // A fully rejected batch and a fully kept one, next to mixed ones.
+      for (std::size_t i = 0; i < 4; ++i) d2[i] = 1.5;
+      for (std::size_t i = 4; i < 8; ++i) d2[i] = 0.5;
     }
     const double limit = 1.0;
-    std::vector<std::pair<double, int>> ks, kv;
-    const std::size_t cs = kernels::screen_candidates(
-        TessBackend::kScalar, d2.data(), idx.data(), n, limit, ks);
-    const std::size_t cv = kernels::screen_candidates(
-        TessBackend::kSimd, d2.data(), idx.data(), n, limit, kv);
-    EXPECT_EQ(cs, cv) << "n=" << n;
-    ASSERT_EQ(ks.size(), kv.size()) << "n=" << n;
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      expect_bits_eq(ks[i].first, kv[i].first, "screen d2", i);
-      EXPECT_EQ(ks[i].second, kv[i].second) << "screen idx " << i;
-    }
-    // The screen keeps exactly the <= limit entries, in input order.
-    std::size_t expect_kept = 0;
+    std::vector<std::pair<double, int>> got{{-1.0, -1}}, want{{-1.0, -1}};
+    const std::size_t kept =
+        kernels::screen_candidates(d2.data(), idx.data(), n, limit, got);
     for (std::size_t i = 0; i < n; ++i)
-      if (d2[i] <= limit) ++expect_kept;
-    EXPECT_EQ(cs, expect_kept);
+      if (d2[i] <= limit) want.emplace_back(d2[i], idx[i]);
+    // Appends after what `out` already holds, in input order.
+    EXPECT_EQ(kept, want.size() - 1) << "n=" << n;
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_bits_eq(got[i].first, want[i].first, "screen d2", i);
+      EXPECT_EQ(got[i].second, want[i].second) << "screen idx " << i;
+    }
   }
 }
 
@@ -248,29 +249,12 @@ TEST(BatchedKernels, Orient3dBatchSignParity) {
     dz.push_back(0.0);
   }
   const std::size_t n = dx.size();
-  std::vector<int> simd_sign(n, 99), scalar_sign(n, -99);
-  tess::geom::orient3d_batch(TessBackend::kSimd, a, b, c, dx.data(), dy.data(),
-                             dz.data(), n, simd_sign.data());
-  tess::geom::orient3d_batch(TessBackend::kScalar, a, b, c, dx.data(),
-                             dy.data(), dz.data(), n, scalar_sign.data());
+  std::vector<int> sign(n, 99);
+  tess::geom::orient3d_batch(a, b, c, dx.data(), dy.data(), dz.data(), n,
+                             sign.data());
   for (std::size_t i = 0; i < n; ++i) {
     const int want = tess::geom::orient3d(
         a, b, c, Vec3{dx[i], dy[i], dz[i]});
-    EXPECT_EQ(simd_sign[i], want) << "simd orient3d_batch at " << i;
-    EXPECT_EQ(scalar_sign[i], want) << "scalar orient3d_batch at " << i;
+    EXPECT_EQ(sign[i], want) << "orient3d_batch at " << i;
   }
-}
-
-TEST(BackendResolution, ExplicitChoiceBeatsEnvironment) {
-  using tess::geom::resolve_backend;
-  // Explicit backends resolve to themselves regardless of TESS_GEOM_BACKEND
-  // (the env override applies only to kAuto, so CI parity legs that export
-  // TESS_GEOM_BACKEND=simd still compare scalar vs simd).
-  EXPECT_EQ(resolve_backend(TessBackend::kScalar), TessBackend::kScalar);
-  EXPECT_EQ(resolve_backend(TessBackend::kSimd), TessBackend::kSimd);
-  const TessBackend from_env = resolve_backend(TessBackend::kAuto);
-  EXPECT_TRUE(from_env == TessBackend::kScalar ||
-              from_env == TessBackend::kSimd);
-  EXPECT_STREQ(tess::geom::to_string(TessBackend::kScalar), "scalar");
-  EXPECT_STREQ(tess::geom::to_string(TessBackend::kSimd), "simd");
 }
