@@ -100,7 +100,7 @@ BENCHMARK(BM_VoronoiCellBuildReuse)->Arg(1000)->Arg(8000);
 
 static void BM_CellBuilder_Threads(benchmark::State& state) {
   // Intra-rank parallel sweep over all cells of an 8000-point block with
-  // the same grain/shard scheme as Tessellator::tessellate_once. Real time
+  // the same grain/shard scheme as a Tessellator::tessellate pass. Real time
   // (not main-thread CPU) is the figure of merit.
   const int n = 8000;
   geom::CellBuilder builder(random_points(4, n), {}, {0, 0, 0}, {1, 1, 1});

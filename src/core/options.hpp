@@ -36,20 +36,27 @@ struct TessOptions {
   /// repeated with a doubled ghost zone until every cell is complete AND
   /// certified by the security radius (2 * max vertex distance <= ghost),
   /// at which point the result is provably identical to the serial one.
+  /// Both settings run the same pass loop; disabled, it stops after one
+  /// pass at `ghost`. Enabled, every complete cell is canonicalized, so the
+  /// merged mesh bytes do not depend on the pass or the decomposition;
+  /// disabled, cells are only compacted, which is cheaper but leaves the
+  /// bytes decomposition-dependent.
   bool auto_ghost = false;
 
   /// Upper bound for auto_ghost doubling, as a fraction of the shortest
   /// domain side (safety stop; 0.5 covers any cell in a periodic domain).
   double auto_ghost_max_fraction = 0.5;
 
-  /// Incremental auto_ghost (only meaningful with auto_ghost = true). When
-  /// true, each doubling pass exchanges only the new ghost annulus, appends
-  /// it to the existing cell builder, and rebuilds only the cells that were
-  /// not yet complete and certified; cells certified in an earlier pass are
-  /// reused as-is. When false, every pass re-exchanges and rebuilds
-  /// everything (restart-from-scratch). Both settings produce byte-identical
-  /// serialized meshes — the canonicalized cell geometry is independent of
-  /// the construction path — so this is purely a performance switch.
+  /// Incremental auto_ghost (only meaningful with auto_ghost = true; a
+  /// fixed ghost runs a single pass). When true, each doubling pass
+  /// exchanges only the new ghost annulus, appends it to the existing cell
+  /// builder, and rebuilds only the cells that were not yet complete and
+  /// certified; a cell certified in an earlier pass stays as that pass
+  /// welded it. When false, every pass re-exchanges and rebuilds everything
+  /// (restart-from-scratch) and drops the cells earlier passes kept. Both
+  /// settings produce byte-identical serialized meshes — the canonicalized
+  /// cell geometry is independent of the construction path — so this is
+  /// purely a performance switch.
   bool incremental = true;
 
   /// Intra-rank worker threads for the per-cell Voronoi loop (the paper's

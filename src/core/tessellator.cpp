@@ -21,9 +21,9 @@ namespace tess::core {
 
 namespace {
 /// Consecutive collective exchange failures tolerated (fault injector armed)
-/// before tessellation gives up. Each failed pass already represents a full
-/// bounded-retry receive budget on every incomplete rank, so reaching this
-/// streak means the missing data is effectively unrecoverable.
+/// before tessellation gives up. Each failed attempt already represents a
+/// full bounded-retry receive budget on every incomplete rank, so reaching
+/// this streak means the missing data is effectively unrecoverable.
 constexpr int kMaxFailedExchangePasses = 8;
 
 /// Adaptive-mode particle migration into the active decomposition; kept
@@ -89,34 +89,6 @@ void TessStats::finalize_from_iterations() {
   }
 }
 
-BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
-  TESS_SPAN("tess.tessellate");
-  TESS_COUNT("tess.runs", 1);
-  stats_ = TessStats{};
-  stats_.local_particles = mine.size();
-
-  BlockMesh mesh;
-  if (!options_.auto_ghost) {
-    stats_.ghost_used = options_.ghost;
-    mesh = tessellate_once(mine, options_.ghost);
-    stats_.iterations.push_back({options_.ghost, stats_.exchange_seconds,
-                                 stats_.compute_seconds, stats_.ghost_sent,
-                                 stats_.ghost_received, mine.size(),
-                                 stats_.cells_incomplete,
-                                 stats_.cells_uncertified});
-  } else {
-    mesh = tessellate_auto(mine);
-  }
-  stats_.finalize_from_iterations();
-  TESS_COUNT("tess.cells_kept", stats_.cells_kept);
-  TESS_COUNT("tess.cells_incomplete", stats_.cells_incomplete);
-  TESS_COUNT("tess.cells_culled_early", stats_.cells_culled_early);
-  TESS_COUNT("tess.cells_culled_volume", stats_.cells_culled_volume);
-  TESS_COUNT("tess.cells_uncertified", stats_.cells_uncertified);
-  TESS_GAUGE_SET("tess.ghost_used", stats_.ghost_used);
-  return mesh;
-}
-
 BlockMesh Tessellator::tessellate_step(int step,
                                        std::vector<diy::Particle> particles) {
   TESS_SPAN_ARG("tess.step", step);
@@ -174,11 +146,20 @@ void Tessellator::adaptive_decide(int step) {
   if (repart_pending_) TESS_COUNT("tess.repartition.scheduled", 1);
 }
 
-BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
-  // Automatic ghost-size determination (paper §V future work): repeat with
-  // a doubled ghost zone until every cell is both complete and certified by
-  // its security radius — at that point no particle outside the ghost zone
-  // could have altered any cell, so the result equals the serial one.
+BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
+  TESS_SPAN("tess.tessellate");
+  TESS_COUNT("tess.runs", 1);
+  stats_ = TessStats{};
+  stats_.local_particles = mine.size();
+
+  // One pass loop for both modes. A fixed ghost (the paper's user-chosen
+  // ghost zone, §IV-A) is the loop capped at one pass. Auto ghost (the
+  // paper's §V future work) repeats with a doubled ghost zone until every
+  // cell is both complete and certified by its security radius — at that
+  // point no particle outside the ghost zone could have altered any cell,
+  // so the result equals the serial one. options_.auto_ghost decides only
+  // what the two modes keep apart: canonicalize() or compact() per cell,
+  // and the unresolved-count allreduce and stream heartbeat after a pass.
   //
   // With options.incremental, the loop reuses everything a pass has proved:
   // pass k exchanges only the ghost annulus (g_{k-1}, g_k], appends it to
@@ -189,33 +170,52 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
   // independent of which pass built it. With incremental = false every pass
   // re-exchanges and rebuilds everything; the two modes emit byte-identical
   // meshes (asserted by tests), differing only in work done.
+  //
+  // Thread CPU time: models this rank's own work even when thread-ranks
+  // oversubscribe the host cores (see util/timer.hpp).
   util::ThreadCpuTimer timer;
   const geom::Vec3 dsize = active_->domain_size();
   const double ghost_cap =
-      options_.auto_ghost_max_fraction * std::min({dsize.x, dsize.y, dsize.z});
+      options_.auto_ghost ? options_.auto_ghost_max_fraction *
+                                std::min({dsize.x, dsize.y, dsize.z})
+                          : options_.ghost;
   double ghost = std::min(std::max(options_.ghost, 1e-12), ghost_cap);
-  const bool reuse = options_.incremental;
   const auto bounds = exchanger_->my_bounds();
   const std::size_t n = mine.size();
 
+  // Early-cull bound: a cell whose largest vertex separation is below the
+  // diameter of the sphere of volume `min_volume` cannot reach the
+  // threshold volume.
   double early_diam2 = 0.0;
   if (options_.min_volume > 0.0 && options_.early_cull) {
     const double r = std::cbrt(options_.min_volume * 3.0 / (4.0 * std::numbers::pi));
     early_diam2 = 4.0 * r * r;
   }
 
-  // Per-site state carried across passes. A site is terminal once its cell
-  // is complete AND certified; until then it stays on the pending list.
-  // Classification (kept/culled) is recorded every pass so a cap-stopped
-  // run still reports the last pass's best answer for uncertified cells.
-  enum : std::uint8_t { kPending = 0, kKept = 1, kCulledEarly = 2, kCulledVolume = 3 };
-  std::vector<std::uint8_t> state(n, kPending);
-  std::vector<std::uint8_t> complete_flags(n, 0);
+  // Per-site state carried across passes. A site is retired once its cell
+  // is complete AND certified; until then it stays on the pending list, and
+  // every pass that builds it overwrites its classification, so a
+  // cap-stopped run reports the last pass's answer for uncertified cells.
+  enum : std::uint8_t { kIncomplete = 0, kKept = 1, kCulledEarly = 2, kCulledVolume = 3 };
+  std::vector<std::uint8_t> state(n, kIncomplete);
   std::vector<std::uint8_t> certified(n, 0);
-  std::vector<std::optional<geom::VoronoiCell>> cell_of(n);
-  std::vector<double> vol_of(n, 0.0), area_of(n, 0.0);
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
+
+  // Kept cells live in per-chunk mesh shards. A chunk welds a kept cell into
+  // its shard only once the cell is final — certified, or built at the cap,
+  // where no later pass can rebuild it — so every cell of a shard is an
+  // output cell. A shard fills in ascending site order, and each kept site
+  // records where its cell went.
+  struct Shard {
+    BlockMesh mesh;
+    std::vector<std::uint32_t> remap;  ///< shard vertex -> block vertex
+  };
+  struct CellRef {
+    std::uint32_t shard = 0, index = 0;
+  };
+  std::vector<Shard> shards;
+  std::vector<CellRef> kept_at(n);
 
   std::optional<geom::CellBuilder> builder;
   const int nthreads = pool_->size();
@@ -224,69 +224,48 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
   std::vector<geom::ClipScratch> scratches(static_cast<std::size_t>(nthreads));
   constexpr std::size_t kGrain = 64;
 
-  // Graceful-degradation state (fault injector armed only). A pass whose
-  // exchange stays incomplete after the bounded retries is abandoned by
-  // *every* rank — the verdict is collective, so the symmetric message
-  // pattern and the ghost trajectory stay identical across ranks — and the
-  // same pass is re-attempted: ghost/prev_ghost do not advance, the sites
-  // it would have resolved remain pending (re-requested), and a rank that
-  // did receive everything carries its ghosts to the retry instead of
-  // re-exchanging (nothing may be sent twice).
-  int failed_streak = 0;
-  std::optional<std::vector<diy::Particle>> carried;
-  bool builder_fresh_done = false;
-
   double prev_ghost = 0.0;
-  for (int iteration = 1;; ++iteration) {
-    TESS_SPAN(iteration == 1 ? "tess.pass" : "tess.retry_pass");
-    TESS_COUNT("tess.passes", 1);
-    if (iteration > 1) TESS_COUNT("tess.retries", 1);
+  for (int pass = 1;; ++pass) {
+    TESS_SPAN(pass == 1 ? "tess.pass" : "tess.retry_pass");
     const auto seed = bounds.grown(ghost);
+    const bool fresh = pass == 1 || !options_.incremental;
+    const bool at_cap = ghost >= ghost_cap;
 
-    // 1. Ghost exchange: full ball on the first pass (and every pass when
-    // not reusing), the (prev_ghost, ghost] annulus afterwards. The annuli
-    // partition the ball exactly — distances are computed by the same
-    // expressions every call — so the union of all arrivals equals a single
-    // from-scratch exchange at the current ghost.
+    // 1. Ghost exchange: full ball on a fresh pass, the (prev_ghost, ghost]
+    // annulus otherwise. The annuli partition the ball exactly — distances
+    // are computed by the same expressions every call — so the union of all
+    // arrivals equals a single from-scratch exchange at the current ghost.
     timer.reset();
     timer.start();
-    // Stable across retries of a failed pass: the builder's fresh append
-    // must happen exactly once, however many attempts the pass takes.
-    const bool fresh = !reuse || !builder_fresh_done;
-    std::vector<diy::Particle> ghosts;
-    bool have = true;
-    if (carried) {
-      ghosts = std::move(*carried);
-      carried.reset();
-    } else {
+    const auto exchange = [&] {
       TESS_SPAN(fresh ? "tess.exchange" : "tess.exchange_delta");
-      ghosts = fresh
-                   ? exchanger_->exchange_ghost(mine, ghost)
+      return fresh ? exchanger_->exchange_ghost(mine, ghost)
                    : exchanger_->exchange_ghost_delta(mine, prev_ghost, ghost);
-      have = exchanger_->last_exchange_complete();
-    }
-    timer.stop();
-
-    if (comm::faults().armed()) {
-      // Collective verdict on the pass: if any rank is missing a neighbor's
-      // message, all ranks abandon the pass together and retry it — cells
-      // are never built from a partial ghost set.
+    };
+    std::vector<diy::Particle> ghosts = exchange();
+    // Graceful degradation (fault injector armed only). An exchange still
+    // incomplete after the bounded retries is abandoned by *every* rank —
+    // the verdict is collective, so cells are never built from a partial
+    // ghost set and the ghost trajectory stays identical across ranks — and
+    // attempted again: a rank missing a message resumes its receive (same
+    // annulus, nothing re-sent), a rank that has everything keeps its
+    // ghosts. Abandoned attempts are not passes.
+    for (int failed = 0; comm::faults().armed();) {
+      const bool have = exchanger_->last_exchange_complete();
       const std::size_t missing =
           comm_->allreduce_sum(static_cast<std::size_t>(have ? 0 : 1));
-      if (missing > 0) {
-        TESS_COUNT("tess.exchange_failed_passes", 1);
-        TESS_COUNT("tess.cells_rerequested", pending.size());
-        if (have) carried = std::move(ghosts);
-        if (++failed_streak >= kMaxFailedExchangePasses)
-          throw comm::CommTimeoutError(
-              "tessellate_auto: ghost exchange failed on " +
-              std::to_string(missing) + " rank(s) for " +
-              std::to_string(failed_streak) + " consecutive passes");
-        continue;
-      }
-      failed_streak = 0;
+      if (missing == 0) break;
+      TESS_COUNT("tess.exchange_failed_passes", 1);
+      TESS_COUNT("tess.cells_rerequested", pending.size());
+      if (++failed >= kMaxFailedExchangePasses)
+        throw comm::CommTimeoutError(
+            "Tessellator: ghost exchange failed on " + std::to_string(missing) +
+            " rank(s) for " + std::to_string(failed) + " consecutive attempts");
+      if (!have) ghosts = exchange();
     }
-    if (fresh) builder_fresh_done = true;
+    timer.stop();
+    TESS_COUNT("tess.passes", 1);
+    if (pass > 1) TESS_COUNT("tess.retries", 1);
     IterationStats iter;
     iter.ghost = ghost;
     iter.exchange_seconds = timer.seconds();
@@ -317,91 +296,105 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       builder.emplace(std::move(pts), std::move(ids), seed.min, seed.max);
       pending.resize(n);
       for (std::size_t i = 0; i < n; ++i) pending[i] = i;
+      shards.clear();  // every site is rebuilt, and welded again if kept
     } else {
       builder->add_points(pts, ids, seed.min, seed.max);
     }
 
-    // 3. Rebuild the pending sites (all sites when not reusing), sharded
-    // over the pool in fixed chunks of the pending list. Every write goes
-    // to a per-chunk counter or a slot owned by exactly one pending site,
-    // so the result is deterministic for any thread count.
+    // 3. Build the pending sites, sharded over the pool in fixed chunks of
+    // the pending list whose boundaries do not depend on the thread count.
+    // Chunks are handed out dynamically (clustered inputs make per-cell
+    // cost very uneven); each worker owns one reusable cell/scratch pair,
+    // which keeps the clipping kernel allocation-free in steady state.
+    // Every write goes to the chunk's own shard and counters or to a slot
+    // owned by exactly one pending site, so the result is deterministic for
+    // any thread count.
     const std::size_t np = pending.size();
     const std::size_t num_chunks = (np + kGrain - 1) / kGrain;
     struct ChunkStat {
       std::size_t incomplete = 0;
       std::size_t uncertified = 0;
-      std::size_t culled_early = 0;
-      std::size_t culled_volume = 0;
       unsigned long long exact_fallbacks = 0;
       double cpu_seconds = 0.0;
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
+    const std::size_t first_shard = shards.size();
+    shards.resize(first_shard + num_chunks);
     const auto backend_stats_before = builder->backend_stats();
+    // Pause the serial timer over the parallel loop: the calling thread
+    // works chunks too, and that CPU is already in the chunk timers.
     timer.stop();
 
-    TESS_SPAN("tess.build_cells");
-    util::parallel_for(
-        *pool_, np, kGrain,
-        [&](std::size_t begin, std::size_t end, int chunk, int worker) {
-          TESS_SPAN("tess.cell_chunk");
-          util::ThreadCpuTimer chunk_timer;
-          chunk_timer.start();
-          const auto exact0 = geom::thread_exact_fallback_count();
-          ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
-          auto& cell = cells[static_cast<std::size_t>(worker)];
-          auto& scratch = scratches[static_cast<std::size_t>(worker)];
-          for (std::size_t pi = begin; pi < end; ++pi) {
-            const std::size_t i = pending[pi];
-            builder->build_into(cell, scratch, static_cast<int>(i), seed.min,
-                                seed.max);
-            if (!cell.complete()) {
-              ++cs.incomplete;
-              complete_flags[i] = 0;
+    {
+      TESS_SPAN("tess.build_cells");
+      util::parallel_for(
+          *pool_, np, kGrain,
+          [&](std::size_t begin, std::size_t end, int chunk, int worker) {
+            TESS_SPAN("tess.cell_chunk");
+            util::ThreadCpuTimer chunk_timer;
+            chunk_timer.start();
+            const auto exact0 = geom::thread_exact_fallback_count();
+            ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
+            const auto shard_id = static_cast<std::uint32_t>(
+                first_shard + static_cast<std::size_t>(chunk));
+            BlockMesh& shard = shards[shard_id].mesh;
+            auto& cell = cells[static_cast<std::size_t>(worker)];
+            auto& scratch = scratches[static_cast<std::size_t>(worker)];
+            for (std::size_t pi = begin; pi < end; ++pi) {
+              const std::size_t i = pending[pi];
+              builder->build_into(cell, scratch, static_cast<int>(i), seed.min,
+                                  seed.max);
+              state[i] = kIncomplete;
               certified[i] = 0;
-              state[i] = kPending;
-              cell_of[i].reset();
-              continue;
-            }
-            complete_flags[i] = 1;
-            // Canonical form before any decision: every classification below
-            // then depends only on the cell's true geometry, never on the
-            // pass that built it — the retained-cell bytes and the
-            // would-be-rebuilt bytes coincide.
-            cell.canonicalize();
-            certified[i] = 4.0 * cell.max_radius2() <= ghost * ghost ? 1 : 0;
-            if (!certified[i]) ++cs.uncertified;
-            if (early_diam2 > 0.0 &&
-                cell.max_vertex_separation2() < early_diam2) {
-              ++cs.culled_early;
-              state[i] = kCulledEarly;
-              cell_of[i].reset();
-              continue;
-            }
-            double volume = cell.volume();
-            double area = cell.area();
-            if (options_.hull_pass) {
-              const auto hull = geom::convex_hull(cell.vertices());
-              if (!hull.degenerate) {
-                volume = hull.volume;
-                area = hull.area;
+              if (!cell.complete()) {
+                ++cs.incomplete;
+                continue;
+              }
+              // Auto ghost takes the canonical form before any decision, so
+              // every classification below depends only on the cell's true
+              // geometry, never on the pass that built it. A fixed ghost
+              // builds each cell once and compacts only the cells that
+              // survive the early cull.
+              if (options_.auto_ghost) cell.canonicalize();
+              // Security-radius certificate: every potential cutter of this
+              // cell lies within 2*Rmax of the site; if that ball fits inside
+              // the ghost-grown region, the cell is provably exact.
+              certified[i] = 4.0 * cell.max_radius2() <= ghost * ghost ? 1 : 0;
+              if (!certified[i]) ++cs.uncertified;
+              if (early_diam2 > 0.0 &&
+                  cell.max_vertex_separation2() < early_diam2) {
+                state[i] = kCulledEarly;
+                continue;
+              }
+              if (!options_.auto_ghost) cell.compact();
+              double volume = cell.volume();
+              double area = cell.area();
+              if (options_.hull_pass) {
+                // Paper-faithful step: order the cell's vertices into faces
+                // via the convex hull and take volume/area from it.
+                const auto hull = geom::convex_hull(cell.vertices());
+                if (!hull.degenerate) {
+                  volume = hull.volume;
+                  area = hull.area;
+                }
+              }
+              if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
+                  (options_.max_volume > 0.0 && volume > options_.max_volume)) {
+                state[i] = kCulledVolume;
+                continue;
+              }
+              state[i] = kKept;
+              if (certified[i] || at_cap) {
+                kept_at[i] = {shard_id,
+                              static_cast<std::uint32_t>(shard.cells.size())};
+                shard.add_cell(mine[i].id, cell, volume, area);
               }
             }
-            if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
-                (options_.max_volume > 0.0 && volume > options_.max_volume)) {
-              ++cs.culled_volume;
-              state[i] = kCulledVolume;
-              cell_of[i].reset();
-              continue;
-            }
-            state[i] = kKept;
-            cell_of[i] = cell;
-            vol_of[i] = volume;
-            area_of[i] = area;
-          }
-          cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
-          chunk_timer.stop();
-          cs.cpu_seconds = chunk_timer.seconds();
-        });
+            cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
+            chunk_timer.stop();
+            cs.cpu_seconds = chunk_timer.seconds();
+          });
+    }
 
     timer.start();
     std::size_t pass_incomplete = 0, pass_uncertified = 0;
@@ -414,6 +407,9 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       loop_cpu += cs.cpu_seconds;
     }
     timer.stop();
+    // Model the per-rank critical path: serial sections on this thread,
+    // plus the cell loop's total CPU divided by the pool width (== the loop
+    // CPU itself when threads == 1).
     iter.compute_seconds =
         timer.seconds() + loop_cpu / static_cast<double>(nthreads);
     iter.cells_built = np;
@@ -430,8 +426,9 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
     // Cumulative ghost traffic is NOT accumulated here: the per-pass entries
     // are the single source of truth, folded once by finalize_from_iterations().
     stats_.iterations.push_back(iter);
-    stats_.auto_iterations = iteration;
+    stats_.auto_iterations = pass;
     stats_.ghost_used = ghost;
+    if (!options_.auto_ghost) break;
 
     // Live-stream heartbeat per ghost pass, interval-gated: a long
     // auto-ghost escalation is visible (growing ghost, shrinking pending
@@ -442,7 +439,7 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       sample.step = current_step_;
       sample.rank = comm_->rank();
       sample.values = {
-          {"tess.pass.iteration", static_cast<double>(iteration)},
+          {"tess.pass.iteration", static_cast<double>(pass)},
           {"tess.pass.ghost", ghost},
           {"tess.pass.pending", static_cast<double>(pending.size())},
       };
@@ -453,34 +450,55 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
     // periodic (in open domains, hull cells are unbounded and are dropped
     // exactly as in fixed-ghost mode). Sites already retired contribute
     // nothing — a certified cell stays complete and certified at any larger
-    // ghost — so this count matches what a full rebuild would report.
+    // ghost — so this count matches what a full rebuild would report. Runs
+    // at the cap too, so the comm ops of a pass do not depend on the ghost.
     std::size_t unresolved = pass_uncertified;
     if (active_->periodic()) unresolved += pass_incomplete;
     const auto total = comm_->allreduce_sum(unresolved);
-    if (total == 0 || ghost >= ghost_cap) break;
+    if (total == 0 || at_cap) break;
 
     std::vector<std::size_t> next_pending;
     next_pending.reserve(pending.size());
     for (const std::size_t i : pending)
-      if (!(complete_flags[i] && certified[i])) next_pending.push_back(i);
+      if (!certified[i]) next_pending.push_back(i);
     pending = std::move(next_pending);
     prev_ghost = ghost;
     ghost = std::min(2.0 * ghost, ghost_cap);
   }
 
-  // Final assembly in site order from the per-site results — the order and
-  // the welded-vertex numbering are therefore mode- and thread-independent.
+  // Final assembly in site order, welding each kept cell out of its shard:
+  // the order and the welded-vertex numbering are mode- and
+  // thread-independent. A shard's cells come up in the order it stored them,
+  // so each vertex is first welded from the cell a serial site-order pass
+  // would weld it from. The block arrays are sized once from the shard
+  // totals, and each shard is released after its last cell, so the shards
+  // and the block mesh are never both resident in full.
   TESS_SPAN("tess.assemble");
   timer.reset();
   timer.start();
   BlockMesh mesh;
   mesh.bounds = bounds;
+  std::size_t total_cells = 0, total_faces = 0, total_corners = 0;
+  for (const auto& s : shards) {
+    total_cells += s.mesh.cells.size();
+    total_faces += s.mesh.num_faces();
+    total_corners += s.mesh.face_verts.size();
+  }
+  mesh.cells.reserve(total_cells);
+  mesh.face_offsets.reserve(total_faces + 1);
+  mesh.face_neighbors.reserve(total_faces);
+  mesh.face_verts.reserve(total_corners);
   for (std::size_t i = 0; i < n; ++i) {
     switch (state[i]) {
-      case kKept:
-        mesh.add_cell(mine[i].id, *cell_of[i], vol_of[i], area_of[i]);
-        ++stats_.cells_kept;
+      case kKept: {
+        const auto [s, c] = kept_at[i];
+        Shard& shard = shards[s];
+        if (c == 0)
+          shard.remap.assign(shard.mesh.vertices.size(), BlockMesh::kUnwelded);
+        mesh.append_cell(shard.mesh, c, shard.remap);
+        if (c + 1 == shard.mesh.cells.size()) shard = Shard{};
         break;
+      }
       case kCulledEarly:
         ++stats_.cells_culled_early;
         break;
@@ -491,214 +509,19 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
         ++stats_.cells_incomplete;
         break;
     }
-    if (complete_flags[i] && !certified[i]) ++stats_.cells_uncertified;
+    if (state[i] != kIncomplete && !certified[i]) ++stats_.cells_uncertified;
   }
+  stats_.cells_kept = mesh.cells.size();
   timer.stop();
   stats_.compute_seconds += timer.seconds();
-  return mesh;
-}
 
-BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
-                                       double ghost) {
-  // Thread CPU time: models this rank's own work even when thread-ranks
-  // oversubscribe the host cores (see util/timer.hpp).
-  util::ThreadCpuTimer timer;
-  TESS_SPAN("tess.pass");
-  TESS_COUNT("tess.passes", 1);
-
-  // 1. Ghost-zone neighbor exchange. Under an armed fault injector the
-  // exchange may come back incomplete; all ranks then agree (collectively)
-  // to resume the receive side until every rank has its full ghost set or
-  // the failure budget runs out — cells are never built from partial data.
-  timer.start();
-  std::vector<diy::Particle> ghosts;
-  {
-    TESS_SPAN("tess.exchange");
-    ghosts = exchanger_->exchange_ghost(mine, ghost);
-  }
-  if (comm::faults().armed()) {
-    int streak = 0;
-    while (true) {
-      const bool have = exchanger_->last_exchange_complete();
-      const std::size_t missing =
-          comm_->allreduce_sum(static_cast<std::size_t>(have ? 0 : 1));
-      if (missing == 0) break;
-      TESS_COUNT("tess.exchange_failed_passes", 1);
-      if (++streak >= kMaxFailedExchangePasses)
-        throw comm::CommTimeoutError(
-            "tessellate_once: ghost exchange failed on " +
-            std::to_string(missing) + " rank(s) for " + std::to_string(streak) +
-            " consecutive attempts");
-      if (!have) {
-        TESS_SPAN("tess.exchange");
-        ghosts = exchanger_->exchange_ghost(mine, ghost);
-      }
-    }
-  }
-  timer.stop();
-  stats_.exchange_seconds = timer.seconds();
-  stats_.ghost_received = ghosts.size();
-  stats_.ghost_sent = exchanger_->last_sent();
-  TESS_COUNT("tess.ghost_sent", stats_.ghost_sent);
-  TESS_COUNT("tess.ghost_received", stats_.ghost_received);
-
-  // 2-4. Local Voronoi computation and culling.
-  timer.reset();
-  timer.start();
-  const auto bounds = exchanger_->my_bounds();
-  const auto seed = bounds.grown(ghost);
-
-  std::vector<geom::Vec3> pts;
-  std::vector<std::int64_t> ids;
-  pts.reserve(mine.size() + ghosts.size());
-  ids.reserve(mine.size() + ghosts.size());
-  for (const auto& p : mine) {
-    pts.push_back(p.pos);
-    ids.push_back(p.id);
-  }
-  for (const auto& g : ghosts) {
-    pts.push_back(g.pos);
-    ids.push_back(g.id);
-  }
-  geom::CellBuilder builder(std::move(pts), std::move(ids), seed.min, seed.max);
-  const auto backend_stats_before = builder.backend_stats();
-
-  // Early-cull bound: a cell whose largest vertex separation is below the
-  // diameter of the sphere of volume `min_volume` cannot reach the
-  // threshold volume.
-  double early_diam2 = 0.0;
-  if (options_.min_volume > 0.0 && options_.early_cull) {
-    const double r = std::cbrt(options_.min_volume * 3.0 / (4.0 * std::numbers::pi));
-    early_diam2 = 4.0 * r * r;
-  }
-
-  BlockMesh mesh;
-  mesh.bounds = bounds;
-
-  // Per-cell loop, sharded over the intra-rank pool. Sites are split into
-  // chunks of a fixed grain that does NOT depend on the thread count, each
-  // chunk fills its own mesh shard and stat counters, and shards are merged
-  // in site order below — so the output mesh is byte-identical for any
-  // options.threads. Chunks are handed out dynamically (clustered inputs
-  // make per-cell cost very uneven); each worker owns one reusable
-  // cell/scratch pair, which keeps the clipping kernel allocation-free in
-  // steady state.
-  constexpr std::size_t kGrain = 64;
-  const std::size_t n = mine.size();
-  const std::size_t num_chunks = (n + kGrain - 1) / kGrain;
-  const int nthreads = pool_->size();
-
-  struct Shard {
-    BlockMesh mesh;
-    std::size_t incomplete = 0;
-    std::size_t uncertified = 0;
-    std::size_t culled_early = 0;
-    std::size_t culled_volume = 0;
-    unsigned long long exact_fallbacks = 0;
-    double cpu_seconds = 0.0;
-  };
-  std::vector<Shard> shards(num_chunks);
-  const geom::VoronoiCell proto({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
-  std::vector<geom::VoronoiCell> cells(static_cast<std::size_t>(nthreads), proto);
-  std::vector<geom::ClipScratch> scratches(static_cast<std::size_t>(nthreads));
-
-  // Pause the serial timer over the parallel loop: the calling thread works
-  // chunks too, and that CPU is already accounted in the shard timers.
-  timer.stop();
-  TESS_COUNT("tess.cells_built", n);
-  {
-    TESS_SPAN("tess.build_cells");
-    util::parallel_for(
-        *pool_, n, kGrain,
-        [&](std::size_t begin, std::size_t end, int chunk, int worker) {
-          TESS_SPAN("tess.cell_chunk");
-          util::ThreadCpuTimer chunk_timer;
-          chunk_timer.start();
-          const auto exact0 = geom::thread_exact_fallback_count();
-          Shard& shard = shards[static_cast<std::size_t>(chunk)];
-          auto& cell = cells[static_cast<std::size_t>(worker)];
-          auto& scratch = scratches[static_cast<std::size_t>(worker)];
-          for (std::size_t i = begin; i < end; ++i) {
-            builder.build_into(cell, scratch, static_cast<int>(i), seed.min,
-                               seed.max);
-            if (!cell.complete()) {
-              ++shard.incomplete;
-              continue;
-            }
-            // Security-radius certificate: every potential cutter of this cell
-            // lies within 2*Rmax of the site; if that ball fits inside the
-            // ghost-grown region, the cell is provably exact.
-            if (4.0 * cell.max_radius2() > ghost * ghost) ++shard.uncertified;
-            if (early_diam2 > 0.0 && cell.max_vertex_separation2() < early_diam2) {
-              ++shard.culled_early;
-              continue;
-            }
-            cell.compact();
-
-            double volume = cell.volume();
-            double area = cell.area();
-            if (options_.hull_pass) {
-              // Paper-faithful step: order the cell's vertices into faces via
-              // the convex hull and take volume/area from it.
-              const auto hull = geom::convex_hull(cell.vertices());
-              if (!hull.degenerate) {
-                volume = hull.volume;
-                area = hull.area;
-              }
-            }
-            if (options_.min_volume > 0.0 && volume < options_.min_volume) {
-              ++shard.culled_volume;
-              continue;
-            }
-            if (options_.max_volume > 0.0 && volume > options_.max_volume) {
-              ++shard.culled_volume;
-              continue;
-            }
-            shard.mesh.add_cell(mine[i].id, cell, volume, area);
-          }
-          shard.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
-          chunk_timer.stop();
-          shard.cpu_seconds = chunk_timer.seconds();
-        });
-  }
-
-  TESS_SPAN("tess.assemble");
-  timer.start();
-  // Ordered merge: shard c holds sites [c*kGrain, (c+1)*kGrain), so
-  // appending in chunk order reproduces the serial site order exactly.
-  // The cell and face arrays are sized once from the shard totals, and each
-  // shard is released once merged, so the shards and the block mesh are
-  // never both resident in full.
-  std::size_t total_cells = 0, total_faces = 0, total_corners = 0;
-  for (const auto& shard : shards) {
-    total_cells += shard.mesh.cells.size();
-    total_faces += shard.mesh.num_faces();
-    total_corners += shard.mesh.face_verts.size();
-  }
-  mesh.cells.reserve(total_cells);
-  mesh.face_offsets.reserve(total_faces + 1);
-  mesh.face_neighbors.reserve(total_faces);
-  mesh.face_verts.reserve(total_corners);
-  double loop_cpu = 0.0;
-  unsigned long long exact = 0;
-  for (auto& shard : shards) {
-    mesh.append(shard.mesh);
-    stats_.cells_incomplete += shard.incomplete;
-    stats_.cells_uncertified += shard.uncertified;
-    stats_.cells_culled_early += shard.culled_early;
-    stats_.cells_culled_volume += shard.culled_volume;
-    stats_.cells_kept += shard.mesh.cells.size();
-    loop_cpu += shard.cpu_seconds;
-    exact += shard.exact_fallbacks;
-    shard.mesh = BlockMesh{};
-  }
-  timer.stop();
-  // Model the per-rank critical path: serial sections (builder setup and
-  // shard merge) on this thread, plus the cell loop's total CPU divided by
-  // the pool width (== the loop CPU itself when threads == 1).
-  stats_.compute_seconds =
-      timer.seconds() + loop_cpu / static_cast<double>(nthreads);
-  emit_backend_metrics(backend_stats_before, builder.backend_stats(), exact);
+  stats_.finalize_from_iterations();
+  TESS_COUNT("tess.cells_kept", stats_.cells_kept);
+  TESS_COUNT("tess.cells_incomplete", stats_.cells_incomplete);
+  TESS_COUNT("tess.cells_culled_early", stats_.cells_culled_early);
+  TESS_COUNT("tess.cells_culled_volume", stats_.cells_culled_volume);
+  TESS_COUNT("tess.cells_uncertified", stats_.cells_uncertified);
+  TESS_GAUGE_SET("tess.ghost_used", stats_.ghost_used);
   return mesh;
 }
 

@@ -35,9 +35,9 @@
 
 namespace tess::core {
 
-/// One tessellation pass of the (auto-ghost) loop, for per-iteration
-/// accounting: fixed-ghost runs record exactly one entry. Counters are the
-/// pass's own values; the cumulative totals live in TessStats.
+/// One tessellation pass of the pass loop, for per-iteration accounting:
+/// fixed-ghost runs record exactly one entry. Counters are the pass's own
+/// values; the cumulative totals live in TessStats.
 struct IterationStats {
   double ghost = 0.0;              ///< ghost size used by this pass
   double exchange_seconds = 0.0;
@@ -73,6 +73,8 @@ struct TessStats {
   /// Ghost size actually used (grows beyond options.ghost in auto mode).
   double ghost_used = 0.0;
   /// Number of tessellation passes auto_ghost needed (1 when disabled).
+  /// Counts completed passes: an exchange attempt abandoned under an armed
+  /// fault injector is not a pass (see tess.exchange_failed_passes).
   int auto_iterations = 1;
   /// Cells whose security radius was not covered by the ghost zone in the
   /// final pass (0 means the result is certified exact).
@@ -98,7 +100,9 @@ class Tessellator {
   /// Compute this block's tessellation from its original particles (which
   /// must lie inside the block's bounds). Collective. The returned mesh
   /// contains only complete, threshold-surviving cells sited at original
-  /// particles.
+  /// particles, in site order. Both ghost modes run one pass loop: a fixed
+  /// ghost is one pass at options.ghost; auto ghost doubles the ghost until
+  /// every cell is certified or the ghost reaches its cap (options.hpp).
   BlockMesh tessellate(const std::vector<diy::Particle>& mine);
 
   /// tessellate() for pipelined in-situ use: takes ownership of the
@@ -145,10 +149,6 @@ class Tessellator {
   [[nodiscard]] double last_imbalance() const { return last_imbalance_; }
 
  private:
-  BlockMesh tessellate_once(const std::vector<diy::Particle>& mine, double ghost);
-  /// The auto-ghost doubling loop (incremental or restart-from-scratch per
-  /// options.incremental; both produce byte-identical meshes).
-  BlockMesh tessellate_auto(const std::vector<diy::Particle>& mine);
   /// Apply a scheduled repartition and/or migrate `particles` into the
   /// active decomposition (adaptive mode; collective).
   void adaptive_prepare(int step);

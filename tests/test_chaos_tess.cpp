@@ -1,9 +1,10 @@
-// Seeded chaos sweep for the tessellation pipeline: tessellate_auto must
+// Seeded chaos sweep for the tessellation pipeline: the auto-ghost loop must
 // produce byte-identical meshes under randomized drop/delay/duplicate plans
 // (the resilience layer heals every injected fault), a forced exchange
-// failure must degrade gracefully — abandon the pass collectively, resume
-// receive-only, converge to the same bytes — and kill-rank plans must fail
-// fast with a clean error instead of hanging.
+// failure must degrade gracefully in both ghost modes — abandon the attempt
+// collectively, resume receive-only, converge to the same bytes and pass
+// counts — and kill-rank plans must fail fast with a clean error instead of
+// hanging.
 //
 // The sweep seed comes from TESS_FAULT_SEED (see the CI chaos job), so a
 // failing run is replayed locally with
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/standalone.hpp"
 #include "core/tessellator.hpp"
 #include "diy/serialize.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 using tess::comm::Comm;
@@ -62,32 +65,48 @@ std::vector<Particle> chaos_particles(int n, double domain) {
   return ps;
 }
 
-/// Run the full auto-ghost tessellation and return each rank's serialized
-/// mesh bytes (the PR 2 byte-identity currency: canonicalized cells, site
-/// order, welded vertex numbering — all construction-path independent).
-std::vector<std::vector<std::byte>> run_auto(int nranks, bool periodic,
-                                             int nparticles) {
+struct TessRun {
+  std::vector<std::vector<std::byte>> bytes;  ///< serialized mesh per rank
+  std::vector<tess::core::TessStats> stats;   ///< per rank
+  std::uint64_t passes = 0;  ///< tess.passes counted by the run, all ranks
+};
+
+/// Run the full tessellation — incremental auto ghost from a small guess, or
+/// one fixed-ghost pass — and return each rank's serialized mesh bytes (the
+/// byte-identity currency: site order, welded vertex numbering) and stats.
+TessRun run_tess(int nranks, bool periodic, int nparticles, bool auto_ghost) {
   const double domain = 6.0;
-  std::vector<std::vector<std::byte>> bytes(
-      static_cast<std::size_t>(nranks));
+  TessRun run;
+  run.bytes.resize(static_cast<std::size_t>(nranks));
+  run.stats.resize(static_cast<std::size_t>(nranks));
+  const auto& passes = tess::obs::metrics().counter("tess.passes");
+  const std::uint64_t passes_before = passes.value();
   Runtime::run(nranks, [&](Comm& c) {
     Decomposition d({0, 0, 0}, {domain, domain, domain},
                     Decomposition::factor(nranks), periodic);
     TessOptions opt;
-    opt.ghost = 0.3;  // small on purpose: forces doubling passes
-    opt.auto_ghost = true;
+    // Auto ghost starts small on purpose, forcing doubling passes.
+    opt.ghost = auto_ghost ? 0.3 : 1.5;
+    opt.auto_ghost = auto_ghost;
     opt.incremental = true;
     opt.threads = 1;
+    const auto r = static_cast<std::size_t>(c.rank());
     auto mesh = tess::core::standalone_tessellate(
         c, d,
         c.rank() == 0 ? chaos_particles(nparticles, domain)
                       : std::vector<Particle>{},
-        opt);
+        opt, &run.stats[r]);
     tess::diy::Buffer buf;
     mesh.serialize(buf);
-    bytes[static_cast<std::size_t>(c.rank())] = buf.data();
+    run.bytes[r] = buf.data();
   });
-  return bytes;
+  run.passes = passes.value() - passes_before;
+  return run;
+}
+
+std::vector<std::vector<std::byte>> run_auto(int nranks, bool periodic,
+                                             int nparticles) {
+  return run_tess(nranks, periodic, nparticles, true).bytes;
 }
 
 /// Adaptive two-step run: step 1 on the uniform grid always schedules a
@@ -217,38 +236,73 @@ INSTANTIATE_TEST_SUITE_P(Configs, ChaosSweep,
 // budget is abandoned by all ranks and resumed — same final bytes.
 // ---------------------------------------------------------------------------
 
-TEST_F(ChaosFixture, ForcedExchangeFailureDegradesGracefully) {
+namespace {
+
+/// Drop every ghost message (tag 100) with a recovery countdown of 12
+/// ticks. One exchange attempt spends 8 ticks per neighbor (4 timed
+/// receives x 2), so the first attempt of every exchange *must* fail and
+/// is re-attempted receive-only; ticks 9-12 then release the message
+/// mid-retry. Counted ticks, not wall-clock: this path is taken
+/// deterministically on every pass. The degraded run must match the
+/// fault-free one in bytes and in pass counts — abandoned attempts are not
+/// passes.
+void expect_forced_failure_degrades_gracefully(bool auto_ghost) {
   constexpr int kRanks = 2;
   constexpr int kParticles = 400;
 
   faults().disarm();
-  const auto reference = run_auto(kRanks, true, kParticles);
+  const auto reference = run_tess(kRanks, true, kParticles, auto_ghost);
 
-  // Every ghost message (tag 100) is dropped with a recovery countdown of
-  // 12 ticks. One pass attempt spends 8 ticks per neighbor (4 timed
-  // receives x 2), so the first attempt of every exchange *must* fail and
-  // the pass is re-attempted receive-only; ticks 9-12 then release the
-  // message mid-retry. Counted ticks, not wall-clock: this path is taken
-  // deterministically on every pass.
   faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=12"));
-  const auto degraded = run_auto(kRanks, true, kParticles);
+  const auto degraded = run_tess(kRanks, true, kParticles, auto_ghost);
   const auto counts = faults().counts();
   faults().disarm();
 
   EXPECT_GT(counts.dropped, 0u);
   EXPECT_EQ(counts.recovered, counts.dropped);
   EXPECT_EQ(counts.lost, 0u);
-  for (int r = 0; r < kRanks; ++r)
-    EXPECT_EQ(degraded[static_cast<std::size_t>(r)],
-              reference[static_cast<std::size_t>(r)])
+  EXPECT_EQ(degraded.passes, reference.passes);
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(degraded.bytes[i], reference.bytes[i]) << "rank " << r;
+    const auto& got = degraded.stats[i];
+    const auto& want = reference.stats[i];
+    EXPECT_EQ(static_cast<std::size_t>(got.auto_iterations),
+              got.iterations.size())
         << "rank " << r;
+    EXPECT_EQ(got.auto_iterations, want.auto_iterations) << "rank " << r;
+    EXPECT_EQ(got.iterations.size(), want.iterations.size()) << "rank " << r;
+  }
+  if (auto_ghost) {
+    EXPECT_GT(reference.stats[0].auto_iterations, 1);
+  } else {
+    EXPECT_EQ(reference.stats[0].auto_iterations, 1);
+    EXPECT_EQ(degraded.stats[0].iterations.size(), 1u);
+  }
+}
+
+}  // namespace
+
+TEST_F(ChaosFixture, ForcedExchangeFailureDegradesGracefully) {
+  expect_forced_failure_degrades_gracefully(/*auto_ghost=*/true);
+}
+
+TEST_F(ChaosFixture, FixedGhostForcedExchangeFailureDegradesGracefully) {
+  expect_forced_failure_degrades_gracefully(/*auto_ghost=*/false);
 }
 
 TEST_F(ChaosFixture, UnrecoverableExchangeFailsWithTimeoutNotHang) {
-  // recover far beyond the total failed-pass budget: tessellation must give
-  // up with CommTimeoutError after kMaxFailedExchangePasses, never wedge.
+  // recover far beyond the total failed-attempt budget: tessellation must
+  // give up with CommTimeoutError after kMaxFailedExchangePasses, never
+  // wedge.
   faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=1000000"));
   EXPECT_THROW(run_auto(2, true, 200), tess::comm::CommTimeoutError);
+}
+
+TEST_F(ChaosFixture, FixedGhostUnrecoverableExchangeFailsWithTimeout) {
+  faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=1000000"));
+  EXPECT_THROW(run_tess(2, true, 200, /*auto_ghost=*/false),
+               tess::comm::CommTimeoutError);
 }
 
 // ---------------------------------------------------------------------------

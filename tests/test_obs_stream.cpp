@@ -21,6 +21,7 @@
 #include "analysis/insitu_stats.hpp"
 #include "comm/comm.hpp"
 #include "core/pipeline.hpp"
+#include "core/standalone.hpp"
 #include "diy/exchange.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
@@ -32,6 +33,7 @@ using tess::comm::Comm;
 using tess::comm::Runtime;
 using tess::core::InSituPipeline;
 using tess::core::PipelineOptions;
+using tess::core::TessOptions;
 using tess::diy::Decomposition;
 using tess::diy::Particle;
 using tess::geom::Vec3;
@@ -423,4 +425,48 @@ TEST(ObsStream, PipelinedTwoRanksEmitOneRecordPerStepPerRank) {
 #else
   (void)quantiles;
 #endif
+}
+
+// The auto-ghost pass heartbeat and the per-step record share one
+// interval_elapsed() gate (obs/reduce.hpp takes with_spans from it), so a
+// heartbeat from a fixed-ghost pass would strip the span aggregates from
+// fixed-ghost step records. With the gate always open (interval 0), a
+// fixed-ghost tessellation must write no tess.pass.* values and an
+// auto-ghost one must.
+TEST(ObsStream, OnlyAutoGhostPassesEmitHeartbeats) {
+  constexpr double kDomain = 6.0;
+  Rng rng(5150);
+  std::vector<Particle> particles;
+  for (int i = 0; i < 300; ++i)
+    particles.push_back({{rng.uniform(0, kDomain), rng.uniform(0, kDomain),
+                          rng.uniform(0, kDomain)},
+                         i});
+  for (const bool auto_ghost : {false, true}) {
+    const std::string path =
+        temp_path(auto_ghost ? "tess_stream_auto" : "tess_stream_fixed");
+    std::remove(path.c_str());
+    obs::configure_stream({path, /*interval_ms=*/0, 32});
+    Runtime::run(2, [&](Comm& c) {
+      Decomposition d({0, 0, 0}, {kDomain, kDomain, kDomain},
+                      Decomposition::factor(2), true);
+      TessOptions opt;
+      opt.ghost = auto_ghost ? 0.3 : 2.0;
+      opt.auto_ghost = auto_ghost;
+      (void)tess::core::standalone_tessellate(
+          c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt);
+    });
+    obs::shutdown_stream();
+
+    const auto file = obs::read_stream_file(path);
+    EXPECT_EQ(file.dropped, 0u);
+    std::size_t pass_values = 0;
+    for (const auto& r : file.records)
+      for (const auto& [name, v] : r.values)
+        if (name.rfind("tess.pass.", 0) == 0) ++pass_values;
+    if (auto_ghost)
+      EXPECT_GT(pass_values, 0u) << "auto ghost emitted no pass heartbeat";
+    else
+      EXPECT_EQ(pass_values, 0u) << "fixed ghost emitted a pass heartbeat";
+    std::remove(path.c_str());
+  }
 }

@@ -170,7 +170,7 @@ void expect_reuse_matches_fresh(const std::vector<Vec3>& pts, const Vec3& lo,
                                 const Vec3& hi) {
   CellBuilder builder(pts, {}, lo, hi);
   // One long-lived cell/scratch pair swept over every site, exactly as a
-  // worker thread does in Tessellator::tessellate_once.
+  // worker thread does in a Tessellator::tessellate pass.
   VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
   ClipScratch scratch;
   for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
