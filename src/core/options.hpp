@@ -36,6 +36,8 @@ struct TessOptions {
   /// repeated with a doubled ghost zone until every cell is complete AND
   /// certified by the security radius (2 * max vertex distance <= ghost),
   /// at which point the result is provably identical to the serial one.
+  /// This stop rule holds however many cells the vertex-ball certificate
+  /// has already retired (see `incremental`).
   /// Both settings run the same pass loop; disabled, it stops after one
   /// pass at `ghost`. Enabled, every complete cell is canonicalized, so the
   /// merged mesh bytes do not depend on the pass or the decomposition;
@@ -50,13 +52,18 @@ struct TessOptions {
   /// Incremental auto_ghost (only meaningful with auto_ghost = true; a
   /// fixed ghost runs a single pass). When true, each doubling pass
   /// exchanges only the new ghost annulus, appends it to the existing cell
-  /// builder, and rebuilds only the cells that were not yet complete and
-  /// certified; a cell certified in an earlier pass stays as that pass
-  /// welded it. When false, every pass re-exchanges and rebuilds everything
-  /// (restart-from-scratch) and drops the cells earlier passes kept. Both
-  /// settings produce byte-identical serialized meshes — the canonicalized
-  /// cell geometry is independent of the construction path — so this is
-  /// purely a performance switch.
+  /// builder, and rebuilds only the cells not yet proven exact; a cell
+  /// proven exact in an earlier pass stays as that pass welded it. A
+  /// complete cell is proven exact by its security radius, or, below the
+  /// cap, once every ball B(v, |v - site|) around its vertices lies within
+  /// the ghost of the block (the vertex-ball certificate, which retires
+  /// cells passes before 2 * Rmax fits). When false, every pass
+  /// re-exchanges and rebuilds everything (restart-from-scratch) and drops
+  /// the cells earlier passes kept. Both settings produce byte-identical
+  /// serialized meshes on generic input — the canonicalized cell geometry
+  /// is independent of the construction path — so this is purely a
+  /// performance switch. Near-degenerate input (a lattice jittered by
+  /// 1e-9) breaks that independence; see DESIGN.md §4.5.
   bool incremental = true;
 
   /// Intra-rank worker threads for the per-cell Voronoi loop (the paper's

@@ -1,6 +1,8 @@
 #include "core/tessellator.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <stdexcept>
@@ -30,6 +32,32 @@ constexpr int kMaxFailedExchangePasses = 8;
 /// off the ghost/migrate tags so the fault injector can target it
 /// independently.
 constexpr int kTagAdaptiveMigrate = 103;
+
+/// Vertex-ball certificate: true when every point that could cut `cell`
+/// lies within `ghost` of `block`, the region the exchange delivered in
+/// full. A point p cuts the cell only inside some ball B(v, r_v) around a
+/// vertex v, r_v = |v - s|. There dist(p, block) <= dist(v, block) + r_v;
+/// and since the ball B(s, d) around the site lies inside the block (d is
+/// the distance from s to its nearest block face),
+/// dist(p, block) <= |p - s| - d < 2 r_v - d. Implied by 2*Rmax <= ghost,
+/// and met passes earlier by cells away from the block faces and by
+/// elongated ones.
+/// The radii carry the bin prune's margin, so a certified cell's cutters
+/// lie inside the ghost region by far more than rounding.
+bool vertex_balls_in_ghost(const geom::VoronoiCell& cell,
+                           const diy::Bounds& block, double ghost) {
+  const geom::Vec3& s = cell.site();
+  double d = std::numeric_limits<double>::infinity();
+  for (std::size_t a = 0; a < 3; ++a)
+    d = std::min({d, s[a] - block.min[a], block.max[a] - s[a]});
+  d = std::max(d, 0.0);
+  for (const geom::Vec3& v : cell.vertices()) {
+    const double r =
+        std::sqrt(geom::dist2(v, s)) * (1.0 + geom::kVertexBallMargin);
+    if (std::min(block.distance(v) + r, 2.0 * r - d) > ghost) return false;
+  }
+  return true;
+}
 }  // namespace
 
 Tessellator::Tessellator(comm::Comm& comm, const diy::Decomposition& decomp,
@@ -59,6 +87,7 @@ void emit_backend_metrics(
   const std::uint64_t batches = after.batches - before.batches;
   TESS_COUNT("geom.cuts", cuts_delta);
   TESS_COUNT("geom.cuts_noop", after.cuts_noop - before.cuts_noop);
+  TESS_COUNT("geom.cuts_screened", after.cuts_screened - before.cuts_screened);
   TESS_COUNT("geom.bins_pruned", after.bins_pruned - before.bins_pruned);
   TESS_COUNT("geom.backend.cand_seen", seen);
   TESS_COUNT("geom.backend.cand_kept", kept);
@@ -164,12 +193,22 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
   // With options.incremental, the loop reuses everything a pass has proved:
   // pass k exchanges only the ghost annulus (g_{k-1}, g_k], appends it to
   // the existing CellBuilder grid, and rebuilds only the sites not yet
-  // complete AND certified. A cell certified at ghost g is exact — no
-  // particle beyond g can cut it — so its geometry at any larger ghost is
-  // the same cell, and VoronoiCell::canonicalize() makes the stored bytes
+  // retired. A complete cell retires once it is proven exact: certified by
+  // its security radius (2*Rmax <= ghost), or, below the cap, by the
+  // vertex-ball certificate (vertex_balls_in_ghost). No particle beyond the
+  // ghost can cut such a cell, so its geometry at any larger ghost is the
+  // same cell, and VoronoiCell::canonicalize() makes the stored bytes
   // independent of which pass built it. With incremental = false every pass
   // re-exchanges and rebuilds everything; the two modes emit byte-identical
   // meshes (asserted by tests), differing only in work done.
+  //
+  // The stop rule does not use the vertex-ball certificate: the loop runs
+  // until no complete cell has 2*Rmax > ghost (and, in periodic domains, no
+  // cell is incomplete) or the ghost reaches its cap. It counts every site
+  // from its stored radius, rebuilt this pass or retired earlier, so passes
+  // and the final ghost do not depend on which sites were rebuilt. In open
+  // domains a larger ghost can still complete cells the certificate cannot
+  // speak for.
   //
   // Thread CPU time: models this rank's own work even when thread-ranks
   // oversubscribe the host cores (see util/timer.hpp).
@@ -193,17 +232,27 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
   }
 
   // Per-site state carried across passes. A site is retired once its cell
-  // is complete AND certified; until then it stays on the pending list, and
-  // every pass that builds it overwrites its classification, so a
-  // cap-stopped run reports the last pass's answer for uncertified cells.
+  // is complete AND proven exact; until then it stays on the pending list,
+  // and every pass that builds it overwrites its classification and
+  // squared radius Rmax^2, so a cap-stopped run reports the last pass's
+  // answer for uncertified cells.
   enum : std::uint8_t { kIncomplete = 0, kKept = 1, kCulledEarly = 2, kCulledVolume = 3 };
   std::vector<std::uint8_t> state(n, kIncomplete);
-  std::vector<std::uint8_t> certified(n, 0);
+  std::vector<std::uint8_t> retired(n, 0);
+  std::vector<double> radius2(n, 0.0);
+  // Complete cells whose security radius the ghost does not cover, over
+  // every site: the stop rule's count and TessStats::cells_uncertified.
+  auto count_uncertified = [&](double g) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      if (state[i] != kIncomplete && 4.0 * radius2[i] > g * g) ++count;
+    return count;
+  };
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
   // Kept cells live in per-chunk mesh shards. A chunk welds a kept cell into
-  // its shard only once the cell is final — certified, or built at the cap,
+  // its shard only once the cell is final — retired, or built at the cap,
   // where no later pass can rebuild it — so every cell of a shard is an
   // output cell. A shard fills in ascending site order, and each kept site
   // records where its cell went.
@@ -230,6 +279,10 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     const auto seed = bounds.grown(ghost);
     const bool fresh = pass == 1 || !options_.incremental;
     const bool at_cap = ghost >= ghost_cap;
+    // The vertex-ball certificate only saves work where a later pass would
+    // otherwise rebuild the site: incremental, below the cap (a fixed ghost
+    // is its own cap).
+    const bool try_retire = options_.incremental && !at_cap;
 
     // 1. Ghost exchange: full ball on a fresh pass, the (prev_ghost, ghost]
     // annulus otherwise. The annuli partition the ball exactly — distances
@@ -313,7 +366,6 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     const std::size_t num_chunks = (np + kGrain - 1) / kGrain;
     struct ChunkStat {
       std::size_t incomplete = 0;
-      std::size_t uncertified = 0;
       unsigned long long exact_fallbacks = 0;
       double cpu_seconds = 0.0;
     };
@@ -345,7 +397,6 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               builder->build_into(cell, scratch, static_cast<int>(i), seed.min,
                                   seed.max);
               state[i] = kIncomplete;
-              certified[i] = 0;
               if (!cell.complete()) {
                 ++cs.incomplete;
                 continue;
@@ -358,9 +409,12 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               if (options_.auto_ghost) cell.canonicalize();
               // Security-radius certificate: every potential cutter of this
               // cell lies within 2*Rmax of the site; if that ball fits inside
-              // the ghost-grown region, the cell is provably exact.
-              certified[i] = 4.0 * cell.max_radius2() <= ghost * ghost ? 1 : 0;
-              if (!certified[i]) ++cs.uncertified;
+              // the ghost-grown region, the cell is provably exact. Below the
+              // cap the vertex balls may prove it exact first.
+              radius2[i] = cell.max_radius2();
+              retired[i] = 4.0 * radius2[i] <= ghost * ghost ||
+                           (try_retire &&
+                            vertex_balls_in_ghost(cell, bounds, ghost));
               if (early_diam2 > 0.0 &&
                   cell.max_vertex_separation2() < early_diam2) {
                 state[i] = kCulledEarly;
@@ -384,7 +438,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
                 continue;
               }
               state[i] = kKept;
-              if (certified[i] || at_cap) {
+              if (retired[i] || at_cap) {
                 kept_at[i] = {shard_id,
                               static_cast<std::uint32_t>(shard.cells.size())};
                 shard.add_cell(mine[i].id, cell, volume, area);
@@ -397,15 +451,15 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     }
 
     timer.start();
-    std::size_t pass_incomplete = 0, pass_uncertified = 0;
+    std::size_t pass_incomplete = 0;
     unsigned long long pass_exact = 0;
     double loop_cpu = 0.0;
     for (const auto& cs : chunk_stats) {
       pass_incomplete += cs.incomplete;
-      pass_uncertified += cs.uncertified;
       pass_exact += cs.exact_fallbacks;
       loop_cpu += cs.cpu_seconds;
     }
+    const std::size_t pass_uncertified = count_uncertified(ghost);
     timer.stop();
     // Model the per-rank critical path: serial sections on this thread,
     // plus the cell loop's total CPU divided by the pool width (== the loop
@@ -448,10 +502,10 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
 
     // Incomplete cells only count against certification when the domain is
     // periodic (in open domains, hull cells are unbounded and are dropped
-    // exactly as in fixed-ghost mode). Sites already retired contribute
-    // nothing — a certified cell stays complete and certified at any larger
-    // ghost — so this count matches what a full rebuild would report. Runs
-    // at the cap too, so the comm ops of a pass do not depend on the ghost.
+    // exactly as in fixed-ghost mode). Retired sites are complete, and their
+    // stored radii enter pass_uncertified, so this count matches what a full
+    // rebuild would report. Runs at the cap too, so the comm ops of a pass
+    // do not depend on the ghost.
     std::size_t unresolved = pass_uncertified;
     if (active_->periodic()) unresolved += pass_incomplete;
     const auto total = comm_->allreduce_sum(unresolved);
@@ -460,7 +514,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     std::vector<std::size_t> next_pending;
     next_pending.reserve(pending.size());
     for (const std::size_t i : pending)
-      if (!certified[i]) next_pending.push_back(i);
+      if (!retired[i]) next_pending.push_back(i);
     pending = std::move(next_pending);
     prev_ghost = ghost;
     ghost = std::min(2.0 * ghost, ghost_cap);
@@ -509,9 +563,9 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
         ++stats_.cells_incomplete;
         break;
     }
-    if (state[i] != kIncomplete && !certified[i]) ++stats_.cells_uncertified;
   }
   stats_.cells_kept = mesh.cells.size();
+  stats_.cells_uncertified = count_uncertified(ghost);
   timer.stop();
   stats_.compute_seconds += timer.seconds();
 

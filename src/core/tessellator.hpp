@@ -46,7 +46,9 @@ struct IterationStats {
   std::size_t ghost_received = 0;  ///< particles received by this pass
   std::size_t cells_built = 0;     ///< sites (re)built this pass
   std::size_t cells_incomplete = 0;   ///< among the sites built this pass
-  std::size_t cells_uncertified = 0;  ///< among the sites built this pass
+  /// Complete cells with 2 * Rmax > ghost after this pass, over every site:
+  /// rebuilt this pass or retired by an earlier one (from its stored radius).
+  std::size_t cells_uncertified = 0;
 };
 
 struct TessStats {
@@ -76,8 +78,12 @@ struct TessStats {
   /// Counts completed passes: an exchange attempt abandoned under an armed
   /// fault injector is not a pass (see tess.exchange_failed_passes).
   int auto_iterations = 1;
-  /// Cells whose security radius was not covered by the ghost zone in the
-  /// final pass (0 means the result is certified exact).
+  /// Complete cells whose security radius 2 * Rmax the final ghost does not
+  /// cover (0 means the result is certified exact), counted from a radius
+  /// stored per site over every site, whether the final pass rebuilt it or
+  /// an earlier pass retired it. A cell the vertex-ball certificate retired
+  /// is exact and still counts here until the ghost covers its 2 * Rmax:
+  /// this count, not that certificate, is what stops the auto-ghost loop.
   std::size_t cells_uncertified = 0;
   /// Per-pass breakdown, one entry per tessellation pass (exactly one in
   /// fixed-ghost mode). The same length on every rank — the auto loop is
@@ -102,7 +108,8 @@ class Tessellator {
   /// contains only complete, threshold-surviving cells sited at original
   /// particles, in site order. Both ghost modes run one pass loop: a fixed
   /// ghost is one pass at options.ghost; auto ghost doubles the ghost until
-  /// every cell is certified or the ghost reaches its cap (options.hpp).
+  /// every cell is certified by its security radius or the ghost reaches
+  /// its cap (options.hpp).
   BlockMesh tessellate(const std::vector<diy::Particle>& mine);
 
   /// tessellate() for pipelined in-situ use: takes ownership of the

@@ -14,11 +14,14 @@ namespace tess::geom {
 
 namespace {
 
-// Relative radius inflation of the vertex balls in the bin prune. Far above
-// the rounding of the ball bounds, so a pruned candidate lies outside every
-// ball by a margin that also dominates the rounding of its clip() plane
-// distances: clip() would classify every vertex inside and reject the cut.
-constexpr double kBallMargin = 1e-6;
+// Vertex-ball screen trigger: once kScreenIdle cuts in a row within a ring
+// have left the cell unchanged, the consume loop screens the ring's
+// unconsumed candidates, and runs the vertex sweep only if at least
+// kScreenMin of them are still inside the security radius. A uniform cell
+// tries about 8 no-op cuts in all and rarely gets there; a clustered cell
+// gathers hundreds of candidates per shell once it has settled.
+constexpr int kScreenIdle = 2;
+constexpr std::size_t kScreenMin = 32;
 
 // Incremental quicksort: makes v[i] final in `less` order, for i = 0, 1, ...
 // in turn. Positions below `settled` are final; `pivots` holds the final
@@ -215,11 +218,55 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
   auto merge_counters = [&] {
     cuts_.fetch_add(st.cuts, std::memory_order_relaxed);
     cuts_noop_.fetch_add(st.cuts_noop, std::memory_order_relaxed);
+    cuts_screened_.fetch_add(st.cuts_screened, std::memory_order_relaxed);
     bins_pruned_.fetch_add(st.bins_pruned, std::memory_order_relaxed);
     cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
     cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
     batches_.fetch_add(st.batches, std::memory_order_relaxed);
     TESS_HIST_ADD("geom.cell_cuts", st.cuts);
+  };
+
+  // Vertex-ball screen of the unconsumed candidates ring_pts[from, end).
+  // Returns false, leaving them untouched, when fewer than kScreenMin lie
+  // inside the current security radius. Otherwise one batched sweep over
+  // the current vertices drops each of those whose bisector leaves all of
+  // them inside by more than clip()'s tolerance, the rest are compacted in
+  // place, and `end` shrinks to match. Cells only shrink, and every later
+  // vertex lies inside the current cell up to rounding far below that
+  // tolerance, so a dropped candidate would still be a no-op cut when its
+  // turn came: the cell and the order of its effective cuts are unchanged.
+  // Candidates past the radius are kept as they are: a cut that rounds a
+  // vertex outward can still grow it.
+  auto screen = [&](std::size_t from, std::size_t& end) -> bool {
+    const double limit = 4.0 * cell.max_radius2();
+    const auto inside = [limit](const auto& c) { return c.first <= limit; };
+    const auto first = ring_pts.begin() + static_cast<std::ptrdiff_t>(from);
+    const auto last = ring_pts.begin() + static_cast<std::ptrdiff_t>(end);
+    if (std::count_if(first, last, inside) <
+        static_cast<std::ptrdiff_t>(kScreenMin))
+      return false;
+    const auto far = std::partition(first, last, inside);
+    const auto m = static_cast<std::size_t>(far - first);
+    auto& sx = scratch.screen_x;
+    auto& sy = scratch.screen_y;
+    auto& sz = scratch.screen_z;
+    sx.resize(m);
+    sy.resize(m);
+    sz.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const auto j = static_cast<std::size_t>(ring_pts[from + k].second);
+      const Vec3& p = points_[j];
+      sx[k] = p.x;
+      sy[k] = p.y;
+      sz[k] = p.z;
+    }
+    const std::size_t survivors = kernels::screen_cutters(
+        sx.data(), sy.data(), sz.data(), s, cell.vertices().data(),
+        cell.vertices().size(), ring_pts.data() + from, m);
+    st.cuts_screened += m - survivors;
+    std::move(far, last, first + static_cast<std::ptrdiff_t>(survivors));
+    end -= m - survivors;
+    return true;
   };
 
   for (int r = 0; r <= max_ring; ++r) {
@@ -234,7 +281,7 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     // Shell bounds: ring r clipped to the grid, and past the site's own bin
     // to the bins that can hold a cutter. A point cuts the cell only if it
     // lies in some vertex ball B(v, |v - s|), so only bins meeting the
-    // bounding box of those balls (radii inflated by kBallMargin) are
+    // bounding box of those balls (radii inflated by kVertexBallMargin) are
     // gathered; bin coordinates are monotone in position, so every other bin
     // holds only points outside the box. The balls only shrink as cuts land:
     // a skipped bin stays useless for the rest of the build, and once the
@@ -248,7 +295,7 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     if (r > 0) {
       Vec3 bmin = s, bmax = s;
       for (const Vec3& v : cell.vertices()) {
-        const double rad = std::sqrt(dist2(v, s)) * (1.0 + kBallMargin);
+        const double rad = std::sqrt(dist2(v, s)) * (1.0 + kVertexBallMargin);
         for (std::size_t a = 0; a < 3; ++a) {
           bmin[a] = std::min(bmin[a], v[a] - rad);
           bmax[a] = std::max(bmax[a], v[a] + rad);
@@ -344,7 +391,9 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     // between periodic self-images, which share one id. Distinct candidate
     // images have distinct keys, so the sorted sequence is unique; it is
     // settled lazily, as a cell cuts only its nearest fifth or so. Trace
-    // mode settles every position first, to record the full list.
+    // mode settles every position first, to record the full list, and never
+    // screens: it is the unscreened reference build_into() is tested
+    // against.
     auto canonical_less = [this](const std::pair<double, int>& a,
                                  const std::pair<double, int>& b) {
       if (a.first != b.first) return a.first < b.first;
@@ -359,9 +408,13 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
       if (pa.y != pb.y) return pa.y < pb.y;
       return pa.z < pb.z;
     };
-    const std::size_t kept = ring_pts.size();
+    std::size_t kept = ring_pts.size();
     scratch.ring_pivots.assign(1, kept);
     std::size_t settled = 0;
+    int idle = 0;  // consecutive no-op cuts in this ring
+    // Within a ring the candidates inside the security radius only become
+    // fewer, so a ring too short to screen stays unscreened.
+    bool screen_ring = trace == nullptr;
     if (trace) {
       for (std::size_t i = 0; i < kept; ++i)
         settle(ring_pts, scratch.ring_pivots, i, settled, canonical_less);
@@ -371,14 +424,32 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     }
 
     for (std::size_t i = 0; i < kept; ++i) {
+      // Once the cell has stopped changing, screen what is left of the
+      // ring. The survivors keep their canonical order: positions below i
+      // are final and smaller than all of them, and the rest is settled
+      // afresh over the survivors alone.
+      if (screen_ring && idle >= kScreenIdle && kept - i >= kScreenMin) {
+        idle = 0;
+        screen_ring = screen(i, kept);
+        if (screen_ring) {
+          ring_pts.resize(kept);
+          scratch.ring_pivots.assign(1, kept);
+          settled = i;
+          if (i == kept) break;
+        }
+      }
       settle(ring_pts, scratch.ring_pivots, i, settled, canonical_less);
       const auto [d2, j] = ring_pts[i];
       if (d2 > 4.0 * cell.max_radius2()) break;  // sorted: rest are farther
       const std::int64_t id = ids_.empty() ? j : ids_[static_cast<std::size_t>(j)];
       ++st.cuts;
       if (trace) trace->cut_ids.push_back(id);
-      if (!cell.cut(points_[static_cast<std::size_t>(j)], id, scratch))
+      if (cell.cut(points_[static_cast<std::size_t>(j)], id, scratch)) {
+        idle = 0;
+      } else {
         ++st.cuts_noop;
+        ++idle;
+      }
       if (cell.empty()) {
         merge_counters();
         return;

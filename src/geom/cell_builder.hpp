@@ -21,6 +21,18 @@
 // relative margin so the prune stays conservative under rounding, and the
 // bounding box costs O(1) per bin.
 //
+// The same criterion screens single candidates. Once a few cuts in a row
+// within a ring have changed nothing, the ring's unconsumed candidates are
+// swept against the current vertices in one batched kernel
+// (kernels::screen_cutters): a candidate whose bisector leaves every vertex
+// inside by more than clip()'s tolerance cannot cut, now or after later
+// cuts, since every later vertex lies inside the current cell up to
+// rounding far below that tolerance. Only the survivors are ordered and
+// cut, so a clustered cell, which gathers hundreds of candidates per shell
+// and cuts with a few, skips both the ordering and the rejected cuts of the
+// rest. The cell and the order of its effective cuts are unchanged; the
+// traced build never screens and is the reference for that.
+//
 // The grid is stored in CSR form (bin_offsets_ + bin_items_) with the point
 // coordinates permuted alongside into structure-of-arrays slabs (csr_x_/y_/
 // z_), so a ring sweep gathers each bin's candidates with three contiguous
@@ -43,20 +55,30 @@
 
 namespace tess::geom {
 
+/// Relative radius inflation of the vertex balls B(v, |v - s|) wherever a
+/// ball bound decides that a point cannot cut a cell: the bin prune here
+/// and the tessellator's vertex-ball certificate. Far above the rounding of
+/// the ball bounds, so a point judged outside every ball lies outside by a
+/// margin that also dominates the rounding of its clip() plane distances:
+/// clip() would classify every vertex inside and reject the cut.
+inline constexpr double kVertexBallMargin = 1e-6;
+
 class CellBuilder {
  public:
   /// Work counters accumulated across build() calls, the source of the
   /// geom.cuts* and geom.backend.* obs metrics. `cuts` counts bisector cuts
-  /// attempted, `cuts_noop` those that left the cell unchanged, and
-  /// `bins_pruned` the shell bins the vertex-ball prune skipped. `cand_seen`
-  /// counts grid candidates gathered into batches, `cand_kept` the
-  /// survivors of the security-radius screen (kept/seen = filter hit rate);
-  /// `batches` counts the 4-lane batches they were swept in, a partial tail
-  /// included (cand_seen / (4 * batches) = batch occupancy). All are
-  /// deterministic for a given point set.
+  /// attempted, `cuts_noop` those that left the cell unchanged,
+  /// `cuts_screened` the candidates the vertex-ball screen dropped without a
+  /// cut, and `bins_pruned` the shell bins the vertex-ball prune skipped.
+  /// `cand_seen` counts grid candidates gathered into batches, `cand_kept`
+  /// the survivors of the security-radius screen (kept/seen = filter hit
+  /// rate); `batches` counts the 4-lane batches they were swept in, a
+  /// partial tail included (cand_seen / (4 * batches) = batch occupancy).
+  /// All are deterministic for a given point set.
   struct BackendStats {
     std::uint64_t cuts = 0;
     std::uint64_t cuts_noop = 0;
+    std::uint64_t cuts_screened = 0;
     std::uint64_t bins_pruned = 0;
     std::uint64_t cand_seen = 0;
     std::uint64_t cand_kept = 0;
@@ -111,8 +133,9 @@ class CellBuilder {
                   const Vec3& box_min, const Vec3& box_max) const;
 
   /// build_into() that additionally records the per-stage trace, settling
-  /// each ring's full candidate order first. Slower; a test reference, not
-  /// for production use.
+  /// each ring's full candidate order first and never running the
+  /// vertex-ball screen, so every no-op cut is attempted and recorded.
+  /// Slower; a test reference, not for production use.
   void build_traced(VoronoiCell& cell, ClipScratch& scratch, int site,
                     const Vec3& box_min, const Vec3& box_max,
                     CellTrace& trace) const;
@@ -127,6 +150,7 @@ class CellBuilder {
     BackendStats s;
     s.cuts = cuts_.load(std::memory_order_relaxed);
     s.cuts_noop = cuts_noop_.load(std::memory_order_relaxed);
+    s.cuts_screened = cuts_screened_.load(std::memory_order_relaxed);
     s.bins_pruned = bins_pruned_.load(std::memory_order_relaxed);
     s.cand_seen = cand_seen_.load(std::memory_order_relaxed);
     s.cand_kept = cand_kept_.load(std::memory_order_relaxed);
@@ -169,6 +193,7 @@ class CellBuilder {
 
   mutable std::atomic<std::uint64_t> cuts_{0};
   mutable std::atomic<std::uint64_t> cuts_noop_{0};
+  mutable std::atomic<std::uint64_t> cuts_screened_{0};
   mutable std::atomic<std::uint64_t> bins_pruned_{0};
   mutable std::atomic<std::uint64_t> cand_seen_{0};
   mutable std::atomic<std::uint64_t> cand_kept_{0};

@@ -4,10 +4,12 @@
 // one ISA or clone but not another would make the kernels' bits depend on
 // the build or the host. Keep every floating-point expression here in the
 // exact association order of its scalar counterpart (geom::dist2,
-// VoronoiCell::clip).
+// VoronoiCell::cut and clip).
 #include "geom/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/simd.hpp"
 
@@ -111,6 +113,62 @@ std::size_t screen_candidates(const double* d2, const int* idx, std::size_t n,
       out.emplace_back(d2[i], idx[i]);
       ++kept;
     }
+  return kept;
+}
+
+TESS_KERNEL_CLONES
+std::size_t screen_cutters(const double* x, const double* y, const double* z,
+                           const Vec3& site, const Vec3* verts, std::size_t nv,
+                           std::pair<double, int>* cand, std::size_t n) {
+  const simd::DVec sx = simd::DVec::broadcast(site.x);
+  const simd::DVec sy = simd::DVec::broadcast(site.y);
+  const simd::DVec sz = simd::DVec::broadcast(site.z);
+  const simd::DVec half = simd::DVec::broadcast(0.5);
+  const simd::DVec zero = simd::DVec::broadcast(0.0);
+  const simd::DVec one = simd::DVec::broadcast(1.0);
+  const simd::DVec tol = simd::DVec::broadcast(1e-12);
+  const simd::DVec lowest =
+      simd::DVec::broadcast(-std::numeric_limits<double>::infinity());
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i + simd::kLanes <= n; i += simd::kLanes) {
+    // One bisector per lane; each vertex is broadcast against all four.
+    const simd::DVec px = simd::DVec::load(x + i);
+    const simd::DVec py = simd::DVec::load(y + i);
+    const simd::DVec pz = simd::DVec::load(z + i);
+    const simd::DVec nx = px - sx, ny = py - sy, nz = pz - sz;
+    const simd::DVec d =
+        (nx * ((px + sx) * half) + ny * ((py + sy) * half)) +
+        nz * ((pz + sz) * half);
+    simd::DVec top = lowest, amax = zero;
+    for (std::size_t v = 0; v < nv; ++v) {
+      const simd::DVec nvv =
+          (nx * simd::DVec::broadcast(verts[v].x) +
+           ny * simd::DVec::broadcast(verts[v].y)) +
+          nz * simd::DVec::broadcast(verts[v].z);
+      top = simd::max(top, nvv - d);
+      amax = simd::max(amax, simd::abs(nvv));
+    }
+    const simd::DVec eps = tol * ((simd::abs(d) + amax) + one);
+    const simd::Mask may_cut = (zero - eps) <= top;
+    for (std::size_t l = 0; l < simd::kLanes; ++l)
+      if (may_cut.lane(l)) cand[kept++] = cand[i + l];
+  }
+  for (; i < n; ++i) {
+    const double nx = x[i] - site.x, ny = y[i] - site.y, nz = z[i] - site.z;
+    const double d = (nx * ((x[i] + site.x) * 0.5) +
+                      ny * ((y[i] + site.y) * 0.5)) +
+                     nz * ((z[i] + site.z) * 0.5);
+    double top = -std::numeric_limits<double>::infinity(), amax = 0.0;
+    for (std::size_t v = 0; v < nv; ++v) {
+      const double nvv =
+          (nx * verts[v].x + ny * verts[v].y) + nz * verts[v].z;
+      top = std::max(top, nvv - d);
+      amax = std::max(amax, std::fabs(nvv));
+    }
+    const double eps = 1e-12 * ((std::fabs(d) + amax) + 1.0);
+    if (-eps <= top) cand[kept++] = cand[i];
+  }
   return kept;
 }
 

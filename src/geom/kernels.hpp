@@ -2,8 +2,8 @@
 //
 // Everything whose VALUE (not just sign) feeds the clip loop lives in this
 // one translation unit: squared site-candidate distances, the candidate
-// screen against the security radius, and the per-vertex plane distances of
-// VoronoiCell::clip. Each kernel sweeps four lanes at a time and finishes
+// screen against the security radius, the per-vertex plane distances of
+// VoronoiCell::clip, and the vertex-ball screen of the cell builder. Each kernel sweeps four lanes at a time and finishes
 // the n % 4 tail with the same expression in scalar form. Both perform plain
 // IEEE-754 multiplies and adds in one fixed association order — dist2 is
 // always (dx*dx + dy*dy) + dz*dz, the expression geom::dist2 spells out —
@@ -43,5 +43,18 @@ std::size_t screen_candidates(const double* d2, const int* idx, std::size_t n,
 /// cannot change it.
 void plane_distances(const Vec3* verts, std::size_t n, const Vec3& normal,
                      double plane_d, double* dist, double* abs_max_out);
+
+/// Vertex-ball screen, four candidates per lane set: compacts cand[0, n) in
+/// place, preserving order, to the candidates whose bisector may cut the
+/// cell with vertices verts[0, nv) around `site`; (x[i], y[i], z[i]) are the
+/// coordinates of cand[i]. The plane is formed as VoronoiCell::cut forms it,
+/// n = p - site and d = n·((p + site) * 0.5), and the vertices are swept as
+/// clip() sweeps them, nv = (nx*vx + ny*vy) + nz*vz with tolerance
+/// eps = 1e-12 * ((|d| + max_v |nv|) + 1). A candidate is dropped when every
+/// vertex lies inside its plane by more than eps: max_v (nv - d) < -eps.
+/// Returns the number kept.
+std::size_t screen_cutters(const double* x, const double* y, const double* z,
+                           const Vec3& site, const Vec3* verts, std::size_t nv,
+                           std::pair<double, int>* cand, std::size_t n);
 
 }  // namespace tess::geom::kernels

@@ -226,6 +226,9 @@ struct ClipScratch {
   /// distances (geom/kernels.hpp) screened into ring_pts.
   std::vector<double> cand_x, cand_y, cand_z, cand_d2;
   std::vector<int> cand_idx;
+  /// SoA coordinates of the unconsumed ring_pts entries the cell builder's
+  /// vertex-ball screen sweeps (kernels::screen_cutters).
+  std::vector<double> screen_x, screen_y, screen_z;
 };
 
 }  // namespace tess::geom

@@ -260,12 +260,14 @@ TEST(CellBuilder, ClusteredPointsStillPartition) {
 }
 
 // The cut loop settles the canonical (dist2, id, position) candidate order
-// lazily, while build_traced() settles every position before the first
-// cut. Both must cut the same sequence, so their cells agree bit for bit.
-// The recorded list is sorted ring by ring, so its key (dist2, id) can fall
-// only where a ring of the 5-bin grid ends: at most 5 times per cell. On
-// the lattice every distance shell is a tie and ids run against the array
-// order, so a wrong tie-break would fall inside rings.
+// lazily and screens candidates against the vertex balls, while
+// build_traced() settles every position before the first cut and never
+// screens. Both must make the same effective cuts in the same order, so
+// their cells agree bit for bit. The recorded list is sorted ring by ring,
+// so its key (dist2, id) can fall only where a ring of the 5-bin grid
+// ends: at most 5 times per cell. On the lattice every distance shell is a
+// tie and ids run against the array order, so a wrong tie-break would fall
+// inside rings. On the two-blob cloud the screen must fire.
 TEST(CellBuilder, LazyCandidateOrderIsCanonical) {
   constexpr int kSide = 8;
   std::vector<Vec3> lattice;
@@ -277,14 +279,21 @@ TEST(CellBuilder, LazyCandidateOrderIsCanonical) {
         lattice_ids.push_back(kSide * kSide * kSide - 1 -
                               static_cast<std::int64_t>(lattice_ids.size()));
       }
-  const Vec3 lo{0, 0, 0}, hi{kSide, kSide, kSide};
   struct Case {
+    const char* name;
     std::vector<Vec3> pts;
     std::vector<std::int64_t> ids;
+    Vec3 lo, hi;
+    bool clustered;
   };
-  const Case cases[] = {{lattice, lattice_ids},
-                        {random_points(17, 500, 0.0, kSide), {}}};
+  const Vec3 origin{0, 0, 0}, far{kSide, kSide, kSide};
+  const Case cases[] = {
+      {"lattice", lattice, lattice_ids, origin, far, false},
+      {"uniform", random_points(17, 500, 0.0, kSide), {}, origin, far, false},
+      {"two-blob", two_blob_points(4242, 200, 100), {}, origin, {1, 1, 1},
+       true}};
   for (const auto& c : cases) {
+    const Vec3 lo = c.lo, hi = c.hi;
     const CellBuilder builder(c.pts, c.ids, lo, hi);
     tg::VoronoiCell lazy(c.pts[0], lo, hi), traced(c.pts[0], lo, hi);
     tg::ClipScratch lazy_scratch, traced_scratch;
@@ -293,7 +302,7 @@ TEST(CellBuilder, LazyCandidateOrderIsCanonical) {
     for (int site = 0; site < static_cast<int>(c.pts.size()); ++site) {
       builder.build_into(lazy, lazy_scratch, site, lo, hi);
       builder.build_traced(traced, traced_scratch, site, lo, hi, trace);
-      ASSERT_TRUE(same_bits(lazy, traced)) << "site " << site;
+      ASSERT_TRUE(same_bits(lazy, traced)) << c.name << " site " << site;
       ASSERT_FALSE(trace.cut_ids.empty());
       int falls = 0;
       for (std::size_t k = 1; k < trace.candidates.size(); ++k) {
@@ -302,10 +311,13 @@ TEST(CellBuilder, LazyCandidateOrderIsCanonical) {
         ties += a.first == b.first ? 1 : 0;
         falls += b < a ? 1 : 0;
       }
-      EXPECT_LE(falls, 5) << "site " << site;
+      EXPECT_LE(falls, 5) << c.name << " site " << site;
     }
     if (!c.ids.empty()) {
       EXPECT_GT(ties, 10000u);
+    }
+    if (c.clustered) {
+      EXPECT_GT(builder.backend_stats().cuts_screened, 0u) << c.name;
     }
   }
 }

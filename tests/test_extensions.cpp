@@ -3,6 +3,7 @@
 // connected-component labeling; plus a genus-1 Minkowski validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -118,6 +119,56 @@ TEST(AutoGhost, CapStopsRunawayGrowth) {
     if (c.rank() == 0) two = {{{2, 5, 5}, 0}, {{8, 5, 5}, 1}};
     tess::core::standalone_tessellate(c, d, std::move(two), opt, &stats);
     EXPECT_LE(stats.ghost_used, 3.0 + 1e-12);
+  });
+}
+
+// The stop rule, read back from the output: auto ghost stops at the cap,
+// or else at the first doubling of the starting ghost that covers every
+// kept cell's security radius 2*Rmax, recomputed here from the mesh's
+// vertices and sites. Around the empty ball the cells are large, and the
+// vertex-ball certificate proves them exact passes before 2*Rmax fits, so
+// a loop that stopped on that certificate would stop early and fail here.
+// The tests comparing incremental and scratch runs cannot see that: both
+// share the rule.
+TEST(AutoGhost, StopsWhereEveryKeptSecurityRadiusFits) {
+  constexpr double kDomain = 6.0, kVoid = 1.2, kStart = 0.2;
+  const tess::geom::Vec3 centre{3.0, 3.0, 3.0};
+  Rng rng(5);
+  std::vector<Particle> particles;
+  while (particles.size() < 2000) {
+    const tess::geom::Vec3 p{rng.uniform(0, kDomain), rng.uniform(0, kDomain),
+                             rng.uniform(0, kDomain)};
+    if (tess::geom::dist2(p, centre) < kVoid * kVoid) continue;
+    particles.push_back({p, static_cast<std::int64_t>(particles.size())});
+  }
+  Runtime::run(1, [&](Comm& c) {
+    Decomposition d({0, 0, 0}, {kDomain, kDomain, kDomain}, {1, 1, 1}, true);
+    TessOptions opt;
+    opt.ghost = kStart;
+    opt.auto_ghost = true;
+    TessStats stats;
+    const BlockMesh mesh =
+        tess::core::standalone_tessellate(c, d, particles, opt, &stats);
+    ASSERT_EQ(mesh.cells.size(), particles.size());
+    double security2 = 0.0;  // largest (2*Rmax)^2 of a kept cell
+    for (const auto& cell : mesh.cells)
+      for (std::uint32_t f = cell.first_face;
+           f < cell.first_face + cell.num_faces; ++f)
+        for (std::uint32_t k = mesh.face_offsets[f];
+             k < mesh.face_offsets[f + 1]; ++k) {
+          const auto& v = mesh.vertices[mesh.face_verts[k]];
+          security2 = std::max(security2, 4.0 * tess::geom::dist2(v, cell.site));
+        }
+    const double cap = opt.auto_ghost_max_fraction * kDomain;
+    double expected = kStart;
+    int passes = 1;
+    while (expected < cap && expected * expected < security2) {
+      expected = std::min(2.0 * expected, cap);
+      ++passes;
+    }
+    EXPECT_EQ(stats.ghost_used, expected);
+    EXPECT_EQ(stats.auto_iterations, passes);
+    EXPECT_GE(passes, 4);  // the void cells drive the later passes
   });
 }
 

@@ -393,7 +393,8 @@ TEST(ObsStats, CumulativeGhostTrafficEqualsPerPassSumAndRegistry) {
 }
 
 // The wasted-work counters ride along with geom.cuts in both build loops:
-// the one-pass fixed-ghost loop and the auto-ghost pass loop.
+// the one-pass fixed-ghost loop and the auto-ghost pass loop. The
+// auto-ghost run's clustered cells also trip the vertex-ball screen.
 TEST(ObsStats, WastedWorkCountersEmittedWithCuts) {
   constexpr double kDomain = 6.0;
   const auto particles = clustered_particles(600, kDomain);
@@ -416,6 +417,9 @@ TEST(ObsStats, WastedWorkCountersEmittedWithCuts) {
     EXPECT_LT(noop, cuts) << "auto_ghost=" << auto_ghost;
     EXPECT_GT(reg.counter("geom.bins_pruned").value(), 0u)
         << "auto_ghost=" << auto_ghost;
+    if (auto_ghost) {
+      EXPECT_GT(reg.counter("geom.cuts_screened").value(), 0u);
+    }
     // The candidate counters perfbench reads by name: every gathered
     // candidate rides in one 4-lane batch, and the screen keeps a subset.
     const std::uint64_t seen = reg.counter("geom.backend.cand_seen").value();

@@ -249,16 +249,15 @@ TEST(ClipScratchSteadyState, SecondSweepAllocatesNothing) {
   EXPECT_DOUBLE_EQ(steady_volume, warm_volume);
 }
 
-// The same on a random cloud, where cells differ in vertex and face counts
-// from site to site, and with each cell then tidied the way the
-// tessellator does: a buffer whose role rotated between cells would regrow
-// in a later sweep.
-TEST(ClipScratchSteadyState, RandomCloudWarmCellsFinishWithoutAllocating) {
-  Rng rng(400);
-  std::vector<Vec3> pts;
-  for (int i = 0; i < 400; ++i)
-    pts.push_back({rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6)});
-  const Vec3 lo{0, 0, 0}, hi{6, 6, 6};
+namespace {
+
+// Builds every site of `pts` twice with one cell/scratch pair, finishing
+// each cell three ways (as built, compact(), canonicalize()), and expects
+// the second sweep to allocate nothing. Returns the builder's count of
+// candidates the vertex-ball screen dropped.
+std::uint64_t expect_warm_sweeps_allocation_free(const std::vector<Vec3>& pts,
+                                                 const Vec3& lo,
+                                                 const Vec3& hi) {
   const CellBuilder builder(pts, {}, lo, hi);
   const int n = static_cast<int>(pts.size());
 
@@ -289,6 +288,45 @@ TEST(ClipScratchSteadyState, RandomCloudWarmCellsFinishWithoutAllocating) {
   EXPECT_EQ(
       second_sweep_allocations([](VoronoiCell& c) { c.canonicalize(); }), 0u)
       << "build_into + canonicalize()";
+  return builder.backend_stats().cuts_screened;
+}
+
+}  // namespace
+
+// The same on a random cloud, where cells differ in vertex and face counts
+// from site to site, and with each cell then tidied the way the
+// tessellator does: a buffer whose role rotated between cells would regrow
+// in a later sweep. And on a two-blob cloud, where the cell builder's
+// vertex-ball screen fires and gathers its candidates into its own
+// buffers.
+TEST(ClipScratchSteadyState, RandomCloudWarmCellsFinishWithoutAllocating) {
+  Rng rng(400);
+  std::vector<Vec3> uniform;
+  for (int i = 0; i < 400; ++i)
+    uniform.push_back(
+        {rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6)});
+  // The two-blob cloud of CellBuilder.MatchesBruteForce.
+  Rng blob_rng(4242);
+  std::vector<Vec3> blobs;
+  for (int i = 0; i < 200; ++i)
+    blobs.push_back({0.2 + 0.02 * blob_rng.normal(),
+                     0.2 + 0.02 * blob_rng.normal(),
+                     0.2 + 0.02 * blob_rng.normal()});
+  for (int i = 0; i < 200; ++i)
+    blobs.push_back({0.8 + 0.02 * blob_rng.normal(),
+                     0.7 + 0.02 * blob_rng.normal(),
+                     0.6 + 0.02 * blob_rng.normal()});
+  for (int i = 0; i < 100; ++i)
+    blobs.push_back(
+        {blob_rng.uniform(), blob_rng.uniform(), blob_rng.uniform()});
+  for (auto& p : blobs)
+    for (std::size_t a = 0; a < 3; ++a) p[a] = std::clamp(p[a], 0.001, 0.999);
+  expect_warm_sweeps_allocation_free(uniform, {0, 0, 0}, {6, 6, 6});
+  {
+    SCOPED_TRACE("two-blob");
+    EXPECT_GT(expect_warm_sweeps_allocation_free(blobs, {0, 0, 0}, {1, 1, 1}),
+              0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "geom/kernels.hpp"
 #include "geom/predicates.hpp"
 #include "geom/vec3.hpp"
+#include "geom/voronoi_cell.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -222,6 +223,62 @@ TEST(BatchedKernels, ScreenCandidatesParity) {
       EXPECT_EQ(got[i].second, want[i].second) << "screen idx " << i;
     }
   }
+}
+
+// The vertex-ball screen drops a candidate only when its cut would change
+// nothing, and the four-lane body decides each candidate as the scalar
+// tail does. The candidates include, for every vertex, the reflection of
+// the site through it, whose bisector passes through that vertex: the cut
+// at clip()'s tolerance. VoronoiCell::cut may be FMA-contracted where the
+// kernel is not, so this also checks that the screen's margin covers the
+// difference.
+TEST(BatchedKernels, ScreenCuttersDropOnlyNoOpCuts) {
+  namespace kernels = tess::geom::kernels;
+  Rng rng(73);
+  const Vec3 site{0.5, 0.5, 0.5};
+  tess::geom::VoronoiCell cell(site, {0, 0, 0}, {1, 1, 1});
+  for (int i = 0; i < 60; ++i)
+    cell.cut({rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1)}, i);
+  ASSERT_GE(cell.vertices().size(), 4u);
+
+  std::vector<Vec3> cand;
+  for (int i = 0; i < 400; ++i)
+    cand.push_back(
+        {rng.uniform(-1, 2), rng.uniform(-1, 2), rng.uniform(-1, 2)});
+  for (const Vec3& v : cell.vertices()) cand.push_back(v * 2.0 - site);
+  std::vector<double> x, y, z;
+  std::vector<std::pair<double, int>> batch;
+  for (std::size_t i = 0; i < cand.size(); ++i) {
+    x.push_back(cand[i].x);
+    y.push_back(cand[i].y);
+    z.push_back(cand[i].z);
+    batch.emplace_back(static_cast<double>(i), static_cast<int>(i));
+  }
+  const auto& verts = cell.vertices();
+  const std::size_t kept =
+      kernels::screen_cutters(x.data(), y.data(), z.data(), site, verts.data(),
+                              verts.size(), batch.data(), batch.size());
+  ASSERT_LE(kept, cand.size());
+
+  std::size_t next = 0, cutters = 0;
+  for (std::size_t i = 0; i < cand.size(); ++i) {
+    std::pair<double, int> one{static_cast<double>(i), static_cast<int>(i)};
+    const bool scalar_keeps =
+        kernels::screen_cutters(&x[i], &y[i], &z[i], site, verts.data(),
+                                verts.size(), &one, 1) == 1;
+    const bool batch_keeps =
+        next < kept && batch[next].second == static_cast<int>(i);
+    if (batch_keeps) ++next;
+    EXPECT_EQ(batch_keeps, scalar_keeps) << "candidate " << i;
+    tess::geom::VoronoiCell probe = cell;
+    if (probe.cut(cand[i], 1000 + static_cast<std::int64_t>(i))) {
+      ++cutters;
+      EXPECT_TRUE(scalar_keeps) << "dropped candidate " << i << " cuts";
+    }
+  }
+  EXPECT_EQ(next, kept);  // survivors stay in input order
+  EXPECT_GT(cutters, 0u);
+  EXPECT_LT(kept, cand.size());
 }
 
 TEST(BatchedKernels, Orient3dBatchSignParity) {

@@ -1,12 +1,16 @@
 // mesh_hashes: prints a 64-bit FNV-1a hash of every per-rank block and of
-// the merged mesh for a fixed set of tessellation runs, one line per hash:
+// the merged mesh for a fixed set of tessellation runs, one line per hash,
+// and one line of the run's TessStats counts summed over ranks (ghost_used
+// and auto_iterations: the largest):
 //
 //   <run> block<r> <hash>    serialized BlockMesh of rank r
 //   <run> merged <hash>      merged_mesh_bytes() of the run (rank 0)
+//   <run> stats <name>=<value> ...
 //
 // Two builds that print the same lines wrote the same mesh bytes on every
-// run, so diffing this tool's output between a change and its parent is
-// the byte-identity check for refactors of the tessellation path. The runs
+// run, through the same passes with the same ghost and cell counts, so
+// diffing this tool's output between a change and its parent is the
+// byte-identity check for refactors of the tessellation path. The runs
 // cover both ghost modes and both auto-ghost flavours:
 //
 //   uniform_seed{1,2}    the 32^3 mini-HACC step 31 at default TessOptions
@@ -25,6 +29,7 @@
 // checkout's tools/, append its two lines from tools/CMakeLists.txt to that
 // checkout's, build both as Release and diff the outputs. Bytes compare
 // only between builds with the same compiler flags.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -46,6 +51,7 @@ namespace {
 using tess::comm::Comm;
 using tess::core::BlockMesh;
 using tess::core::TessOptions;
+using tess::core::TessStats;
 using tess::diy::Decomposition;
 using tess::diy::Particle;
 using tess::geom::Vec3;
@@ -61,14 +67,17 @@ std::uint64_t fnv1a(const std::vector<std::byte>& bytes) {
   return h;
 }
 
-/// Run `tessellate` (Comm& -> this rank's BlockMesh) on kRanks thread-ranks
-/// and print the hash of every block and of the merged mesh.
+/// Run `tessellate` ((Comm&, TessStats&) -> this rank's BlockMesh, filling
+/// in the rank's stats) on kRanks thread-ranks and print the hash of every
+/// block and of the merged mesh, then the stats line.
 template <typename Tessellate>
 void print_hashes(const std::string& run, Tessellate&& tessellate) {
   std::vector<std::vector<std::byte>> blocks(kRanks);
+  std::vector<TessStats> stats(kRanks);
   std::vector<std::byte> merged;
   tess::comm::Runtime::run(kRanks, [&](Comm& c) {
-    const BlockMesh mesh = tessellate(c);
+    const BlockMesh mesh =
+        tessellate(c, stats[static_cast<std::size_t>(c.rank())]);
     tess::diy::Buffer buf;
     mesh.serialize(buf);
     blocks[static_cast<std::size_t>(c.rank())] = buf.data();
@@ -81,13 +90,34 @@ void print_hashes(const std::string& run, Tessellate&& tessellate) {
                     fnv1a(blocks[static_cast<std::size_t>(r)])));
   std::printf("%s merged %016llx\n", run.c_str(),
               static_cast<unsigned long long>(fnv1a(merged)));
+  TessStats sum;
+  sum.auto_iterations = 0;
+  for (const TessStats& s : stats) {
+    sum.auto_iterations = std::max(sum.auto_iterations, s.auto_iterations);
+    sum.ghost_used = std::max(sum.ghost_used, s.ghost_used);
+    sum.cells_kept += s.cells_kept;
+    sum.cells_incomplete += s.cells_incomplete;
+    sum.cells_culled_early += s.cells_culled_early;
+    sum.cells_culled_volume += s.cells_culled_volume;
+    sum.cells_uncertified += s.cells_uncertified;
+    sum.ghost_sent += s.ghost_sent;
+    sum.ghost_received += s.ghost_received;
+  }
+  std::printf(
+      "%s stats auto_iterations=%d ghost_used=%.17g cells_kept=%zu "
+      "cells_incomplete=%zu cells_culled_early=%zu cells_culled_volume=%zu "
+      "cells_uncertified=%zu ghost_sent=%zu ghost_received=%zu\n",
+      run.c_str(), sum.auto_iterations, sum.ghost_used, sum.cells_kept,
+      sum.cells_incomplete, sum.cells_culled_early, sum.cells_culled_volume,
+      sum.cells_uncertified, sum.ghost_sent, sum.ghost_received);
   std::fflush(stdout);
 }
 
 /// The insitu_uniform op's tessellation: 32^3 particles on a 32^3 PM mesh,
 /// advanced to step 31, tessellated with the TessOptions defaults.
 void uniform_step(std::uint64_t seed) {
-  print_hashes("uniform_seed" + std::to_string(seed), [seed](Comm& c) {
+  print_hashes("uniform_seed" + std::to_string(seed), [seed](Comm& c,
+                                                            TessStats& st) {
     tess::hacc::SimConfig cfg;
     cfg.np = 32;
     cfg.ng = 32;
@@ -95,7 +125,10 @@ void uniform_step(std::uint64_t seed) {
     tess::hacc::Simulation sim(c, cfg);
     sim.run_until(31);
     tess::core::Tessellator t(c, sim.decomposition(), TessOptions{});
-    return t.tessellate_step(sim.step_index(), sim.local_tess_particles());
+    BlockMesh mesh =
+        t.tessellate_step(sim.step_index(), sim.local_tess_particles());
+    st = t.stats();
+    return mesh;
   });
 }
 
@@ -103,11 +136,11 @@ void uniform_step(std::uint64_t seed) {
 /// [0, domain)^3 and tessellate.
 void standalone(const std::string& run, const std::vector<Particle>& particles,
                 double domain, bool periodic, const TessOptions& opt) {
-  print_hashes(run, [&](Comm& c) {
+  print_hashes(run, [&](Comm& c, TessStats& st) {
     const Decomposition d({0, 0, 0}, {domain, domain, domain},
                           Decomposition::factor(kRanks), periodic);
     return tess::core::standalone_tessellate(
-        c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt);
+        c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt, &st);
   });
 }
 
