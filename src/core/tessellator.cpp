@@ -72,14 +72,16 @@ Tessellator::Tessellator(comm::Comm& comm, const diy::Decomposition& decomp,
 namespace {
 
 /// Emit the per-pass geom.cuts* and geom.backend.* metrics from the
-/// builder's counter deltas, and this rank's exact fallbacks summed over the
-/// pass's cell chunks — on every run, so production traces always carry the
+/// builder's counter deltas, and this rank's exact fallbacks and
+/// canonicalize()'s kept-clipped vertices summed over the pass's cell
+/// chunks — on every run, so production traces always carry the
 /// wasted-work counts, filter hit rate, batch occupancy, and exact-fallback
 /// rate.
 void emit_backend_metrics(
     [[maybe_unused]] const geom::CellBuilder::BackendStats& before,
     [[maybe_unused]] const geom::CellBuilder::BackendStats& after,
-    [[maybe_unused]] unsigned long long exact) {
+    [[maybe_unused]] unsigned long long exact,
+    [[maybe_unused]] unsigned long long canon_kept_clipped) {
 #if TESS_OBS_ENABLED
   const std::uint64_t cuts_delta = after.cuts - before.cuts;
   const std::uint64_t seen = after.cand_seen - before.cand_seen;
@@ -93,6 +95,7 @@ void emit_backend_metrics(
   TESS_COUNT("geom.backend.cand_kept", kept);
   TESS_COUNT("geom.backend.batches", batches);
   TESS_COUNT("geom.exact_fallbacks", exact);
+  TESS_COUNT("geom.canon_kept_clipped", canon_kept_clipped);
   if (seen > 0)
     TESS_GAUGE_SET("geom.backend.filter_hit_rate",
                    static_cast<double>(kept) / static_cast<double>(seen));
@@ -367,6 +370,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     struct ChunkStat {
       std::size_t incomplete = 0;
       unsigned long long exact_fallbacks = 0;
+      unsigned long long canon_kept_clipped = 0;
       double cpu_seconds = 0.0;
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
@@ -406,7 +410,8 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               // geometry, never on the pass that built it. A fixed ghost
               // builds each cell once and compacts only the cells that
               // survive the early cull.
-              if (options_.auto_ghost) cell.canonicalize();
+              if (options_.auto_ghost)
+                cs.canon_kept_clipped += cell.canonicalize();
               // Security-radius certificate: every potential cutter of this
               // cell lies within 2*Rmax of the site; if that ball fits inside
               // the ghost-grown region, the cell is provably exact. Below the
@@ -453,10 +458,12 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     timer.start();
     std::size_t pass_incomplete = 0;
     unsigned long long pass_exact = 0;
+    unsigned long long pass_kept_clipped = 0;
     double loop_cpu = 0.0;
     for (const auto& cs : chunk_stats) {
       pass_incomplete += cs.incomplete;
       pass_exact += cs.exact_fallbacks;
+      pass_kept_clipped += cs.canon_kept_clipped;
       loop_cpu += cs.cpu_seconds;
     }
     const std::size_t pass_uncertified = count_uncertified(ghost);
@@ -473,7 +480,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     TESS_COUNT("tess.ghost_received", iter.ghost_received);
     TESS_COUNT("tess.cells_built", np);
     emit_backend_metrics(backend_stats_before, builder->backend_stats(),
-                         pass_exact);
+                         pass_exact, pass_kept_clipped);
 
     stats_.exchange_seconds += iter.exchange_seconds;
     stats_.compute_seconds += iter.compute_seconds;

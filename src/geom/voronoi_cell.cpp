@@ -159,7 +159,10 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
       if (edge == key) return k;
     const double du = s.dist[static_cast<std::size_t>(u)];
     const double dv = s.dist[static_cast<std::size_t>(v)];
-    const double t = du / (du - dv);
+    // Clamped to the edge: a kept vertex may lie up to eps outside the
+    // plane, and the unclamped crossing would then land beyond it, outside
+    // the old cell.
+    const double t = std::clamp(du / (du - dv), 0.0, 1.0);
     const Vec3 p = verts_[static_cast<std::size_t>(u)] +
                    (verts_[static_cast<std::size_t>(v)] -
                     verts_[static_cast<std::size_t>(u)]) * t;
@@ -533,9 +536,9 @@ bool vec3_lex_less(const Vec3& a, const Vec3& b) {
 
 }  // namespace
 
-void VoronoiCell::canonicalize() {
+std::size_t VoronoiCell::canonicalize() {
   compact();
-  if (faces_.empty()) return;
+  if (faces_.empty()) return 0;
 
   // Incident faces per vertex, in face order.
   auto& incident = tls_tidy().incident;
@@ -564,6 +567,13 @@ void VoronoiCell::canonicalize() {
   // whole generator set is coplanar and no triple of bisectors determines
   // a point — only then (or for box-face vertices of incomplete cells)
   // the clipped coordinates are kept.
+  //
+  // A solve that moves the vertex far beyond rounding means even the best
+  // triple is ill-conditioned (on a lattice jittered by 1e-9, its rel is
+  // about 1e-9), so its answer is noise: the vertex keeps its clipped
+  // coordinates and is counted.
+  const double max_shift2 = kCanonMaxShift * kCanonMaxShift * max_radius2_;
+  std::size_t kept_clipped = 0;
   util::SmallVector<Vec3, 12> gens;
   for (std::size_t v = 0; v < verts_.size(); ++v) {
     auto& inc = incident[v];
@@ -645,9 +655,14 @@ void VoronoiCell::canonicalize() {
     if (det == 0.0) continue;
     const Vec3 solved =
         (bc * da + cross(nc, na) * db + cross(na, nb) * dc) / det;
-    if (std::isfinite(solved.x) && std::isfinite(solved.y) &&
-        std::isfinite(solved.z))
-      verts_[v] = solved;
+    if (!std::isfinite(solved.x) || !std::isfinite(solved.y) ||
+        !std::isfinite(solved.z))
+      continue;
+    if (dist2(solved, verts_[v]) > max_shift2) {
+      ++kept_clipped;
+      continue;
+    }
+    verts_[v] = solved;
   }
 
   // Canonical face order and loop phase: sort faces by plane key, rotate
@@ -669,6 +684,7 @@ void VoronoiCell::canonicalize() {
   // Renumber vertices by first use in the canonical face order.
   renumber_in_face_order();
   recompute_radius();
+  return kept_clipped;
 }
 
 }  // namespace tess::geom

@@ -166,8 +166,14 @@ class VoronoiCell {
   /// and welding canonicalized cells into a mesh is insertion-order
   /// independent. Intended for complete cells, whose faces are all bisector
   /// planes; vertices still touching a seed-box plane keep their clipped
-  /// coordinates.
-  void canonicalize();
+  /// coordinates, and so does a vertex the solve would move by more than
+  /// kCanonMaxShift * sqrt(max_radius2()) (an ill-conditioned generator set).
+  /// Returns the number of vertices kept clipped for that last reason.
+  std::size_t canonicalize();
+
+  /// Largest move, relative to the cell radius, that canonicalize() accepts
+  /// from a generator solve; rounding moves a vertex by about 1e-15.
+  static constexpr double kCanonMaxShift = 1e-6;
 
  private:
   void prune_degenerate_faces();

@@ -3,12 +3,16 @@
 // options for the tessellation pipeline, and malformed analysis inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "comm/comm.hpp"
 #include "core/standalone.hpp"
 #include "geom/cell_builder.hpp"
 #include "geom/convex_hull.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 using tess::comm::Comm;
@@ -151,4 +155,126 @@ TEST(Robustness, DegenerateLatticeAcrossManyRanks) {
     }
     EXPECT_NEAR(c.allreduce_sum(vol), 512.0, 1e-6);
   });
+}
+
+namespace {
+
+/// Periodic m^3 unit lattice jittered by up to 1e-9 per axis, ids reversed
+/// (the lattice_jitter_* input of tools/mesh_hashes).
+std::vector<Particle> jittered_lattice(int m) {
+  Rng rng(12);
+  const std::int64_t total = static_cast<std::int64_t>(m) * m * m;
+  std::vector<Particle> ps;
+  for (int k = 0; k < m; ++k)
+    for (int j = 0; j < m; ++j)
+      for (int i = 0; i < m; ++i) {
+        const Vec3 p = Vec3{i + 0.5, j + 0.5, k + 0.5} +
+                       Vec3{rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9),
+                            rng.uniform(-1e-9, 1e-9)};
+        ps.push_back({p, total - 1 - static_cast<std::int64_t>(ps.size())});
+      }
+  return ps;
+}
+
+/// Sum of the kept volumes and the largest squared site-to-vertex distance
+/// over every rank's block.
+struct KeptSummary {
+  double volume = 0.0;
+  double max_radius2 = 0.0;
+};
+
+KeptSummary auto_ghost_summary(const std::vector<Particle>& ps, double domain,
+                               bool periodic, int ranks, bool incremental,
+                               double ghost) {
+  std::vector<KeptSummary> per_rank(static_cast<std::size_t>(ranks));
+  Runtime::run(ranks, [&](Comm& c) {
+    const Decomposition d({0, 0, 0}, {domain, domain, domain},
+                          Decomposition::factor(ranks), periodic);
+    TessOptions opt;
+    opt.ghost = ghost;
+    opt.auto_ghost = true;
+    opt.incremental = incremental;
+    const auto mesh = tess::core::standalone_tessellate(
+        c, d, c.rank() == 0 ? ps : std::vector<Particle>{}, opt);
+    KeptSummary& k = per_rank[static_cast<std::size_t>(c.rank())];
+    for (const auto& cell : mesh.cells) {
+      k.volume += cell.volume;
+      for (std::uint32_t f = cell.first_face; f < cell.first_face + cell.num_faces;
+           ++f)
+        for (std::uint32_t i = mesh.face_offsets[f]; i < mesh.face_offsets[f + 1];
+             ++i)
+          k.max_radius2 = std::max(
+              k.max_radius2,
+              tess::geom::dist2(cell.site, mesh.vertices[mesh.face_verts[i]]));
+    }
+  });
+  KeptSummary all;
+  for (const auto& k : per_rank) {
+    all.volume += k.volume;
+    all.max_radius2 = std::max(all.max_radius2, k.max_radius2);
+  }
+  return all;
+}
+
+}  // namespace
+
+// A periodic unit lattice jittered by 1e-9 under auto ghost: every true
+// cell is a unit cube (Rmax^2 = 0.75), so the kept cells must tile the box
+// exactly on every decomposition and with incremental passes on or off.
+// Two faults once broke this: a crossing computed off its edge (a kept
+// vertex up to the clip tolerance outside the plane), and canonicalize()
+// taking an ill-conditioned generator solve that moved vertices by up to
+// the cell size; kept volumes then summed to 1765.5-1766.2 and Rmax^2
+// reached 1414. canonicalize() now keeps such vertices clipped and counts
+// them in geom.canon_kept_clipped.
+TEST(Robustness, JitteredLatticeAutoGhostTilesTheBox) {
+  constexpr int kSide = 12;
+  constexpr double kBox = kSide * kSide * kSide;
+  const auto ps = jittered_lattice(kSide);
+  tess::obs::metrics().reset();
+  for (const int ranks : {1, 2, 4, 8})
+    for (const bool incremental : {true, false}) {
+      const std::string what = std::to_string(ranks) + " ranks, incremental " +
+                               (incremental ? "on" : "off");
+      const KeptSummary k =
+          auto_ghost_summary(ps, kSide, true, ranks, incremental, 0.5);
+      EXPECT_NEAR(k.volume, kBox, 1e-9 * kBox) << what;
+      EXPECT_LE(k.max_radius2, 0.75 + 1e-6) << what;
+    }
+#if TESS_OBS_ENABLED
+  EXPECT_GT(tess::obs::metrics().counter("geom.canon_kept_clipped").value(), 0u);
+#endif
+}
+
+// On generic input the generator solve is well conditioned: canonicalize()
+// keeps no vertex clipped on the two-blob open cloud of tools/mesh_hashes.
+TEST(Robustness, CanonicalizeKeepsNoVertexClippedOnClusteredCloud) {
+  constexpr double kDomain = 6.0;
+  Rng rng(7);
+  const Vec3 c1{0.30 * kDomain, 0.62 * kDomain, 0.40 * kDomain};
+  const Vec3 c2{0.72 * kDomain, 0.22 * kDomain, 0.66 * kDomain};
+  const auto reflect = [](double x) {
+    if (x < 0.0) x = -x;
+    if (x >= kDomain) x = 2.0 * kDomain - x;
+    return std::fmin(std::fmax(x, 0.0), std::nextafter(kDomain, 0.0));
+  };
+  std::vector<Particle> ps;
+  for (int i = 0; i < 3000; ++i) {
+    Vec3 p;
+    if (i % 2 == 0) {
+      p = {rng.normal(c1.x, 0.05 * kDomain), rng.normal(c1.y, 0.05 * kDomain),
+           rng.normal(c1.z, 0.05 * kDomain)};
+    } else if (i % 4 == 1) {
+      p = {rng.normal(c2.x, 0.08 * kDomain), rng.normal(c2.y, 0.08 * kDomain),
+           rng.normal(c2.z, 0.08 * kDomain)};
+    } else {
+      p = {rng.uniform(0.0, kDomain), rng.uniform(0.0, kDomain),
+           rng.uniform(0.0, kDomain)};
+    }
+    ps.push_back({{reflect(p.x), reflect(p.y), reflect(p.z)}, i});
+  }
+  tess::obs::metrics().reset();
+  const KeptSummary k = auto_ghost_summary(ps, kDomain, false, 4, true, 0.3);
+  EXPECT_GT(k.volume, 0.0);
+  EXPECT_EQ(tess::obs::metrics().counter("geom.canon_kept_clipped").value(), 0u);
 }

@@ -366,7 +366,7 @@ bool oracle_clip(MirrorCell& c, const tg::Plane& plane, OracleSweep sweep,
       if (k == key) return idx;
     const double du = dist[static_cast<std::size_t>(u)];
     const double dv = dist[static_cast<std::size_t>(v)];
-    const double t = du / (du - dv);
+    const double t = std::clamp(du / (du - dv), 0.0, 1.0);
     const Vec3& pu = c.verts[static_cast<std::size_t>(u)];
     const Vec3 p = pu + (c.verts[static_cast<std::size_t>(v)] - pu) * t;
     const int idx = static_cast<int>(c.verts.size());
