@@ -44,6 +44,23 @@ TidyScratch& tls_tidy() {
   return scratch;
 }
 
+// Total order on face planes, a pure function of the generating geometry
+// (source id, then the plane itself — planes disambiguate periodic images
+// that share a source id).
+bool plane_key_less(const VoronoiCell::Face& a, const VoronoiCell::Face& b) {
+  if (a.source != b.source) return a.source < b.source;
+  if (a.plane_n.x != b.plane_n.x) return a.plane_n.x < b.plane_n.x;
+  if (a.plane_n.y != b.plane_n.y) return a.plane_n.y < b.plane_n.y;
+  if (a.plane_n.z != b.plane_n.z) return a.plane_n.z < b.plane_n.z;
+  return a.plane_d < b.plane_d;
+}
+
+bool vec3_lex_less(const Vec3& a, const Vec3& b) {
+  if (a.x != b.x) return a.x < b.x;
+  if (a.y != b.y) return a.y < b.y;
+  return a.z < b.z;
+}
+
 }  // namespace
 
 VoronoiCell::VoronoiCell(const Vec3& site, const Vec3& box_min, const Vec3& box_max) {
@@ -418,6 +435,37 @@ std::vector<std::int64_t> VoronoiCell::neighbor_ids() const {
   return ids;
 }
 
+void VoronoiCell::rotate_to_smallest(Face& f) const {
+  // Vertices order by position, then by their sorted generators; equal
+  // keys defer to the keys that follow them around the loop, so the start
+  // is a function of the loop's contents alone.
+  auto key_less = [&](int a, int b) {
+    const Vec3& pa = verts_[static_cast<std::size_t>(a)];
+    const Vec3& pb = verts_[static_cast<std::size_t>(b)];
+    if (pa.x != pb.x || pa.y != pb.y || pa.z != pb.z) return vec3_lex_less(pa, pb);
+    auto ga = gens_[static_cast<std::size_t>(a)];
+    auto gb = gens_[static_cast<std::size_t>(b)];
+    std::sort(ga.begin(), ga.end());
+    std::sort(gb.begin(), gb.end());
+    return ga < gb;
+  };
+  auto& loop = f.verts;
+  const std::size_t m = loop.size();
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < m; ++i)
+    for (std::size_t k = 0; k < m; ++k) {
+      const int a = loop[(i + k) % m];
+      const int b = loop[(best + k) % m];
+      if (key_less(a, b)) {
+        best = i;
+        break;
+      }
+      if (key_less(b, a)) break;
+    }
+  std::rotate(loop.begin(), loop.begin() + static_cast<std::ptrdiff_t>(best),
+              loop.end());
+}
+
 void VoronoiCell::prune_degenerate_faces() {
   // A bisector that grazes the cell exactly along an edge/corner (possible
   // for lattice-like inputs) leaves a face of zero area; drop it. The
@@ -437,6 +485,12 @@ void VoronoiCell::prune_degenerate_faces() {
 }
 
 void VoronoiCell::compact() {
+  // Every decision below reads the polytope alone — face order, loops up
+  // to rotation, vertex positions and generators — never the clip's
+  // internal vertex numbering or where it started a loop: each loop first
+  // turns to a canonical start, and the weld visits the vertices in their
+  // first-use order along the turned loops.
+  for (auto& f : faces_) rotate_to_smallest(f);
   prune_degenerate_faces();
   TidyScratch& t = tls_tidy();
 
@@ -449,11 +503,13 @@ void VoronoiCell::compact() {
     t.canon.resize(verts_.size());
     for (std::size_t i = 0; i < verts_.size(); ++i) t.canon[i] = static_cast<int>(i);
     t.used.assign(verts_.size(), 0);
-    for (const auto& f : faces_)
-      for (int v : f.verts) t.used[static_cast<std::size_t>(v)] = 1;
     t.used_list.clear();
-    for (std::size_t i = 0; i < verts_.size(); ++i)
-      if (t.used[i]) t.used_list.push_back(static_cast<int>(i));
+    for (const auto& f : faces_)
+      for (int v : f.verts)
+        if (!t.used[static_cast<std::size_t>(v)]) {
+          t.used[static_cast<std::size_t>(v)] = 1;
+          t.used_list.push_back(v);
+        }
     for (std::size_t a = 0; a < t.used_list.size(); ++a)
       for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
         const int i = t.used_list[a], j = t.used_list[b];
@@ -515,26 +571,6 @@ void VoronoiCell::renumber_in_face_order() {
     }
 }
 
-namespace {
-
-// Total order on face planes, a pure function of the generating geometry
-// (source id, then the plane itself — planes disambiguate periodic images
-// that share a source id).
-bool plane_key_less(const VoronoiCell::Face& a, const VoronoiCell::Face& b) {
-  if (a.source != b.source) return a.source < b.source;
-  if (a.plane_n.x != b.plane_n.x) return a.plane_n.x < b.plane_n.x;
-  if (a.plane_n.y != b.plane_n.y) return a.plane_n.y < b.plane_n.y;
-  if (a.plane_n.z != b.plane_n.z) return a.plane_n.z < b.plane_n.z;
-  return a.plane_d < b.plane_d;
-}
-
-bool vec3_lex_less(const Vec3& a, const Vec3& b) {
-  if (a.x != b.x) return a.x < b.x;
-  if (a.y != b.y) return a.y < b.y;
-  return a.z < b.z;
-}
-
-}  // namespace
 
 std::size_t VoronoiCell::canonicalize() {
   compact();

@@ -149,9 +149,12 @@ class VoronoiCell {
   /// exactly along an edge or corner (degenerate, e.g. lattice inputs), weld
   /// coincident vertices, drop collinear loop vertices, and renumber the
   /// vertices in face order, dropping any these steps leave unreferenced.
-  /// After a clean cut this keeps every vertex. Working arrays are
-  /// per-thread and reused, so a warm thread compacts without allocating
-  /// (canonicalize() likewise).
+  /// After a clean cut this keeps every vertex. The result is a function of
+  /// the polytope alone (face order, loops up to rotation, vertex positions
+  /// and generator sets): each loop is first rotated to start at its
+  /// lexicographically smallest vertex, and the weld runs in the resulting
+  /// face order. Working arrays are per-thread and reused, so a warm thread
+  /// compacts without allocating (canonicalize() likewise).
   void compact();
 
   /// Rewrite the cell into a canonical, construction-path-independent form
@@ -176,6 +179,9 @@ class VoronoiCell {
   static constexpr double kCanonMaxShift = 1e-6;
 
  private:
+  /// Rotate a face loop to start at its smallest vertex by (position,
+  /// sorted generators), ties broken by the vertices that follow.
+  void rotate_to_smallest(Face& f) const;
   void prune_degenerate_faces();
   /// Renumber the vertices by first use in face order, dropping any no
   /// face references (generators in step).
