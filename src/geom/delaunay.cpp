@@ -12,18 +12,11 @@ std::vector<Tetrahedron> delaunay_from_cells(
     throw std::invalid_argument("delaunay_from_cells: size mismatch");
 
   std::vector<Tetrahedron> tets;
-  std::vector<char> used;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const auto& cell = cells[c];
     if (!cell.complete()) continue;
-    // Only vertices referenced by live faces count; clipping leaves stale
-    // vertices (with stale generator triples) in the storage array.
-    used.assign(cell.vertex_generators().size(), 0);
-    for (const auto& f : cell.faces())
-      for (int v : f.verts) used[static_cast<std::size_t>(v)] = 1;
-    for (std::size_t vi = 0; vi < used.size(); ++vi) {
-      if (!used[vi]) continue;
-      const auto& g = cell.vertex_generators()[vi];
+    // Every stored vertex is live: some face references it.
+    for (const auto& g : cell.vertex_generators()) {
       if (g[0] < 0 || g[1] < 0 || g[2] < 0) continue;  // box plane or unset
       Tetrahedron t{{site_ids[c], g[0], g[1], g[2]}};
       std::sort(t.v.begin(), t.v.end());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "geom/kernels.hpp"
 
@@ -37,6 +38,13 @@ struct TidyScratch {
   std::vector<std::array<std::int64_t, 3>> gens;  ///< ... and generators
   /// Incident faces per vertex (only the first verts_.size() are in use).
   std::vector<util::SmallVector<int, 8>> incident;
+  /// Face materialization: corners (4*v + slot) bucketed by plane, each
+  /// plane's bucket starting at plane_start[p] (plane_fill is the fill
+  /// cursor), and the corners walked.
+  std::vector<int> plane_start;
+  std::vector<int> plane_fill;
+  std::vector<int> plane_corners;
+  std::vector<char> walked;
 };
 
 TidyScratch& tls_tidy() {
@@ -61,6 +69,57 @@ bool vec3_lex_less(const Vec3& a, const Vec3& b) {
   return a.z < b.z;
 }
 
+// The seed box: corner i has bit0 -> x, bit1 -> y, bit2 -> z (0 = min
+// side), and face k (planes_ index k) is box plane source -(k+1), i.e.
+// -X, +X, -Y, +Y, -Z, +Z, with its loop counter-clockwise from outside.
+constexpr int kBoxPlanes = 6;
+constexpr int kBoxLoops[kBoxPlanes][4] = {
+    {0, 4, 6, 2}, {1, 3, 7, 5}, {0, 1, 5, 4},
+    {2, 6, 7, 3}, {0, 2, 3, 1}, {4, 5, 7, 6},
+};
+
+// The box's edge table, derived once from its face loops. In a loop
+// ... -> q -> v -> p -> ..., p follows q counter-clockwise around v, and
+// the face holds the directed edge v -> p.
+struct BoxTable {
+  std::array<int, 3> links[8];
+  std::array<int, 3> corners[8];
+};
+
+const BoxTable& box_table() {
+  static const BoxTable table = [] {
+    int out[8][3], in[8][3], face[8][3], n[8] = {};
+    for (int f = 0; f < kBoxPlanes; ++f)
+      for (int k = 0; k < 4; ++k) {
+        const int v = kBoxLoops[f][k];
+        out[v][n[v]] = kBoxLoops[f][(k + 1) % 4];
+        in[v][n[v]] = kBoxLoops[f][(k + 3) % 4];
+        face[v][n[v]++] = f;
+      }
+    int nb[8][3];
+    BoxTable t{};
+    for (int v = 0; v < 8; ++v)
+      for (int s = 0, c = 0; s < 3; ++s) {
+        nb[v][s] = out[v][c];
+        t.corners[v][static_cast<std::size_t>(s)] = face[v][c];
+        for (int d = 0; d < 3; ++d)
+          if (out[v][d] == in[v][c]) {
+            c = d;
+            break;
+          }
+      }
+    for (int v = 0; v < 8; ++v)
+      for (int s = 0; s < 3; ++s) {
+        const int w = nb[v][s];
+        int j = 0;
+        while (nb[w][j] != v) ++j;
+        t.links[v][static_cast<std::size_t>(s)] = 4 * w + j;
+      }
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 VoronoiCell::VoronoiCell(const Vec3& site, const Vec3& box_min, const Vec3& box_max) {
@@ -69,42 +128,30 @@ VoronoiCell::VoronoiCell(const Vec3& site, const Vec3& box_min, const Vec3& box_
 
 void VoronoiCell::reset(const Vec3& site, const Vec3& box_min, const Vec3& box_max) {
   site_ = site;
+  const BoxTable& box = box_table();
   verts_.clear();
-  gens_.clear();
-  cut_gens_.clear();
-  // Corner i has bit0 -> x, bit1 -> y, bit2 -> z (0 = min side).
-  verts_.reserve(8);
+  links_.clear();
+  corners_.clear();
   for (int i = 0; i < 8; ++i) {
     verts_.push_back({(i & 1) ? box_max.x : box_min.x,
                       (i & 2) ? box_max.y : box_min.y,
                       (i & 4) ? box_max.z : box_min.z});
-    gens_.push_back({(i & 1) ? std::int64_t{-2} : std::int64_t{-1},
-                     (i & 2) ? std::int64_t{-4} : std::int64_t{-3},
-                     (i & 4) ? std::int64_t{-6} : std::int64_t{-5}});
+    links_.push_back(box.links[i]);
+    corners_.push_back(box.corners[i]);
   }
-  // Outward-oriented (CCW from outside) quad faces; sources -1..-6 identify
-  // the box planes -X,+X,-Y,+Y,-Z,+Z.
-  static constexpr struct {
-    std::int64_t source;
-    int v[4];
-  } kBoxFaces[6] = {
-      {-1, {0, 4, 6, 2}}, {-2, {1, 3, 7, 5}}, {-3, {0, 1, 5, 4}},
-      {-4, {2, 6, 7, 3}}, {-5, {0, 2, 3, 1}}, {-6, {4, 5, 7, 6}},
-  };
-  faces_.clear();
-  faces_.reserve(6);
-  for (const auto& bf : kBoxFaces) {
-    auto& f = faces_.emplace_back();
-    f.source = bf.source;
+  planes_.clear();
+  for (int k = 0; k < kBoxPlanes; ++k) {
     // Outward box plane n·x <= d for source -(2a+1) (-axis) / -(2a+2) (+axis).
-    const int axis = static_cast<int>((-bf.source - 1) / 2);
-    const bool max_side = (-bf.source - 1) % 2 != 0;
-    f.plane_n = Vec3{};
-    f.plane_n[static_cast<std::size_t>(axis)] = max_side ? 1.0 : -1.0;
-    f.plane_d = max_side ? box_max[static_cast<std::size_t>(axis)]
-                         : -box_min[static_cast<std::size_t>(axis)];
-    f.verts.assign(bf.v, bf.v + 4);
+    Plane& p = planes_.emplace_back();
+    const auto axis = static_cast<std::size_t>(k / 2);
+    const bool max_side = k % 2 != 0;
+    p.n[axis] = max_side ? 1.0 : -1.0;
+    p.d = max_side ? box_max[axis] : -box_min[axis];
+    p.source = -(k + 1);
+    p.gen = Vec3{};
   }
+  faces_stale_ = true;
+  finished_ = false;
   recompute_radius();
 }
 
@@ -123,213 +170,119 @@ bool VoronoiCell::cut(const Vec3& neighbor, std::int64_t neighbor_id) {
 bool VoronoiCell::clip(const Plane& plane) { return clip(plane, tls_scratch()); }
 
 bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
-  if (faces_.empty()) return false;
+  if (verts_.empty()) return false;
+  if (finished_)
+    throw std::logic_error("VoronoiCell: clip() after compact(); reset() first");
 
-  // Signed distances for every stored vertex, four lanes at a time through
-  // the kernel TU, with the bits of the unfused scalar dot product for any
-  // ISA (see geom/kernels.hpp). Every stored vertex is live (referenced by
-  // a face), so one flat sweep of the distances decides a no-op cut — the
-  // common case — before any face loop is walked.
+  // Signed distances for every vertex, four lanes at a time through the
+  // kernel TU, with the bits of the unfused scalar dot product for any ISA
+  // (see geom/kernels.hpp). Every stored vertex is live, so one flat sweep
+  // decides a no-op cut — the common case — before any edge is touched.
   const std::size_t nv0 = verts_.size();
   double vert_scale = 0.0;
   s.dist.resize(nv0);
   kernels::plane_distances(verts_.data(), nv0, plane.n, plane.d, s.dist.data(),
                            &vert_scale);
   const double eps = plane_eps(plane, vert_scale);
+  const double* dist = s.dist.data();
 
-  // Survivor numbering straight from the sweep: a kept vertex becomes its
-  // prefix count among kept vertices, and the k-th new vertex becomes
-  // live + k. Every kept vertex stays referenced (each face through it is
-  // kept) and every new vertex is referenced by the face that made it, so
-  // this is exactly the order-preserving slide of the referenced vertices.
-  s.remap.resize(nv0);
-  int live = 0;
-  for (std::size_t i = 0; i < nv0; ++i) s.remap[i] = s.dist[i] > eps ? -1 : live++;
-  if (live == static_cast<int>(nv0)) return false;
-  if (live == 0) {
+  s.removed.resize(nv0);
+  std::size_t nr = 0;
+  for (std::size_t i = 0; i < nv0; ++i) {
+    s.removed[nr] = static_cast<int>(i);
+    nr += dist[i] > eps ? 1 : 0;
+  }
+  if (nr == 0) return false;
+  if (nr == nv0) {
     clear();
     return true;
   }
-  auto outside = [&](int v) { return s.remap[static_cast<std::size_t>(v)] < 0; };
+  faces_stale_ = true;
 
-  // Generator position for this plane: the raw neighbor coordinates when
-  // known, else reconstructed (direct clip() callers). Logged per cut so
-  // canonicalize() can still resolve a creation-plane source after
-  // compact() drops the face itself.
-  const Vec3 cap_gen = std::isnan(plane.gen.x) ? site_ + plane.n : plane.gen;
-  if (plane.source >= 0) cut_gens_.emplace_back(plane.source, cap_gen);
+  // The cap's plane, with its generator position: the raw neighbour
+  // coordinates when known, else reconstructed (direct clip() callers).
+  const int cap = static_cast<int>(planes_.size());
+  planes_.push_back(plane);
+  if (std::isnan(plane.gen.x)) planes_.back().gen = site_ + plane.n;
 
-  // New vertex on each cut edge, keyed by the undirected edge so the two
-  // faces sharing the edge reuse one vertex (exact connectivity, no
-  // position-tolerance welding). The k-th new vertex is stored at nv0 + k
-  // until the final slide; s.cap_next is indexed by k.
-  auto ukey = [](int u, int v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)) << 32) |
-           static_cast<std::uint32_t>(v);
-  };
-  s.cut_vertex.clear();
-  s.cap_next.clear();
-  auto intersect = [&](int u, int v) -> int {
-    const auto key = ukey(u, v);
-    for (const auto& [edge, k] : s.cut_vertex)
-      if (edge == key) return k;
-    const double du = s.dist[static_cast<std::size_t>(u)];
-    const double dv = s.dist[static_cast<std::size_t>(v)];
-    // Clamped to the edge: a kept vertex may lie up to eps outside the
-    // plane, and the unclamped crossing would then land beyond it, outside
-    // the old cell.
-    const double t = std::clamp(du / (du - dv), 0.0, 1.0);
-    const Vec3 p = verts_[static_cast<std::size_t>(u)] +
-                   (verts_[static_cast<std::size_t>(v)] -
-                    verts_[static_cast<std::size_t>(u)]) * t;
-    const int k = static_cast<int>(s.cap_next.size());
-    verts_.push_back(p);
-    gens_.push_back({plane.source, kNoGenerator, kNoGenerator});
-    s.cut_vertex.emplace_back(key, k);
-    s.cap_next.push_back(-1);
-    return k;
-  };
+  // One new vertex n per edge from a removed vertex u to a kept one w. It
+  // takes u's place at w, and u's slot is pointed at n too, which marks the
+  // crossing for the walk below (new vertices are numbered from nv0). Its
+  // slots: 0 = w; 1 = the cap neighbour along the face holding n -> w;
+  // 2 = the one along the face holding w -> n. The crossing is computed
+  // along the edge in the direction the older of its two faces runs it, so
+  // its bits depend on the planes alone, and t is clamped to the edge: a
+  // kept vertex may lie up to eps outside the plane.
+  const int n0 = static_cast<int>(nv0);
+  for (std::size_t k = 0; k < nr; ++k) {
+    const int u = s.removed[k];
+    for (int i = 0; i < 3; ++i) {
+      const int e = links_[static_cast<std::size_t>(u)][static_cast<std::size_t>(i)];
+      const int w = e >> 2;
+      if (dist[w] > eps) continue;
+      const int j = e & 3;
+      const int face_uw = corners_[static_cast<std::size_t>(u)][static_cast<std::size_t>(i)];
+      const int face_wu = corners_[static_cast<std::size_t>(w)][static_cast<std::size_t>(j)];
+      const int from = face_uw <= face_wu ? u : w;
+      const int to = from == u ? w : u;
+      const double t = std::clamp(dist[from] / (dist[from] - dist[to]), 0.0, 1.0);
+      const Vec3& a = verts_[static_cast<std::size_t>(from)];
+      const Vec3 p = a + (verts_[static_cast<std::size_t>(to)] - a) * t;
+      const int n = static_cast<int>(verts_.size());
+      verts_.push_back(p);
+      links_.push_back({4 * w + j, -1, -1});
+      corners_.push_back({face_uw, cap, face_wu});
+      links_[static_cast<std::size_t>(w)][static_cast<std::size_t>(j)] = 4 * n;
+      links_[static_cast<std::size_t>(u)][static_cast<std::size_t>(i)] = 4 * n;
+    }
+  }
 
-  // Edit the faces in place, keeping their order. A face with no clipped
-  // vertex is only renumbered and one with every vertex clipped is erased.
-  // A crossing face is clipped (Sutherland-Hodgman) and keeps at least
-  // three corners: a kept vertex plus the two crossings. Its new edge runs
-  // exit -> entry; the cap face needs it reversed (entry -> exit) to stay
-  // outward-oriented.
-  int cap_edges = 0;
-  std::size_t n_faces = 0;
-  for (std::size_t fi = 0; fi < faces_.size(); ++fi) {
-    Face& f = faces_[fi];
-    const std::size_t m = f.verts.size();
-    std::size_t f_out = 0;
-    for (const int v : f.verts) f_out += outside(v) ? 1 : 0;
-    if (f_out == m) continue;
-    if (f_out == 0) {
-      for (int& v : f.verts) v = s.remap[static_cast<std::size_t>(v)];
-    } else {
-      s.loop.clear();
-      // A convex loop crosses the plane at most twice: once leaving the
-      // kept side (exit) and once returning (entry) — in either walk order.
-      int exit_k = -1, entry_k = -1;
-      for (std::size_t i = 0; i < m; ++i) {
-        const int u = f.verts[i];
-        const int v = f.verts[(i + 1) % m];
-        const bool u_out = outside(u), v_out = outside(v);
-        if (!u_out) s.loop.push_back(s.remap[static_cast<std::size_t>(u)]);
-        if (u_out != v_out) {
-          const int k = intersect(u, v);
-          s.loop.push_back(live + k);
-          add_generator(static_cast<int>(nv0) + k, f.source);
-          if (!u_out) {
-            exit_k = k;  // in -> out crossing
-          } else {
-            entry_k = k;  // out -> in crossing
-          }
+  // Link the cap: from each new vertex n on (u, w), walk the face holding
+  // w -> u forward over removed vertices to the next crossing m. That face
+  // now runs w -> n -> m, so m is n's slot-2 neighbour and n is m's slot 1.
+  // The next edge after a -> b in a face is b -> (b's neighbour before a).
+  for (std::size_t k = 0; k < nr; ++k) {
+    const int u = s.removed[k];
+    for (int i = 0; i < 3; ++i) {
+      const int n = links_[static_cast<std::size_t>(u)][static_cast<std::size_t>(i)] >> 2;
+      if (n < n0) continue;
+      int a = u, slot = (i + 2) % 3;
+      for (;;) {
+        const int e = links_[static_cast<std::size_t>(a)][static_cast<std::size_t>(slot)];
+        const int b = e >> 2;
+        if (b >= n0) {
+          links_[static_cast<std::size_t>(n)][2] = 4 * b + 1;
+          links_[static_cast<std::size_t>(b)][1] = 4 * n + 2;
+          break;
         }
+        a = b;
+        slot = ((e & 3) + 2) % 3;
       }
-      if (exit_k >= 0 && entry_k >= 0 && exit_k != entry_k) {
-        // Overwrite like the map it replaces: count distinct entry vertices.
-        int& slot = s.cap_next[static_cast<std::size_t>(entry_k)];
-        if (slot < 0) ++cap_edges;
-        slot = exit_k;
-      }
-      f.verts.assign(s.loop.begin(), s.loop.end());
-    }
-    if (n_faces != fi) faces_[n_faces] = std::move(f);
-    ++n_faces;
-  }
-  faces_.erase(faces_.begin() + static_cast<std::ptrdiff_t>(n_faces),
-               faces_.end());
-
-  // Build the cap face on the cutting plane by chaining the directed edges,
-  // starting from the first-created cap vertex with an outgoing edge (a
-  // deterministic choice: creation order is the face iteration order).
-  if (cap_edges >= 3) {
-    s.cap_verts.clear();
-    int start = -1;
-    for (std::size_t k = 0; k < s.cap_next.size(); ++k)
-      if (s.cap_next[k] >= 0) {
-        start = static_cast<int>(k);
-        break;
-      }
-    int cur = start;
-    for (int guard = 0; guard <= cap_edges; ++guard) {
-      s.cap_verts.push_back(cur);
-      const int nxt = s.cap_next[static_cast<std::size_t>(cur)];
-      if (nxt < 0) break;
-      cur = nxt;
-      if (cur == start) break;
-    }
-    if (!(static_cast<int>(s.cap_verts.size()) == cap_edges && cur == start)) {
-      // Chain failed (degenerate classification); fall back to an angular
-      // sort of the cap vertices around the plane normal.
-      auto pos = [&](int k) -> const Vec3& {
-        return verts_[nv0 + static_cast<std::size_t>(k)];
-      };
-      s.cap_verts.clear();
-      for (std::size_t k = 0; k < s.cap_next.size(); ++k)
-        if (s.cap_next[k] >= 0) s.cap_verts.push_back(static_cast<int>(k));
-      for (const int k : s.cap_next)
-        if (k >= 0 &&
-            std::find(s.cap_verts.begin(), s.cap_verts.end(), k) ==
-                s.cap_verts.end())
-          s.cap_verts.push_back(k);
-      if (s.cap_verts.size() >= 3) {
-        Vec3 c{};
-        for (const int k : s.cap_verts) c += pos(k);
-        c = c / static_cast<double>(s.cap_verts.size());
-        const Vec3 nz = normalized(plane.n);
-        Vec3 ux = cross(nz, Vec3{1, 0, 0});
-        if (norm2(ux) < 1e-12) ux = cross(nz, Vec3{0, 1, 0});
-        ux = normalized(ux);
-        const Vec3 uy = cross(nz, ux);
-        std::sort(s.cap_verts.begin(), s.cap_verts.end(), [&](int a, int b) {
-          const Vec3 pa = pos(a) - c;
-          const Vec3 pb = pos(b) - c;
-          return std::atan2(dot(pa, uy), dot(pa, ux)) <
-                 std::atan2(dot(pb, uy), dot(pb, ux));
-        });
-        // Orient the loop so its normal points along +n (outward).
-        Vec3 nrm{};
-        for (std::size_t i = 1; i + 1 < s.cap_verts.size(); ++i)
-          nrm += cross(pos(s.cap_verts[i]) - pos(s.cap_verts[0]),
-                       pos(s.cap_verts[i + 1]) - pos(s.cap_verts[0]));
-        if (dot(nrm, plane.n) < 0.0)
-          std::reverse(s.cap_verts.begin(), s.cap_verts.end());
-      } else {
-        s.cap_verts.clear();
-      }
-    }
-    if (!s.cap_verts.empty()) {
-      auto& cap = faces_.emplace_back();
-      cap.source = plane.source;
-      cap.plane_n = plane.n;
-      cap.plane_d = plane.d;
-      cap.gen = cap_gen;
-      for (const int k : s.cap_verts) cap.verts.push_back(live + k);
     }
   }
 
-  if (faces_.size() < 4) {  // a valid polyhedron needs >= 4 faces
-    clear();
-    return true;
+  // Delete the removed vertices swap-with-last, highest index first, so
+  // the vertex moved into a hole is never itself removed; its neighbours'
+  // back-pointers follow it.
+  for (std::size_t k = nr; k-- > 0;) {
+    const auto u = static_cast<std::size_t>(s.removed[k]);
+    const std::size_t last = verts_.size() - 1;
+    if (u != last) {
+      verts_[u] = verts_[last];
+      links_[u] = links_[last];
+      corners_[u] = corners_[last];
+      for (int i = 0; i < 3; ++i) {
+        const int e = links_[u][static_cast<std::size_t>(i)];
+        auto w = static_cast<std::size_t>(e >> 2);
+        if (w == last) w = u;
+        links_[w][static_cast<std::size_t>(e & 3)] = static_cast<int>(4 * u) + i;
+      }
+    }
+    verts_.pop_back();
+    links_.pop_back();
+    corners_.pop_back();
   }
-
-  // Slide the survivors into their numbers — kept vertices in index order,
-  // then the new ones — with generators in step, refreshing the radius on
-  // the way.
-  max_radius2_ = 0.0;
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < verts_.size(); ++i) {
-    if (i < nv0 && s.remap[i] < 0) continue;
-    verts_[out] = verts_[i];
-    gens_[out] = gens_[i];
-    max_radius2_ = std::max(max_radius2_, dist2(site_, verts_[out]));
-    ++out;
-  }
-  verts_.resize(out);
-  gens_.resize(out);
+  recompute_radius();
   return true;
 }
 
@@ -337,27 +290,87 @@ void VoronoiCell::clear() {
   faces_.clear();
   verts_.clear();
   gens_.clear();
+  links_.clear();
+  corners_.clear();
+  faces_stale_ = false;
   max_radius2_ = 0.0;
 }
 
-void VoronoiCell::add_generator(int vertex, std::int64_t source) {
-  auto& g = gens_[static_cast<std::size_t>(vertex)];
-  for (auto s : g)
-    if (s == source) return;
-  for (auto& s : g)
-    if (s == kNoGenerator) {
-      s = source;
-      return;
+void VoronoiCell::build_faces() const {
+  TidyScratch& t = tls_tidy();
+  const std::size_t nv = verts_.size();
+  const std::size_t np = planes_.size();
+  // Bucket the corners by plane (a counting sort), so faces come out in
+  // plane-creation order.
+  t.plane_start.assign(np + 1, 0);
+  for (const auto& c : corners_)
+    for (const int p : c) ++t.plane_start[static_cast<std::size_t>(p) + 1];
+  for (std::size_t p = 0; p < np; ++p) t.plane_start[p + 1] += t.plane_start[p];
+  t.plane_corners.resize(3 * nv);
+  t.plane_fill.assign(t.plane_start.begin(), t.plane_start.end() - 1);
+  for (std::size_t v = 0; v < nv; ++v)
+    for (int i = 0; i < 3; ++i) {
+      const auto p = static_cast<std::size_t>(corners_[v][static_cast<std::size_t>(i)]);
+      t.plane_corners[static_cast<std::size_t>(t.plane_fill[p]++)] =
+          4 * static_cast<int>(v) + i;
     }
-  // More than three generating planes meet here (degenerate vertex); the
-  // first three are kept, which is adequate for Delaunay extraction since
-  // degenerate tets are deduplicated downstream.
+  // Walk each plane's loops: after a -> b comes b -> (b's neighbour before
+  // a). A plane whose face a degenerate cut split yields one loop per piece.
+  t.walked.assign(4 * nv, 0);
+  faces_.clear();
+  for (std::size_t p = 0; p < np; ++p)
+    for (int c = t.plane_start[p]; c < t.plane_start[p + 1]; ++c) {
+      const int start = t.plane_corners[static_cast<std::size_t>(c)];
+      if (t.walked[static_cast<std::size_t>(start)]) continue;
+      Face& f = faces_.emplace_back();
+      const Plane& plane = planes_[p];
+      f.source = plane.source;
+      f.plane_n = plane.n;
+      f.plane_d = plane.d;
+      f.gen = plane.gen;
+      int corner = start;
+      do {
+        t.walked[static_cast<std::size_t>(corner)] = 1;
+        const int v = corner >> 2;
+        f.verts.push_back(v);
+        const int e = links_[static_cast<std::size_t>(v)][static_cast<std::size_t>(corner & 3)];
+        corner = (e & ~3) + ((e & 3) + 2) % 3;
+      } while (corner != start);
+    }
+  // Generators: the distinct sources of each vertex's three faces.
+  gens_.resize(nv);
+  for (std::size_t v = 0; v < nv; ++v) {
+    auto& g = gens_[v];
+    g.fill(kNoGenerator);
+    std::size_t m = 0;
+    for (const int p : corners_[v]) {
+      const std::int64_t src = planes_[static_cast<std::size_t>(p)].source;
+      if (std::find(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(m), src) ==
+          g.begin() + static_cast<std::ptrdiff_t>(m))
+        g[m++] = src;
+    }
+  }
+  faces_stale_ = false;
+}
+
+void VoronoiCell::finish() {
+  if (finished_) return;
+  if (faces_stale_) build_faces();
+  finished_ = true;
+  links_.clear();
+  corners_.clear();
 }
 
 bool VoronoiCell::complete() const {
-  if (faces_.empty()) return false;
-  for (const auto& f : faces_)
-    if (f.source < 0) return false;
+  if (verts_.empty()) return false;
+  if (finished_) {
+    for (const auto& f : faces_)
+      if (f.source < 0) return false;
+    return true;
+  }
+  for (const auto& c : corners_)
+    for (const int p : c)
+      if (p < kBoxPlanes) return false;
   return true;
 }
 
@@ -380,7 +393,7 @@ double VoronoiCell::volume() const {
   // Signed volume of the closed outward-oriented surface via the divergence
   // theorem, fanning each face from its first vertex.
   double vol = 0.0;
-  for (const auto& f : faces_) {
+  for (const auto& f : faces()) {
     const Vec3& p0 = verts_[static_cast<std::size_t>(f.verts[0])];
     for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
       const Vec3& p1 = verts_[static_cast<std::size_t>(f.verts[i])];
@@ -393,7 +406,7 @@ double VoronoiCell::volume() const {
 
 double VoronoiCell::area() const {
   double a = 0.0;
-  for (const auto& f : faces_) {
+  for (const auto& f : faces()) {
     const Vec3& p0 = verts_[static_cast<std::size_t>(f.verts[0])];
     Vec3 n{};
     for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
@@ -411,7 +424,7 @@ Vec3 VoronoiCell::centroid() const {
   // site as the common apex.
   Vec3 c{};
   double vol = 0.0;
-  for (const auto& f : faces_) {
+  for (const auto& f : faces()) {
     const Vec3& p0 = verts_[static_cast<std::size_t>(f.verts[0])];
     for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
       const Vec3& p1 = verts_[static_cast<std::size_t>(f.verts[i])];
@@ -427,8 +440,8 @@ Vec3 VoronoiCell::centroid() const {
 
 std::vector<std::int64_t> VoronoiCell::neighbor_ids() const {
   std::vector<std::int64_t> ids;
-  ids.reserve(faces_.size());
-  for (const auto& f : faces_)
+  ids.reserve(faces().size());
+  for (const auto& f : faces())
     if (f.source >= 0) ids.push_back(f.source);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -485,6 +498,7 @@ void VoronoiCell::prune_degenerate_faces() {
 }
 
 void VoronoiCell::compact() {
+  finish();
   // Every decision below reads the polytope alone — face order, loops up
   // to rotation, vertex positions and generators — never the clip's
   // internal vertex numbering or where it started a loop: each loop first
@@ -643,9 +657,9 @@ std::size_t VoronoiCell::canonicalize() {
             already = true;
         if (already) continue;
         const Vec3* extra = nullptr;
-        for (const auto& [s, g] : cut_gens_)
-          if (s == src) {
-            extra = &g;
+        for (const Plane& p : planes_)
+          if (p.source == src) {
+            extra = &p.gen;
             break;
           }
         if (extra == nullptr) {

@@ -13,20 +13,25 @@
 // dual Delaunay tetrahedra directly recoverable (see geom/delaunay.hpp).
 //
 // Clipping is the hot path of the whole tessellation (the dominant column
-// of the paper's Table II), so it is written to be allocation-free in
-// steady state: all per-cut working storage lives in a caller-provided
-// ClipScratch that is cleared and reused across cuts and across cells, and
-// face vertex loops use inline small-buffer storage. A cell object itself
-// can be reset() and reused so its vertex/face arrays keep their capacity
-// from one site to the next.
+// of the paper's Table II). The cell is stored as an edge table in the
+// manner of Voro++: every vertex has exactly three neighbours, kept in
+// counter-clockwise order seen from outside, each with a back-pointer to
+// the vertex's slot in the neighbour's list and with the plane of the face
+// that edge bounds. A cut that changes the cell makes one vertex per edge
+// it crosses, links the new face by walking only the vertices it removes,
+// and deletes those swap-with-last, so its cost follows what it removes.
+// Every stored vertex is live, in one dense array, so the common no-op cut
+// is rejected by one flat sweep of the plane distances (the 4-lane batched
+// kernel in geom/kernels.hpp) before any edge is touched; the cell
+// builder's vertex-ball screen and bin prune and the tessellator's
+// certificate read the same array.
 //
-// Live-vertex invariant: after reset() and after every cut that changes the
-// cell, each stored vertex is referenced by some face. A cut drops the
-// vertices it clipped away, renumbering the survivors in their existing
-// order with vertex_generators() kept in step. Most cuts a builder tries
-// change nothing; with only live vertices stored, clip() rejects those from
-// one flat sweep of the plane distances (the 4-lane batched kernel in
-// geom/kernels.hpp), before walking any face loop.
+// Face loops (faces(), and vertex_generators() with them) are read off the
+// edge table on demand, in plane-creation order, once per finished cell;
+// compact() and canonicalize() then turn the cell into that face form for
+// good. All per-cut working storage lives in a caller-provided ClipScratch
+// and face materialization reuses per-thread buffers, so a warm cell object
+// reset() across sites clips without allocating.
 #pragma once
 
 #include <array>
@@ -112,7 +117,7 @@ class VoronoiCell {
   bool clip(const Plane& plane);
 
   /// True once every vertex has been clipped away.
-  [[nodiscard]] bool empty() const { return faces_.empty(); }
+  [[nodiscard]] bool empty() const { return verts_.empty(); }
 
   /// True when no seed-box face remains: the cell is bounded entirely by
   /// particle bisectors and therefore equals the true Voronoi cell.
@@ -133,11 +138,20 @@ class VoronoiCell {
   [[nodiscard]] double area() const;
   [[nodiscard]] Vec3 centroid() const;
 
-  [[nodiscard]] const std::vector<Face>& faces() const { return faces_; }
+  /// Face loops in plane-creation order (box planes, then cuts), read off
+  /// the edge table on first use after a cut. Materializing mutates cached
+  /// state, so one cell is not read from two threads at once.
+  [[nodiscard]] const std::vector<Face>& faces() const {
+    if (faces_stale_) build_faces();
+    return faces_;
+  }
+  /// The live vertices, in no particular order (faces index into them).
   [[nodiscard]] const std::vector<Vec3>& vertices() const { return verts_; }
-  /// The three plane sources that generate each vertex (box sources < 0).
+  /// The plane sources that generate each vertex (box sources < 0): the
+  /// distinct sources of its three faces, kNoGenerator filling repeats.
   [[nodiscard]] const std::vector<std::array<std::int64_t, 3>>& vertex_generators()
       const {
+    if (faces_stale_) build_faces();
     return gens_;
   }
 
@@ -179,6 +193,10 @@ class VoronoiCell {
   static constexpr double kCanonMaxShift = 1e-6;
 
  private:
+  /// Read the face loops and generators off the edge table.
+  void build_faces() const;
+  /// Switch to the face form for good (compact() and canonicalize()).
+  void finish();
   /// Rotate a face loop to start at its smallest vertex by (position,
   /// sorted generators), ties broken by the vertices that follow.
   void rotate_to_smallest(Face& f) const;
@@ -189,17 +207,27 @@ class VoronoiCell {
   /// Empty the cell (every vertex clipped away).
   void clear();
   void recompute_radius();
-  void add_generator(int vertex, std::int64_t source);
 
   Vec3 site_;
   std::vector<Vec3> verts_;
-  std::vector<std::array<std::int64_t, 3>> gens_;
-  std::vector<Face> faces_;
-  /// Raw generator position of every bisector plane that cut the cell, in
-  /// cut order. Unlike faces_, entries survive compact() dropping a
-  /// degenerate face, so canonicalize() can recover a sliver vertex's full
-  /// generator set from its creation-plane sources.
-  std::vector<std::pair<std::int64_t, Vec3>> cut_gens_;
+  /// Edge table: the three edges of each vertex, counter-clockwise seen
+  /// from outside. links_[v][i] = 4*w + j: neighbour w, in whose list v
+  /// sits at slot j.
+  std::vector<std::array<int, 3>> links_;
+  /// planes_ index of the face holding the directed edge v -> neighbour i,
+  /// which is the face between neighbours i and i+1.
+  std::vector<std::array<int, 3>> corners_;
+  /// Every plane that has bounded the cell, in creation order: the six box
+  /// planes, then each effective cut with its generator position resolved.
+  /// canonicalize() recovers a sliver vertex's generators from here even
+  /// after compact() has dropped the face itself.
+  std::vector<Plane> planes_;
+  /// Face form: read off the edge table when stale, and the cell itself
+  /// once finished.
+  mutable std::vector<Face> faces_;
+  mutable std::vector<std::array<std::int64_t, 3>> gens_;
+  mutable bool faces_stale_ = true;
+  bool finished_ = false;
   double max_radius2_ = 0.0;
 };
 
@@ -212,18 +240,8 @@ struct ClipScratch {
   /// Signed distance of each vertex to the plane, from the batched
   /// kernels::plane_distances (geom/kernels.hpp).
   std::vector<double> dist;
-  /// Surviving index of each pre-cut vertex, read straight off the distance
-  /// sweep (prefix count of kept vertices); -1 = clipped away.
-  std::vector<int> remap;
-  /// k of the k-th new vertex per cut edge, keyed by the undirected edge
-  /// (packed u,v). A convex cut crosses few edges, so a flat array with
-  /// linear search replaces the per-cut unordered_map.
-  std::vector<std::pair<std::uint64_t, int>> cut_vertex;
-  /// Directed cap edges entry->exit between new vertices, indexed by k;
-  /// -1 = no outgoing cap edge.
-  std::vector<int> cap_next;
-  std::vector<int> loop;       ///< clipped loop of the current crossing face
-  std::vector<int> cap_verts;  ///< cap loop of new vertices, by k
+  /// The vertices a cut removes, in index order.
+  std::vector<int> removed;
 
   /// Candidate (dist2, index) pairs for the cell builder's ring sweep,
   /// consumed in (dist2, id, position) order — a key independent of

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/kernels.hpp"
@@ -274,11 +275,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomCellInvariants,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 // ---------------------------------------------------------------------------
-// In-place clip vs the two-array clip it replaced. The oracle below is the
-// earlier algorithm on a mirror of the cell's public state: it rebuilds
-// every face into a second array, marks the referenced vertices and slides
-// them down in index order, then recomputes the radius. The in-place clip
-// must match it bit for bit after every cut.
+// Edge-table clip vs the face-list clip. The oracle below is a face-list
+// clip on a mirror of the cell's public state: it rebuilds every face loop
+// (Sutherland-Hodgman), chains the cap from the crossing edges, marks the
+// referenced vertices and slides them down in index order, then recomputes
+// the radius. Faces of both cells are in plane-creation order, and each
+// crossing is computed in the direction the older of its two faces runs the
+// edge, so after every cut the two cells must agree bit for bit up to
+// vertex numbering and loop rotation. The one exception is a cut after
+// which the oracle's own cell is not a closed 2-manifold (its cap chain
+// failed and it fell back to an angular sort): there the edge-table cell
+// must still be closed, its volume must match the oracle's to within
+// kFallbackVolumeTol of the cell's size, and the mirror re-syncs.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -486,34 +494,98 @@ bool oracle_clip(MirrorCell& c, const tg::Plane& plane, OracleSweep sweep,
   return true;
 }
 
-bool same_bits(const Vec3& a, const Vec3& b) { return std::memcmp(&a, &b, sizeof(Vec3)) == 0; }
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
-// Compares the cell with the oracle's mirror; returns false (with gtest
-// failures naming `what`) at the first difference.
+// Every directed face edge appears exactly once, and so does its reverse.
+bool closed_manifold(const std::vector<VoronoiCell::Face>& faces) {
+  std::vector<std::pair<int, int>> edges;
+  for (const auto& f : faces)
+    for (std::size_t i = 0; i < f.verts.size(); ++i)
+      edges.emplace_back(f.verts[i], f.verts[(i + 1) % f.verts.size()]);
+  std::sort(edges.begin(), edges.end());
+  if (std::adjacent_find(edges.begin(), edges.end()) != edges.end()) return false;
+  for (const auto& [a, b] : edges)
+    if (a == b || !std::binary_search(edges.begin(), edges.end(), std::pair{b, a}))
+      return false;
+  return true;
+}
+
+double faces_volume(const std::vector<VoronoiCell::Face>& faces,
+                    const std::vector<Vec3>& verts) {
+  double vol = 0.0;
+  for (const auto& f : faces)
+    for (std::size_t i = 1; i + 1 < f.verts.size(); ++i)
+      vol += tg::dot(verts[static_cast<std::size_t>(f.verts[0])],
+                     tg::cross(verts[static_cast<std::size_t>(f.verts[i])],
+                               verts[static_cast<std::size_t>(f.verts[i + 1])])) /
+             6.0;
+  return vol;
+}
+
+// A vertex as the comparison sees it: position bits and generator set.
+using VertexKey = std::array<std::uint64_t, 6>;
+
+VertexKey vertex_key(const std::vector<Vec3>& verts,
+                     const std::vector<std::array<std::int64_t, 3>>& gens, int v) {
+  VertexKey k{};
+  std::memcpy(k.data(), &verts[static_cast<std::size_t>(v)], sizeof(Vec3));
+  auto g = gens[static_cast<std::size_t>(v)];
+  std::sort(g.begin(), g.end());
+  for (std::size_t i = 0; i < 3; ++i) k[3 + i] = static_cast<std::uint64_t>(g[i]);
+  return k;
+}
+
+// A face as the comparison sees it: source, plane and generator bits, then
+// its loop's vertex keys from the smallest rotation.
+using FaceKey = std::vector<std::uint64_t>;
+
+FaceKey face_key(const VoronoiCell::Face& f, const std::vector<Vec3>& verts,
+                 const std::vector<std::array<std::int64_t, 3>>& gens) {
+  FaceKey k(8);
+  k[0] = static_cast<std::uint64_t>(f.source);
+  std::memcpy(&k[1], &f.plane_n, sizeof(Vec3));
+  std::memcpy(&k[4], &f.plane_d, sizeof(double));
+  std::memcpy(&k[5], &f.gen, sizeof(Vec3));
+  std::vector<VertexKey> loop, best;
+  for (const int v : f.verts) loop.push_back(vertex_key(verts, gens, v));
+  for (std::size_t r = 0; r < loop.size(); ++r) {
+    std::rotate(loop.begin(), loop.begin() + 1, loop.end());
+    if (best.empty() || loop < best) best = loop;
+  }
+  for (const auto& vk : best) k.insert(k.end(), vk.begin(), vk.end());
+  return k;
+}
+
+// Compares the cell with the oracle's mirror up to vertex numbering, loop
+// rotation and the order of faces (a plane split into two loops by an
+// earlier degenerate cut lists them in either order); returns false (with
+// gtest failures naming `what`) at the first difference.
 bool expect_matches_oracle(const VoronoiCell& cell, const MirrorCell& m,
                            const std::string& what) {
   EXPECT_TRUE(same_bits(cell.max_radius2(), m.max_radius2)) << what;
-  EXPECT_EQ(cell.vertex_generators(), m.gens) << what;
-  EXPECT_EQ(cell.vertices().size(), m.verts.size()) << what;
-  if (cell.vertices().size() != m.verts.size()) return false;
-  for (std::size_t i = 0; i < m.verts.size(); ++i)
-    EXPECT_TRUE(same_bits(cell.vertices()[i], m.verts[i])) << what << " vertex " << i;
-  EXPECT_EQ(cell.faces().size(), m.faces.size()) << what;
-  if (cell.faces().size() != m.faces.size()) return false;
-  for (std::size_t i = 0; i < m.faces.size(); ++i) {
-    const auto& a = cell.faces()[i];
-    const auto& b = m.faces[i];
-    EXPECT_EQ(a.source, b.source) << what << " face " << i;
-    EXPECT_TRUE(same_bits(a.plane_n, b.plane_n) && same_bits(a.plane_d, b.plane_d))
-        << what << " face " << i;
-    EXPECT_TRUE(same_bits(a.gen, b.gen)) << what << " face " << i;
-    EXPECT_EQ(std::vector<int>(a.verts.begin(), a.verts.end()),
-              std::vector<int>(b.verts.begin(), b.verts.end()))
-        << what << " face " << i;
-  }
+  const auto& verts = cell.vertices();
+  const auto& gens = cell.vertex_generators();
+  std::vector<VertexKey> va, vb;
+  for (std::size_t v = 0; v < verts.size(); ++v)
+    va.push_back(vertex_key(verts, gens, static_cast<int>(v)));
+  for (std::size_t v = 0; v < m.verts.size(); ++v)
+    vb.push_back(vertex_key(m.verts, m.gens, static_cast<int>(v)));
+  std::sort(va.begin(), va.end());
+  std::sort(vb.begin(), vb.end());
+  EXPECT_EQ(va, vb) << what << ": vertex positions or generator sets differ";
+  std::vector<FaceKey> fa, fb;
+  for (const auto& f : cell.faces()) fa.push_back(face_key(f, verts, gens));
+  for (const auto& f : m.faces) fb.push_back(face_key(f, m.verts, m.gens));
+  std::sort(fa.begin(), fa.end());
+  std::sort(fb.begin(), fb.end());
+  EXPECT_EQ(fa.size(), fb.size()) << what << ": face counts differ";
+  EXPECT_TRUE(fa == fb) << what << ": faces differ";
   return !::testing::Test::HasFailure();
 }
+
+// Volume agreement asked of the edge-table cell where the oracle's cell is
+// not closed, relative to the cube of the cell radius.
+constexpr double kFallbackVolumeTol = 1e-9;
 
 // A bisector cut by `neighbor`, tagged `id`.
 struct Cut {
@@ -521,69 +593,58 @@ struct Cut {
   std::int64_t id = 0;
 };
 
-class ClipOracle : public ::testing::TestWithParam<OracleSweep> {
- protected:
-  // Clips the cell and its mirror by `plane`; false on any difference.
-  bool clip_both(VoronoiCell& cell, MirrorCell& m, const tg::Plane& plane,
-                 tg::ClipScratch& scratch, const std::string& what) {
-    const bool got = cell.clip(plane, scratch);
-    const bool want = oracle_clip(m, plane, GetParam(), &cap_fallbacks_);
-    EXPECT_EQ(got, want) << what;
-    effective_ += got ? 1 : 0;
-    return got == want && expect_matches_oracle(cell, m, what);
-  }
-
-  // Drives `cuts` through a cell and the oracle, comparing after each.
-  void run(const Vec3& site, const Vec3& lo, const Vec3& hi,
-           const std::vector<Cut>& cuts, const std::string& name) {
-    tg::ClipScratch scratch;
-    VoronoiCell cell(site, lo, hi);
-    MirrorCell m = mirror(cell);
-    for (std::size_t i = 0; i < cuts.size(); ++i) {
-      const Cut& c = cuts[i];
-      const Vec3 n = c.neighbor - site;
-      const tg::Plane plane{n, tg::dot(n, (c.neighbor + site) * 0.5), c.id,
-                            c.neighbor};
-      if (!clip_both(cell, m, plane, scratch, name + " cut " + std::to_string(i)))
-        return;
-    }
-  }
-
-  // Planes through existing vertices, and planes offset from an existing
-  // face by exactly the clip tolerance (vertices sit at the in/out
-  // threshold, up to their rounding).
-  void run_adversarial(const Vec3& site, const Vec3& lo, const Vec3& hi,
-                       const std::vector<Cut>& warmup, std::uint64_t seed,
-                       const std::string& name) {
-    tg::ClipScratch scratch;
-    VoronoiCell cell(site, lo, hi);
-    for (const Cut& c : warmup) cell.cut(c.neighbor, c.id, scratch);
-    MirrorCell m = mirror(cell);
-    Rng rng(seed);
-    for (int i = 0; i < 60 && !cell.empty(); ++i) {
-      tg::Plane plane;
-      plane.source = 1000 + i;
-      if (i % 2 == 0) {
-        const Vec3& v = cell.vertices()[rng.uniform_index(cell.vertices().size())];
-        plane.n = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        if (i % 4 == 0) plane.n = {0, 0, 1};  // axis-aligned through a vertex
-        plane.d = tg::dot(plane.n, v);
-      } else {
-        const auto& f = cell.faces()[rng.uniform_index(cell.faces().size())];
-        double scale = 0.0;
-        for (const Vec3& v : cell.vertices())
-          scale = std::max(scale, std::fabs(tg::dot(f.plane_n, v)));
-        plane.n = f.plane_n;
-        plane.d = f.plane_d - 1e-12 * (std::fabs(f.plane_d) + scale + 1.0);
-      }
-      if (!clip_both(cell, m, plane, scratch, name + " plane " + std::to_string(i)))
-        return;
-    }
-  }
-
-  int effective_ = 0;
-  int cap_fallbacks_ = 0;
+// One input of the ClipOracle families: bisector cuts in order, or (when
+// `adversarial`) a warm-up of bisector cuts followed by 60 planes drawn
+// from the cell's own state.
+struct ClipCase {
+  std::string name;
+  Vec3 site, lo, hi;
+  std::vector<Cut> cuts;
+  bool adversarial = false;
+  std::uint64_t seed = 0;
 };
+
+// Drives one case through a fresh cell: `begin(cell)` once the cell is
+// ready to be compared, then `step(cell, plane, label)` per plane, which
+// applies the plane and returns false to stop the case. Adversarial planes
+// pass through existing vertices, or sit off an existing face by exactly
+// the clip tolerance (vertices at the in/out threshold, up to rounding).
+template <typename Begin, typename Step>
+void drive(const ClipCase& c, tg::ClipScratch& scratch, Begin&& begin, Step&& step) {
+  VoronoiCell cell(c.site, c.lo, c.hi);
+  if (!c.adversarial) {
+    begin(cell);
+    for (std::size_t i = 0; i < c.cuts.size(); ++i) {
+      const Cut& cut = c.cuts[i];
+      const Vec3 n = cut.neighbor - c.site;
+      const tg::Plane plane{n, tg::dot(n, (cut.neighbor + c.site) * 0.5), cut.id,
+                            cut.neighbor};
+      if (!step(cell, plane, c.name + " cut " + std::to_string(i))) return;
+    }
+    return;
+  }
+  for (const Cut& cut : c.cuts) cell.cut(cut.neighbor, cut.id, scratch);
+  begin(cell);
+  Rng rng(c.seed);
+  for (int i = 0; i < 60 && !cell.empty(); ++i) {
+    tg::Plane plane;
+    plane.source = 1000 + i;
+    if (i % 2 == 0) {
+      const Vec3& v = cell.vertices()[rng.uniform_index(cell.vertices().size())];
+      plane.n = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      if (i % 4 == 0) plane.n = {0, 0, 1};  // axis-aligned through a vertex
+      plane.d = tg::dot(plane.n, v);
+    } else {
+      const auto& f = cell.faces()[rng.uniform_index(cell.faces().size())];
+      double scale = 0.0;
+      for (const Vec3& v : cell.vertices())
+        scale = std::max(scale, std::fabs(tg::dot(f.plane_n, v)));
+      plane.n = f.plane_n;
+      plane.d = f.plane_d - 1e-12 * (std::fabs(f.plane_d) + scale + 1.0);
+    }
+    if (!step(cell, plane, c.name + " plane " + std::to_string(i))) return;
+  }
+}
 
 std::vector<Cut> random_cuts(Rng& rng, int n, const Vec3& lo, const Vec3& hi) {
   std::vector<Cut> cuts;
@@ -594,19 +655,19 @@ std::vector<Cut> random_cuts(Rng& rng, int n, const Vec3& lo, const Vec3& hi) {
   return cuts;
 }
 
-}  // namespace
-
-TEST_P(ClipOracle, UniformSites) {
+std::vector<ClipCase> uniform_cases() {
+  std::vector<ClipCase> cases;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     const Vec3 site{rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)};
-    run(site, {0, 0, 0}, {1, 1, 1}, random_cuts(rng, 80, {0, 0, 0}, {1, 1, 1}),
-        "uniform seed " + std::to_string(seed));
+    cases.push_back({"uniform seed " + std::to_string(seed), site, {0, 0, 0}, {1, 1, 1},
+                     random_cuts(rng, 80, {0, 0, 0}, {1, 1, 1})});
   }
-  EXPECT_GT(effective_, 200);
+  return cases;
 }
 
-TEST_P(ClipOracle, TwoBlobClusters) {
+std::vector<ClipCase> blob_cases() {
+  std::vector<ClipCase> cases;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     const Vec3 blobs[2] = {{0.3, 0.3, 0.4}, {0.7, 0.6, 0.6}};
@@ -619,28 +680,31 @@ TEST_P(ClipOracle, TwoBlobClusters) {
     }
     const Vec3 site = blobs[seed % 2] + Vec3{0.01 * rng.normal(), 0.01 * rng.normal(),
                                              0.01 * rng.normal()};
-    run(site, {0, 0, 0}, {1, 1, 1}, cuts, "blobs seed " + std::to_string(seed));
+    cases.push_back({"blobs seed " + std::to_string(seed), site, {0, 0, 0}, {1, 1, 1},
+                     cuts});
   }
-  EXPECT_GT(effective_, 200);
+  return cases;
 }
 
-TEST_P(ClipOracle, CoplanarSites) {
+std::vector<ClipCase> coplanar_cases() {
+  std::vector<ClipCase> cases;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     std::vector<Cut> cuts;
     for (int i = 0; i < 60; ++i)
       cuts.push_back({{rng.uniform(0, 2), rng.uniform(0, 2), 0.7}, i});
-    run({1.0, 1.0, 0.7}, {0, 0, 0}, {2, 2, 2}, cuts,
-        "coplanar seed " + std::to_string(seed));
+    cases.push_back({"coplanar seed " + std::to_string(seed), {1.0, 1.0, 0.7},
+                     {0, 0, 0}, {2, 2, 2}, cuts});
   }
-  EXPECT_GT(effective_, 100);
+  return cases;
 }
 
 // Lattice neighbors in random order: diagonal bisectors pass exactly
 // through existing vertices and edges, repeated neighbors (fresh ids) give
 // exactly tangent planes, and the box-face bisectors at distance 4 are
 // tangent to the seed box.
-TEST_P(ClipOracle, ExactLattice) {
+std::vector<ClipCase> lattice_cases() {
+  std::vector<ClipCase> cases;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     std::vector<Cut> cuts;
@@ -655,28 +719,101 @@ TEST_P(ClipOracle, ExactLattice) {
     for (std::size_t i = cuts.size(); i > 1; --i)
       std::swap(cuts[i - 1], cuts[rng.uniform_index(i)]);
     for (std::size_t i = 0; i < cuts.size(); ++i) cuts[i].id = static_cast<std::int64_t>(i);
-    run({0, 0, 0}, {-2, -2, -2}, {2, 2, 2}, cuts, "lattice seed " + std::to_string(seed));
+    cases.push_back({"lattice seed " + std::to_string(seed), {0, 0, 0}, {-2, -2, -2},
+                     {2, 2, 2}, cuts});
   }
-  EXPECT_GT(effective_, 100);
+  return cases;
 }
 
-TEST_P(ClipOracle, PlanesThroughVerticesAndAtTolerance) {
+std::vector<ClipCase> adversarial_cases() {
+  std::vector<ClipCase> cases;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     std::vector<Cut> lattice;
     for (int x = -1; x <= 1; ++x)
       for (int y = -1; y <= 1; ++y)
         if (x != 0 || y != 0) lattice.push_back({{double(x), double(y), 0}, 10 * x + y});
-    run_adversarial({0, 0, 0}, {-2, -2, -2}, {2, 2, 2}, lattice, seed,
-                    "lattice adversarial seed " + std::to_string(seed));
-    run_adversarial({0.5, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1},
-                    random_cuts(rng, 20, {0, 0, 0}, {1, 1, 1}), seed,
-                    "uniform adversarial seed " + std::to_string(seed));
+    cases.push_back({"lattice adversarial seed " + std::to_string(seed), {0, 0, 0},
+                     {-2, -2, -2}, {2, 2, 2}, lattice, true, seed});
+    cases.push_back({"uniform adversarial seed " + std::to_string(seed),
+                     {0.5, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1},
+                     random_cuts(rng, 20, {0, 0, 0}, {1, 1, 1}), true, seed});
   }
+  return cases;
+}
+
+class ClipOracle : public ::testing::TestWithParam<OracleSweep> {
+ protected:
+  // Drives every case through the cell and the oracle, comparing after
+  // each plane.
+  void run(const std::vector<ClipCase>& cases) {
+    tg::ClipScratch scratch;
+    for (const ClipCase& c : cases) {
+      MirrorCell m;
+      drive(c, scratch, [&](const VoronoiCell& cell) { m = mirror(cell); },
+            [&](VoronoiCell& cell, const tg::Plane& plane, const std::string& what) {
+              return clip_both(cell, m, plane, scratch, what);
+            });
+    }
+  }
+
+  // Clips the cell and its mirror by `plane`; false on any difference.
+  bool clip_both(VoronoiCell& cell, MirrorCell& m, const tg::Plane& plane,
+                 tg::ClipScratch& scratch, const std::string& what) {
+    const bool got = cell.clip(plane, scratch);
+    const bool want = oracle_clip(m, plane, GetParam(), &cap_fallbacks_);
+    EXPECT_EQ(got, want) << what;
+    effective_ += got ? 1 : 0;
+    if (got != want) return false;
+    if (!closed_manifold(m.faces)) {
+      ++open_oracle_cuts_;
+      EXPECT_TRUE(closed_manifold(cell.faces())) << what;
+      const double r = std::sqrt(cell.max_radius2());
+      EXPECT_NEAR(cell.volume(), faces_volume(m.faces, m.verts),
+                  kFallbackVolumeTol * r * r * r)
+          << what;
+      m = mirror(cell);
+      return !::testing::Test::HasFailure();
+    }
+    return expect_matches_oracle(cell, m, what);
+  }
+
+  int effective_ = 0;
+  int cap_fallbacks_ = 0;
+  int open_oracle_cuts_ = 0;
+};
+
+}  // namespace
+
+TEST_P(ClipOracle, UniformSites) {
+  run(uniform_cases());
+  EXPECT_GT(effective_, 200);
+  EXPECT_EQ(open_oracle_cuts_, 0);
+}
+
+TEST_P(ClipOracle, TwoBlobClusters) {
+  run(blob_cases());
+  EXPECT_GT(effective_, 200);
+  EXPECT_EQ(open_oracle_cuts_, 0);
+}
+
+TEST_P(ClipOracle, CoplanarSites) {
+  run(coplanar_cases());
   EXPECT_GT(effective_, 100);
-  // Tolerance-offset planes break the cap chain; the angular fallback must
-  // be covered too.
+}
+
+TEST_P(ClipOracle, ExactLattice) {
+  run(lattice_cases());
+  EXPECT_GT(effective_, 100);
+}
+
+TEST_P(ClipOracle, PlanesThroughVerticesAndAtTolerance) {
+  run(adversarial_cases());
+  EXPECT_GT(effective_, 100);
+  // Tolerance-offset planes break the oracle's cap chain; the angular
+  // fallback, and the open oracle cells it leaves, must be covered too.
   EXPECT_GT(cap_fallbacks_, 0);
+  EXPECT_GT(open_oracle_cuts_, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ClipOracle,
@@ -686,3 +823,40 @@ INSTANTIATE_TEST_SUITE_P(Backends, ClipOracle,
                                                   ? "scalar"
                                                   : "simd");
                          });
+
+// ---------------------------------------------------------------------------
+// Every cut leaves a closed 2-manifold: after each plane of the ClipOracle
+// families, every directed face edge appears exactly once, and so does its
+// reverse. The edge table guarantees this by construction, also where the
+// face-list clip's cap chain breaks (the tolerance-plane sequences).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+int expect_closed_after_every_cut(const std::vector<ClipCase>& cases) {
+  tg::ClipScratch scratch;
+  int cuts = 0;
+  for (const ClipCase& c : cases)
+    drive(c, scratch, [](const VoronoiCell&) {},
+          [&](VoronoiCell& cell, const tg::Plane& plane, const std::string& what) {
+            cell.clip(plane, scratch);
+            ++cuts;
+            EXPECT_TRUE(closed_manifold(cell.faces())) << what;
+            return !::testing::Test::HasFailure();
+          });
+  return cuts;
+}
+
+}  // namespace
+
+TEST(CutManifold, UniformSites) { EXPECT_GT(expect_closed_after_every_cut(uniform_cases()), 1000); }
+
+TEST(CutManifold, TwoBlobClusters) { EXPECT_GT(expect_closed_after_every_cut(blob_cases()), 1000); }
+
+TEST(CutManifold, CoplanarSites) { EXPECT_GT(expect_closed_after_every_cut(coplanar_cases()), 1000); }
+
+TEST(CutManifold, ExactLattice) { EXPECT_GT(expect_closed_after_every_cut(lattice_cases()), 1000); }
+
+TEST(CutManifold, PlanesThroughVerticesAndAtTolerance) {
+  EXPECT_GT(expect_closed_after_every_cut(adversarial_cases()), 500);
+}
