@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "geom/kernels.hpp"
@@ -464,17 +465,30 @@ void VoronoiCell::rotate_to_smallest(Face& f) const {
   };
   auto& loop = f.verts;
   const std::size_t m = loop.size();
+  // One scan finds the smallest position; only a tie needs the full order.
   std::size_t best = 0;
-  for (std::size_t i = 1; i < m; ++i)
-    for (std::size_t k = 0; k < m; ++k) {
-      const int a = loop[(i + k) % m];
-      const int b = loop[(best + k) % m];
-      if (key_less(a, b)) {
-        best = i;
-        break;
-      }
-      if (key_less(b, a)) break;
+  bool tie = false;
+  for (std::size_t i = 1; i < m; ++i) {
+    const Vec3& p = verts_[static_cast<std::size_t>(loop[i])];
+    const Vec3& q = verts_[static_cast<std::size_t>(loop[best])];
+    if (vec3_lex_less(p, q)) {
+      best = i;
+      tie = false;
+    } else if (!vec3_lex_less(q, p)) {
+      tie = true;
     }
+  }
+  if (tie)
+    for (std::size_t i = 1; i < m; ++i)
+      for (std::size_t k = 0; k < m; ++k) {
+        const int a = loop[(i + k) % m];
+        const int b = loop[(best + k) % m];
+        if (key_less(a, b)) {
+          best = i;
+          break;
+        }
+        if (key_less(b, a)) break;
+      }
   std::rotate(loop.begin(), loop.begin() + static_cast<std::ptrdiff_t>(best),
               loop.end());
 }
@@ -528,11 +542,18 @@ void VoronoiCell::compact() {
       for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
         const int i = t.used_list[a], j = t.used_list[b];
         if (t.canon[static_cast<std::size_t>(j)] != j) continue;
+        // dist2's x term alone: the sum rounds no lower than it.
+        const double dx = verts_[static_cast<std::size_t>(i)].x -
+                          verts_[static_cast<std::size_t>(j)].x;
+        if (dx * dx > weld_eps2) continue;
         if (dist2(verts_[static_cast<std::size_t>(i)],
                   verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
           t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
       }
     const double collinear_eps = 1e-12 * std::max(max_radius2_, 1e-300);
+    const double far2 = 4.0 * collinear_eps * collinear_eps >= 1e-300
+                            ? 4.0 * collinear_eps * collinear_eps * (1.0 + 1e-6)
+                            : std::numeric_limits<double>::infinity();
     auto& loop = t.loop;
     for (auto& f : faces_) {
       for (auto& v : f.verts) v = t.canon[static_cast<std::size_t>(v)];
@@ -549,7 +570,10 @@ void VoronoiCell::compact() {
           const Vec3& a = verts_[static_cast<std::size_t>(loop[(i + loop.size() - 1) % loop.size()])];
           const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
           const Vec3& c = verts_[static_cast<std::size_t>(loop[(i + 1) % loop.size()])];
-          if (0.5 * norm(cross(b - a, c - b)) <= collinear_eps) {
+          // norm2 first: past far2 the sqrt cannot come back under eps.
+          const double n2 = norm2(cross(b - a, c - b));
+          if (n2 > far2) continue;
+          if (0.5 * std::sqrt(n2) <= collinear_eps) {
             loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
             changed = true;
             break;
