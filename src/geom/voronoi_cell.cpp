@@ -18,6 +18,10 @@ inline double plane_eps(const Plane& p, double vert_scale) {
   return 1e-12 * (std::fabs(p.d) + vert_scale + 1.0);
 }
 
+// Largest move, relative to the cell radius, that canonicalize() accepts
+// from a generator solve.
+constexpr double kCanonMaxShift = 1e-6;
+
 // Scratch for the legacy no-scratch cut()/clip() overloads. Thread-local so
 // the convenience API stays safe under intra-rank threading and still
 // reuses its buffers across calls.
@@ -26,13 +30,13 @@ ClipScratch& tls_scratch() {
   return scratch;
 }
 
-// Working storage of compact() and canonicalize(), one per thread. Each
-// buffer keeps one role and its capacity from cell to cell, so a warm
-// worker tidies cells without touching the heap.
+// Working storage of face materialization, compact() and canonicalize(),
+// one per thread. Each buffer keeps one role and its capacity from cell to
+// cell, so a warm worker finishes cells without touching the heap.
 struct TidyScratch {
   std::vector<int> canon;      ///< weld target of each vertex
   std::vector<char> used;      ///< vertex referenced by some face
-  std::vector<int> used_list;  ///< referenced vertices in index order
+  std::vector<int> used_list;  ///< referenced vertices in first-use order
   std::vector<int> loop;       ///< the face loop being cleaned
   std::vector<int> remap;      ///< old -> renumbered vertex index
   std::vector<Vec3> verts;     ///< pre-renumbering copy of the vertices
@@ -274,9 +278,8 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
       corners_[u] = corners_[last];
       for (int i = 0; i < 3; ++i) {
         const int e = links_[u][static_cast<std::size_t>(i)];
-        auto w = static_cast<std::size_t>(e >> 2);
-        if (w == last) w = u;
-        links_[w][static_cast<std::size_t>(e & 3)] = static_cast<int>(4 * u) + i;
+        links_[static_cast<std::size_t>(e >> 2)][static_cast<std::size_t>(e & 3)] =
+            static_cast<int>(4 * u) + i;
       }
     }
     verts_.pop_back();

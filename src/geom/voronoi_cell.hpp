@@ -184,13 +184,10 @@ class VoronoiCell {
   /// independent. Intended for complete cells, whose faces are all bisector
   /// planes; vertices still touching a seed-box plane keep their clipped
   /// coordinates, and so does a vertex the solve would move by more than
-  /// kCanonMaxShift * sqrt(max_radius2()) (an ill-conditioned generator set).
-  /// Returns the number of vertices kept clipped for that last reason.
+  /// 1e-6 * sqrt(max_radius2()) (an ill-conditioned generator set; rounding
+  /// moves a vertex by about 1e-15 of the radius). Returns the number of
+  /// vertices kept clipped for that last reason.
   std::size_t canonicalize();
-
-  /// Largest move, relative to the cell radius, that canonicalize() accepts
-  /// from a generator solve; rounding moves a vertex by about 1e-15.
-  static constexpr double kCanonMaxShift = 1e-6;
 
  private:
   /// Read the face loops and generators off the edge table.
