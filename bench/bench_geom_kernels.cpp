@@ -4,6 +4,10 @@
 // column is made of.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "common.hpp"
 #include "geom/cell_builder.hpp"
 #include "geom/convex_hull.hpp"
@@ -25,6 +29,47 @@ std::vector<Vec3> random_points(std::uint64_t seed, int n) {
   for (int i = 0; i < n; ++i)
     pts.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
   return pts;
+}
+
+/// Two Gaussian blobs (half and a quarter of the points, sigma 0.05 and
+/// 0.08) over a uniform background, reflected into the unit cube: the
+/// clustered cells of perfbench's insitu_clustered, where the vertex-ball
+/// screen fires and a cell cuts several times more often.
+std::vector<Vec3> two_blob_points(std::uint64_t seed, int n) {
+  util::Rng rng(seed);
+  const auto reflect = [](double x) {
+    if (x < 0.0) x = -x;
+    if (x >= 1.0) x = 2.0 - x;
+    return std::fmin(std::fmax(x, 0.0), std::nextafter(1.0, 0.0));
+  };
+  std::vector<Vec3> pts;
+  pts.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Vec3 p{rng.uniform(), rng.uniform(), rng.uniform()};
+    if (i % 2 == 0)
+      p = {rng.normal(0.30, 0.05), rng.normal(0.62, 0.05), rng.normal(0.40, 0.05)};
+    else if (i % 4 == 1)
+      p = {rng.normal(0.72, 0.08), rng.normal(0.22, 0.08), rng.normal(0.66, 0.08)};
+    pts.push_back({reflect(p.x), reflect(p.y), reflect(p.z)});
+  }
+  return pts;
+}
+
+/// The allocation-free steady-state path: one warm cell/scratch pair reused
+/// across sites (what each pool worker runs), finishing with the volume.
+void build_reuse(benchmark::State& state, std::vector<Vec3> pts) {
+  const int n = static_cast<int>(pts.size());
+  geom::CellBuilder builder(std::move(pts), {}, {0, 0, 0}, {1, 1, 1});
+  geom::VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
+  geom::ClipScratch scratch;
+  std::size_t site = 0;
+  for (auto _ : state) {
+    builder.build_into(cell, scratch,
+                       static_cast<int>(site % static_cast<std::size_t>(n)),
+                       {0, 0, 0}, {1, 1, 1});
+    benchmark::DoNotOptimize(cell.volume());
+    ++site;
+  }
 }
 
 }  // namespace
@@ -81,22 +126,14 @@ static void BM_VoronoiCellBuild(benchmark::State& state) {
 BENCHMARK(BM_VoronoiCellBuild)->Arg(1000)->Arg(8000);
 
 static void BM_VoronoiCellBuildReuse(benchmark::State& state) {
-  // The allocation-free steady-state path: one warm cell/scratch pair
-  // reused across sites (what each pool worker runs).
-  const int n = static_cast<int>(state.range(0));
-  geom::CellBuilder builder(random_points(4, n), {}, {0, 0, 0}, {1, 1, 1});
-  geom::VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
-  geom::ClipScratch scratch;
-  std::size_t site = 0;
-  for (auto _ : state) {
-    builder.build_into(cell, scratch,
-                       static_cast<int>(site % static_cast<std::size_t>(n)),
-                       {0, 0, 0}, {1, 1, 1});
-    benchmark::DoNotOptimize(cell.volume());
-    ++site;
-  }
+  build_reuse(state, random_points(4, static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_VoronoiCellBuildReuse)->Arg(1000)->Arg(8000);
+
+static void BM_VoronoiCellBuildReuseTwoBlob(benchmark::State& state) {
+  build_reuse(state, two_blob_points(4, static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_VoronoiCellBuildReuseTwoBlob)->Arg(8000);
 
 static void BM_CellBuilder_Threads(benchmark::State& state) {
   // Intra-rank parallel sweep over all cells of an 8000-point block with
