@@ -666,11 +666,11 @@ std::size_t VoronoiCell::canonicalize() {
       // Degenerate sliver corner: the collinear cleanup dropped this vertex
       // from one face's loop (or removed the face outright), so its
       // incident faces alone under-determine it. Recover the missing
-      // generator(s) from the vertex's recorded creation-plane sources via
-      // the per-cell cut log, which keeps every bisector's raw generator
-      // position even after compact() drops the face. A creation plane
-      // that is a box plane means the vertex is not interior — keep its
-      // clipped coordinates.
+      // generator(s) from the vertex's generator sources (its three faces
+      // before compact()) via the cell's plane list, which keeps every
+      // bisector's raw generator position even after compact() drops the
+      // face. A generator that is a box plane means the vertex is not
+      // interior — keep its clipped coordinates.
       bool recovered = true;
       for (const std::int64_t src : gens_[v]) {
         if (src == kNoGenerator) continue;
