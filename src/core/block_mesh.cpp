@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,73 +10,88 @@ namespace tess::core {
 
 namespace {
 
-/// Mix of a quantized key; the table uses its high bits.
-std::uint64_t weld_hash(std::int64_t x, std::int64_t y, std::int64_t z) {
-  std::uint64_t h = static_cast<std::uint64_t>(x) * 0x9e3779b97f4a7c15ULL;
-  h ^= static_cast<std::uint64_t>(y) * 0xc2b2ae3d27d4eb4fULL;
-  h ^= static_cast<std::uint64_t>(z) * 0x165667b19e3779f9ULL;
+/// Mix of a weld key; the table uses its high bits.
+std::uint64_t weld_hash(const WeldKey& k) {
+  std::uint64_t h = static_cast<std::uint64_t>(k.x) * 0x9e3779b97f4a7c15ULL;
+  h ^= static_cast<std::uint64_t>(k.y) * 0xc2b2ae3d27d4eb4fULL;
+  h ^= static_cast<std::uint64_t>(k.z) * 0x165667b19e3779f9ULL;
   h ^= h >> 29;
   return h * 0xbf58476d1ce4e5b9ULL;
 }
 
 constexpr std::size_t kMinWeldSlots = 64;
 
+/// First slot of `key`'s probe sequence in a table of `slots` slots.
+std::size_t weld_home(const WeldKey& key, std::size_t slots) {
+  return weld_hash(key) >> (64 - std::countr_zero(slots));
+}
+
 }  // namespace
 
-std::size_t BlockMesh::weld_slot(std::int64_t x, std::int64_t y,
-                                 std::int64_t z) const {
-  const std::size_t mask = weld_slots_.size() - 1;
-  std::size_t i =
-      weld_hash(x, y, z) >> (64 - std::countr_zero(weld_slots_.size()));
-  for (;; i = (i + 1) & mask) {
-    const WeldSlot& s = weld_slots_[i];
-    if (s.index == kUnwelded || (s.x == x && s.y == y && s.z == z)) return i;
-  }
-}
-
-std::uint32_t BlockMesh::weld_vertex(const Vec3& v) {
-  const std::int64_t x = std::llround(v.x / kWeldQuantum);
-  const std::int64_t y = std::llround(v.y / kWeldQuantum);
-  const std::int64_t z = std::llround(v.z / kWeldQuantum);
-  if (2 * (weld_count_ + 1) > weld_slots_.size()) {
-    // Double (keeping the load at most 1/2) and reinsert.
-    const std::vector<WeldSlot> old = std::move(weld_slots_);
-    weld_slots_.assign(std::max(kMinWeldSlots, 2 * old.size()),
-                       WeldSlot{0, 0, 0, kUnwelded});
-    for (const WeldSlot& s : old)
-      if (s.index != kUnwelded) weld_slots_[weld_slot(s.x, s.y, s.z)] = s;
-  }
-  WeldSlot& slot = weld_slots_[weld_slot(x, y, z)];
-  if (slot.index != kUnwelded) return slot.index;
-  slot = {x, y, z, static_cast<std::uint32_t>(vertices.size())};
-  vertices.push_back(v);
-  ++weld_count_;
-  return slot.index;
-}
-
-void BlockMesh::add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
-                         double volume, double area) {
+void StagedCells::add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
+                           double volume, double area) {
   CellRecord rec;
   rec.site_id = site_id;
   rec.site = cell.site();
   rec.volume = volume;
   rec.area = area;
-  rec.first_face = static_cast<std::uint32_t>(num_faces());
+  rec.first_face = static_cast<std::uint32_t>(face_neighbors.size());
   rec.num_faces = static_cast<std::uint32_t>(cell.faces().size());
 
   const auto& verts = cell.vertices();
-  remap_.assign(verts.size(), kUnwelded);
+  const std::size_t first = vertices.size();
+  remap_.assign(verts.size(), BlockMesh::kUnwelded);
   for (const auto& f : cell.faces()) {
     for (int v : f.verts) {
       auto& mapped = remap_[static_cast<std::size_t>(v)];
-      if (mapped == kUnwelded)
-        mapped = weld_vertex(verts[static_cast<std::size_t>(v)]);
+      if (mapped == BlockMesh::kUnwelded) {
+        mapped = static_cast<std::uint32_t>(vertices.size() - first);
+        vertices.push_back(verts[static_cast<std::size_t>(v)]);
+        keys.push_back(weld_key(vertices.back()));
+      }
       face_verts.push_back(mapped);
     }
     face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
     face_neighbors.push_back(f.source);
   }
+  first_vertex.push_back(static_cast<std::uint32_t>(vertices.size()));
   cells.push_back(rec);
+}
+
+void BlockMesh::rehash_weld(std::size_t slots) {
+  const std::vector<std::uint32_t> old = std::move(weld_slots_);
+  weld_slots_.assign(slots, kUnwelded);
+  const std::size_t mask = slots - 1;
+  for (const std::uint32_t v : old) {
+    if (v == kUnwelded) continue;
+    std::size_t i = weld_home(weld_keys_[v], slots);
+    while (weld_slots_[i] != kUnwelded) i = (i + 1) & mask;
+    weld_slots_[i] = v;
+  }
+}
+
+void BlockMesh::reserve_weld(std::size_t count) {
+  if (2 * count > weld_slots_.size())
+    rehash_weld(std::max(kMinWeldSlots, std::bit_ceil(2 * count)));
+}
+
+std::uint32_t BlockMesh::weld_vertex(const Vec3& v, const WeldKey& key) {
+  // Double (keeping the load at most 1/2) and reinsert.
+  if (2 * (weld_count_ + 1) > weld_slots_.size())
+    rehash_weld(std::max(kMinWeldSlots, 2 * weld_slots_.size()));
+  const std::size_t mask = weld_slots_.size() - 1;
+  std::size_t i = weld_home(key, weld_slots_.size());
+  for (; weld_slots_[i] != kUnwelded; i = (i + 1) & mask)
+    if (weld_keys_[weld_slots_[i]] == key) return weld_slots_[i];
+  // A new key takes the free slot the probe stopped at. Vertices a caller
+  // pushed without welding get a placeholder key that no slot points to.
+  const auto index = static_cast<std::uint32_t>(vertices.size());
+  weld_slots_[i] = index;
+  weld_keys_.resize(vertices.size());
+  weld_keys_.push_back(key);
+  vertices.push_back(v);
+  ++weld_count_;
+  return index;
 }
 
 void BlockMesh::append_faces(const BlockMesh& src, std::size_t first,
@@ -86,12 +100,35 @@ void BlockMesh::append_faces(const BlockMesh& src, std::size_t first,
   for (std::size_t f = first; f < first + count; ++f) {
     for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i) {
       auto& mapped = remap[src.face_verts[i]];
-      if (mapped == kUnwelded) mapped = weld_vertex(src.vertices[src.face_verts[i]]);
+      if (mapped == kUnwelded) {
+        const Vec3& v = src.vertices[src.face_verts[i]];
+        mapped = weld_vertex(v, weld_key(v));
+      }
       face_verts.push_back(mapped);
     }
     face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
     face_neighbors.push_back(src.face_neighbors[f]);
   }
+}
+
+void BlockMesh::append_cell(const StagedCells& src, std::size_t cell) {
+  CellRecord rec = src.cells[cell];
+  const std::size_t first = rec.first_face;
+  rec.first_face = static_cast<std::uint32_t>(num_faces());
+  // Staged vertices are in first-reference order, so welding them in order
+  // creates block vertices in the order a per-corner weld would.
+  const std::uint32_t v0 = src.first_vertex[cell];
+  const std::uint32_t v1 = src.first_vertex[cell + 1];
+  remap_.resize(v1 - v0);
+  for (std::uint32_t v = v0; v < v1; ++v)
+    remap_[v - v0] = weld_vertex(src.vertices[v], src.keys[v]);
+  for (std::size_t f = first; f < first + rec.num_faces; ++f) {
+    for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i)
+      face_verts.push_back(remap_[src.face_verts[i]]);
+    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
+    face_neighbors.push_back(src.face_neighbors[f]);
+  }
+  cells.push_back(rec);
 }
 
 void BlockMesh::append(const BlockMesh& other) {
@@ -130,8 +167,12 @@ BlockMesh canonical_merge(const std::vector<BlockMesh>& blocks) {
   }
   std::sort(order.begin(), order.end());
   std::vector<std::vector<std::uint32_t>> remaps(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b)
+  std::size_t total_vertices = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
     remaps[b].assign(blocks[b].vertices.size(), BlockMesh::kUnwelded);
+    total_vertices += blocks[b].vertices.size();
+  }
+  merged.reserve_weld(total_vertices);
   for (const auto& [site, loc] : order)
     merged.append_cell(blocks[loc.first], loc.second, remaps[loc.first]);
   return merged;

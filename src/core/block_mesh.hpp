@@ -26,6 +26,28 @@ using geom::Vec3;
 /// Two positions weld iff llround(coord / kWeldQuantum) agrees on all axes.
 inline constexpr double kWeldQuantum = 1e-7;
 
+/// llround(x / kWeldQuantum), rounded inline instead of through the libm
+/// call: truncate, then step away from zero when the dropped fraction is at
+/// least one half. q - trunc(q) is exact, so the result equals llround's
+/// bit for bit wherever the key fits in 64 bits (|x / kWeldQuantum| < 2^63).
+inline std::int64_t weld_quantize(double x) {
+  const double q = x / kWeldQuantum;
+  const auto t = static_cast<std::int64_t>(q);
+  const double r = q - static_cast<double>(t);
+  return t + (r >= 0.5 ? 1 : 0) - (r <= -0.5 ? 1 : 0);
+}
+
+/// The quantized position a vertex welds by: weld_quantize per axis. Every
+/// weld key of the library is computed here.
+struct WeldKey {
+  std::int64_t x = 0, y = 0, z = 0;
+  bool operator==(const WeldKey&) const = default;
+};
+
+inline WeldKey weld_key(const Vec3& v) {
+  return {weld_quantize(v.x), weld_quantize(v.y), weld_quantize(v.z)};
+}
+
 struct CellRecord {
   std::int64_t site_id = -1;  ///< global particle id of the cell's site
   Vec3 site;                  ///< particle position
@@ -35,10 +57,38 @@ struct CellRecord {
   std::uint32_t num_faces = 0;
 };
 
+/// Kept cells staged for assembly into a BlockMesh. Each cell lists its
+/// own vertices once, in first-reference order along its face loops, each
+/// with its weld key; nothing is welded across cells, so staging a cell
+/// costs only what the cell holds. BlockMesh::append_cell welds each staged
+/// vertex once. The tessellator fills one stage per chunk of its parallel
+/// cell loop.
+struct StagedCells {
+  std::vector<CellRecord> cells;  ///< first_face indexes this stage's faces
+  /// Cell c's vertices are [first_vertex[c], first_vertex[c + 1]).
+  std::vector<std::uint32_t> first_vertex{0};
+  std::vector<Vec3> vertices;
+  std::vector<WeldKey> keys;  ///< weld_key of each vertex
+  std::vector<std::uint32_t> face_offsets{0};
+  /// Face corners, each an index into its own cell's vertex range.
+  std::vector<std::uint32_t> face_verts;
+  std::vector<std::int64_t> face_neighbors;
+
+  /// Append a compacted Voronoi cell, listing each of its vertices at its
+  /// first reference in face-corner order.
+  void add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
+                double volume, double area);
+
+ private:
+  std::vector<std::uint32_t> remap_;  ///< cell vertex -> local index
+};
+
 /// One block of the tessellation. Faces are stored structure-of-arrays:
 /// face f spans face_verts[face_offsets[f] .. face_offsets[f+1]) and its
 /// natural neighbor (the particle whose bisector generated it) is
-/// face_neighbors[f].
+/// face_neighbors[f]. Every cell appended through append / append_cell is
+/// welded: a mesh lists each weld key's vertex once, at the position of the
+/// first vertex appended with that key, numbered in first-reference order.
 class BlockMesh {
  public:
   diy::Bounds bounds{};
@@ -53,19 +103,13 @@ class BlockMesh {
   [[nodiscard]] std::size_t num_cells() const { return cells.size(); }
   [[nodiscard]] std::size_t num_faces() const { return face_neighbors.size(); }
 
-  /// Append a compacted Voronoi cell. Vertices are welded against the
-  /// block's existing vertices so shared Voronoi vertices are listed once.
-  /// Each of the cell's vertices is welded once, at its first reference in
-  /// face-corner order; later corners reuse that result.
-  void add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
-                double volume, double area);
+  /// Append staged cell `cell` of `src`, welding each of its staged
+  /// vertices once, in staged order, against this mesh.
+  void append_cell(const StagedCells& src, std::size_t cell);
 
   /// Append every cell of `other`, re-welding its vertices against this
-  /// mesh. Merging worker shards in site order through this call yields
-  /// exactly the mesh a serial pass would have produced, because welding
-  /// keys on quantized positions and shard-local representatives coincide
-  /// with the serial first-occurrence representatives. Linear in the size
-  /// of `other` (amortized): storage grows geometrically.
+  /// mesh. Linear in the size of `other` (amortized): storage grows
+  /// geometrically.
   void append(const BlockMesh& other);
 
   /// Append a single cell of `src`, re-welding its vertices against this
@@ -76,6 +120,10 @@ class BlockMesh {
   /// this mesh.
   void append_cell(const BlockMesh& src, std::size_t cell,
                    std::vector<std::uint32_t>& remap);
+
+  /// Size the weld table for `count` welded vertices, so welding up to that
+  /// many never rehashes.
+  void reserve_weld(std::size_t count);
 
   /// Marks a source vertex not yet welded in an append_cell remap.
   static constexpr std::uint32_t kUnwelded = UINT32_MAX;
@@ -102,26 +150,25 @@ class BlockMesh {
   static diy::Bounds peek_bounds(diy::BufferView buf);
 
  private:
-  /// Index of the vertex at v's quantized position, appending v if none.
-  [[nodiscard]] std::uint32_t weld_vertex(const Vec3& v);
-  /// Slot holding quantized key (x, y, z), or the free slot it would take.
-  [[nodiscard]] std::size_t weld_slot(std::int64_t x, std::int64_t y,
-                                      std::int64_t z) const;
+  /// Index of the vertex welded under `key`, appending v if none: the one
+  /// weld of the library.
+  [[nodiscard]] std::uint32_t weld_vertex(const Vec3& v, const WeldKey& key);
+  /// Rebuild the weld table with `slots` slots (a power of two).
+  void rehash_weld(std::size_t slots);
   /// Append src's face range [first, first + count) to the face arrays,
   /// welding each source vertex once through `remap`.
   void append_faces(const BlockMesh& src, std::size_t first,
                     std::size_t count, std::vector<std::uint32_t>& remap);
 
-  // Open-addressing weld table (quantized position -> vertex index):
-  // power-of-two slot array, linear probing, load kept at most 1/2. A
-  // mesh's table only ever grows; first occurrence of a key wins.
-  struct WeldSlot {
-    std::int64_t x, y, z;
-    std::uint32_t index;  ///< kUnwelded marks a free slot
-  };
-  std::vector<WeldSlot> weld_slots_;
+  // Open-addressing weld table: a power-of-two array of vertex indices
+  // (kUnwelded marks a free slot), linear probing, load kept at most 1/2.
+  // A welded vertex's key is stored once, in weld_keys_ beside the vertex
+  // array, and is read only when a probe lands on an occupied slot. A
+  // mesh's table only ever grows; the first vertex seen with a key wins.
+  std::vector<std::uint32_t> weld_slots_;
+  std::vector<WeldKey> weld_keys_;  ///< key of vertices[i], for welded i
   std::size_t weld_count_ = 0;
-  std::vector<std::uint32_t> remap_;  ///< reused by add_cell and append
+  std::vector<std::uint32_t> remap_;  ///< reused by append and append_cell
 };
 
 /// Merge per-block meshes into one canonical global mesh whose bytes are

@@ -254,19 +254,15 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
-  // Kept cells live in per-chunk mesh shards. A chunk welds a kept cell into
-  // its shard only once the cell is final — retired, or built at the cap,
-  // where no later pass can rebuild it — so every cell of a shard is an
+  // Kept cells live in per-chunk staged shards. A chunk stages a kept cell
+  // in its shard only once the cell is final — retired, or built at the
+  // cap, where no later pass can rebuild it — so every cell of a shard is an
   // output cell. A shard fills in ascending site order, and each kept site
   // records where its cell went.
-  struct Shard {
-    BlockMesh mesh;
-    std::vector<std::uint32_t> remap;  ///< shard vertex -> block vertex
-  };
   struct CellRef {
     std::uint32_t shard = 0, index = 0;
   };
-  std::vector<Shard> shards;
+  std::vector<StagedCells> shards;
   std::vector<CellRef> kept_at(n);
 
   std::optional<geom::CellBuilder> builder;
@@ -352,7 +348,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
       builder.emplace(std::move(pts), std::move(ids), seed.min, seed.max);
       pending.resize(n);
       for (std::size_t i = 0; i < n; ++i) pending[i] = i;
-      shards.clear();  // every site is rebuilt, and welded again if kept
+      shards.clear();  // every site is rebuilt, and staged again if kept
     } else {
       builder->add_points(pts, ids, seed.min, seed.max);
     }
@@ -393,7 +389,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
             ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
             const auto shard_id = static_cast<std::uint32_t>(
                 first_shard + static_cast<std::size_t>(chunk));
-            BlockMesh& shard = shards[shard_id].mesh;
+            StagedCells& shard = shards[shard_id];
             auto& cell = cells[static_cast<std::size_t>(worker)];
             auto& scratch = scratches[static_cast<std::size_t>(worker)];
             for (std::size_t pi = begin; pi < end; ++pi) {
@@ -527,37 +523,40 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     ghost = std::min(2.0 * ghost, ghost_cap);
   }
 
-  // Final assembly in site order, welding each kept cell out of its shard:
-  // the order and the welded-vertex numbering are mode- and
-  // thread-independent. A shard's cells come up in the order it stored them,
-  // so each vertex is first welded from the cell a serial site-order pass
-  // would weld it from. The block arrays are sized once from the shard
-  // totals, and each shard is released after its last cell, so the shards
-  // and the block mesh are never both resident in full.
+  // Final assembly in site order, welding each kept cell's staged vertices
+  // once: the order and the welded-vertex numbering are mode- and
+  // thread-independent. Every staged vertex is welded in the order of its
+  // cell and its first reference there, so the first cell in site order that
+  // holds a key sets the block's position for it, as a serial site-order
+  // pass would. The block arrays and the weld table are sized once from the
+  // shard totals (the table never rehashes), and each shard is released
+  // after its last cell, so the shards and the block mesh are never both
+  // resident in full.
   TESS_SPAN("tess.assemble");
   timer.reset();
   timer.start();
   BlockMesh mesh;
   mesh.bounds = bounds;
-  std::size_t total_cells = 0, total_faces = 0, total_corners = 0;
+  std::size_t total_cells = 0, total_faces = 0, total_corners = 0,
+              total_staged = 0;
   for (const auto& s : shards) {
-    total_cells += s.mesh.cells.size();
-    total_faces += s.mesh.num_faces();
-    total_corners += s.mesh.face_verts.size();
+    total_cells += s.cells.size();
+    total_faces += s.face_neighbors.size();
+    total_corners += s.face_verts.size();
+    total_staged += s.vertices.size();
   }
   mesh.cells.reserve(total_cells);
   mesh.face_offsets.reserve(total_faces + 1);
   mesh.face_neighbors.reserve(total_faces);
   mesh.face_verts.reserve(total_corners);
+  mesh.reserve_weld(total_staged);
   for (std::size_t i = 0; i < n; ++i) {
     switch (state[i]) {
       case kKept: {
         const auto [s, c] = kept_at[i];
-        Shard& shard = shards[s];
-        if (c == 0)
-          shard.remap.assign(shard.mesh.vertices.size(), BlockMesh::kUnwelded);
-        mesh.append_cell(shard.mesh, c, shard.remap);
-        if (c + 1 == shard.mesh.cells.size()) shard = Shard{};
+        StagedCells& shard = shards[s];
+        mesh.append_cell(shard, c);
+        if (c + 1 == shard.cells.size()) shard = StagedCells{};
         break;
       }
       case kCulledEarly:

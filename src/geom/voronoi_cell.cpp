@@ -38,6 +38,7 @@ struct TidyScratch {
   std::vector<char> used;      ///< vertex referenced by some face
   std::vector<int> used_list;  ///< referenced vertices in first-use order
   std::vector<int> loop;       ///< the face loop being cleaned
+  std::vector<double> xs;      ///< x of each vertex, for the weld sweep
   std::vector<int> remap;      ///< old -> renumbered vertex index
   std::vector<Vec3> verts;     ///< pre-renumbering copy of the vertices
   std::vector<std::array<std::int64_t, 3>> gens;  ///< ... and generators
@@ -514,6 +515,29 @@ void VoronoiCell::prune_degenerate_faces() {
   });
 }
 
+namespace {
+
+// How far past its own bound each compact() sweep still sends a cell down
+// the full path, in squared lengths: a factor 2 in distance, against
+// rounding errors of a few ulps of the cell's own coordinates.
+constexpr double kCompactSweepMargin = 4.0;
+
+// True when some pair of the n values lies within sqrt(bound2) of each
+// other. Flat and branch-free per row, so the inner loop vectorizes.
+bool any_pair_within(const double* x, std::size_t n, double bound2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    bool hit = false;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dx = x[i] - x[j];
+      hit |= dx * dx <= bound2;
+    }
+    if (hit) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void VoronoiCell::compact() {
   finish();
   // Every decision below reads the polytope alone — face order, loops up
@@ -527,68 +551,96 @@ void VoronoiCell::compact() {
 
   // Weld coincident vertices (grazing cuts can create the same geometric
   // vertex on several edges) and drop collinear loop vertices, so exported
-  // faces are minimal polygons. Cells are small, so the quadratic weld is
-  // cheap.
+  // faces are minimal polygons. Two flat sweeps first ask whether either
+  // can happen; a generic cell has nothing to clean and skips both.
   const double weld_eps2 = 1e-18 * std::max(max_radius2_, 1e-300);
-  {
-    t.canon.resize(verts_.size());
-    for (std::size_t i = 0; i < verts_.size(); ++i) t.canon[i] = static_cast<int>(i);
-    t.used.assign(verts_.size(), 0);
-    t.used_list.clear();
-    for (const auto& f : faces_)
-      for (int v : f.verts)
-        if (!t.used[static_cast<std::size_t>(v)]) {
-          t.used[static_cast<std::size_t>(v)] = 1;
-          t.used_list.push_back(v);
-        }
-    for (std::size_t a = 0; a < t.used_list.size(); ++a)
-      for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
-        const int i = t.used_list[a], j = t.used_list[b];
-        if (t.canon[static_cast<std::size_t>(j)] != j) continue;
-        // dist2's x term alone: the sum rounds no lower than it.
-        const double dx = verts_[static_cast<std::size_t>(i)].x -
-                          verts_[static_cast<std::size_t>(j)].x;
-        if (dx * dx > weld_eps2) continue;
-        if (dist2(verts_[static_cast<std::size_t>(i)],
-                  verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
-          t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
-      }
-    const double collinear_eps = 1e-12 * std::max(max_radius2_, 1e-300);
-    const double far2 = 4.0 * collinear_eps * collinear_eps >= 1e-300
-                            ? 4.0 * collinear_eps * collinear_eps * (1.0 + 1e-6)
-                            : std::numeric_limits<double>::infinity();
-    auto& loop = t.loop;
-    for (auto& f : faces_) {
-      for (auto& v : f.verts) v = t.canon[static_cast<std::size_t>(v)];
-      // Drop consecutive duplicates.
-      loop.clear();
-      for (int v : f.verts)
-        if (loop.empty() || loop.back() != v) loop.push_back(v);
-      while (loop.size() > 1 && loop.front() == loop.back()) loop.pop_back();
-      // Drop collinear interior vertices.
-      bool changed = true;
-      while (changed && loop.size() > 3) {
-        changed = false;
-        for (std::size_t i = 0; i < loop.size(); ++i) {
-          const Vec3& a = verts_[static_cast<std::size_t>(loop[(i + loop.size() - 1) % loop.size()])];
-          const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
-          const Vec3& c = verts_[static_cast<std::size_t>(loop[(i + 1) % loop.size()])];
-          // norm2 first: past far2 the sqrt cannot come back under eps.
-          const double n2 = norm2(cross(b - a, c - b));
-          if (n2 > far2) continue;
-          if (0.5 * std::sqrt(n2) <= collinear_eps) {
-            loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
-            changed = true;
-            break;
-          }
-        }
-      }
-      f.verts.assign(loop.begin(), loop.end());
+  const double collinear_eps = 1e-12 * std::max(max_radius2_, 1e-300);
+  const double far2 = 4.0 * collinear_eps * collinear_eps >= 1e-300
+                          ? 4.0 * collinear_eps * collinear_eps * (1.0 + 1e-6)
+                          : std::numeric_limits<double>::infinity();
+  // A weld needs some pair whose x terms alone pass weld_eps2 (dist2 rounds
+  // no lower than its x term); the sweep reads every vertex, a superset of
+  // the ones the faces use.
+  t.xs.resize(verts_.size());
+  for (std::size_t v = 0; v < verts_.size(); ++v) t.xs[v] = verts_[v].x;
+  bool dirty =
+      any_pair_within(t.xs.data(), t.xs.size(), kCompactSweepMargin * weld_eps2);
+  // With no weld the loops stay as they are, and the collinear pass drops
+  // a vertex only where some corner's cross product passes far2.
+  for (std::size_t fi = 0; fi < faces_.size() && !dirty; ++fi) {
+    const auto& loop = faces_[fi].verts;
+    const std::size_t m = loop.size();
+    if (m <= 3) continue;
+    for (std::size_t i = 0, prev = m - 1; i < m; prev = i++) {
+      const std::size_t next = i + 1 == m ? 0 : i + 1;
+      const Vec3& a = verts_[static_cast<std::size_t>(loop[prev])];
+      const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
+      const Vec3& c = verts_[static_cast<std::size_t>(loop[next])];
+      dirty |= norm2(cross(b - a, c - b)) <= kCompactSweepMargin * far2;
     }
-    std::erase_if(faces_, [](const Face& f) { return f.verts.size() < 3; });
   }
+  if (dirty) weld_and_drop_collinear(weld_eps2, collinear_eps, far2);
 
   renumber_in_face_order();
+}
+
+void VoronoiCell::weld_and_drop_collinear(double weld_eps2,
+                                          double collinear_eps, double far2) {
+  // Cells are small, so the quadratic weld is cheap.
+  TidyScratch& t = tls_tidy();
+  t.canon.resize(verts_.size());
+  for (std::size_t i = 0; i < verts_.size(); ++i) t.canon[i] = static_cast<int>(i);
+  t.used.assign(verts_.size(), 0);
+  t.used_list.clear();
+  for (const auto& f : faces_)
+    for (int v : f.verts)
+      if (!t.used[static_cast<std::size_t>(v)]) {
+        t.used[static_cast<std::size_t>(v)] = 1;
+        t.used_list.push_back(v);
+      }
+  for (std::size_t a = 0; a < t.used_list.size(); ++a)
+    for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
+      const int i = t.used_list[a], j = t.used_list[b];
+      if (t.canon[static_cast<std::size_t>(j)] != j) continue;
+      // dist2's x term alone: the sum rounds no lower than it.
+      const double dx = verts_[static_cast<std::size_t>(i)].x -
+                        verts_[static_cast<std::size_t>(j)].x;
+      if (dx * dx > weld_eps2) continue;
+      if (dist2(verts_[static_cast<std::size_t>(i)],
+                verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
+        t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
+    }
+  auto& loop = t.loop;
+  for (auto& f : faces_) {
+    for (auto& v : f.verts) v = t.canon[static_cast<std::size_t>(v)];
+    // Drop consecutive duplicates.
+    loop.clear();
+    for (int v : f.verts)
+      if (loop.empty() || loop.back() != v) loop.push_back(v);
+    while (loop.size() > 1 && loop.front() == loop.back()) loop.pop_back();
+    // Drop collinear interior vertices.
+    bool changed = true;
+    while (changed && loop.size() > 3) {
+      changed = false;
+      const std::size_t m = loop.size();
+      for (std::size_t i = 0, prev = m - 1; i < m; prev = i++) {
+        const std::size_t next = i + 1 == m ? 0 : i + 1;
+        const Vec3& a = verts_[static_cast<std::size_t>(loop[prev])];
+        const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
+        const Vec3& c = verts_[static_cast<std::size_t>(loop[next])];
+        // norm2 first: past far2 the sqrt cannot come back under eps.
+        const double n2 = norm2(cross(b - a, c - b));
+        if (n2 > far2) continue;
+        if (0.5 * std::sqrt(n2) <= collinear_eps) {
+          loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
+          changed = true;
+          break;
+        }
+      }
+    }
+    f.verts.assign(loop.begin(), loop.end());
+  }
+  std::erase_if(faces_, [](const Face& f) { return f.verts.size() < 3; });
 }
 
 void VoronoiCell::renumber_in_face_order() {

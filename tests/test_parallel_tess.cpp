@@ -50,6 +50,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 using tess::comm::Comm;
 using tess::comm::Runtime;
 using tess::core::BlockMesh;
+using tess::core::StagedCells;
 using tess::core::TessOptions;
 using tess::diy::Decomposition;
 using tess::diy::Particle;
@@ -409,7 +410,7 @@ TEST(ParallelTessellation, HardwareConcurrencyKnob) {
 }
 
 // ---------------------------------------------------------------------------
-// Linear assembly: merging N one-cell shards grows every mesh array
+// Linear assembly: merging N one-cell staged shards grows every mesh array
 // geometrically, so the merge allocates O(log N) times in total — never
 // once per shard.
 // ---------------------------------------------------------------------------
@@ -421,28 +422,30 @@ TEST(ParallelTessellation, OneCellShardMergeAllocatesLogarithmically) {
     pts.push_back({rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 8)});
   const Vec3 lo{0, 0, 0}, hi{8, 8, 8};
   CellBuilder builder(pts, {}, lo, hi);
-  std::vector<BlockMesh> shards;
+  std::vector<StagedCells> shards;
   for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
     auto cell = builder.build(site, lo, hi);
     cell.compact();
-    BlockMesh shard;
+    StagedCells shard;
     shard.add_cell(site, cell, cell.volume(), cell.area());
     shards.push_back(std::move(shard));
   }
 
   BlockMesh merged;
   const auto before = g_alloc_count.load(std::memory_order_relaxed);
-  for (const auto& shard : shards) merged.append(shard);
+  for (const auto& shard : shards) merged.append_cell(shard, 0);
   const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
 
-  // Each growing array reallocates about log2(final size) times; the weld
-  // table holds at most 4x the vertex count, and the per-append remap
-  // grows to the largest shard's vertex count.
+  // Each growing array reallocates about log2(final size) times: the cell
+  // and face arrays, the vertices and their weld keys (one term each), the
+  // weld table, which holds at most 4x the vertex count, and the per-cell
+  // remap, which grows to the largest cell's vertex count.
   auto growths = [](std::size_t n) {
     return static_cast<std::uint64_t>(std::bit_width(n)) + 1;
   };
   const std::uint64_t bound =
       growths(merged.cells.size()) + growths(merged.vertices.size()) +
+      growths(merged.vertices.size()) +
       growths(merged.face_offsets.size()) + growths(merged.face_verts.size()) +
       growths(merged.face_neighbors.size()) +
       growths(4 * merged.vertices.size()) + growths(128);

@@ -326,14 +326,16 @@ TEST(BlockMesh, DataModelStats) {
 // ---------------------------------------------------------------------------
 // Mesh assembly against a per-corner weld oracle. The oracle hashes every
 // face corner into a node-based map, the way BlockMesh welded before it
-// welded each source vertex once through its flat table; the key
-// (llround of position / kWeldQuantum) and the first-occurrence rule are
-// the same, so serialized bytes must match exactly.
+// staged each cell's vertices and welded each staged vertex once through its
+// flat table; the key (std::llround of position / kWeldQuantum) and the
+// first-occurrence rule are the same, so serialized bytes must match
+// exactly.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 using tess::core::kWeldQuantum;
+using tess::core::StagedCells;
 using tess::geom::VoronoiCell;
 
 class PerCornerWeldOracle {
@@ -526,13 +528,27 @@ std::vector<std::vector<SiteCell>> assembly_inputs() {
 
 const tess::diy::Bounds kAssemblyBounds{{-5, -5, -5}, {3, 3, 3}};
 
+/// Cells [begin, end) staged in that order.
+StagedCells stage_cells(const std::vector<SiteCell>& cells, std::size_t begin,
+                        std::size_t end) {
+  StagedCells stage;
+  for (std::size_t i = begin; i < end; ++i)
+    stage.add_cell(cells[i].site_id, cells[i].cell, cells[i].cell.volume(),
+                   cells[i].cell.area());
+  return stage;
+}
+
+/// Every cell of `stage`, welded into `mesh` in staged order.
+void append_stage(BlockMesh& mesh, const StagedCells& stage) {
+  for (std::size_t c = 0; c < stage.cells.size(); ++c) mesh.append_cell(stage, c);
+}
+
+/// Cells [begin, end) staged as one shard and assembled into a block.
 BlockMesh add_cells(const std::vector<SiteCell>& cells, std::size_t begin,
                     std::size_t end) {
   BlockMesh mesh;
   mesh.bounds = kAssemblyBounds;
-  for (std::size_t i = begin; i < end; ++i)
-    mesh.add_cell(cells[i].site_id, cells[i].cell, cells[i].cell.volume(),
-                  cells[i].cell.area());
+  append_stage(mesh, stage_cells(cells, begin, end));
   return mesh;
 }
 
@@ -561,12 +577,68 @@ TEST(MeshAssembly, AddCellMatchesPerCornerOracle) {
   EXPECT_EQ(welded.vertices.size(), 12u);
   const BlockMesh thin = add_cells(boxes, boxes.size() - 1, boxes.size());
   EXPECT_EQ(thin.vertices.size(), 2u);
+  // Staging welds nothing: the thin box's corners collapse only in the block.
+  EXPECT_EQ(stage_cells(boxes, boxes.size() - 1, boxes.size()).vertices.size(), 8u);
+}
+
+// The inline quantizer rounds exactly as std::llround does: at zero, at
+// half-quantum ties of both signs and one ulp either side of them, and at
+// magnitudes up to 2^52 quanta, where every quotient is an integer.
+TEST(MeshAssembly, WeldQuantizeMatchesLlround) {
+  using tess::core::weld_quantize;
+  auto expect_llround = [](double x) {
+    EXPECT_EQ(weld_quantize(x), std::llround(x / kWeldQuantum))
+        << std::hexfloat << "x = " << x;
+  };
+  expect_llround(0.0);
+  expect_llround(-0.0);
+  int ties = 0;
+  const double two52 = 4503599627370496.0;  // 2^52
+  for (const double k : {0.0, 1.0, 2.0, 12345678.0, 23456789.0, 1e9, 1e12,
+                         two52 / 4 - 1, two52 / 2 - 1, two52 - 1}) {
+    for (const double sign : {1.0, -1.0}) {
+      const double tie = sign * (k + 0.5);
+      // Look for an x whose quotient rounds to the tie exactly.
+      double x = tie * kWeldQuantum;
+      for (int step = 0; step < 8 && x / kWeldQuantum != tie; ++step)
+        x = std::nextafter(x, x / kWeldQuantum < tie ? 2 * two52 : -2 * two52);
+      if (x / kWeldQuantum == tie) {
+        ++ties;
+        EXPECT_EQ(weld_quantize(x), static_cast<std::int64_t>(sign * (k + 1)));
+      }
+      for (const double y : {x, std::nextafter(x, 0.0), std::nextafter(x, 2 * x)})
+        expect_llround(y);
+    }
+  }
+  EXPECT_GE(ties, 10);  // both signs of most ties are reachable
+  Rng rng(52);
+  for (int i = 0; i < 20000; ++i) {
+    // Log-uniform magnitudes from 1e-12 to 2^52 quanta, both signs.
+    const double mag = std::exp(rng.uniform(std::log(1e-12), std::log(two52 * kWeldQuantum)));
+    expect_llround(i % 2 == 0 ? mag : -mag);
+  }
+  for (const double x : {two52 * kWeldQuantum, -two52 * kWeldQuantum})
+    for (const double y : {x, std::nextafter(x, 0.0), std::nextafter(x, 2 * x)})
+      expect_llround(y);
+  const Vec3 v{0.5 * kWeldQuantum, -2.5 * kWeldQuantum, 1.0};
+  const auto key = tess::core::weld_key(v);
+  EXPECT_EQ(key.x, std::llround(v.x / kWeldQuantum));
+  EXPECT_EQ(key.y, std::llround(v.y / kWeldQuantum));
+  EXPECT_EQ(key.z, std::llround(v.z / kWeldQuantum));
 }
 
 TEST(MeshAssembly, ShardMergeMatchesPerCornerOracle) {
   for (const auto& cells : assembly_inputs()) {
     const auto expected = mesh_bytes(oracle_mesh(cells));
     for (const std::size_t grain : {1u, 7u, 64u}) {
+      // Staged shards of `grain` sites, assembled into one block in site
+      // order, as the tessellator assembles its chunk shards.
+      BlockMesh staged;
+      staged.bounds = kAssemblyBounds;
+      for (std::size_t b = 0; b < cells.size(); b += grain)
+        append_stage(staged, stage_cells(cells, b, std::min(cells.size(), b + grain)));
+      EXPECT_EQ(mesh_bytes(staged), expected) << "grain " << grain;
+      // Welded blocks of `grain` sites, re-welded by append.
       BlockMesh merged;
       merged.bounds = kAssemblyBounds;
       for (std::size_t b = 0; b < cells.size(); b += grain)
@@ -580,12 +652,16 @@ TEST(MeshAssembly, CanonicalMergeMatchesPerCornerOracle) {
   for (const auto& cells : assembly_inputs()) {
     // Three blocks with interleaved site ids, each assembled in its own
     // (descending) order, so the merge re-welds across blocks.
-    std::vector<BlockMesh> blocks(3);
-    for (auto& b : blocks) b.bounds = kAssemblyBounds;
+    std::vector<StagedCells> stages(3);
     for (std::size_t i = cells.size(); i-- > 0;) {
       const auto& sc = cells[i];
-      blocks[static_cast<std::size_t>(sc.site_id % 3)].add_cell(
+      stages[static_cast<std::size_t>(sc.site_id % 3)].add_cell(
           sc.site_id, sc.cell, sc.cell.volume(), sc.cell.area());
+    }
+    std::vector<BlockMesh> blocks(3);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      blocks[b].bounds = kAssemblyBounds;
+      append_stage(blocks[b], stages[b]);
     }
     PerCornerWeldOracle oracle(kAssemblyBounds);
     std::vector<std::pair<std::int64_t, std::pair<std::size_t, std::size_t>>> order;

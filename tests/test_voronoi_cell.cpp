@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "geom/cell_builder.hpp"
 #include "geom/convex_hull.hpp"
 #include "geom/kernels.hpp"
 #include "geom/voronoi_cell.hpp"
@@ -852,4 +854,419 @@ TEST(CutManifold, ExactLattice) { EXPECT_GT(expect_closed_after_every_cut(lattic
 
 TEST(CutManifold, PlanesThroughVerticesAndAtTolerance) {
   EXPECT_GT(expect_closed_after_every_cut(adversarial_cases()), 400);
+}
+
+// ---------------------------------------------------------------------------
+// compact() and canonicalize() against an unconditional reference. The
+// reference is compact() as it was before its two sweeps: every cell turns
+// each loop to its smallest vertex, prunes zero-area faces, runs the
+// pairwise weld and the collinear loop, and renumbers, on the mirror of the
+// cell's face form. The production compact() skips the weld and the
+// collinear loop when its sweeps find nothing they could change; the
+// comparison is bit for bit: face order, loops, vertex bits, generators and
+// max_radius2(). The reference canonicalize() repeats the generator solve
+// on top of the reference compact(), recovering a sliver vertex's
+// generators from the cell's faces before compaction (every input below
+// gives each plane its own source, so that is the production plane list's
+// answer too).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// How often the reference's weld and collinear drop changed a cell.
+struct CompactCounts {
+  int cells = 0;
+  int welds = 0;
+  int collinear = 0;
+};
+
+bool ref_lex_less(const Vec3& a, const Vec3& b) {
+  if (a.x != b.x) return a.x < b.x;
+  if (a.y != b.y) return a.y < b.y;
+  return a.z < b.z;
+}
+
+// Turn a loop to start at its smallest vertex by (position, sorted
+// generators), ties broken by the vertices that follow.
+void ref_rotate(const MirrorCell& c, VoronoiCell::Face& f) {
+  auto key_less = [&](int a, int b) {
+    const Vec3& pa = c.verts[static_cast<std::size_t>(a)];
+    const Vec3& pb = c.verts[static_cast<std::size_t>(b)];
+    if (pa.x != pb.x || pa.y != pb.y || pa.z != pb.z) return ref_lex_less(pa, pb);
+    auto ga = c.gens[static_cast<std::size_t>(a)];
+    auto gb = c.gens[static_cast<std::size_t>(b)];
+    std::sort(ga.begin(), ga.end());
+    std::sort(gb.begin(), gb.end());
+    return ga < gb;
+  };
+  std::vector<int> loop(f.verts.begin(), f.verts.end());
+  const std::size_t m = loop.size();
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < m; ++i)
+    for (std::size_t k = 0; k < m; ++k) {
+      const int a = loop[(i + k) % m];
+      const int b = loop[(best + k) % m];
+      if (key_less(a, b)) {
+        best = i;
+        break;
+      }
+      if (key_less(b, a)) break;
+    }
+  std::rotate(loop.begin(), loop.begin() + static_cast<std::ptrdiff_t>(best), loop.end());
+  f.verts.assign(loop.begin(), loop.end());
+}
+
+double ref_face_area(const MirrorCell& c, const VoronoiCell::Face& f) {
+  const Vec3& p0 = c.verts[static_cast<std::size_t>(f.verts[0])];
+  Vec3 n{};
+  for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
+    const Vec3& p1 = c.verts[static_cast<std::size_t>(f.verts[i])];
+    const Vec3& p2 = c.verts[static_cast<std::size_t>(f.verts[i + 1])];
+    n += tg::cross(p1 - p0, p2 - p0);
+  }
+  return 0.5 * tg::norm(n);
+}
+
+// Renumber the vertices by first use in face order.
+void ref_renumber(MirrorCell& c) {
+  std::vector<int> remap(c.verts.size(), -1);
+  std::vector<Vec3> verts;
+  std::vector<std::array<std::int64_t, 3>> gens;
+  for (auto& f : c.faces)
+    for (auto& v : f.verts) {
+      auto& slot = remap[static_cast<std::size_t>(v)];
+      if (slot < 0) {
+        slot = static_cast<int>(verts.size());
+        verts.push_back(c.verts[static_cast<std::size_t>(v)]);
+        gens.push_back(c.gens[static_cast<std::size_t>(v)]);
+      }
+      v = slot;
+    }
+  c.verts = std::move(verts);
+  c.gens = std::move(gens);
+}
+
+void ref_compact(MirrorCell& c, CompactCounts& counts) {
+  using Face = VoronoiCell::Face;
+  ++counts.cells;
+  for (auto& f : c.faces) ref_rotate(c, f);
+  const double prune_eps = 1e-12 * std::max(c.max_radius2, 1e-300);
+  std::erase_if(c.faces, [&](const Face& f) { return ref_face_area(c, f) <= prune_eps; });
+
+  const double weld_eps2 = 1e-18 * std::max(c.max_radius2, 1e-300);
+  std::vector<int> canon(c.verts.size());
+  for (std::size_t i = 0; i < canon.size(); ++i) canon[i] = static_cast<int>(i);
+  std::vector<char> used(c.verts.size(), 0);
+  std::vector<int> used_list;
+  for (const auto& f : c.faces)
+    for (const int v : f.verts)
+      if (!used[static_cast<std::size_t>(v)]) {
+        used[static_cast<std::size_t>(v)] = 1;
+        used_list.push_back(v);
+      }
+  bool welded = false;
+  for (std::size_t a = 0; a < used_list.size(); ++a)
+    for (std::size_t b = a + 1; b < used_list.size(); ++b) {
+      const int i = used_list[a], j = used_list[b];
+      if (canon[static_cast<std::size_t>(j)] != j) continue;
+      const double dx = c.verts[static_cast<std::size_t>(i)].x -
+                        c.verts[static_cast<std::size_t>(j)].x;
+      if (dx * dx > weld_eps2) continue;
+      if (tg::dist2(c.verts[static_cast<std::size_t>(i)],
+                    c.verts[static_cast<std::size_t>(j)]) <= weld_eps2) {
+        canon[static_cast<std::size_t>(j)] = canon[static_cast<std::size_t>(i)];
+        welded = true;
+      }
+    }
+  counts.welds += welded ? 1 : 0;
+
+  const double collinear_eps = 1e-12 * std::max(c.max_radius2, 1e-300);
+  const double far2 = 4.0 * collinear_eps * collinear_eps >= 1e-300
+                          ? 4.0 * collinear_eps * collinear_eps * (1.0 + 1e-6)
+                          : std::numeric_limits<double>::infinity();
+  bool dropped = false;
+  for (auto& f : c.faces) {
+    std::vector<int> loop;
+    for (const int v : f.verts) {
+      const int w = canon[static_cast<std::size_t>(v)];
+      if (loop.empty() || loop.back() != w) loop.push_back(w);
+    }
+    while (loop.size() > 1 && loop.front() == loop.back()) loop.pop_back();
+    bool changed = true;
+    while (changed && loop.size() > 3) {
+      changed = false;
+      for (std::size_t i = 0; i < loop.size(); ++i) {
+        const Vec3& a = c.verts[static_cast<std::size_t>(loop[(i + loop.size() - 1) % loop.size()])];
+        const Vec3& b = c.verts[static_cast<std::size_t>(loop[i])];
+        const Vec3& d = c.verts[static_cast<std::size_t>(loop[(i + 1) % loop.size()])];
+        const double n2 = tg::norm2(tg::cross(b - a, d - b));
+        if (n2 > far2) continue;
+        if (0.5 * std::sqrt(n2) <= collinear_eps) {
+          loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
+          changed = true;
+          dropped = true;
+          break;
+        }
+      }
+    }
+    f.verts.assign(loop.begin(), loop.end());
+  }
+  counts.collinear += dropped ? 1 : 0;
+  std::erase_if(c.faces, [](const Face& f) { return f.verts.size() < 3; });
+  ref_renumber(c);
+}
+
+// canonicalize() on top of ref_compact(); `planes` are the cell's faces
+// before compaction, in plane-creation order. Returns the vertices kept
+// clipped.
+std::size_t ref_canonicalize(MirrorCell& c, const std::vector<VoronoiCell::Face>& planes,
+                             CompactCounts& counts) {
+  ref_compact(c, counts);
+  if (c.faces.empty()) return 0;
+  std::vector<std::vector<int>> incident(c.verts.size());
+  for (std::size_t fi = 0; fi < c.faces.size(); ++fi)
+    for (const int v : c.faces[fi].verts)
+      incident[static_cast<std::size_t>(v)].push_back(static_cast<int>(fi));
+  const double max_shift2 = 1e-6 * 1e-6 * c.max_radius2;
+  std::size_t kept_clipped = 0;
+  for (std::size_t v = 0; v < c.verts.size(); ++v) {
+    const auto& inc = incident[v];
+    bool on_box = false;
+    for (const int fi : inc)
+      if (c.faces[static_cast<std::size_t>(fi)].source < 0) on_box = true;
+    if (on_box) continue;
+    std::vector<Vec3> gens{c.site};
+    for (const int fi : inc) gens.push_back(c.faces[static_cast<std::size_t>(fi)].gen);
+    if (inc.size() < 3) {
+      bool recovered = true;
+      for (const std::int64_t src : c.gens[v]) {
+        if (src == VoronoiCell::kNoGenerator) continue;
+        if (src < 0) {
+          recovered = false;
+          break;
+        }
+        bool already = false;
+        for (const int fi : inc)
+          if (c.faces[static_cast<std::size_t>(fi)].source == src) already = true;
+        if (already) continue;
+        const Vec3* extra = nullptr;
+        for (const auto& p : planes)
+          if (p.source == src) {
+            extra = &p.gen;
+            break;
+          }
+        if (extra == nullptr) {
+          recovered = false;
+          break;
+        }
+        gens.push_back(*extra);
+      }
+      if (!recovered) continue;
+    }
+    std::sort(gens.begin(), gens.end(), ref_lex_less);
+    const std::size_t m = gens.size();
+    if (m < 4) continue;
+    const Vec3& g0 = gens[0];
+    auto bisector = [&](const Vec3& g) {
+      const Vec3 n = g - g0;
+      return std::pair<Vec3, double>{n, tg::dot(n, (g + g0) * 0.5)};
+    };
+    double best_rel = 0.0;
+    std::size_t bi = 0, bj = 0, bk = 0;
+    for (std::size_t i = 1; i < m; ++i)
+      for (std::size_t j = i + 1; j < m; ++j)
+        for (std::size_t k = j + 1; k < m; ++k) {
+          const Vec3 na = gens[i] - g0;
+          const Vec3 nb = gens[j] - g0;
+          const Vec3 nc = gens[k] - g0;
+          const double det = tg::dot(na, tg::cross(nb, nc));
+          const double scale = tg::norm(na) * tg::norm(nb) * tg::norm(nc);
+          const double rel = scale > 0.0 ? std::fabs(det) / scale : 0.0;
+          if (rel > best_rel) {
+            best_rel = rel;
+            bi = i;
+            bj = j;
+            bk = k;
+          }
+        }
+    if (best_rel <= 0.0) continue;
+    const auto [na, da] = bisector(gens[bi]);
+    const auto [nb, db] = bisector(gens[bj]);
+    const auto [nc, dc] = bisector(gens[bk]);
+    const Vec3 bc = tg::cross(nb, nc);
+    const double det = tg::dot(na, bc);
+    if (det == 0.0) continue;
+    const Vec3 solved = (bc * da + tg::cross(nc, na) * db + tg::cross(na, nb) * dc) / det;
+    if (!std::isfinite(solved.x) || !std::isfinite(solved.y) || !std::isfinite(solved.z))
+      continue;
+    if (tg::dist2(solved, c.verts[v]) > max_shift2) {
+      ++kept_clipped;
+      continue;
+    }
+    c.verts[v] = solved;
+  }
+  std::sort(c.faces.begin(), c.faces.end(),
+            [](const VoronoiCell::Face& a, const VoronoiCell::Face& b) {
+              if (a.source != b.source) return a.source < b.source;
+              if (a.plane_n.x != b.plane_n.x) return a.plane_n.x < b.plane_n.x;
+              if (a.plane_n.y != b.plane_n.y) return a.plane_n.y < b.plane_n.y;
+              if (a.plane_n.z != b.plane_n.z) return a.plane_n.z < b.plane_n.z;
+              return a.plane_d < b.plane_d;
+            });
+  for (auto& f : c.faces) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < f.verts.size(); ++i)
+      if (ref_lex_less(c.verts[static_cast<std::size_t>(f.verts[i])],
+                       c.verts[static_cast<std::size_t>(f.verts[best])]))
+        best = i;
+    std::vector<int> loop(f.verts.begin(), f.verts.end());
+    std::rotate(loop.begin(), loop.begin() + static_cast<std::ptrdiff_t>(best), loop.end());
+    f.verts.assign(loop.begin(), loop.end());
+  }
+  ref_renumber(c);
+  c.max_radius2 = 0.0;
+  for (const Vec3& p : c.verts) c.max_radius2 = std::max(c.max_radius2, tg::dist2(c.site, p));
+  return kept_clipped;
+}
+
+bool same_vec3(const Vec3& a, const Vec3& b) { return std::memcmp(&a, &b, sizeof(Vec3)) == 0; }
+
+// Bit-for-bit comparison of a finished cell with the reference's mirror.
+bool expect_same_finish(const VoronoiCell& cell, const MirrorCell& m, const std::string& what) {
+  EXPECT_TRUE(same_bits(cell.max_radius2(), m.max_radius2)) << what;
+  const auto& verts = cell.vertices();
+  EXPECT_EQ(verts.size(), m.verts.size()) << what;
+  for (std::size_t v = 0; v < std::min(verts.size(), m.verts.size()); ++v)
+    EXPECT_TRUE(same_vec3(verts[v], m.verts[v])) << what << ": vertex " << v;
+  EXPECT_TRUE(cell.vertex_generators() == m.gens) << what << ": generators";
+  const auto& faces = cell.faces();
+  EXPECT_EQ(faces.size(), m.faces.size()) << what;
+  for (std::size_t f = 0; f < std::min(faces.size(), m.faces.size()); ++f) {
+    const auto& a = faces[f];
+    const auto& b = m.faces[f];
+    EXPECT_TRUE(a.source == b.source && same_vec3(a.plane_n, b.plane_n) &&
+                same_bits(a.plane_d, b.plane_d) && same_vec3(a.gen, b.gen))
+        << what << ": face " << f << " plane";
+    EXPECT_TRUE(std::equal(a.verts.begin(), a.verts.end(), b.verts.begin(), b.verts.end()))
+        << what << ": face " << f << " loop";
+  }
+  return !::testing::Test::HasFailure();
+}
+
+// compact() and canonicalize() of copies of `cell`, each against its
+// reference; false at the first difference.
+bool expect_finish_matches_reference(const VoronoiCell& cell, CompactCounts& counts,
+                                     const std::string& what) {
+  const MirrorCell built = mirror(cell);
+  VoronoiCell compacted = cell;
+  compacted.compact();
+  MirrorCell want = built;
+  ref_compact(want, counts);
+  if (!expect_same_finish(compacted, want, what + " compact")) return false;
+  VoronoiCell canonical = cell;
+  const std::size_t kept = canonical.canonicalize();
+  want = built;
+  CompactCounts ignored;
+  EXPECT_EQ(kept, ref_canonicalize(want, built.faces, ignored)) << what;
+  return expect_same_finish(canonical, want, what + " canonicalize");
+}
+
+// Every state the ClipOracle input families pass through.
+CompactCounts finish_families_after_every_cut() {
+  CompactCounts counts;
+  tg::ClipScratch scratch;
+  using Family = std::vector<ClipCase> (*)();
+  for (const Family family : {uniform_cases, blob_cases, coplanar_cases, lattice_cases,
+                              adversarial_cases})
+    for (const ClipCase& c : family())
+      drive(c, scratch, [](const VoronoiCell&) {},
+            [&](VoronoiCell& cell, const tg::Plane& plane, const std::string& what) {
+              cell.clip(plane, scratch);
+              return expect_finish_matches_reference(cell, counts, what);
+            });
+  return counts;
+}
+
+enum class LatticeKind : std::uint8_t { kExact, kJitter, kShiftedRows };
+
+// The interior sites' cells of a 7^3 unit lattice in [0, 7)^3: exact, each
+// coordinate jittered by up to 1e-9, or odd rows shifted by half a spacing.
+std::vector<VoronoiCell> lattice_cells(LatticeKind kind) {
+  const int side = 7;
+  Rng rng(9);
+  std::vector<Vec3> pts;
+  std::vector<std::int64_t> ids;
+  for (int z = 0; z < side; ++z)
+    for (int y = 0; y < side; ++y)
+      for (int x = 0; x < side; ++x) {
+        Vec3 p{x + 0.5, y + 0.5, z + 0.5};
+        if (kind == LatticeKind::kJitter)
+          for (std::size_t a = 0; a < 3; ++a) p[a] += 1e-9 * rng.uniform(-1.0, 1.0);
+        if (kind == LatticeKind::kShiftedRows && y % 2 == 1) p.x += 0.5;
+        pts.push_back(p);
+        ids.push_back(static_cast<std::int64_t>(ids.size()));
+      }
+  const Vec3 lo{0, 0, 0}, hi{side + 1.0, side + 0.0, side + 0.0};
+  const tg::CellBuilder builder(pts, ids, lo, hi);
+  std::vector<VoronoiCell> cells;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec3& p = pts[i];
+    if (std::min({p.x, p.y, p.z}) < 1.0 || std::max({p.x, p.y, p.z}) > side - 1.0) continue;
+    cells.push_back(builder.build(static_cast<int>(i), lo, hi));
+  }
+  return cells;
+}
+
+}  // namespace
+
+TEST(CompactOracle, ClipFamiliesAfterEveryCut) {
+  const CompactCounts counts = finish_families_after_every_cut();
+  EXPECT_GT(counts.cells, 5000);
+  // Both branches of the reference's cleanup run on these inputs.
+  EXPECT_GT(counts.welds, 0);
+  EXPECT_GT(counts.collinear, 0);
+}
+
+TEST(CompactOracle, Lattices) {
+  CompactCounts counts;
+  const std::pair<const char*, LatticeKind> kinds[] = {
+      {"exact", LatticeKind::kExact},
+      {"jitter", LatticeKind::kJitter},
+      {"shifted", LatticeKind::kShiftedRows}};
+  for (const auto& [name, kind] : kinds) {
+    const auto cells = lattice_cells(kind);
+    ASSERT_GT(cells.size(), 60u) << name;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      if (!expect_finish_matches_reference(cells[i], counts,
+                                           std::string(name) + " cell " + std::to_string(i)))
+        break;
+  }
+  EXPECT_GT(counts.welds, 0);
+  EXPECT_GT(counts.collinear, 0);
+}
+
+TEST(CompactOracle, HandBuiltDegenerateCells) {
+  CompactCounts weld, collinear, prune;
+  // A thin box: its corners lie within the weld bound of each other.
+  const double eps = 1e-12;
+  VoronoiCell thin({0, 0, 0}, {-eps, -eps, -1}, {eps, eps, 1});
+  EXPECT_TRUE(expect_finish_matches_reference(thin, weld, "thin box"));
+  // Two planes that meet in the middle of the +Y side of a long box at a
+  // slope of 1.5e-12: the second one still cuts (its far corners lie 6e-12
+  // outside it, past the clip tolerance), and the top and bottom faces keep
+  // a vertex whose corner spans an area within the collinear bound, far
+  // from any other vertex.
+  VoronoiCell kinked({0, 0, 0}, {-4, -1, -1}, {4, 1, 1});
+  kinked.clip({{0, 1, 0}, 0.5, 1});
+  EXPECT_TRUE(kinked.clip({{-1.5e-12, 1, 0}, 0.5, 2}));
+  EXPECT_TRUE(expect_finish_matches_reference(kinked, collinear, "kinked side"));
+  // A corner cut 1e-11 deep: a triangle of area ~1e-22, whose vertices also
+  // weld.
+  VoronoiCell grazed({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
+  grazed.clip({{1, 1, 1}, 3.0 - 1e-11, 1});
+  EXPECT_TRUE(expect_finish_matches_reference(grazed, prune, "grazed corner"));
+  EXPECT_GT(weld.welds, 0);
+  EXPECT_GT(collinear.collinear, 0);
+  EXPECT_EQ(collinear.welds, 0);
+  EXPECT_GT(prune.welds, 0);
 }
