@@ -182,6 +182,27 @@ static void BM_BlockTessellation(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockTessellation)->Arg(1000)->Arg(4096);
 
+static void BM_FixedGhostBlock(benchmark::State& state) {
+  // One rank's whole fixed-ghost step on a periodic uniform cloud: the ghost
+  // exchange, every cell built and compacted, the kept cells staged per
+  // chunk and welded into the block — the finish and the weld that
+  // BM_VoronoiCellBuildReuse never runs. The ghost is 4 mean spacings, as
+  // in perfbench's insitu_uniform.
+  const int n = static_cast<int>(state.range(0));
+  std::vector<diy::Particle> particles;
+  const auto pts = random_points(6, n);
+  for (int i = 0; i < n; ++i) particles.push_back({pts[static_cast<std::size_t>(i)], i});
+  comm::Runtime::run(1, [&](comm::Comm& comm) {
+    const diy::Decomposition decomp({0, 0, 0}, {1, 1, 1}, {1, 1, 1}, true);
+    core::TessOptions opt;
+    opt.ghost = 4.0 / std::cbrt(static_cast<double>(n));
+    core::Tessellator tessellator(comm, decomp, opt);
+    for (auto _ : state) benchmark::DoNotOptimize(tessellator.tessellate(particles));
+  });
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FixedGhostBlock)->Arg(8000);
+
 // ---------------------------------------------------------------------------
 // Batched kernels under the clip loop: the 4-lane sweeps of geom/kernels.hpp
 // and the batched orient3d filter of the hull's conflict lists.

@@ -37,13 +37,13 @@ inline std::int64_t weld_quantize(double x) {
   return t + (r >= 0.5 ? 1 : 0) - (r <= -0.5 ? 1 : 0);
 }
 
-/// The quantized position a vertex welds by: weld_quantize per axis. Every
-/// weld key of the library is computed here.
+/// The quantized position a vertex welds by.
 struct WeldKey {
   std::int64_t x = 0, y = 0, z = 0;
   bool operator==(const WeldKey&) const = default;
 };
 
+/// weld_quantize per axis: every BlockMesh weld key is computed here.
 inline WeldKey weld_key(const Vec3& v) {
   return {weld_quantize(v.x), weld_quantize(v.y), weld_quantize(v.z)};
 }

@@ -579,68 +579,64 @@ void VoronoiCell::compact() {
       dirty |= norm2(cross(b - a, c - b)) <= kCompactSweepMargin * far2;
     }
   }
-  if (dirty) weld_and_drop_collinear(weld_eps2, collinear_eps, far2);
-
-  renumber_in_face_order();
-}
-
-void VoronoiCell::weld_and_drop_collinear(double weld_eps2,
-                                          double collinear_eps, double far2) {
-  // Cells are small, so the quadratic weld is cheap.
-  TidyScratch& t = tls_tidy();
-  t.canon.resize(verts_.size());
-  for (std::size_t i = 0; i < verts_.size(); ++i) t.canon[i] = static_cast<int>(i);
-  t.used.assign(verts_.size(), 0);
-  t.used_list.clear();
-  for (const auto& f : faces_)
-    for (int v : f.verts)
-      if (!t.used[static_cast<std::size_t>(v)]) {
-        t.used[static_cast<std::size_t>(v)] = 1;
-        t.used_list.push_back(v);
+  if (dirty) {
+    // Cells are small, so the quadratic weld is cheap.
+    t.canon.resize(verts_.size());
+    for (std::size_t i = 0; i < verts_.size(); ++i) t.canon[i] = static_cast<int>(i);
+    t.used.assign(verts_.size(), 0);
+    t.used_list.clear();
+    for (const auto& f : faces_)
+      for (int v : f.verts)
+        if (!t.used[static_cast<std::size_t>(v)]) {
+          t.used[static_cast<std::size_t>(v)] = 1;
+          t.used_list.push_back(v);
+        }
+    for (std::size_t a = 0; a < t.used_list.size(); ++a)
+      for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
+        const int i = t.used_list[a], j = t.used_list[b];
+        if (t.canon[static_cast<std::size_t>(j)] != j) continue;
+        // dist2's x term alone: the sum rounds no lower than it.
+        const double dx = verts_[static_cast<std::size_t>(i)].x -
+                          verts_[static_cast<std::size_t>(j)].x;
+        if (dx * dx > weld_eps2) continue;
+        if (dist2(verts_[static_cast<std::size_t>(i)],
+                  verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
+          t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
       }
-  for (std::size_t a = 0; a < t.used_list.size(); ++a)
-    for (std::size_t b = a + 1; b < t.used_list.size(); ++b) {
-      const int i = t.used_list[a], j = t.used_list[b];
-      if (t.canon[static_cast<std::size_t>(j)] != j) continue;
-      // dist2's x term alone: the sum rounds no lower than it.
-      const double dx = verts_[static_cast<std::size_t>(i)].x -
-                        verts_[static_cast<std::size_t>(j)].x;
-      if (dx * dx > weld_eps2) continue;
-      if (dist2(verts_[static_cast<std::size_t>(i)],
-                verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
-        t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
-    }
-  auto& loop = t.loop;
-  for (auto& f : faces_) {
-    for (auto& v : f.verts) v = t.canon[static_cast<std::size_t>(v)];
-    // Drop consecutive duplicates.
-    loop.clear();
-    for (int v : f.verts)
-      if (loop.empty() || loop.back() != v) loop.push_back(v);
-    while (loop.size() > 1 && loop.front() == loop.back()) loop.pop_back();
-    // Drop collinear interior vertices.
-    bool changed = true;
-    while (changed && loop.size() > 3) {
-      changed = false;
-      const std::size_t m = loop.size();
-      for (std::size_t i = 0, prev = m - 1; i < m; prev = i++) {
-        const std::size_t next = i + 1 == m ? 0 : i + 1;
-        const Vec3& a = verts_[static_cast<std::size_t>(loop[prev])];
-        const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
-        const Vec3& c = verts_[static_cast<std::size_t>(loop[next])];
-        // norm2 first: past far2 the sqrt cannot come back under eps.
-        const double n2 = norm2(cross(b - a, c - b));
-        if (n2 > far2) continue;
-        if (0.5 * std::sqrt(n2) <= collinear_eps) {
-          loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
-          changed = true;
-          break;
+    auto& loop = t.loop;
+    for (auto& f : faces_) {
+      for (auto& v : f.verts) v = t.canon[static_cast<std::size_t>(v)];
+      // Drop consecutive duplicates.
+      loop.clear();
+      for (int v : f.verts)
+        if (loop.empty() || loop.back() != v) loop.push_back(v);
+      while (loop.size() > 1 && loop.front() == loop.back()) loop.pop_back();
+      // Drop collinear interior vertices.
+      bool changed = true;
+      while (changed && loop.size() > 3) {
+        changed = false;
+        const std::size_t m = loop.size();
+        for (std::size_t i = 0, prev = m - 1; i < m; prev = i++) {
+          const std::size_t next = i + 1 == m ? 0 : i + 1;
+          const Vec3& a = verts_[static_cast<std::size_t>(loop[prev])];
+          const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
+          const Vec3& c = verts_[static_cast<std::size_t>(loop[next])];
+          // norm2 first: past far2 the sqrt cannot come back under eps.
+          const double n2 = norm2(cross(b - a, c - b));
+          if (n2 > far2) continue;
+          if (0.5 * std::sqrt(n2) <= collinear_eps) {
+            loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
+            changed = true;
+            break;
+          }
         }
       }
+      f.verts.assign(loop.begin(), loop.end());
     }
-    f.verts.assign(loop.begin(), loop.end());
+    std::erase_if(faces_, [](const Face& f) { return f.verts.size() < 3; });
   }
-  std::erase_if(faces_, [](const Face& f) { return f.verts.size() < 3; });
+
+  renumber_in_face_order();
 }
 
 void VoronoiCell::renumber_in_face_order() {

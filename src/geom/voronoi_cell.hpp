@@ -198,12 +198,6 @@ class VoronoiCell {
   /// sorted generators), ties broken by the vertices that follow.
   void rotate_to_smallest(Face& f) const;
   void prune_degenerate_faces();
-  /// compact()'s full cleanup, for cells its sweeps flag: weld vertices
-  /// within sqrt(weld_eps2), then drop loop vertices whose corner spans an
-  /// area of at most collinear_eps (far2 bounds the squared cross product
-  /// past which no sqrt is taken).
-  void weld_and_drop_collinear(double weld_eps2, double collinear_eps,
-                               double far2);
   /// Renumber the vertices by first use in face order, dropping any no
   /// face references (generators in step).
   void renumber_in_face_order();

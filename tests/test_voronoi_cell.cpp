@@ -1251,15 +1251,27 @@ TEST(CompactOracle, HandBuiltDegenerateCells) {
   const double eps = 1e-12;
   VoronoiCell thin({0, 0, 0}, {-eps, -eps, -1}, {eps, eps, 1});
   EXPECT_TRUE(expect_finish_matches_reference(thin, weld, "thin box"));
-  // Two planes that meet in the middle of the +Y side of a long box at a
-  // slope of 1.5e-12: the second one still cuts (its far corners lie 6e-12
-  // outside it, past the clip tolerance), and the top and bottom faces keep
-  // a vertex whose corner spans an area within the collinear bound, far
-  // from any other vertex.
-  VoronoiCell kinked({0, 0, 0}, {-4, -1, -1}, {4, 1, 1});
-  kinked.clip({{0, 1, 0}, 0.5, 1});
-  EXPECT_TRUE(kinked.clip({{-1.5e-12, 1, 0}, 0.5, 2}));
-  EXPECT_TRUE(expect_finish_matches_reference(kinked, collinear, "kinked side"));
+  // A long box, 8 x 2 x 2 in a generic orientation so that no two of its
+  // vertices share an x coordinate, whose +v side is two planes meeting in
+  // the middle at a slope of 1.5e-12: the second one still cuts (its far
+  // corners lie 6e-12 outside it, past the clip tolerance), and the two
+  // faces across the kink keep a vertex whose corner spans an area within
+  // the collinear bound, far from any other vertex. Only the collinear
+  // sweep can flag this cell.
+  const Vec3 u = tg::normalized({1.0, 0.3, -0.2});
+  const Vec3 v = tg::normalized(tg::cross(u, {0.1, 0.2, 1.0}));
+  const Vec3 w = tg::cross(u, v);
+  VoronoiCell kinked({0, 0, 0}, {-10, -10, -10}, {10, 10, 10});
+  std::int64_t source = 1;
+  for (const auto& [axis, half] : {std::pair{u, 4.0}, std::pair{v, 1.0}, std::pair{w, 1.0}}) {
+    kinked.clip({axis, half, source++});
+    kinked.clip({axis * -1.0, half, source++});
+  }
+  ASSERT_TRUE(kinked.complete());
+  kinked.clip({v, 0.5, source++});
+  const Vec3 tilted = v - u * 1.5e-12;
+  EXPECT_TRUE(kinked.clip({tilted, 0.5, source++}));
+  EXPECT_TRUE(expect_finish_matches_reference(kinked, collinear, "kinked box"));
   // A corner cut 1e-11 deep: a triangle of area ~1e-22, whose vertices also
   // weld.
   VoronoiCell grazed({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
