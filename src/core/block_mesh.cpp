@@ -47,7 +47,6 @@ void StagedCells::add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
       if (mapped == BlockMesh::kUnwelded) {
         mapped = static_cast<std::uint32_t>(vertices.size() - first);
         vertices.push_back(verts[static_cast<std::size_t>(v)]);
-        keys.push_back(weld_key(vertices.back()));
       }
       face_verts.push_back(mapped);
     }
@@ -75,7 +74,8 @@ void BlockMesh::reserve_weld(std::size_t count) {
     rehash_weld(std::max(kMinWeldSlots, std::bit_ceil(2 * count)));
 }
 
-std::uint32_t BlockMesh::weld_vertex(const Vec3& v, const WeldKey& key) {
+std::uint32_t BlockMesh::weld_vertex(const Vec3& v) {
+  const WeldKey key = weld_key(v);
   // Double (keeping the load at most 1/2) and reinsert.
   if (2 * (weld_count_ + 1) > weld_slots_.size())
     rehash_weld(std::max(kMinWeldSlots, 2 * weld_slots_.size()));
@@ -100,10 +100,8 @@ void BlockMesh::append_faces(const BlockMesh& src, std::size_t first,
   for (std::size_t f = first; f < first + count; ++f) {
     for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i) {
       auto& mapped = remap[src.face_verts[i]];
-      if (mapped == kUnwelded) {
-        const Vec3& v = src.vertices[src.face_verts[i]];
-        mapped = weld_vertex(v, weld_key(v));
-      }
+      if (mapped == kUnwelded)
+        mapped = weld_vertex(src.vertices[src.face_verts[i]]);
       face_verts.push_back(mapped);
     }
     face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
@@ -121,7 +119,7 @@ void BlockMesh::append_cell(const StagedCells& src, std::size_t cell) {
   const std::uint32_t v1 = src.first_vertex[cell + 1];
   remap_.resize(v1 - v0);
   for (std::uint32_t v = v0; v < v1; ++v)
-    remap_[v - v0] = weld_vertex(src.vertices[v], src.keys[v]);
+    remap_[v - v0] = weld_vertex(src.vertices[v]);
   for (std::size_t f = first; f < first + rec.num_faces; ++f) {
     for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i)
       face_verts.push_back(remap_[src.face_verts[i]]);

@@ -8,6 +8,7 @@
 // Minkowski functionals.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -26,26 +27,17 @@ using geom::Vec3;
 /// Two positions weld iff llround(coord / kWeldQuantum) agrees on all axes.
 inline constexpr double kWeldQuantum = 1e-7;
 
-/// llround(x / kWeldQuantum), rounded inline instead of through the libm
-/// call: truncate, then step away from zero when the dropped fraction is at
-/// least one half. q - trunc(q) is exact, so the result equals llround's
-/// bit for bit wherever the key fits in 64 bits (|x / kWeldQuantum| < 2^63).
-inline std::int64_t weld_quantize(double x) {
-  const double q = x / kWeldQuantum;
-  const auto t = static_cast<std::int64_t>(q);
-  const double r = q - static_cast<double>(t);
-  return t + (r >= 0.5 ? 1 : 0) - (r <= -0.5 ? 1 : 0);
-}
-
 /// The quantized position a vertex welds by.
 struct WeldKey {
   std::int64_t x = 0, y = 0, z = 0;
   bool operator==(const WeldKey&) const = default;
 };
 
-/// weld_quantize per axis: every BlockMesh weld key is computed here.
+/// llround(coord / kWeldQuantum) per axis: every BlockMesh weld key is
+/// computed here.
 inline WeldKey weld_key(const Vec3& v) {
-  return {weld_quantize(v.x), weld_quantize(v.y), weld_quantize(v.z)};
+  return {std::llround(v.x / kWeldQuantum), std::llround(v.y / kWeldQuantum),
+          std::llround(v.z / kWeldQuantum)};
 }
 
 struct CellRecord {
@@ -58,17 +50,15 @@ struct CellRecord {
 };
 
 /// Kept cells staged for assembly into a BlockMesh. Each cell lists its
-/// own vertices once, in first-reference order along its face loops, each
-/// with its weld key; nothing is welded across cells, so staging a cell
-/// costs only what the cell holds. BlockMesh::append_cell welds each staged
-/// vertex once. The tessellator fills one stage per chunk of its parallel
-/// cell loop.
+/// own vertices once, in first-reference order along its face loops;
+/// nothing is welded across cells, so staging a cell costs only what the
+/// cell holds. BlockMesh::append_cell welds each staged vertex once. The
+/// tessellator fills one stage per chunk of its parallel cell loop.
 struct StagedCells {
   std::vector<CellRecord> cells;  ///< first_face indexes this stage's faces
   /// Cell c's vertices are [first_vertex[c], first_vertex[c + 1]).
   std::vector<std::uint32_t> first_vertex{0};
   std::vector<Vec3> vertices;
-  std::vector<WeldKey> keys;  ///< weld_key of each vertex
   std::vector<std::uint32_t> face_offsets{0};
   /// Face corners, each an index into its own cell's vertex range.
   std::vector<std::uint32_t> face_verts;
@@ -150,9 +140,9 @@ class BlockMesh {
   static diy::Bounds peek_bounds(diy::BufferView buf);
 
  private:
-  /// Index of the vertex welded under `key`, appending v if none: the one
-  /// weld of the library.
-  [[nodiscard]] std::uint32_t weld_vertex(const Vec3& v, const WeldKey& key);
+  /// Index of the vertex welded under weld_key(v), appending v if none: the
+  /// one weld of the library.
+  [[nodiscard]] std::uint32_t weld_vertex(const Vec3& v);
   /// Rebuild the weld table with `slots` slots (a power of two).
   void rehash_weld(std::size_t slots);
   /// Append src's face range [first, first + count) to the face arrays,

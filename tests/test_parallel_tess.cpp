@@ -410,9 +410,9 @@ TEST(ParallelTessellation, HardwareConcurrencyKnob) {
 }
 
 // ---------------------------------------------------------------------------
-// Linear assembly: merging N one-cell staged shards grows every mesh array
-// geometrically, so the merge allocates O(log N) times in total — never
-// once per shard.
+// Linear assembly: merging N one-cell shards, staged or welded, grows every
+// mesh array geometrically, so the merge allocates O(log N) times in total
+// — never once per shard.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelTessellation, OneCellShardMergeAllocatesLogarithmically) {
@@ -422,35 +422,50 @@ TEST(ParallelTessellation, OneCellShardMergeAllocatesLogarithmically) {
     pts.push_back({rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 8)});
   const Vec3 lo{0, 0, 0}, hi{8, 8, 8};
   CellBuilder builder(pts, {}, lo, hi);
-  std::vector<StagedCells> shards;
+  std::vector<StagedCells> staged;
+  std::vector<BlockMesh> welded;
   for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
     auto cell = builder.build(site, lo, hi);
     cell.compact();
-    StagedCells shard;
-    shard.add_cell(site, cell, cell.volume(), cell.area());
-    shards.push_back(std::move(shard));
+    StagedCells stage;
+    stage.add_cell(site, cell, cell.volume(), cell.area());
+    BlockMesh shard;
+    shard.append_cell(stage, 0);
+    staged.push_back(std::move(stage));
+    welded.push_back(std::move(shard));
   }
-
-  BlockMesh merged;
-  const auto before = g_alloc_count.load(std::memory_order_relaxed);
-  for (const auto& shard : shards) merged.append_cell(shard, 0);
-  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
 
   // Each growing array reallocates about log2(final size) times: the cell
   // and face arrays, the vertices and their weld keys (one term each), the
-  // weld table, which holds at most 4x the vertex count, and the per-cell
-  // remap, which grows to the largest cell's vertex count.
+  // weld table, which holds at most 4x the vertex count, and the remap,
+  // which grows to the largest shard's vertex count.
   auto growths = [](std::size_t n) {
     return static_cast<std::uint64_t>(std::bit_width(n)) + 1;
   };
-  const std::uint64_t bound =
-      growths(merged.cells.size()) + growths(merged.vertices.size()) +
-      growths(merged.vertices.size()) +
-      growths(merged.face_offsets.size()) + growths(merged.face_verts.size()) +
-      growths(merged.face_neighbors.size()) +
-      growths(4 * merged.vertices.size()) + growths(128);
-  EXPECT_LE(allocs, bound) << "merging " << shards.size()
-                           << " one-cell shards allocated " << allocs
-                           << " times";
-  EXPECT_EQ(merged.cells.size(), shards.size());
+  auto bound = [&](const BlockMesh& m) {
+    return growths(m.cells.size()) + growths(m.vertices.size()) +
+           growths(m.vertices.size()) + growths(m.face_offsets.size()) +
+           growths(m.face_verts.size()) + growths(m.face_neighbors.size()) +
+           growths(4 * m.vertices.size()) + growths(128);
+  };
+
+  // Staged shards, welded cell by cell as the tessellator assembles a block.
+  BlockMesh assembled;
+  auto before = g_alloc_count.load(std::memory_order_relaxed);
+  for (const auto& stage : staged) assembled.append_cell(stage, 0);
+  auto allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(allocs, bound(assembled))
+      << "assembling " << staged.size() << " one-cell staged shards allocated "
+      << allocs << " times";
+  EXPECT_EQ(assembled.cells.size(), staged.size());
+
+  // Welded one-cell meshes, re-welded by append.
+  BlockMesh merged;
+  before = g_alloc_count.load(std::memory_order_relaxed);
+  for (const auto& shard : welded) merged.append(shard);
+  allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(allocs, bound(merged))
+      << "merging " << welded.size() << " one-cell meshes allocated " << allocs
+      << " times";
+  EXPECT_EQ(merged.cells.size(), welded.size());
 }

@@ -581,52 +581,6 @@ TEST(MeshAssembly, AddCellMatchesPerCornerOracle) {
   EXPECT_EQ(stage_cells(boxes, boxes.size() - 1, boxes.size()).vertices.size(), 8u);
 }
 
-// The inline quantizer rounds exactly as std::llround does: at zero, at
-// half-quantum ties of both signs and one ulp either side of them, and at
-// magnitudes up to 2^52 quanta, where every quotient is an integer.
-TEST(MeshAssembly, WeldQuantizeMatchesLlround) {
-  using tess::core::weld_quantize;
-  auto expect_llround = [](double x) {
-    EXPECT_EQ(weld_quantize(x), std::llround(x / kWeldQuantum))
-        << std::hexfloat << "x = " << x;
-  };
-  expect_llround(0.0);
-  expect_llround(-0.0);
-  int ties = 0;
-  const double two52 = 4503599627370496.0;  // 2^52
-  for (const double k : {0.0, 1.0, 2.0, 12345678.0, 23456789.0, 1e9, 1e12,
-                         two52 / 4 - 1, two52 / 2 - 1, two52 - 1}) {
-    for (const double sign : {1.0, -1.0}) {
-      const double tie = sign * (k + 0.5);
-      // Look for an x whose quotient rounds to the tie exactly.
-      double x = tie * kWeldQuantum;
-      for (int step = 0; step < 8 && x / kWeldQuantum != tie; ++step)
-        x = std::nextafter(x, x / kWeldQuantum < tie ? 2 * two52 : -2 * two52);
-      if (x / kWeldQuantum == tie) {
-        ++ties;
-        EXPECT_EQ(weld_quantize(x), static_cast<std::int64_t>(sign * (k + 1)));
-      }
-      for (const double y : {x, std::nextafter(x, 0.0), std::nextafter(x, 2 * x)})
-        expect_llround(y);
-    }
-  }
-  EXPECT_GE(ties, 10);  // both signs of most ties are reachable
-  Rng rng(52);
-  for (int i = 0; i < 20000; ++i) {
-    // Log-uniform magnitudes from 1e-12 to 2^52 quanta, both signs.
-    const double mag = std::exp(rng.uniform(std::log(1e-12), std::log(two52 * kWeldQuantum)));
-    expect_llround(i % 2 == 0 ? mag : -mag);
-  }
-  for (const double x : {two52 * kWeldQuantum, -two52 * kWeldQuantum})
-    for (const double y : {x, std::nextafter(x, 0.0), std::nextafter(x, 2 * x)})
-      expect_llround(y);
-  const Vec3 v{0.5 * kWeldQuantum, -2.5 * kWeldQuantum, 1.0};
-  const auto key = tess::core::weld_key(v);
-  EXPECT_EQ(key.x, std::llround(v.x / kWeldQuantum));
-  EXPECT_EQ(key.y, std::llround(v.y / kWeldQuantum));
-  EXPECT_EQ(key.z, std::llround(v.z / kWeldQuantum));
-}
-
 TEST(MeshAssembly, ShardMergeMatchesPerCornerOracle) {
   for (const auto& cells : assembly_inputs()) {
     const auto expected = mesh_bytes(oracle_mesh(cells));
