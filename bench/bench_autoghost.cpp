@@ -4,7 +4,9 @@
 // regime the incremental path exists for; both modes emit byte-identical
 // meshes, so the comparison is pure work saved.
 //
-// Produces BENCH_autoghost.json via --benchmark_format=json.
+// No baseline is committed: the work runs on rank threads, so
+// google-benchmark's cpu_time sees only the idle main thread; compare
+// real_time (UseRealTime) between runs on one host instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -110,7 +112,7 @@ BENCHMARK(BM_AutoGhost_Incremental)->Arg(2000)->Arg(4000)->UseRealTime()->Unit(b
 // Custom main instead of BENCHMARK_MAIN(): with TESS_OBS_EXPORT=<prefix>
 // in the environment, the run also emits <prefix>.trace.json (one
 // chrome://tracing lane per rank x thread showing the exchange / build /
-// retry spans) and <prefix>.summary.{json,tsv}.
+// retry spans) and <prefix>.summary.jsonl.
 // --fault-spec=SPEC arms the fault injector (comm/fault.hpp grammar) for
 // the whole run; --fault-seed=N seeds it (default: TESS_FAULT_SEED, else 1).
 // Both are stripped from argv before Google Benchmark sees them. With a

@@ -303,7 +303,7 @@ static void BM_Fft3D(benchmark::State& state) {
 BENCHMARK(BM_Fft3D)->Arg(16)->Arg(32)->Arg(64);
 
 // Custom main instead of BENCHMARK_MAIN() so TESS_OBS_EXPORT=<prefix> makes
-// the run emit <prefix>.trace.json and <prefix>.summary.{json,tsv}.
+// the run emit <prefix>.trace.json and <prefix>.summary.jsonl.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -212,7 +212,7 @@ BENCHMARK(BM_CacheChurn)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN(): with TESS_OBS_EXPORT=<prefix>
 // in the environment the run also emits <prefix>.trace.json and
-// <prefix>.summary.{json,tsv} carrying the serve.* spans, counters, and
+// <prefix>.summary.jsonl carrying the serve.* spans, counters, and
 // latency histograms recorded by the query service.
 int main(int argc, char** argv) {
   tess::bench::warn_if_debug_build();

@@ -80,8 +80,7 @@ void obs_export(const std::string& prefix) {
   const auto trace = obs::Tracer::instance().drain();
   const auto snap = obs::metrics().snapshot();
   obs::write_chrome_trace(prefix + ".trace.json", trace);
-  obs::write_summary_json(prefix + ".summary.json", trace, snap);
-  obs::write_summary_tsv(prefix + ".summary.tsv", trace, snap);
+  obs::write_summary(prefix + ".summary.jsonl", trace, snap);
 }
 
 InSituResult run_insitu(int nranks, const InSituConfig& cfg) {
@@ -173,10 +172,7 @@ InSituResult run_standalone(int nranks, const std::vector<diy::Particle>& partic
 InSituLoopResult run_insitu_loop(int nranks, const InSituLoopConfig& cfg) {
   InSituLoopResult result;
   std::mutex m;
-  const auto hook =
-      cfg.stats_path.empty()
-          ? std::function<void(comm::Comm&, int, const std::vector<double>&)>{}
-          : analysis::make_stats_streamer(cfg.stats_path, 0.0, 8.0, 32);
+  const auto hook = analysis::make_stats_streamer(0.0, 8.0, 32);
 
   comm::Runtime::run(nranks, [&](comm::Comm& c) {
     hacc::Simulation sim(c, cfg.sim);
@@ -192,11 +188,10 @@ InSituLoopResult run_insitu_loop(int nranks, const InSituLoopConfig& cfg) {
       opt.tess = cfg.tess;
       opt.output_pattern = cfg.output_pattern;
       opt.queue_depth = cfg.queue_depth;
-      if (hook)
-        opt.on_step = [&hook](comm::Comm& wc,
-                              const core::PipelineStepResult& r) {
-          hook(wc, r.step, r.cell_volumes);
-        };
+      opt.on_step = [&hook](comm::Comm& wc,
+                            const core::PipelineStepResult& r) {
+        hook(wc, r.step, r.cell_volumes);
+      };
       core::InSituPipeline pipe(c, sim.decomposition(), opt);
       for (int s = 0; s < cfg.steps; ++s) {
         sim_cpu.start();
@@ -229,7 +224,7 @@ InSituLoopResult run_insitu_loop(int nranks, const InSituLoopConfig& cfg) {
           bytes += diy::write_blocks(c, diy::step_path(cfg.output_pattern, step),
                                      buf);
         }
-        if (hook) hook(c, step, volumes);
+        hook(c, step, volumes);
         w.stop();
         write_cpu += w.seconds();
       }

@@ -38,11 +38,6 @@ std::uint64_t write_blocks(comm::Comm& comm, const std::string& path,
 /// with the decimal step, or appends ".step<N>" if no placeholder.
 std::string step_path(const std::string& pattern, int step);
 
-/// Append one line (a trailing '\n' is added) to `path` atomically via
-/// O_APPEND — safe against concurrent appenders, used for streaming
-/// per-step in-situ stats. Not collective.
-void append_text_line(const std::string& path, const std::string& line);
-
 /// Reader for a blocked file; not collective.
 ///
 /// The constructor validates the whole footer before any block access:

@@ -178,6 +178,25 @@ std::string imbalance_tsv(const ImbalanceReport& report) {
 // Summary comparison (perf-regression gate)
 // ---------------------------------------------------------------------------
 
+std::vector<SummaryRow> summary_rows(const StreamRecord& rec) {
+  std::vector<SummaryRow> rows;
+  for (const auto& [name, cs] : rec.spans)
+    rows.push_back({"span", name, cs.first, cs.second});
+  for (const auto& [name, v] : rec.counters)
+    rows.push_back({"counter", name, 1.0, v});
+  for (const auto& [name, v] : rec.gauges)
+    rows.push_back({"gauge", name, 1.0, v});
+  for (const auto& [name, h] : rec.hists) {
+    SummaryRow row{"histogram", name, h.count, h.sum, h.p50, h.p99};
+    if (!h.bins.empty()) {
+      row.bins_lo = static_cast<double>(h.bins.begin()->first);
+      row.bins_hi = static_cast<double>(h.bins.rbegin()->first);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 CompareResult compare_summaries(const std::vector<SummaryRow>& baseline,
                                 const std::vector<SummaryRow>& current,
                                 const CompareOptions& options) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
+#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 
 namespace tess::obs {
@@ -103,8 +104,14 @@ struct ImbalanceReport {
 // ---------------------------------------------------------------------------
 // Perf-regression comparison of two exported summaries (the gate behind
 // tools/obs_compare). Operates on the SummaryRow lists produced by
-// parse_summary_json / parse_summary_tsv.
+// summary_rows (a summary's global record) or parse_benchmark_json.
 // ---------------------------------------------------------------------------
+
+/// The gate's rows for one decoded "snap" record: spans (count, total
+/// seconds), counters and gauges (value as `total`), and histograms (n as
+/// `count`, sum as `total`, p50/p99 as `min`/`max`, and the lowest and
+/// highest occupied bucket floor as `bins_lo`/`bins_hi`).
+[[nodiscard]] std::vector<SummaryRow> summary_rows(const StreamRecord& rec);
 
 struct CompareOptions {
   /// A phase regresses when current > baseline * (1 + threshold).

@@ -1,8 +1,6 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -43,18 +41,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-void append_per_rank(std::ostringstream& os,
-                     const std::vector<std::pair<int, double>>& per_rank) {
-  os << "{";
-  bool first = true;
-  for (const auto& [rank, v] : per_rank) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << rank << "\":" << fmt_double(v);
-  }
-  os << "}";
-}
-
 }  // namespace
 
 std::vector<SpanAgg> aggregate_spans(const TraceDump& dump) {
@@ -65,15 +51,9 @@ std::vector<SpanAgg> aggregate_spans(const TraceDump& dump) {
           static_cast<double>(span.t1_ns - span.t0_ns) * 1e-9;
       auto [it, inserted] = by_name.try_emplace(span.name);
       SpanAgg& agg = it->second;
-      if (inserted) {
-        agg.name = span.name;
-        agg.min_s = dur;
-        agg.max_s = dur;
-      }
+      if (inserted) agg.name = span.name;
       agg.count += 1;
       agg.total_s += dur;
-      agg.min_s = std::min(agg.min_s, dur);
-      agg.max_s = std::max(agg.max_s, dur);
     }
   }
   std::vector<SpanAgg> out;
@@ -123,182 +103,6 @@ std::string chrome_trace_json(const TraceDump& dump) {
   }
   os << "\n]}\n";
   return os.str();
-}
-
-std::string summary_json(const TraceDump& dump,
-                         const MetricsSnapshot& metrics) {
-  std::ostringstream os;
-  os << "{\n  \"spans\": {";
-  const auto aggs = aggregate_spans(dump);
-  for (std::size_t i = 0; i < aggs.size(); ++i) {
-    const auto& a = aggs[i];
-    os << (i == 0 ? "" : ",") << "\n    \"" << json_escape(a.name)
-       << "\": {\"count\": " << a.count
-       << ", \"total_s\": " << fmt_double(a.total_s)
-       << ", \"min_s\": " << fmt_double(a.min_s)
-       << ", \"max_s\": " << fmt_double(a.max_s)
-       << ", \"mean_s\": " << fmt_double(a.mean_s()) << "}";
-  }
-  os << "\n  },\n";
-
-  auto emit_kind = [&os, &metrics](char kind, const char* label,
-                                   auto&& body) {
-    os << "  \"" << label << "\": {";
-    bool first = true;
-    for (const auto& s : metrics.samples) {
-      if (s.kind != kind) continue;
-      os << (first ? "" : ",") << "\n    \"" << json_escape(s.name) << "\": ";
-      body(s);
-      first = false;
-    }
-    os << "\n  },\n";
-  };
-  emit_kind('c', "counters", [&os](const MetricSample& s) {
-    os << "{\"total\": " << fmt_double(s.value) << ", \"per_rank\": ";
-    append_per_rank(os, s.per_rank);
-    os << "}";
-  });
-  emit_kind('g', "gauges", [&os](const MetricSample& s) {
-    os << "{\"value\": " << fmt_double(s.value) << ", \"per_rank\": ";
-    append_per_rank(os, s.per_rank);
-    os << "}";
-  });
-  emit_kind('h', "histograms", [&os](const MetricSample& s) {
-    os << "{\"count\": " << fmt_double(s.value)
-       << ", \"sum\": " << fmt_double(s.sum)
-       << ", \"p50\": " << fmt_double(histogram_quantile(s.bins, 0.50))
-       << ", \"p90\": " << fmt_double(histogram_quantile(s.bins, 0.90))
-       << ", \"p99\": " << fmt_double(histogram_quantile(s.bins, 0.99))
-       << ", \"bins\": {";
-    bool first = true;
-    for (const auto& [floor, n] : s.bins) {
-      os << (first ? "" : ",") << "\"" << floor << "\":" << n;
-      first = false;
-    }
-    os << "}}";
-  });
-
-  os << "  \"lanes\": " << dump.lanes.size()
-     << ",\n  \"dropped_spans\": " << dump.total_dropped() << "\n}\n";
-  return os.str();
-}
-
-std::string summary_tsv(const TraceDump& dump,
-                        const MetricsSnapshot& metrics) {
-  std::ostringstream os;
-  os << "kind\tname\tcount\ttotal\tmin\tmax\n";
-  for (const auto& a : aggregate_spans(dump))
-    os << "span\t" << a.name << "\t" << a.count << "\t" << fmt_double(a.total_s)
-       << "\t" << fmt_double(a.min_s) << "\t" << fmt_double(a.max_s) << "\n";
-  for (const auto& s : metrics.samples) {
-    switch (s.kind) {
-      case 'c':
-        os << "counter\t" << s.name << "\t1\t" << fmt_double(s.value)
-           << "\t0\t0\n";
-        break;
-      case 'g':
-        os << "gauge\t" << s.name << "\t1\t" << fmt_double(s.value)
-           << "\t0\t0\n";
-        break;
-      case 'h':
-        os << "histogram\t" << s.name << "\t" << fmt_double(s.value) << "\t"
-           << fmt_double(s.sum) << "\t"
-           << fmt_double(histogram_quantile(s.bins, 0.50)) << "\t"
-           << fmt_double(histogram_quantile(s.bins, 0.99)) << "\n";
-        break;
-      default: break;
-    }
-  }
-  return os.str();
-}
-
-std::vector<SummaryRow> parse_summary_tsv(const std::string& text) {
-  std::vector<SummaryRow> rows;
-  std::istringstream is(text);
-  std::string line;
-  bool header = true;
-  while (std::getline(is, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    SummaryRow row;
-    std::istringstream ls(line);
-    std::string count, total, min, max;
-    if (!std::getline(ls, row.kind, '\t') ||
-        !std::getline(ls, row.name, '\t') || !std::getline(ls, count, '\t') ||
-        !std::getline(ls, total, '\t') || !std::getline(ls, min, '\t') ||
-        !std::getline(ls, max, '\t'))
-      throw std::runtime_error("parse_summary_tsv: malformed row: " + line);
-    row.count = std::stod(count);
-    row.total = std::stod(total);
-    row.min = std::stod(min);
-    row.max = std::stod(max);
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<SummaryRow> parse_summary_json(const std::string& text) {
-  std::vector<SummaryRow> rows;
-  JsonReader in(text);
-  in.object([&](const std::string& section) {
-    if (section != "spans" && section != "counters" && section != "gauges" &&
-        section != "histograms") {
-      in.skip_value();
-      return;
-    }
-    const std::string kind = section.substr(0, section.size() - 1);
-    in.object([&](const std::string& name) {
-      double count = 0, total_s = 0, min_s = 0, max_s = 0;
-      double total = 0, value = 0, sum = 0, p50 = 0, p99 = 0;
-      double bins_lo = -1.0, bins_hi = -1.0;
-      in.object([&](const std::string& field) {
-        if (field == "count") count = in.number();
-        else if (field == "total_s") total_s = in.number();
-        else if (field == "min_s") min_s = in.number();
-        else if (field == "max_s") max_s = in.number();
-        else if (field == "total") total = in.number();
-        else if (field == "value") value = in.number();
-        else if (field == "sum") sum = in.number();
-        else if (field == "p50") p50 = in.number();
-        else if (field == "p99") p99 = in.number();
-        else if (field == "bins")
-          in.object([&](const std::string& floor_key) {
-            const double floor_v = std::strtod(floor_key.c_str(), nullptr);
-            if (bins_lo < 0.0 || floor_v < bins_lo) bins_lo = floor_v;
-            if (floor_v > bins_hi) bins_hi = floor_v;
-            in.skip_value();
-          });
-        else in.skip_value();
-      });
-      SummaryRow row;
-      row.kind = kind;
-      row.name = name;
-      if (kind == "span") {
-        row.count = count;
-        row.total = total_s;
-        row.min = min_s;
-        row.max = max_s;
-      } else if (kind == "counter") {
-        row.count = 1;
-        row.total = total;
-      } else if (kind == "gauge") {
-        row.count = 1;
-        row.total = value;
-      } else {  // histogram: quantiles ride the min/max columns
-        row.count = count;
-        row.total = sum;
-        row.min = p50;
-        row.max = p99;
-        row.bins_lo = bins_lo;
-        row.bins_hi = bins_hi;
-      }
-      rows.push_back(std::move(row));
-    });
-  });
-  return rows;
 }
 
 std::vector<SummaryRow> parse_benchmark_json(const std::string& text,
@@ -362,8 +166,8 @@ void write_text_file(const std::string& path, const std::string& text) {
   if (f == nullptr)
     throw std::runtime_error("obs: cannot open '" + path + "' for writing");
   const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (n != text.size())
+  // fclose flushes the buffered tail; its failure truncates the file too.
+  if (std::fclose(f) != 0 || n != text.size())
     throw std::runtime_error("obs: short write to '" + path + "'");
 }
 

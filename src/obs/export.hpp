@@ -1,14 +1,13 @@
 // Exporters for the observability layer: chrome://tracing JSON (one lane
-// per rank×thread) and a flat machine-readable summary (JSON and TSV) of
-// per-phase span totals plus every registered metric — the format the
-// bench binaries emit natively and CI uploads for trend inspection.
+// per rank×thread), span aggregation by name, and the reader for
+// google-benchmark files that feed the same regression gate as the
+// exit-time summary (which obs/stream.hpp writes as stream records).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace tess::obs {
@@ -18,11 +17,6 @@ struct SpanAgg {
   std::string name;
   std::uint64_t count = 0;
   double total_s = 0.0;  ///< summed wall-clock duration
-  double min_s = 0.0;
-  double max_s = 0.0;
-  [[nodiscard]] double mean_s() const {
-    return count == 0 ? 0.0 : total_s / static_cast<double>(count);
-  }
 };
 
 /// Aggregate spans by name, sorted by name.
@@ -34,22 +28,9 @@ struct SpanAgg {
 /// chrome://tracing or https://ui.perfetto.dev.
 [[nodiscard]] std::string chrome_trace_json(const TraceDump& dump);
 
-/// Flat summary JSON: {"spans": {...}, "counters": {...}, "gauges": {...},
-/// "histograms": {...}, "lanes": N, "dropped_spans": N}. Per-phase span
-/// totals are wall-clock seconds summed over all lanes; histogram entries
-/// carry count/sum/p50/p90/p99 plus the raw bucket counts, so quantiles
-/// survive the round-trip through parse_summary_json.
-[[nodiscard]] std::string summary_json(const TraceDump& dump,
-                                       const MetricsSnapshot& metrics);
-
-/// Same content as one row-per-line TSV:
-///   kind<TAB>name<TAB>count<TAB>total<TAB>min<TAB>max
-/// with kind in {span, counter, gauge, histogram}. Histogram rows reuse
-/// the min/max columns for p50/p99 (a histogram has no span-style min/max
-/// to report). Round-trips through parse_summary_tsv.
-[[nodiscard]] std::string summary_tsv(const TraceDump& dump,
-                                      const MetricsSnapshot& metrics);
-
+/// One row of the regression gate's input (obs/analyze.hpp): a span,
+/// counter, gauge or histogram of a summary record (summary_rows), or a
+/// google-benchmark row (parse_benchmark_json).
 struct SummaryRow {
   std::string kind;
   std::string name;
@@ -57,16 +38,12 @@ struct SummaryRow {
   double total = 0.0;
   double min = 0.0;  ///< histogram rows: p50
   double max = 0.0;  ///< histogram rows: p99
-  /// Histogram rows parsed from JSON: lowest/highest occupied bucket floor
-  /// (-1 = unknown, e.g. TSV input). compare_summaries uses these to flag
-  /// bucket-layout changes between two summaries.
+  /// Histogram rows: lowest/highest occupied bucket floor (-1 = no
+  /// occupied bucket). compare_summaries uses these to flag bucket-layout
+  /// changes between two summaries.
   double bins_lo = -1.0;
   double bins_hi = -1.0;
 };
-
-/// Parse summary_tsv output (header line skipped). Throws on malformed rows.
-[[nodiscard]] std::vector<SummaryRow> parse_summary_tsv(
-    const std::string& text);
 
 /// Parse a google-benchmark `--benchmark_format=json` file into rows of
 /// kind "bench": one row per benchmark, `count` = iterations, `total` =
@@ -81,28 +58,13 @@ struct SummaryRow {
 [[nodiscard]] std::vector<SummaryRow> parse_benchmark_json(
     const std::string& text, std::string* build_type = nullptr);
 
-/// Parse summary_json output into the same rows parse_summary_tsv yields
-/// (spans keep count/total/min/max; counters and gauges surface their value
-/// as `total`; histograms surface sample count as `count`, sample sum as
-/// `total`, p50/p99 as `min`/`max`, and the occupied bucket-floor range as
-/// `bins_lo`/`bins_hi`). Minimal parser for the summary schema — unknown
-/// keys are skipped, malformed JSON throws.
-[[nodiscard]] std::vector<SummaryRow> parse_summary_json(
-    const std::string& text);
-
+/// Write `text` to `path`, replacing it. Throws when the file cannot be
+/// opened or any byte of it (the final flush included) fails to land.
 void write_text_file(const std::string& path, const std::string& text);
 
 inline void write_chrome_trace(const std::string& path,
                                const TraceDump& dump) {
   write_text_file(path, chrome_trace_json(dump));
-}
-inline void write_summary_json(const std::string& path, const TraceDump& dump,
-                               const MetricsSnapshot& metrics) {
-  write_text_file(path, summary_json(dump, metrics));
-}
-inline void write_summary_tsv(const std::string& path, const TraceDump& dump,
-                              const MetricsSnapshot& metrics) {
-  write_text_file(path, summary_tsv(dump, metrics));
 }
 
 }  // namespace tess::obs

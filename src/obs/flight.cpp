@@ -15,7 +15,6 @@
 #include <mutex>
 #include <thread>
 
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 
@@ -399,8 +398,8 @@ void FlightRecorder::write_dump(const char* reason, bool signal_context) {
     try {
       const auto trace = Tracer::instance().drain(false);
       const auto snap = metrics().snapshot();
-      write_summary_json(s.config.path_prefix + ".flight.summary.json",
-                         trace, snap);
+      write_summary(s.config.path_prefix + ".flight.summary.jsonl", trace,
+                    snap);
     } catch (...) {
       // Diagnostics must never take the process down on their own.
     }

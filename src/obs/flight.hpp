@@ -10,7 +10,7 @@
 // runaway kernel stops beating while healthy ranks keep aging near zero.
 // The watchdog compares ages against a stall threshold and, on the first
 // violation, writes <prefix>.flight.txt (heartbeat ages, the last-N spans
-// of every lane, the metrics snapshot) plus <prefix>.flight.summary.json.
+// of every lane, the metrics snapshot) plus <prefix>.flight.summary.jsonl.
 // The signal path writes the same .flight.txt best-effort under
 // async-signal constraints (no allocation; the span registry lock is only
 // try-acquired; metrics are omitted) and then re-raises the signal.

@@ -1,8 +1,9 @@
 // Minimal recursive-descent JSON reader shared by the observability
-// parsers (summary files in obs/export.cpp, stream records in
-// obs/stream.cpp) — just enough for their schemas: objects, arrays,
-// strings, numbers, and skippable nested values. Not a general-purpose
-// JSON library; malformed input throws std::runtime_error.
+// parsers (stream and summary records in obs/stream.cpp, google-benchmark
+// files in obs/export.cpp) — just enough for their schemas: objects,
+// arrays, strings, numbers, and skippable nested values. Not a
+// general-purpose JSON library; malformed input throws std::runtime_error.
+// It reads a std::string, whose terminating NUL stops strtod at the end.
 #pragma once
 
 #include <cstdlib>
@@ -15,7 +16,6 @@ class JsonReader {
  public:
   explicit JsonReader(const std::string& text)
       : p_(text.data()), end_(text.data() + text.size()) {}
-  JsonReader(const char* begin, const char* end) : p_(begin), end_(end) {}
 
   /// Parse `[ <value>, ... ]`, calling on_elem() positioned at each
   /// element; the callback must consume exactly that value.

@@ -4,7 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,8 +14,8 @@
 #include <set>
 #include <sstream>
 
+#include "obs/export.hpp"
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace tess::obs {
 
@@ -41,11 +42,162 @@ void json_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-struct HistState {
-  double count = 0.0;
-  double sum = 0.0;
-  std::map<std::uint64_t, double> bins;
-};
+/// Counters (nonzero only) and gauges of rank `rank`'s slice of `metrics`;
+/// rank -1 takes the global totals.
+void add_slice(SnapState& st, const MetricsSnapshot& metrics, int rank) {
+  for (const auto& s : metrics.samples) {
+    if (s.kind == 'h') continue;
+    const double* v = rank < 0 ? &s.value : nullptr;
+    for (const auto& [r, value] : s.per_rank)
+      if (v == nullptr && r == rank) v = &value;
+    if (v == nullptr) continue;
+    if (s.kind == 'g')
+      st.gauges[s.name] = *v;
+    else if (*v != 0.0)
+      st.counters[s.name] = *v;
+  }
+}
+
+/// Every nonempty histogram of `metrics`, with its p50/p90/p99.
+void add_hists(SnapState& st, const MetricsSnapshot& metrics) {
+  for (const auto& s : metrics.samples) {
+    if (s.kind != 'h' || s.value == 0.0) continue;
+    StreamHist& h = st.hists[s.name];
+    h.count = s.value;
+    h.sum = s.sum;
+    h.p50 = histogram_quantile(s.bins, 0.50);
+    h.p90 = histogram_quantile(s.bins, 0.90);
+    h.p99 = histogram_quantile(s.bins, 0.99);
+    for (const auto& [floor_v, n] : s.bins)
+      h.bins[floor_v] = static_cast<double>(n);
+  }
+}
+
+void add_spans(SnapState& st, const TraceDump& dump) {
+  for (const auto& a : aggregate_spans(dump))
+    st.spans[a.name] = {static_cast<double>(a.count), a.total_s};
+}
+
+/// Append `,"key":{...}` with one entry per name of `cur` that `render`
+/// writes, then fold `cur` into `prev`. `render(out, value, base)` gets the
+/// reader's current entry as `base` (nullptr when it holds none) and
+/// returns false when there is nothing to send.
+template <class T, class Render>
+void append_section(std::string& line, const char* key,
+                    const std::map<std::string, T>& cur,
+                    std::map<std::string, T>& prev, Render render) {
+  std::string body;
+  for (const auto& [name, v] : cur) {
+    const auto it = prev.find(name);
+    const std::size_t mark = body.size();
+    if (!body.empty()) body += ',';
+    json_string(body, name);
+    body += ':';
+    if (!render(body, v, it == prev.end() ? nullptr : &it->second))
+      body.resize(mark);
+  }
+  if (!body.empty()) {
+    line += ",\"";
+    line += key;
+    line += "\":{";
+    line += body;
+    line += '}';
+  }
+  for (const auto& [name, v] : cur) prev[name] = v;
+}
+
+/// The one "snap" encoder: renders `cur` for `sample`'s step, rank and
+/// values as one newline-terminated record. A full record carries
+/// absolutes; otherwise counters, histogram n/sum/bins and spans are
+/// deltas against `prev` and unchanged entries are left out. Gauges and
+/// histogram quantiles are always absolute, so a reader can gate on p99
+/// from any single record. Leaves `prev` equal to what a reader holds
+/// after decoding the record.
+std::string encode_snap(const StreamSample& sample, std::uint64_t seq,
+                        const SnapState& cur, SnapState& prev, bool full) {
+  if (full) prev = SnapState{};
+  std::string line = "{\"k\":\"snap\",\"v\":1,\"seq\":";
+  fmt_num(line, static_cast<double>(seq));
+  line += ",\"t_ms\":";
+  fmt_num(line, StreamWriter::now_ms());
+  if (sample.step >= 0) {
+    line += ",\"step\":";
+    fmt_num(line, sample.step);
+  }
+  line += ",\"rank\":";
+  fmt_num(line, sample.rank);
+  if (full) line += ",\"full\":1";
+  std::map<std::string, double> unused;  // values carry no delta state
+  append_section(line, "val", sample.values, unused,
+                 [](std::string& out, double v, const double*) {
+                   fmt_num(out, v);
+                   return true;
+                 });
+  append_section(line, "ctr", cur.counters, prev.counters,
+                 [](std::string& out, double v, const double* base) {
+                   const double delta = v - (base != nullptr ? *base : 0.0);
+                   if (base != nullptr && delta == 0.0) return false;
+                   fmt_num(out, delta);
+                   return true;
+                 });
+  append_section(line, "gauge", cur.gauges, prev.gauges,
+                 [](std::string& out, double v, const double* base) {
+                   if (base != nullptr && *base == v) return false;
+                   fmt_num(out, v);
+                   return true;
+                 });
+  append_section(
+      line, "hist", cur.hists, prev.hists,
+      [](std::string& out, const StreamHist& h, const StreamHist* base) {
+        const double dcount = h.count - (base != nullptr ? base->count : 0.0);
+        if (base != nullptr && dcount == 0.0) return false;
+        out += "{\"n\":";
+        fmt_num(out, dcount);
+        out += ",\"sum\":";
+        fmt_num(out, h.sum - (base != nullptr ? base->sum : 0.0));
+        out += ",\"p50\":";
+        fmt_num(out, h.p50);
+        out += ",\"p90\":";
+        fmt_num(out, h.p90);
+        out += ",\"p99\":";
+        fmt_num(out, h.p99);
+        out += ",\"bins\":{";
+        bool first = true;
+        for (const auto& [floor_v, n] : h.bins) {
+          double dn = n;
+          if (base != nullptr) {
+            if (const auto it = base->bins.find(floor_v);
+                it != base->bins.end())
+              dn -= it->second;
+            if (dn == 0.0) continue;
+          }
+          if (!first) out += ',';
+          first = false;
+          out += '"';
+          out += std::to_string(floor_v);
+          out += "\":";
+          fmt_num(out, dn);
+        }
+        out += "}}";
+        return true;
+      });
+  append_section(
+      line, "span", cur.spans, prev.spans,
+      [](std::string& out, const std::pair<double, double>& cs,
+         const std::pair<double, double>* base) {
+        const double dn = cs.first - (base != nullptr ? base->first : 0.0);
+        const double ds = cs.second - (base != nullptr ? base->second : 0.0);
+        if (base != nullptr && dn == 0.0 && ds == 0.0) return false;
+        out += "{\"n\":";
+        fmt_num(out, dn);
+        out += ",\"s\":";
+        fmt_num(out, ds);
+        out += '}';
+        return true;
+      });
+  line += "}\n";
+  return line;
+}
 
 }  // namespace
 
@@ -57,10 +209,7 @@ struct StreamWriter::Impl {
   std::mutex mutex;
   struct RankState {
     std::uint64_t emitted = 0;  ///< records so far (keyframe cadence)
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, HistState> hists;
-    std::map<std::string, std::pair<double, double>> spans;
+    SnapState reader;           ///< what the reader holds for this rank
   };
   std::map<int, RankState> ranks;
 };
@@ -147,224 +296,51 @@ void StreamWriter::emit_impl(const StreamSample& sample,
                              const MetricsSnapshot& metric_src,
                              const MetricsSnapshot& hist_src) {
   // Gather the absolute view outside the lock (snapshot + span drain are
-  // the expensive parts); only the delta computation and the write are
-  // serialized.
-  std::map<std::string, double> counters;
-  std::map<std::string, double> gauges;
-  if (sample.with_metrics) {
-    for (const auto& s : metric_src.samples) {
-      if (s.kind == 'h') continue;
-      double v = 0.0;
-      bool have = false;
-      if (sample.rank < 0) {
-        v = s.value;
-        have = true;
-      } else {
-        for (const auto& [rank, value] : s.per_rank)
-          if (rank == sample.rank) {
-            v = value;
-            have = true;
-            break;
-          }
-      }
-      if (!have) continue;
-      if (s.kind == 'c') {
-        if (v != 0.0) counters[s.name] = v;
-      } else {
-        gauges[s.name] = v;
-      }
-    }
-  }
-
-  std::map<std::string, HistState> hists;
-  std::map<std::string, std::array<double, 3>> hist_quantiles;
-  if (sample.with_hists) {
-    for (const auto& s : hist_src.samples) {
-      if (s.kind != 'h' || s.value == 0.0) continue;
-      HistState h;
-      h.count = s.value;
-      h.sum = s.sum;
-      for (const auto& [floor_v, n] : s.bins)
-        h.bins[floor_v] = static_cast<double>(n);
-      hist_quantiles[s.name] = {histogram_quantile(s.bins, 0.50),
-                                histogram_quantile(s.bins, 0.90),
-                                histogram_quantile(s.bins, 0.99)};
-      hists[s.name] = std::move(h);
-    }
-  }
-
-  std::map<std::string, std::pair<double, double>> spans;
-  if (sample.with_spans) {
-    // Non-destructive drain so the exit-time trace/summary exporters and
-    // the flight recorder still see every span. The ring can wrap between
-    // emissions, so a delta may go negative; deltas are signed and the
-    // reader just accumulates.
-    const auto aggs = aggregate_spans(Tracer::instance().drain(false));
-    for (const auto& a : aggs)
-      spans[a.name] = {static_cast<double>(a.count), a.total_s};
-  }
+  // the expensive parts); only the encoding and the write are serialized.
+  SnapState cur;
+  if (sample.with_metrics) add_slice(cur, metric_src, sample.rank);
+  if (sample.with_hists) add_hists(cur, hist_src);
+  // Non-destructive drain so the exit-time trace/summary exporters and
+  // the flight recorder still see every span. The ring can wrap between
+  // emissions, so a delta may go negative; deltas are signed and the
+  // reader just accumulates.
+  if (sample.with_spans) add_spans(cur, Tracer::instance().drain(false));
 
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto& st = impl_->ranks[sample.rank];
   const bool full =
       st.emitted % static_cast<std::uint64_t>(config_.keyframe_every) == 0;
   ++st.emitted;
+  append_record_line(encode_snap(sample, seq_.fetch_add(1), cur, st.reader,
+                                 full));
+}
 
-  std::string line = "{\"k\":\"snap\",\"v\":1,\"seq\":";
-  fmt_num(line, static_cast<double>(seq_.fetch_add(1)));
-  line += ",\"t_ms\":";
-  fmt_num(line, now_ms());
-  if (sample.step >= 0) {
-    line += ",\"step\":";
-    fmt_num(line, sample.step);
+void write_summary(const std::string& path, const TraceDump& dump,
+                   const MetricsSnapshot& metrics) {
+  StreamSample global;
+  global.values = {
+      {"trace.lanes", static_cast<double>(dump.lanes.size())},
+      {"trace.dropped_spans", static_cast<double>(dump.total_dropped())}};
+  SnapState st;
+  add_slice(st, metrics, -1);
+  add_hists(st, metrics);
+  add_spans(st, dump);
+  SnapState reader;  // full records carry no delta state over
+  std::uint64_t seq = 0;
+  std::string text = encode_snap(global, seq++, st, reader, true);
+
+  std::set<int> ranks;
+  for (const auto& s : metrics.samples)
+    for (const auto& [rank, v] : s.per_rank)
+      if (rank >= 0) ranks.insert(rank);
+  for (const int rank : ranks) {
+    StreamSample slice;
+    slice.rank = rank;
+    SnapState rs;
+    add_slice(rs, metrics, rank);
+    text += encode_snap(slice, seq++, rs, reader, true);
   }
-  line += ",\"rank\":";
-  fmt_num(line, sample.rank);
-  if (full) line += ",\"full\":1";
-
-  if (!sample.values.empty()) {
-    line += ",\"val\":{";
-    bool first = true;
-    for (const auto& [name, v] : sample.values) {
-      if (!first) line += ',';
-      first = false;
-      json_string(line, name);
-      line += ':';
-      fmt_num(line, v);
-    }
-    line += '}';
-  }
-
-  // Counters: emit the delta against the previous record (everything, as
-  // absolutes, on a keyframe) and remember the new absolutes.
-  {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, v] : counters) {
-      const auto it = st.counters.find(name);
-      const double prev = it == st.counters.end() ? 0.0 : it->second;
-      const double delta = v - prev;
-      if (!full && delta == 0.0) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ':';
-      fmt_num(section, full ? v : delta);
-    }
-    if (!section.empty()) {
-      line += ",\"ctr\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.counters.clear();
-    for (const auto& [name, v] : counters) st.counters[name] = v;
-  }
-
-  // Gauges are always absolute; skip unchanged ones off-keyframe.
-  {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, v] : gauges) {
-      const auto it = st.gauges.find(name);
-      if (!full && it != st.gauges.end() && it->second == v) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ':';
-      fmt_num(section, v);
-    }
-    if (!section.empty()) {
-      line += ",\"gauge\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.gauges.clear();
-    for (const auto& [name, v] : gauges) st.gauges[name] = v;
-  }
-
-  // Histograms: n/sum/bins are deltas (absolutes on a keyframe), the
-  // quantiles are always absolute — a reader can gate on p99 from any
-  // single record without replaying the stream.
-  if (!hists.empty()) {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, h] : hists) {
-      const auto it = st.hists.find(name);
-      const HistState* prev = it == st.hists.end() ? nullptr : &it->second;
-      const double dcount = h.count - (prev != nullptr ? prev->count : 0.0);
-      if (!full && dcount == 0.0) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ":{\"n\":";
-      fmt_num(section, full ? h.count : dcount);
-      section += ",\"sum\":";
-      fmt_num(section, full ? h.sum
-                            : h.sum - (prev != nullptr ? prev->sum : 0.0));
-      const auto& q = hist_quantiles[name];
-      section += ",\"p50\":";
-      fmt_num(section, q[0]);
-      section += ",\"p90\":";
-      fmt_num(section, q[1]);
-      section += ",\"p99\":";
-      fmt_num(section, q[2]);
-      section += ",\"bins\":{";
-      bool bfirst = true;
-      for (const auto& [floor_v, n] : h.bins) {
-        const double dn =
-            full ? n
-                 : n - (prev != nullptr && prev->bins.count(floor_v) != 0
-                            ? prev->bins.at(floor_v)
-                            : 0.0);
-        if (!full && dn == 0.0) continue;
-        if (!bfirst) section += ',';
-        bfirst = false;
-        section += '"';
-        section += std::to_string(floor_v);
-        section += "\":";
-        fmt_num(section, dn);
-      }
-      section += "}}";
-    }
-    if (!section.empty()) {
-      line += ",\"hist\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.hists.clear();
-    for (const auto& [name, h] : hists) st.hists[name] = h;
-  }
-
-  if (!spans.empty()) {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, cs] : spans) {
-      const auto it = st.spans.find(name);
-      const double dcount =
-          cs.first - (it != st.spans.end() ? it->second.first : 0.0);
-      const double dtotal =
-          cs.second - (it != st.spans.end() ? it->second.second : 0.0);
-      if (!full && dcount == 0.0 && dtotal == 0.0) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ":{\"n\":";
-      fmt_num(section, full ? cs.first : dcount);
-      section += ",\"s\":";
-      fmt_num(section, full ? cs.second : dtotal);
-      section += '}';
-    }
-    if (!section.empty()) {
-      line += ",\"span\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.spans.clear();
-    for (const auto& [name, cs] : spans) st.spans[name] = cs;
-  }
-
-  line += "}\n";
-  append_record_line(line);
+  write_text_file(path, text);
 }
 
 void StreamWriter::emit_final(const char* reason) noexcept {
@@ -485,8 +461,7 @@ namespace {
 
 /// Consume the value at the reader's position, flattening nested numeric
 /// fields into `out` with dotted names. Strings, booleans, nulls, and
-/// arrays are skipped (the step-record "hist.counts" array is for the
-/// compat consumers of the old per-step file, not for tess_top).
+/// arrays (the step record's "hist.counts") are skipped.
 void flatten_value(detail::JsonReader& r, const std::string& prefix,
                    std::map<std::string, double>& out) {
   if (r.peek_object()) {
@@ -498,6 +473,16 @@ void flatten_value(detail::JsonReader& r, const std::string& prefix,
   } else {
     r.skip_value();
   }
+}
+
+/// The next number as an integer in [lo, hi]; throws (the line is then
+/// malformed) on NaN, infinities, fractions and out-of-range values, which
+/// strtod accepts but an integer cast cannot take.
+double integral(detail::JsonReader& r, double lo, double hi) {
+  const double v = r.number();
+  if (!(v >= lo && v <= hi) || v != std::floor(v))
+    throw std::runtime_error("stream: field is not an integer in range");
+  return v;
 }
 
 }  // namespace
@@ -517,13 +502,14 @@ bool parse_stream_record(const std::string& line, StreamRecord& out) {
       } else if (key == "v") {
         (void)r.number();
       } else if (key == "seq") {
-        out.seq = static_cast<std::uint64_t>(r.number());
+        // 0x1p64 - 2048 is the largest double below 2^64.
+        out.seq = static_cast<std::uint64_t>(integral(r, 0.0, 0x1p64 - 2048));
       } else if (key == "t_ms") {
         out.t_ms = r.number();
       } else if (key == "step") {
-        out.step = static_cast<int>(r.number());
+        out.step = static_cast<int>(integral(r, INT_MIN, INT_MAX));
       } else if (key == "rank") {
-        out.rank = static_cast<int>(r.number());
+        out.rank = static_cast<int>(integral(r, INT_MIN, INT_MAX));
       } else if (key == "full") {
         out.full = r.number() != 0.0;
       } else if (out.kind == "snap" && key == "val") {
@@ -592,7 +578,7 @@ bool parse_stream_record(const std::string& line, StreamRecord& out) {
 void StreamDecoder::accumulate(StreamRecord& rec) {
   if (rec.kind != "snap") return;
   auto& st = state_[rec.rank];
-  if (rec.full) st = RankState{};
+  if (rec.full) st = SnapState{};
   for (const auto& [name, v] : rec.counters) st.counters[name] += v;
   for (const auto& [name, v] : rec.gauges) st.gauges[name] = v;
   for (const auto& [name, cs] : rec.spans) {
@@ -611,10 +597,7 @@ void StreamDecoder::accumulate(StreamRecord& rec) {
   }
   // Hand back the full cumulative view — including keys this record
   // omitted as unchanged — so consumers never have to replay deltas.
-  rec.counters = st.counters;
-  rec.gauges = st.gauges;
-  rec.spans = st.spans;
-  rec.hists = st.hists;
+  static_cast<SnapState&>(rec) = st;
 }
 
 std::vector<StreamRecord> StreamDecoder::feed(const std::string& bytes) {

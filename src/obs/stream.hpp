@@ -27,6 +27,10 @@
 //   {"k":"final",...}   dying gasp flushed by the flight recorder on a
 //                       watchdog stall or crash signal (signal-safe path:
 //                       integers + a sanitized reason string, one write)
+//
+// The exit-time summary (write_summary) is the same "snap" record, full:
+// one global record, then one per rank slice. One encoder renders every
+// snap record and one decoder (read_stream_file) reads every file.
 #pragma once
 
 #include <atomic>
@@ -37,10 +41,28 @@
 #include <utility>
 #include <vector>
 
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace tess::obs {
+
+/// One histogram of a snap record: n, sum and bins (bucket floor ->
+/// count) are cumulative once decoded; quantiles are absolute as emitted.
+struct StreamHist {
+  double count = 0.0, sum = 0.0;
+  double p50 = 0.0, p90 = 0.0, p99 = 0.0;
+  std::map<std::uint64_t, double> bins;
+};
+
+/// One rank's cumulative telemetry: what a full "snap" record carries, and
+/// what a reader holds after replaying that rank's deltas.
+struct SnapState {
+  std::map<std::string, double> counters;  ///< nonzero counters
+  std::map<std::string, double> gauges;
+  std::map<std::string, StreamHist> hists;  ///< nonempty histograms
+  /// Span aggregates: name -> (count, total_s).
+  std::map<std::string, std::pair<double, double>> spans;
+};
 
 struct StreamConfig {
   std::string path;               ///< JSONL output file (appended to)
@@ -127,21 +149,27 @@ void shutdown_stream();
 /// Returns whether a streamer was installed.
 bool configure_stream_from_env();
 
+/// Write the exit-time summary to `path` (conventionally
+/// <prefix>.summary.jsonl) as full "snap" records: first the global record
+/// (rank -1) with every nonzero counter, every gauge, every nonempty
+/// histogram with its p50/p90/p99, the span count and total seconds per
+/// name, and "trace.lanes" / "trace.dropped_spans" in "val"; then one
+/// record per rank >= 0 holding that rank's counter and gauge slices.
+/// Throws like write_text_file when the file cannot be written.
+void write_summary(const std::string& path, const TraceDump& dump,
+                   const MetricsSnapshot& metrics);
+
 // ---------------------------------------------------------------------------
-// Reader side: torn-tail-tolerant decode, used by tools/tess_top and tests.
+// Reader side: torn-tail-tolerant decode, used by tools/tess_top,
+// tools/obs_compare and tests.
 // ---------------------------------------------------------------------------
 
-struct StreamHist {
-  double count = 0.0, sum = 0.0;
-  double p50 = 0.0, p90 = 0.0, p99 = 0.0;  ///< absolute, as emitted
-  std::map<std::uint64_t, double> bins;    ///< decoded cumulative
-};
-
-/// One decoded record. For "snap" records the metric maps hold CUMULATIVE
-/// values (the reader re-accumulates the writer's deltas per rank); for
-/// "step"/"meta"/"final" records the numeric payload is flattened into
-/// `values` with dotted names ("volume.mean", "cells", "reason" excluded).
-struct StreamRecord {
+/// One decoded record. For "snap" records the inherited metric maps hold
+/// CUMULATIVE values (the reader re-accumulates the writer's deltas per
+/// rank); for "step"/"meta"/"final" records the numeric payload is
+/// flattened into `values` with dotted names ("volume.mean", "cells",
+/// "reason" excluded).
+struct StreamRecord : SnapState {
   std::string kind;
   std::uint64_t seq = 0;
   double t_ms = 0.0;
@@ -149,15 +177,12 @@ struct StreamRecord {
   int rank = -1;
   bool full = false;
   std::map<std::string, double> values;
-  std::map<std::string, double> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, StreamHist> hists;
-  /// Span aggregates: name -> (count, total_s), decoded cumulative.
-  std::map<std::string, std::pair<double, double>> spans;
 };
 
 /// Parse one line (without its newline) into a RAW record — snap metric
-/// maps still hold deltas. Returns false on malformed input (torn tail).
+/// maps still hold deltas. Returns false on malformed input: a torn tail,
+/// bad JSON, or a "seq", "step" or "rank" that is not a finite integer in
+/// range.
 bool parse_stream_record(const std::string& line, StreamRecord& out);
 
 struct StreamFile {
@@ -185,13 +210,7 @@ class StreamDecoder {
   void accumulate(StreamRecord& rec);
   std::string partial_;
   std::size_t dropped_ = 0;
-  struct RankState {
-    std::map<std::string, double> counters;
-    std::map<std::string, StreamHist> hists;
-    std::map<std::string, std::pair<double, double>> spans;
-    std::map<std::string, double> gauges;
-  };
-  std::map<int, RankState> state_;
+  std::map<int, SnapState> state_;
 };
 
 /// Read and decode a whole stream file. A trailing line without a newline,

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <set>
 #include <stdexcept>
@@ -25,6 +28,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reduce.hpp"
+#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -507,7 +511,30 @@ TEST(ObsStats, FinalizeRecomputesFromIterations) {
 // Exporters
 // ---------------------------------------------------------------------------
 
-TEST(ObsExport, SummaryTsvRoundTrips) {
+namespace {
+
+// Values ride the stream as %.9g text, so they survive to 9 digits.
+void expect_close(double got, double want, const std::string& what) {
+  EXPECT_NEAR(got, want, 1e-8 * std::abs(want)) << what;
+}
+
+void expect_same(const std::map<std::string, double>& got,
+                 const std::map<std::string, double>& want,
+                 const std::string& what) {
+  EXPECT_EQ(got.size(), want.size()) << what;
+  for (const auto& [name, v] : want) {
+    const auto it = got.find(name);
+    if (it == got.end()) {
+      ADD_FAILURE() << what << ": missing " << name;
+      continue;
+    }
+    expect_close(it->second, v, what + " " + name);
+  }
+}
+
+}  // namespace
+
+TEST(ObsExport, SummaryRoundTripsThroughStreamReader) {
   Tracer::instance().set_enabled(true);
   Tracer::instance().clear();
   tess::obs::metrics().reset();
@@ -517,50 +544,120 @@ TEST(ObsExport, SummaryTsvRoundTrips) {
     { TESS_SPAN("rt_inner"); }
     { TESS_SPAN("rt_inner"); }
   }
-  TESS_COUNT("test.obs.rt_counter", 42);
-  TESS_GAUGE_SET("test.obs.rt_gauge", 2.5);
+  Runtime::run(2, [](Comm& c) {
+    TESS_SPAN("rt_rank");
+    TESS_COUNT("test.obs.rt_counter", 40 + c.rank());
+    TESS_GAUGE_SET("test.obs.rt_gauge", 2.5 + c.rank());
+    c.barrier();
+  });
+  TESS_COUNT("test.obs.rt_unranked", 3);
   TESS_HIST_ADD("test.obs.rt_hist", 100);
   TESS_HIST_ADD("test.obs.rt_hist", 28);
+  TESS_HIST_ADD("test.obs.rt_hist", 5);
+  TESS_HIST_ADD("test.obs.rt_hist", 7000);
 
   const auto dump = Tracer::instance().drain();
   const auto snap = tess::obs::metrics().snapshot();
-  const auto rows = tess::obs::parse_summary_tsv(
-      tess::obs::summary_tsv(dump, snap));
+  const std::string path =
+      testing::TempDir() + "tess_obs_roundtrip.summary.jsonl";
+  tess::obs::write_summary(path, dump, snap);
+  const auto file = tess::obs::read_stream_file(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(file.dropped, 0u);
 
-  auto row = [&rows](const std::string& kind, const std::string& name)
-      -> const tess::obs::SummaryRow* {
-    for (const auto& r : rows)
-      if (r.kind == kind && r.name == name) return &r;
-    return nullptr;
-  };
+  // Expected content, straight from the registry and the tracer.
+  std::map<std::string, double> counters, gauges;
+  std::map<int, std::map<std::string, double>> rank_counters, rank_gauges;
+  for (const auto& s : snap.samples) {
+    if (s.kind == 'c' && s.value != 0.0) counters[s.name] = s.value;
+    if (s.kind == 'g') gauges[s.name] = s.value;
+    for (const auto& [rank, v] : s.per_rank) {
+      if (rank < 0) continue;
+      if (s.kind == 'c' && v != 0.0) rank_counters[rank][s.name] = v;
+      if (s.kind == 'g') rank_gauges[rank][s.name] = v;
+    }
+  }
+  std::set<int> ranks;
+  for (const auto& [rank, m] : rank_counters) ranks.insert(rank);
+  for (const auto& [rank, m] : rank_gauges) ranks.insert(rank);
+  EXPECT_EQ(ranks, (std::set<int>{0, 1}));
 
-  const auto* inner = row("span", "rt_inner");
-  ASSERT_NE(inner, nullptr);
-  EXPECT_DOUBLE_EQ(inner->count, 2.0);
-  EXPECT_GE(inner->total, inner->max);
-  EXPECT_LE(inner->min, inner->max);
+  ASSERT_EQ(file.records.size(), 1 + ranks.size());
+  const auto& global = file.records[0];
+  EXPECT_EQ(global.kind, "snap");
+  EXPECT_EQ(global.rank, -1);
+  EXPECT_TRUE(global.full);
+  EXPECT_EQ(global.values.at("trace.lanes"),
+            static_cast<double>(dump.lanes.size()));
+  EXPECT_EQ(global.values.at("trace.dropped_spans"),
+            static_cast<double>(dump.total_dropped()));
+  expect_same(global.counters, counters, "counter");
+  expect_same(global.gauges, gauges, "gauge");
+  EXPECT_EQ(global.counters.at("test.obs.rt_counter"), 81.0);
+  EXPECT_EQ(global.counters.at("test.obs.rt_unranked"), 3.0);
 
-  const auto* outer = row("span", "rt_outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_DOUBLE_EQ(outer->count, 1.0);
-  EXPECT_GE(outer->total, inner->total);  // children nest inside the parent
+  std::size_t hists = 0;
+  for (const auto& s : snap.samples) {
+    if (s.kind != 'h' || s.value == 0.0) continue;
+    ++hists;
+    const auto it = global.hists.find(s.name);
+    ASSERT_NE(it, global.hists.end()) << s.name;
+    const auto& h = it->second;
+    EXPECT_EQ(h.count, s.value) << s.name;
+    expect_close(h.sum, s.sum, s.name + " sum");
+    expect_close(h.p50, tess::obs::histogram_quantile(s.bins, 0.50),
+                 s.name + " p50");
+    expect_close(h.p90, tess::obs::histogram_quantile(s.bins, 0.90),
+                 s.name + " p90");
+    expect_close(h.p99, tess::obs::histogram_quantile(s.bins, 0.99),
+                 s.name + " p99");
+    std::map<std::uint64_t, double> bins;
+    for (const auto& [floor_v, n] : s.bins)
+      bins[floor_v] = static_cast<double>(n);
+    EXPECT_EQ(h.bins, bins) << s.name;
+  }
+  EXPECT_EQ(global.hists.size(), hists);
+  EXPECT_EQ(global.hists.at("test.obs.rt_hist").count, 4.0);
 
-  const auto* ctr = row("counter", "test.obs.rt_counter");
-  ASSERT_NE(ctr, nullptr);
-  EXPECT_DOUBLE_EQ(ctr->total, 42.0);
+  const auto aggs = tess::obs::aggregate_spans(dump);
+  EXPECT_EQ(global.spans.size(), aggs.size());
+  for (const auto& a : aggs) {
+    const auto it = global.spans.find(a.name);
+    ASSERT_NE(it, global.spans.end()) << a.name;
+    EXPECT_EQ(it->second.first, static_cast<double>(a.count)) << a.name;
+    expect_close(it->second.second, a.total_s, a.name);
+  }
+  EXPECT_EQ(global.spans.at("rt_inner").first, 2.0);
+  EXPECT_EQ(global.spans.at("rt_rank").first, 2.0);
 
-  const auto* gauge = row("gauge", "test.obs.rt_gauge");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_DOUBLE_EQ(gauge->total, 2.5);
-
-  const auto* hist = row("histogram", "test.obs.rt_hist");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->count, 2.0);
-  EXPECT_DOUBLE_EQ(hist->total, 128.0);
-
-  EXPECT_THROW(tess::obs::parse_summary_tsv("kind\tname\nbroken-row\n"),
-               std::runtime_error);
+  // Then one record per rank slice, ascending.
+  std::size_t i = 1;
+  for (const int rank : ranks) {
+    const auto& rec = file.records[i++];
+    EXPECT_EQ(rec.kind, "snap");
+    EXPECT_EQ(rec.rank, rank);
+    EXPECT_TRUE(rec.full);
+    const std::string what = "rank " + std::to_string(rank);
+    expect_same(rec.counters, rank_counters[rank], what + " counter");
+    expect_same(rec.gauges, rank_gauges[rank], what + " gauge");
+    EXPECT_TRUE(rec.hists.empty()) << what;
+    EXPECT_TRUE(rec.spans.empty()) << what;
+  }
+  EXPECT_EQ(file.records[2].counters.at("test.obs.rt_counter"), 41.0);
+  EXPECT_EQ(file.records[2].gauges.at("test.obs.rt_gauge"), 3.5);
   Tracer::instance().set_enabled(false);
+}
+
+TEST(ObsExport, WriteTextFileReportsFailedFlush) {
+  // /dev/full accepts the open and the buffered fwrite; only the final
+  // flush inside fclose fails, which must not pass as a written file.
+  if (std::FILE* probe = std::fopen("/dev/full", "w")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  EXPECT_THROW(tess::obs::write_text_file("/dev/full", "{\"k\":\"snap\"}\n"),
+               std::runtime_error);
 }
 
 TEST(ObsExport, ChromeTraceStructure) {
@@ -589,22 +686,5 @@ TEST(ObsExport, ChromeTraceStructure) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
-  Tracer::instance().set_enabled(false);
-}
-
-TEST(ObsExport, SummaryJsonContainsSections) {
-  Tracer::instance().set_enabled(true);
-  Tracer::instance().clear();
-  tess::obs::metrics().reset();
-  { TESS_SPAN("sj_span"); }
-  TESS_COUNT("test.obs.sj", 5);
-
-  const auto dump = Tracer::instance().drain();
-  const auto snap = tess::obs::metrics().snapshot();
-  const std::string json = tess::obs::summary_json(dump, snap);
-  for (const char* key : {"\"spans\"", "\"counters\"", "\"gauges\"",
-                          "\"histograms\"", "\"lanes\"", "\"dropped_spans\"",
-                          "\"sj_span\"", "\"test.obs.sj\""})
-    EXPECT_NE(json.find(key), std::string::npos) << key;
   Tracer::instance().set_enabled(false);
 }

@@ -271,44 +271,6 @@ TEST(ObsCompare, NonSpanRowsIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// parse_summary_json: the gate's input format
-// ---------------------------------------------------------------------------
-
-TEST(ObsCompare, ParseSummaryJsonRoundTrip) {
-  obs::TraceDump dump;
-  dump.lanes.push_back(make_lane(0, 0,
-                                 {span("tess.pass", 0.0, 2.0, 0),
-                                  span("tess.pass", 2.0, 3.0, 0),
-                                  span("output", 3.0, 3.5, 0)}));
-  const obs::MetricsSnapshot empty;
-  const std::string json = obs::summary_json(dump, empty);
-  const auto rows = obs::parse_summary_json(json);
-  ASSERT_EQ(rows.size(), 2u);  // sorted by name: output, tess.pass
-  EXPECT_EQ(rows[0].kind, "span");
-  EXPECT_EQ(rows[0].name, "output");
-  EXPECT_NEAR(rows[0].total, 0.5, 1e-9);
-  EXPECT_EQ(rows[1].name, "tess.pass");
-  EXPECT_NEAR(rows[1].count, 2.0, 1e-12);
-  EXPECT_NEAR(rows[1].total, 3.0, 1e-9);
-  EXPECT_NEAR(rows[1].max, 2.0, 1e-9);
-
-  // The TSV parse of the same data must agree on span totals.
-  const auto tsv_rows =
-      obs::parse_summary_tsv(obs::summary_tsv(dump, empty));
-  ASSERT_EQ(tsv_rows.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(tsv_rows[i].name, rows[i].name);
-    EXPECT_NEAR(tsv_rows[i].total, rows[i].total, 1e-9);
-  }
-}
-
-TEST(ObsCompare, ParseSummaryJsonRejectsMalformedInput) {
-  EXPECT_THROW(obs::parse_summary_json("{\"spans\": {"), std::exception);
-  EXPECT_THROW(obs::parse_summary_json("not json"), std::exception);
-  EXPECT_TRUE(obs::parse_summary_json("{}").empty());
-}
-
-// ---------------------------------------------------------------------------
 // parse_benchmark_json: google-benchmark files feeding the same gate
 // ---------------------------------------------------------------------------
 

@@ -145,10 +145,15 @@ TEST(ObsFlight, WatchdogCheckNamesRankBlockedInRecv) {
   expect_rank_line(dump, 1, /*stalled=*/true);
   expect_rank_line(dump, 0, /*stalled=*/false);
 
-  // The machine-readable companion parses and is a valid summary.
-  const std::string summary = read_file(prefix + ".flight.summary.json");
-  ASSERT_FALSE(summary.empty());
-  EXPECT_NO_THROW((void)obs::parse_summary_json(summary));
+  // The machine-readable companion decodes like any summary: a full
+  // global record first, no malformed line.
+  const auto summary = obs::read_stream_file(prefix + ".flight.summary.jsonl");
+  EXPECT_EQ(summary.dropped, 0u);
+  ASSERT_FALSE(summary.records.empty());
+  EXPECT_EQ(summary.records[0].kind, "snap");
+  EXPECT_EQ(summary.records[0].rank, -1);
+  EXPECT_TRUE(summary.records[0].full);
+  EXPECT_EQ(summary.records[0].values.count("trace.lanes"), 1u);
 }
 
 TEST(ObsFlight, WatchdogThreadFiresOnStalledRank) {

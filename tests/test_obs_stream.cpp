@@ -1,9 +1,9 @@
 // Tests for the live telemetry streamer (obs/stream.hpp): crash-consistent
 // append/decode round trips, torn-tail tolerance at every byte offset,
-// delta encoding with keyframes, histogram quantile accuracy, EWMA drift
-// detection, env-var arming, the StepStats stream record + compat shim,
-// and a 2-rank pipelined integration run producing one record per step per
-// rank.
+// malformed-line rejection, delta encoding with keyframes, histogram
+// quantile accuracy, EWMA drift detection, env-var arming, the StepStats
+// stream record, and a 2-rank pipelined integration run producing one
+// record per step per rank.
 //
 // Tests that install the process-global streamer rely on each TEST running
 // in its own process (gtest_discover_tests registers them individually);
@@ -125,6 +125,61 @@ TEST(ObsStream, TornTailToleratedAtEveryByteOffset) {
   std::remove(cut_path.c_str());
 }
 
+TEST(ObsStream, MalformedLinesAreDropped) {
+  // Truncated JSON, text that is not JSON, and an object with no kind are
+  // counted as dropped; the valid records around them survive.
+  const std::string good = "{\"k\":\"snap\",\"v\":1,\"rank\":-1,\"full\":1,"
+                           "\"ctr\":{\"c\":2}}";
+  obs::StreamDecoder decoder;
+  const auto records = decoder.feed(good + "\n{\"k\":\"snap\",\"ctr\":{\n" +
+                                    "not json\n{}\n" + good + "\n");
+  EXPECT_EQ(decoder.dropped(), 3u);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_DOUBLE_EQ(records[1].counters.at("c"), 2.0);
+
+  obs::StreamRecord rec;
+  EXPECT_FALSE(obs::parse_stream_record("{\"spans\": {", rec));
+  EXPECT_FALSE(obs::parse_stream_record("not json", rec));
+  EXPECT_FALSE(obs::parse_stream_record("{}", rec));
+}
+
+TEST(ObsStream, NonIntegerSeqStepRankAreDropped) {
+  // strtod reads all of these; an integer cast of them is undefined, so
+  // the reader treats the line as malformed instead.
+  const std::vector<std::string> bad = {
+      "{\"k\":\"snap\",\"step\":nan,\"rank\":0}",
+      "{\"k\":\"snap\",\"step\":inf,\"rank\":0}",
+      "{\"k\":\"snap\",\"step\":1e300,\"rank\":0}",
+      "{\"k\":\"snap\",\"step\":2.5,\"rank\":0}",
+      "{\"k\":\"snap\",\"rank\":-1e300}",
+      "{\"k\":\"snap\",\"rank\":-inf}",
+      "{\"k\":\"snap\",\"rank\":2147483648}",
+      "{\"k\":\"snap\",\"seq\":-1,\"rank\":0}",
+      "{\"k\":\"snap\",\"seq\":1e300,\"rank\":0}",
+      "{\"k\":\"snap\",\"seq\":nan,\"rank\":0}",
+      "{\"k\":\"step\",\"step\":infinity}",
+  };
+  std::string bytes;
+  for (const auto& line : bad) {
+    obs::StreamRecord rec;
+    EXPECT_FALSE(obs::parse_stream_record(line, rec)) << line;
+    bytes += line + "\n";
+  }
+  obs::StreamDecoder decoder;
+  EXPECT_TRUE(decoder.feed(bytes).empty());
+  EXPECT_EQ(decoder.dropped(), bad.size());
+
+  // The extremes that do fit still decode.
+  obs::StreamRecord rec;
+  ASSERT_TRUE(obs::parse_stream_record(
+      "{\"k\":\"snap\",\"seq\":1e19,\"step\":2147483647,"
+      "\"rank\":-2147483648}",
+      rec));
+  EXPECT_EQ(rec.seq, 10000000000000000000ull);
+  EXPECT_EQ(rec.step, 2147483647);
+  EXPECT_EQ(rec.rank, -2147483647 - 1);
+}
+
 TEST(ObsStream, DeltaEncodingAccumulatesAndKeyframesReabsolutize) {
   const std::string path = temp_path("tess_stream_delta");
   std::remove(path.c_str());
@@ -180,6 +235,42 @@ TEST(ObsStream, DeltaEncodingAccumulatesAndKeyframesReabsolutize) {
   EXPECT_DOUBLE_EQ(raw.counters.at("stream.test.ctr"), 7.0);  // wire delta
   ctr.reset();
   hist.reset();
+}
+
+// A keyframe that carries no span section (the per-step global record
+// takes spans only when the interval elapsed) still restarts the reader's
+// span state, so the writer must send the next span section as absolutes.
+TEST(ObsStream, KeyframeWithoutSpansRestartsSpanDeltas) {
+  const std::string path = temp_path("tess_stream_span_keyframe");
+  std::remove(path.c_str());
+  auto& tracer = obs::Tracer::instance();
+  tracer.set_enabled(true);
+  tracer.clear();
+  {
+    obs::StreamWriter w({path, 1000, /*keyframe_every=*/2});
+    obs::StreamSample s;  // rank -1
+    s.with_metrics = false;
+    s.with_spans = true;
+    { TESS_SPAN("keyframe.span"); }
+    w.emit(s);  // full
+    { TESS_SPAN("keyframe.span"); }
+    w.emit(s);  // delta
+    s.with_spans = false;
+    w.emit(s);  // full, no spans
+    s.with_spans = true;
+    { TESS_SPAN("keyframe.span"); }
+    w.emit(s);  // delta against the keyframe's empty span state
+  }
+  tracer.set_enabled(false);
+  const auto file = obs::read_stream_file(path);
+  EXPECT_EQ(file.dropped, 0u);
+  ASSERT_EQ(file.records.size(), 5u);
+  EXPECT_TRUE(file.records[3].full);
+  EXPECT_TRUE(file.records[3].spans.empty());
+#if TESS_OBS_ENABLED
+  EXPECT_DOUBLE_EQ(file.records[2].spans.at("keyframe.span").first, 2.0);
+  EXPECT_DOUBLE_EQ(file.records[4].spans.at("keyframe.span").first, 3.0);
+#endif
 }
 
 TEST(ObsStream, QuantilesInterpolateCloseToExactPercentiles) {
@@ -323,11 +414,9 @@ TEST(ObsStream, EnvArmingInstallsAndDisablesGlobalStreamer) {
 
 TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
   const std::string stream_path = temp_path("tess_stream_stats");
-  const std::string shim_path = testing::TempDir() + "tess_stats_shim.jsonl";
   std::remove(stream_path.c_str());
-  std::remove(shim_path.c_str());
   obs::configure_stream({stream_path, 1000, 32});
-  auto hook = tess::analysis::make_stats_streamer(shim_path, 0.0, 8.0, 16);
+  auto hook = tess::analysis::make_stats_streamer(0.0, 8.0, 16);
   Runtime::run(2, [&](Comm& c) {
     std::vector<double> volumes =
         c.rank() == 0 ? std::vector<double>{1.0, 2.0, 3.0}
@@ -337,17 +426,7 @@ TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
   });
   obs::shutdown_stream();
 
-  // Compat shim: the old per-step file still gets the legacy payload.
-  std::istringstream shim(read_file(shim_path));
-  std::string line;
-  std::vector<std::string> shim_lines;
-  while (std::getline(shim, line)) shim_lines.push_back(line);
-  ASSERT_EQ(shim_lines.size(), 2u);
-  EXPECT_NE(shim_lines[0].find("\"step\":1"), std::string::npos);
-  EXPECT_NE(shim_lines[0].find("\"cells\":5"), std::string::npos);
-  EXPECT_EQ(shim_lines[0].find("\"k\""), std::string::npos);
-
-  // Stream: the same payload arrives as {"k":"step"} records, flattened.
+  // The step payload arrives as {"k":"step"} records, flattened.
   const auto file = obs::read_stream_file(stream_path);
   std::vector<const obs::StreamRecord*> steps;
   for (const auto& r : file.records)
@@ -359,7 +438,6 @@ TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
   EXPECT_DOUBLE_EQ(steps[0]->values.at("volume.mean"), 3.0);
   EXPECT_DOUBLE_EQ(steps[0]->values.at("hist.lo"), 0.0);
   EXPECT_GE(steps[1]->t_ms, steps[0]->t_ms);
-  std::remove(shim_path.c_str());
 }
 
 TEST(ObsStream, PipelinedTwoRanksEmitOneRecordPerStepPerRank) {

@@ -1,19 +1,22 @@
 // obs_compare — the perf-regression gate's CLI (see DESIGN.md §4.8).
 //
-// Diffs two observability summaries (the .summary.json / .summary.tsv
-// files the benches write under TESS_OBS_EXPORT) phase by phase and exits
-// nonzero when any phase's wall time regressed past its threshold:
+// Diffs two observability summaries phase by phase and exits nonzero when
+// any phase's wall time regressed past its threshold. A summary is either
+// a telemetry file (the <prefix>.summary.jsonl the benches write under
+// TESS_OBS_EXPORT, or a committed BENCH_*.json baseline in the same record
+// form), read by the stream decoder and gated on its last global "snap"
+// record, or a google-benchmark JSON file:
 //
-//   obs_compare baseline.summary.json current.summary.json
+//   obs_compare baseline.summary.jsonl current.summary.jsonl
 //       [--threshold 0.20] [--min-seconds 1e-3]
 //       [--phase-threshold name=0.5]... [--report report.md]
 //
-// Exit codes: 0 = within thresholds, 1 = regression, 2 = usage/IO error.
-// Phases present on only one side are reported but never fail the gate
+// Exit codes: 0 = within thresholds, 1 = regression, 2 = usage/IO error,
+// including a file with a malformed line or no global record. Phases
+// present on only one side are reported but never fail the gate
 // (instrumentation legitimately comes and goes across commits).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -27,7 +30,8 @@ namespace {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " <baseline.summary.{json,tsv}> <current.summary.{json,tsv}>\n"
+      << " <baseline> <current>   (summary .jsonl or google-benchmark "
+         ".json)\n"
          "  [--threshold F]        default allowed slowdown fraction "
          "(default 0.20)\n"
          "  [--min-seconds F]      noise floor: phases below this on both "
@@ -46,14 +50,8 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 std::vector<tess::obs::SummaryRow> load_summary(const std::string& path) {
   const std::string text = read_file(path);
-  if (ends_with(path, ".tsv")) return tess::obs::parse_summary_tsv(text);
   // google-benchmark --benchmark_out files carry a "benchmarks" array; obs
   // summaries never do. Route them through the bench parser and flag files
   // recorded from a debug build — their numbers poison the gate silently.
@@ -67,7 +65,17 @@ std::vector<tess::obs::SummaryRow> load_summary(const std::string& path) {
                    "-DCMAKE_BUILD_TYPE=Release)\n";
     return rows;
   }
-  return tess::obs::parse_summary_json(text);
+  const auto file = tess::obs::read_stream_file(path);
+  if (file.dropped > 0)
+    throw std::runtime_error("'" + path + "': " +
+                             std::to_string(file.dropped) +
+                             " malformed line(s)");
+  const tess::obs::StreamRecord* global = nullptr;
+  for (const auto& rec : file.records)
+    if (rec.kind == "snap" && rec.rank < 0) global = &rec;
+  if (global == nullptr)
+    throw std::runtime_error("'" + path + "' holds no global snap record");
+  return tess::obs::summary_rows(*global);
 }
 
 }  // namespace

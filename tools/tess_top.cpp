@@ -245,8 +245,10 @@ struct Tail {
     in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     bytes.resize(static_cast<std::size_t>(in.gcount()));
     offset += static_cast<std::streamoff>(bytes.size());
+    const std::size_t dropped_before = decoder.dropped();
     for (auto& rec : decoder.feed(bytes)) view.fold(rec);
-    view.dropped = decoder.dropped();
+    // The view sums every tailed file's drops.
+    view.dropped += decoder.dropped() - dropped_before;
     return true;
   }
 };
