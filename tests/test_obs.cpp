@@ -688,3 +688,42 @@ TEST(ObsExport, ChromeTraceStructure) {
   EXPECT_EQ(depth, 0);
   Tracer::instance().set_enabled(false);
 }
+
+TEST(ObsExport, SummaryJsonContainsSections) {
+  Tracer::instance().set_enabled(true);
+  Tracer::instance().clear();
+  tess::obs::metrics().reset();
+  { TESS_SPAN("sj_span"); }
+  TESS_COUNT("test.obs.sj", 5);
+  TESS_GAUGE_SET("test.obs.sj_gauge", 1.5);
+  TESS_HIST_ADD("test.obs.sj_hist", 9);
+
+  const auto dump = Tracer::instance().drain();
+  const auto snap = tess::obs::metrics().snapshot();
+  const std::string path =
+      testing::TempDir() + "tess_obs_sections.summary.jsonl";
+  tess::obs::write_summary(path, dump, snap);
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+    std::fclose(f);
+  }
+  std::remove(path.c_str());
+
+  // The global record comes first, on one line, and names every section
+  // under the keys that CI, the baselines and tools/tess_top read.
+  ASSERT_FALSE(text.empty());
+  ASSERT_EQ(text.back(), '\n');
+  const std::string global = text.substr(0, text.find('\n'));
+  for (const char* key :
+       {"{\"k\":\"snap\",", "\"rank\":-1,", "\"full\":1", "\"val\":{",
+        "\"ctr\":{", "\"gauge\":{", "\"hist\":{", "\"span\":{",
+        "\"trace.lanes\":", "\"trace.dropped_spans\":", "\"test.obs.sj\":5",
+        "\"test.obs.sj_gauge\":1.5", "\"test.obs.sj_hist\":{\"n\":1,",
+        "\"p50\":", "\"p90\":", "\"p99\":", "\"bins\":{",
+        "\"sj_span\":{\"n\":1,\"s\":"})
+    EXPECT_NE(global.find(key), std::string::npos) << key;
+  Tracer::instance().set_enabled(false);
+}

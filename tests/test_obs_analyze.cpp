@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "comm/comm.hpp"
 #include "obs/analyze.hpp"
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 
 namespace obs = tess::obs;
@@ -268,6 +271,68 @@ TEST(ObsCompare, NonSpanRowsIgnored) {
       obs::compare_summaries(baseline, current, obs::CompareOptions{});
   EXPECT_FALSE(result.regressed);
   EXPECT_EQ(result.deltas.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Summary files: the gate's input format (write_summary -> read_stream_file
+// -> summary_rows, the path tools/obs_compare reads them by)
+// ---------------------------------------------------------------------------
+
+TEST(ObsCompare, ParseSummaryJsonRoundTrip) {
+  obs::TraceDump dump;
+  dump.lanes.push_back(make_lane(0, 0,
+                                 {span("tess.pass", 0.0, 2.0, 0),
+                                  span("tess.pass", 2.0, 3.0, 0),
+                                  span("output", 3.0, 3.5, 0)}));
+  obs::MetricsSnapshot snap;
+  snap.samples.push_back(
+      {"comm.bytes", 'c', 100.0, 0.0, {{0, 60.0}, {1, 40.0}}, {}});
+  snap.samples.push_back(
+      {"geom.cell_cuts", 'h', 4.0, 100.0, {}, {{16, 3}, {32, 1}}});
+  snap.samples.push_back({"tess.cells", 'g', 7.0, 0.0, {}, {}});
+
+  const std::string path =
+      testing::TempDir() + "tess_obs_parse_summary.summary.jsonl";
+  obs::write_summary(path, dump, snap);
+  const auto file = obs::read_stream_file(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(file.dropped, 0u);
+  ASSERT_FALSE(file.records.empty());
+  ASSERT_EQ(file.records[0].rank, -1);
+  const auto rows = obs::summary_rows(file.records[0]);
+
+  // Spans by name (output, tess.pass), then counters, gauges, histograms.
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows[0].kind, "span");
+  EXPECT_EQ(rows[0].name, "output");
+  EXPECT_NEAR(rows[0].count, 1.0, 1e-12);
+  EXPECT_NEAR(rows[0].total, 0.5, 1e-9);
+  EXPECT_EQ(rows[1].name, "tess.pass");
+  EXPECT_NEAR(rows[1].count, 2.0, 1e-12);
+  EXPECT_NEAR(rows[1].total, 3.0, 1e-9);
+  EXPECT_EQ(rows[2].kind, "counter");
+  EXPECT_EQ(rows[2].name, "comm.bytes");
+  EXPECT_NEAR(rows[2].total, 100.0, 1e-12);
+  EXPECT_EQ(rows[3].kind, "gauge");
+  EXPECT_EQ(rows[3].name, "tess.cells");
+  EXPECT_NEAR(rows[3].total, 7.0, 1e-12);
+
+  // Histogram rows carry p50/p99 in min/max and the occupied bucket range.
+  const auto& hist = rows[4];
+  EXPECT_EQ(hist.kind, "histogram");
+  EXPECT_EQ(hist.name, "geom.cell_cuts");
+  EXPECT_NEAR(hist.count, 4.0, 1e-12);
+  EXPECT_NEAR(hist.total, 100.0, 1e-12);
+  const auto& bins = snap.samples[1].bins;
+  EXPECT_NEAR(hist.min, obs::histogram_quantile(bins, 0.50), 1e-6);
+  EXPECT_NEAR(hist.max, obs::histogram_quantile(bins, 0.99), 1e-6);
+  EXPECT_EQ(hist.bins_lo, 16.0);
+  EXPECT_EQ(hist.bins_hi, 32.0);
+
+  // A summary compared with itself never regresses (CI's decode check).
+  const auto result =
+      obs::compare_summaries(rows, rows, obs::CompareOptions{});
+  EXPECT_FALSE(result.regressed);
 }
 
 // ---------------------------------------------------------------------------
