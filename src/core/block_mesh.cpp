@@ -28,33 +28,28 @@ std::size_t weld_home(const WeldKey& key, std::size_t slots) {
 
 }  // namespace
 
-void StagedCells::add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
-                           double volume, double area) {
-  CellRecord rec;
+CellRecord& StagedCells::add_cell(std::int64_t site_id, geom::VoronoiCell& cell) {
+  CellRecord& rec = cells.emplace_back();
   rec.site_id = site_id;
   rec.site = cell.site();
-  rec.volume = volume;
-  rec.area = area;
   rec.first_face = static_cast<std::uint32_t>(face_neighbors.size());
-  rec.num_faces = static_cast<std::uint32_t>(cell.faces().size());
-
-  const auto& verts = cell.vertices();
-  const std::size_t first = vertices.size();
-  remap_.assign(verts.size(), BlockMesh::kUnwelded);
-  for (const auto& f : cell.faces()) {
-    for (int v : f.verts) {
-      auto& mapped = remap_[static_cast<std::size_t>(v)];
-      if (mapped == BlockMesh::kUnwelded) {
-        mapped = static_cast<std::uint32_t>(vertices.size() - first);
-        vertices.push_back(verts[static_cast<std::size_t>(v)]);
-      }
-      face_verts.push_back(mapped);
-    }
-    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
-    face_neighbors.push_back(f.source);
-  }
+  const auto measures =
+      cell.append_compacted({vertices, face_offsets, face_verts, face_neighbors});
+  rec.volume = measures.volume;
+  rec.area = measures.area;
+  rec.num_faces = static_cast<std::uint32_t>(face_neighbors.size() - rec.first_face);
   first_vertex.push_back(static_cast<std::uint32_t>(vertices.size()));
-  cells.push_back(rec);
+  return rec;
+}
+
+void StagedCells::drop_last() {
+  const CellRecord& rec = cells.back();
+  face_neighbors.resize(rec.first_face);
+  face_offsets.resize(rec.first_face + std::size_t{1});
+  face_verts.resize(face_offsets.back());
+  first_vertex.pop_back();
+  vertices.resize(first_vertex.back());
+  cells.pop_back();
 }
 
 void BlockMesh::rehash_weld(std::size_t slots) {

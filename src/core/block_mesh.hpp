@@ -54,6 +54,13 @@ struct CellRecord {
 /// nothing is welded across cells, so staging a cell costs only what the
 /// cell holds. BlockMesh::append_cell welds each staged vertex once. The
 /// tessellator fills one stage per chunk of its parallel cell loop.
+///
+/// add_cell() is the one writer of a kept cell, in both ghost modes. Through
+/// VoronoiCell::append_compacted() it writes the cell's compacted faces,
+/// its vertices in first-use order, and its volume and area in one pass: a
+/// cell finished by compact() or canonicalize() is copied, a generic
+/// fixed-ghost cell is read straight off its edge table without building a
+/// Face list, and a cell compact() would clean is compacted in place first.
 struct StagedCells {
   std::vector<CellRecord> cells;  ///< first_face indexes this stage's faces
   /// Cell c's vertices are [first_vertex[c], first_vertex[c + 1]).
@@ -64,13 +71,13 @@ struct StagedCells {
   std::vector<std::uint32_t> face_verts;
   std::vector<std::int64_t> face_neighbors;
 
-  /// Append a compacted Voronoi cell, listing each of its vertices at its
-  /// first reference in face-corner order.
-  void add_cell(std::int64_t site_id, const geom::VoronoiCell& cell,
-                double volume, double area);
-
- private:
-  std::vector<std::uint32_t> remap_;  ///< cell vertex -> local index
+  /// Stage a cell in compact()'s form (a finished cell as it stands) with
+  /// its volume and area; returns its record, valid until the next
+  /// add_cell. May compact `cell` in place.
+  CellRecord& add_cell(std::int64_t site_id, geom::VoronoiCell& cell);
+  /// Remove the last staged cell: the stage is as it was before its
+  /// add_cell.
+  void drop_last();
 };
 
 /// One block of the tessellation. Faces are stored structure-of-arrays:

@@ -190,8 +190,9 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
   // cell is both complete and certified by its security radius — at that
   // point no particle outside the ghost zone could have altered any cell,
   // so the result equals the serial one. options_.auto_ghost decides only
-  // what the two modes keep apart: canonicalize() or compact() per cell,
-  // and the unresolved-count allreduce and stream heartbeat after a pass.
+  // what the two modes keep apart: canonicalize() per cell or compact()'s
+  // form written at staging, and the unresolved-count allreduce and stream
+  // heartbeat after a pass.
   //
   // With options.incremental, the loop reuses everything a pass has proved:
   // pass k exchanges only the ghost annulus (g_{k-1}, g_k], appends it to
@@ -254,7 +255,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
-  // Kept cells live in per-chunk staged shards. A chunk stages a kept cell
+  // Kept cells live in per-chunk staged shards. A chunk keeps a staged cell
   // in its shard only once the cell is final — retired, or built at the
   // cap, where no later pass can rebuild it — so every cell of a shard is an
   // output cell. A shard fills in ascending site order, and each kept site
@@ -404,8 +405,9 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               // Auto ghost takes the canonical form before any decision, so
               // every classification below depends only on the cell's true
               // geometry, never on the pass that built it. A fixed ghost
-              // builds each cell once and compacts only the cells that
-              // survive the early cull.
+              // builds each cell once and stages it as built: staging
+              // writes compact()'s form, straight off the edge table for a
+              // generic cell, and only for cells past the early cull.
               if (options_.auto_ghost)
                 cs.canon_kept_clipped += cell.canonicalize();
               // Security-radius certificate: every potential cutter of this
@@ -421,29 +423,35 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
                 state[i] = kCulledEarly;
                 continue;
               }
-              if (!options_.auto_ghost) cell.compact();
-              double volume = cell.volume();
-              double area = cell.area();
+              // Stage first: one walk writes the cell's faces, vertices,
+              // volume and area (compacting it only if it needs cleaning).
+              // A cell outside the volume window, or one a later pass will
+              // rebuild, is then dropped from the shard again.
+              const auto index = static_cast<std::uint32_t>(shard.cells.size());
+              CellRecord& rec = shard.add_cell(mine[i].id, cell);
               if (options_.hull_pass) {
                 // Paper-faithful step: order the cell's vertices into faces
-                // via the convex hull and take volume/area from it.
-                const auto hull = geom::convex_hull(cell.vertices());
+                // via the convex hull and take volume/area from it. The
+                // staged vertices are the compacted cell's, in its order.
+                const auto hull = geom::convex_hull(std::vector<geom::Vec3>(
+                    shard.vertices.begin() + shard.first_vertex[index],
+                    shard.vertices.end()));
                 if (!hull.degenerate) {
-                  volume = hull.volume;
-                  area = hull.area;
+                  rec.volume = hull.volume;
+                  rec.area = hull.area;
                 }
               }
-              if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
-                  (options_.max_volume > 0.0 && volume > options_.max_volume)) {
+              if ((options_.min_volume > 0.0 && rec.volume < options_.min_volume) ||
+                  (options_.max_volume > 0.0 && rec.volume > options_.max_volume)) {
+                shard.drop_last();
                 state[i] = kCulledVolume;
                 continue;
               }
               state[i] = kKept;
-              if (retired[i] || at_cap) {
-                kept_at[i] = {shard_id,
-                              static_cast<std::uint32_t>(shard.cells.size())};
-                shard.add_cell(mine[i].id, cell, volume, area);
-              }
+              if (retired[i] || at_cap)
+                kept_at[i] = {shard_id, index};
+              else
+                shard.drop_last();
             }
             cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
             chunk_timer.stop();

@@ -30,14 +30,15 @@ ClipScratch& tls_scratch() {
   return scratch;
 }
 
-// Working storage of face materialization, compact() and canonicalize(),
-// one per thread. Each buffer keeps one role and its capacity from cell to
-// cell, so a warm worker finishes cells without touching the heap.
+// Working storage of face materialization, compact(), canonicalize() and
+// append_compacted(), one per thread. Each buffer keeps one role and its
+// capacity from cell to cell, so a warm worker finishes cells without
+// touching the heap.
 struct TidyScratch {
   std::vector<int> canon;      ///< weld target of each vertex
   std::vector<char> used;      ///< vertex referenced by some face
   std::vector<int> used_list;  ///< referenced vertices in first-use order
-  std::vector<int> loop;       ///< the face loop being cleaned
+  std::vector<int> loop;       ///< the face loop being cleaned or walked
   std::vector<double> xs;      ///< x of each vertex, for the weld sweep
   std::vector<int> remap;      ///< old -> renumbered vertex index
   std::vector<Vec3> verts;     ///< pre-renumbering copy of the vertices
@@ -51,11 +52,95 @@ struct TidyScratch {
   std::vector<int> plane_fill;
   std::vector<int> plane_corners;
   std::vector<char> walked;
+  /// append_compacted()'s edge-table walk: each plane's first corner
+  /// (4*v + slot, -1 for none) and its corner count.
+  std::vector<int> first_corner;
+  std::vector<int> corner_count;
 };
 
 TidyScratch& tls_tidy() {
   thread_local TidyScratch scratch;
   return scratch;
+}
+
+// volume(), area(), the zero-area prune and append_compacted() all fan a
+// face loop from its first vertex, through these two functions, so each
+// face's terms have the same bits on every path. fan_normal() sums the
+// fan's cross products (twice the face's vector area).
+Vec3 fan_normal(const std::vector<Vec3>& verts, const int* loop, std::size_t m) {
+  const Vec3& p0 = verts[static_cast<std::size_t>(loop[0])];
+  Vec3 n{};
+  for (std::size_t i = 1; i + 1 < m; ++i) {
+    const Vec3& p1 = verts[static_cast<std::size_t>(loop[i])];
+    const Vec3& p2 = verts[static_cast<std::size_t>(loop[i + 1])];
+    n += cross(p1 - p0, p2 - p0);
+  }
+  return n;
+}
+
+// Adds the fan's signed tetrahedron volumes against the origin to `vol`,
+// one triangle at a time (the divergence theorem over a closed,
+// outward-oriented surface).
+void add_fan_volume(double& vol, const std::vector<Vec3>& verts, const int* loop,
+                    std::size_t m) {
+  const Vec3& p0 = verts[static_cast<std::size_t>(loop[0])];
+  for (std::size_t i = 1; i + 1 < m; ++i) {
+    const Vec3& p1 = verts[static_cast<std::size_t>(loop[i])];
+    const Vec3& p2 = verts[static_cast<std::size_t>(loop[i + 1])];
+    vol += dot(p0, cross(p1, p2)) / 6.0;
+  }
+}
+
+// compact()'s tolerances, relative to the squared cell radius, the natural
+// area scale of the polyhedron: faces of area at most `tiny` are pruned,
+// vertices within sqrt(weld_eps2) weld, and a loop corner spanning an area
+// at most `tiny` is dropped as collinear; past far2 its squared cross
+// product cannot come back under that bound.
+struct TidyBounds {
+  double tiny, weld_eps2, far2;
+  explicit TidyBounds(double radius2)
+      : tiny(1e-12 * std::max(radius2, 1e-300)),
+        weld_eps2(1e-18 * std::max(radius2, 1e-300)),
+        far2(4.0 * tiny * tiny >= 1e-300
+                 ? 4.0 * tiny * tiny * (1.0 + 1e-6)
+                 : std::numeric_limits<double>::infinity()) {}
+};
+
+// How far past its own bound each compact() sweep still sends a cell down
+// the full path, in squared lengths: a factor 2 in distance, against
+// rounding errors of a few ulps of the cell's own coordinates.
+constexpr double kCompactSweepMargin = 4.0;
+
+// True when some pair of the n values lies within sqrt(bound2) of each
+// other. Flat and branch-free per row, so the inner loop vectorizes.
+bool any_pair_within(const double* x, std::size_t n, double bound2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    bool hit = false;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dx = x[i] - x[j];
+      hit |= dx * dx <= bound2;
+    }
+    if (hit) return true;
+  }
+  return false;
+}
+
+// compact()'s weld sweep: a weld needs some pair whose x terms alone pass
+// weld_eps2 (dist2 rounds no lower than its x term). It reads every
+// vertex, a superset of the ones the faces use. When it passes, no two
+// vertices share an x coordinate either.
+bool weld_sweep_flags(const std::vector<Vec3>& verts, const TidyBounds& b) {
+  auto& xs = tls_tidy().xs;
+  xs.resize(verts.size());
+  for (std::size_t v = 0; v < verts.size(); ++v) xs[v] = verts[v].x;
+  return any_pair_within(xs.data(), xs.size(), kCompactSweepMargin * b.weld_eps2);
+}
+
+// compact()'s collinear sweep, per corner a -> b -> c of a loop longer than
+// three: with no weld, the collinear pass can drop b only if this holds.
+bool corner_sweep_flags(const Vec3& a, const Vec3& b, const Vec3& c,
+                        const TidyBounds& bounds) {
+  return norm2(cross(b - a, c - b)) <= kCompactSweepMargin * bounds.far2;
 }
 
 // Total order on face planes, a pure function of the generating geometry
@@ -395,32 +480,15 @@ double VoronoiCell::max_vertex_separation2() const {
 }
 
 double VoronoiCell::volume() const {
-  // Signed volume of the closed outward-oriented surface via the divergence
-  // theorem, fanning each face from its first vertex.
   double vol = 0.0;
-  for (const auto& f : faces()) {
-    const Vec3& p0 = verts_[static_cast<std::size_t>(f.verts[0])];
-    for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
-      const Vec3& p1 = verts_[static_cast<std::size_t>(f.verts[i])];
-      const Vec3& p2 = verts_[static_cast<std::size_t>(f.verts[i + 1])];
-      vol += dot(p0, cross(p1, p2)) / 6.0;
-    }
-  }
+  for (const auto& f : faces()) add_fan_volume(vol, verts_, f.verts.data(), f.verts.size());
   return vol;
 }
 
 double VoronoiCell::area() const {
   double a = 0.0;
-  for (const auto& f : faces()) {
-    const Vec3& p0 = verts_[static_cast<std::size_t>(f.verts[0])];
-    Vec3 n{};
-    for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
-      const Vec3& p1 = verts_[static_cast<std::size_t>(f.verts[i])];
-      const Vec3& p2 = verts_[static_cast<std::size_t>(f.verts[i + 1])];
-      n += cross(p1 - p0, p2 - p0);
-    }
-    a += 0.5 * norm(n);
-  }
+  for (const auto& f : faces())
+    a += 0.5 * norm(fan_normal(verts_, f.verts.data(), f.verts.size()));
   return a;
 }
 
@@ -499,44 +567,12 @@ void VoronoiCell::rotate_to_smallest(Face& f) const {
 
 void VoronoiCell::prune_degenerate_faces() {
   // A bisector that grazes the cell exactly along an edge/corner (possible
-  // for lattice-like inputs) leaves a face of zero area; drop it. The
-  // threshold is relative to the squared cell radius, the natural area
-  // scale of the polyhedron.
-  const double eps = 1e-12 * std::max(max_radius2_, 1e-300);
+  // for lattice-like inputs) leaves a face of zero area; drop it.
+  const double eps = TidyBounds(max_radius2_).tiny;
   std::erase_if(faces_, [&](const Face& f) {
-    const Vec3& p0 = verts_[static_cast<std::size_t>(f.verts[0])];
-    Vec3 n{};
-    for (std::size_t i = 1; i + 1 < f.verts.size(); ++i) {
-      const Vec3& p1 = verts_[static_cast<std::size_t>(f.verts[i])];
-      const Vec3& p2 = verts_[static_cast<std::size_t>(f.verts[i + 1])];
-      n += cross(p1 - p0, p2 - p0);
-    }
-    return 0.5 * norm(n) <= eps;
+    return 0.5 * norm(fan_normal(verts_, f.verts.data(), f.verts.size())) <= eps;
   });
 }
-
-namespace {
-
-// How far past its own bound each compact() sweep still sends a cell down
-// the full path, in squared lengths: a factor 2 in distance, against
-// rounding errors of a few ulps of the cell's own coordinates.
-constexpr double kCompactSweepMargin = 4.0;
-
-// True when some pair of the n values lies within sqrt(bound2) of each
-// other. Flat and branch-free per row, so the inner loop vectorizes.
-bool any_pair_within(const double* x, std::size_t n, double bound2) {
-  for (std::size_t i = 0; i < n; ++i) {
-    bool hit = false;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dx = x[i] - x[j];
-      hit |= dx * dx <= bound2;
-    }
-    if (hit) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 void VoronoiCell::compact() {
   finish();
@@ -553,18 +589,8 @@ void VoronoiCell::compact() {
   // vertex on several edges) and drop collinear loop vertices, so exported
   // faces are minimal polygons. Two flat sweeps first ask whether either
   // can happen; a generic cell has nothing to clean and skips both.
-  const double weld_eps2 = 1e-18 * std::max(max_radius2_, 1e-300);
-  const double collinear_eps = 1e-12 * std::max(max_radius2_, 1e-300);
-  const double far2 = 4.0 * collinear_eps * collinear_eps >= 1e-300
-                          ? 4.0 * collinear_eps * collinear_eps * (1.0 + 1e-6)
-                          : std::numeric_limits<double>::infinity();
-  // A weld needs some pair whose x terms alone pass weld_eps2 (dist2 rounds
-  // no lower than its x term); the sweep reads every vertex, a superset of
-  // the ones the faces use.
-  t.xs.resize(verts_.size());
-  for (std::size_t v = 0; v < verts_.size(); ++v) t.xs[v] = verts_[v].x;
-  bool dirty =
-      any_pair_within(t.xs.data(), t.xs.size(), kCompactSweepMargin * weld_eps2);
+  const TidyBounds bounds(max_radius2_);
+  bool dirty = weld_sweep_flags(verts_, bounds);
   // With no weld the loops stay as they are, and the collinear pass drops
   // a vertex only where some corner's cross product passes far2.
   for (std::size_t fi = 0; fi < faces_.size() && !dirty; ++fi) {
@@ -573,10 +599,9 @@ void VoronoiCell::compact() {
     if (m <= 3) continue;
     for (std::size_t i = 0, prev = m - 1; i < m; prev = i++) {
       const std::size_t next = i + 1 == m ? 0 : i + 1;
-      const Vec3& a = verts_[static_cast<std::size_t>(loop[prev])];
-      const Vec3& b = verts_[static_cast<std::size_t>(loop[i])];
-      const Vec3& c = verts_[static_cast<std::size_t>(loop[next])];
-      dirty |= norm2(cross(b - a, c - b)) <= kCompactSweepMargin * far2;
+      dirty |= corner_sweep_flags(verts_[static_cast<std::size_t>(loop[prev])],
+                                  verts_[static_cast<std::size_t>(loop[i])],
+                                  verts_[static_cast<std::size_t>(loop[next])], bounds);
     }
   }
   if (dirty) {
@@ -598,9 +623,9 @@ void VoronoiCell::compact() {
         // dist2's x term alone: the sum rounds no lower than it.
         const double dx = verts_[static_cast<std::size_t>(i)].x -
                           verts_[static_cast<std::size_t>(j)].x;
-        if (dx * dx > weld_eps2) continue;
+        if (dx * dx > bounds.weld_eps2) continue;
         if (dist2(verts_[static_cast<std::size_t>(i)],
-                  verts_[static_cast<std::size_t>(j)]) <= weld_eps2)
+                  verts_[static_cast<std::size_t>(j)]) <= bounds.weld_eps2)
           t.canon[static_cast<std::size_t>(j)] = t.canon[static_cast<std::size_t>(i)];
       }
     auto& loop = t.loop;
@@ -623,8 +648,8 @@ void VoronoiCell::compact() {
           const Vec3& c = verts_[static_cast<std::size_t>(loop[next])];
           // norm2 first: past far2 the sqrt cannot come back under eps.
           const double n2 = norm2(cross(b - a, c - b));
-          if (n2 > far2) continue;
-          if (0.5 * std::sqrt(n2) <= collinear_eps) {
+          if (n2 > bounds.far2) continue;
+          if (0.5 * std::sqrt(n2) <= bounds.tiny) {
             loop.erase(loop.begin() + static_cast<std::ptrdiff_t>(i));
             changed = true;
             break;
@@ -810,6 +835,126 @@ std::size_t VoronoiCell::canonicalize() {
   renumber_in_face_order();
   recompute_radius();
   return kept_clipped;
+}
+
+VoronoiCell::Measures VoronoiCell::append_compacted(const FaceArrays& out) {
+  Measures m;
+  if (!finished_) {
+    if (append_from_edges(out, m)) return m;
+    compact();
+  }
+  // A finished cell's vertices are already those its faces use, in
+  // first-use order.
+  out.vertices.insert(out.vertices.end(), verts_.begin(), verts_.end());
+  for (const Face& f : faces_) {
+    for (const int v : f.verts) out.face_verts.push_back(static_cast<std::uint32_t>(v));
+    out.face_offsets.push_back(static_cast<std::uint32_t>(out.face_verts.size()));
+    out.face_sources.push_back(f.source);
+    add_fan_volume(m.volume, verts_, f.verts.data(), f.verts.size());
+    m.area += 0.5 * norm(fan_normal(verts_, f.verts.data(), f.verts.size()));
+  }
+  return m;
+}
+
+bool VoronoiCell::append_from_edges(const FaceArrays& out, Measures& m) const {
+  // compact() of a cell its sweeps pass only orders it: build_faces(), each
+  // loop turned to its smallest vertex, zero-area faces pruned, vertices
+  // renumbered by first use. This writes that result, and volume() and
+  // area() of it, from the edge table in one walk, with no Face list.
+  const TidyBounds bounds(max_radius2_);
+  if (weld_sweep_flags(verts_, bounds)) return false;
+  TidyScratch& t = tls_tidy();
+  const std::size_t nv = verts_.size(), np = planes_.size();
+
+  // Each plane's first corner (4v + slot) and its corner count.
+  // build_faces() walks a plane's corners in that order, so the loop from a
+  // plane's first corner is its first face. A plane with corners off that
+  // loop (a face a degenerate cut split) is left to compact().
+  t.first_corner.assign(np, -1);
+  t.corner_count.assign(np, 0);
+  int* first = t.first_corner.data();
+  int* count = t.corner_count.data();
+  for (std::size_t v = 0; v < nv; ++v)
+    for (int i = 0; i < 3; ++i) {
+      const auto p = static_cast<std::size_t>(corners_[v][static_cast<std::size_t>(i)]);
+      if (first[p] < 0) first[p] = 4 * static_cast<int>(v) + i;
+      ++count[p];
+    }
+
+  // Grow the output arrays once to what the cell could fill, write through
+  // pointers, then trim them to what it filled: to nothing if compact()
+  // must clean the cell after all.
+  const std::size_t v0 = out.vertices.size(), c0 = out.face_verts.size();
+  const std::size_t o0 = out.face_offsets.size(), f0 = out.face_sources.size();
+  out.vertices.resize(v0 + nv);
+  out.face_verts.resize(c0 + 3 * nv);
+  out.face_offsets.resize(o0 + np);
+  out.face_sources.resize(f0 + np);
+  Vec3* const vert_out = out.vertices.data() + v0;
+  std::uint32_t* const corner_out = out.face_verts.data() + c0;
+  std::uint32_t* const offset_out = out.face_offsets.data() + o0;
+  std::int64_t* const source_out = out.face_sources.data() + f0;
+  std::size_t nverts = 0, ncorners = 0, nfaces = 0;
+  t.remap.assign(nv, -1);
+  int* const remap = t.remap.data();
+  t.loop.resize(3 * nv);
+  int* const loop = t.loop.data();
+  Measures sum;
+  bool clean = true;
+  for (std::size_t p = 0; p < np; ++p) {
+    const auto len = static_cast<std::size_t>(count[p]);
+    if (len == 0) continue;
+    // After a -> b comes b -> (b's neighbour before a); the slot before
+    // slot s is s - 1, or 2 before slot 0.
+    const int start = first[p];
+    std::size_t k = 0;
+    int corner = start;
+    do {
+      const int v = corner >> 2;
+      loop[k++] = v;
+      const int e = links_[static_cast<std::size_t>(v)][static_cast<std::size_t>(corner & 3)];
+      corner = (e & 3) != 0 ? e - 1 : e + 2;
+    } while (corner != start && k < len);
+    if (corner != start || k != len) {
+      clean = false;
+      break;
+    }
+    // The weld sweep passed, so no two vertices share an x coordinate and
+    // the smallest vertex needs no tie-break.
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < len; ++j)
+      if (vec3_lex_less(verts_[static_cast<std::size_t>(loop[j])],
+                        verts_[static_cast<std::size_t>(loop[best])]))
+        best = j;
+    std::rotate(loop, loop + best, loop + len);
+    const double face_area = 0.5 * norm(fan_normal(verts_, loop, len));
+    if (face_area <= bounds.tiny) continue;
+    for (std::size_t j = 0, prev = len - 1; len > 3 && j < len && clean; prev = j++)
+      clean = !corner_sweep_flags(verts_[static_cast<std::size_t>(loop[prev])],
+                                  verts_[static_cast<std::size_t>(loop[j])],
+                                  verts_[static_cast<std::size_t>(loop[j + 1 == len ? 0 : j + 1])],
+                                  bounds);
+    if (!clean) break;
+    for (std::size_t j = 0; j < len; ++j) {
+      const auto v = static_cast<std::size_t>(loop[j]);
+      if (remap[v] < 0) {
+        remap[v] = static_cast<int>(nverts);
+        vert_out[nverts++] = verts_[v];
+      }
+      corner_out[ncorners++] = static_cast<std::uint32_t>(remap[v]);
+    }
+    offset_out[nfaces] = static_cast<std::uint32_t>(c0 + ncorners);
+    source_out[nfaces++] = planes_[p].source;
+    add_fan_volume(sum.volume, verts_, loop, len);
+    sum.area += face_area;
+  }
+  if (!clean) nverts = ncorners = nfaces = 0;
+  out.vertices.resize(v0 + nverts);
+  out.face_verts.resize(c0 + ncorners);
+  out.face_offsets.resize(o0 + nfaces);
+  out.face_sources.resize(f0 + nfaces);
+  if (clean) m = sum;
+  return clean;
 }
 
 }  // namespace tess::geom

@@ -27,11 +27,15 @@
 // certificate read the same array.
 //
 // Face loops (faces(), and vertex_generators() with them) are read off the
-// edge table on demand, in plane-creation order, once per finished cell;
-// compact() and canonicalize() then turn the cell into that face form for
-// good. All per-cut working storage lives in a caller-provided ClipScratch
-// and face materialization reuses per-thread buffers, so a warm cell object
-// reset() across sites clips without allocating.
+// edge table on demand, in plane-creation order; compact() and
+// canonicalize() turn the cell into that face form for good. A kept cell is
+// written out by append_compacted(), which core::StagedCells calls: a
+// finished cell is copied, and an unfinished cell that compact() would
+// only reorder (the generic case) is written in compact()'s form, with its
+// volume and area, straight off the edge table, so it never builds a Face
+// list. All per-cut working storage lives in a caller-provided ClipScratch
+// and the face walks reuse per-thread buffers, so a warm cell object
+// reset() across sites clips and is written out without allocating.
 #pragma once
 
 #include <array>
@@ -189,7 +193,37 @@ class VoronoiCell {
   /// vertices kept clipped for that last reason.
   std::size_t canonicalize();
 
+  /// The caller-owned arrays of a face-indexed mesh that append_compacted()
+  /// extends. Each face appends its loop to `face_verts`, as indices counted
+  /// from the first vertex the call appends, then its end offset in
+  /// `face_verts` to `face_offsets` and its source to `face_sources`.
+  struct FaceArrays {
+    std::vector<Vec3>& vertices;
+    std::vector<std::uint32_t>& face_offsets;
+    std::vector<std::uint32_t>& face_verts;
+    std::vector<std::int64_t>& face_sources;
+  };
+  /// A cell's volume and area, with the bits volume() and area() return.
+  struct Measures {
+    double volume = 0.0;
+    double area = 0.0;
+  };
+
+  /// Append the cell's face form to `out` and return its volume and area:
+  /// the faces, vertices (each once, in first-use order) and the bits of
+  /// volume() and area() that a cell finished by compact() holds. A finished
+  /// cell is copied as it stands. An unfinished cell that neither of
+  /// compact()'s skip sweeps flags is written in one walk of its edge table
+  /// and stays unfinished; one they flag is compact()ed in place, then
+  /// copied. Warm per-thread buffers make the call allocation-free apart
+  /// from growing `out`.
+  Measures append_compacted(const FaceArrays& out);
+
  private:
+  /// append_compacted() of an unfinished cell straight off the edge table.
+  /// Returns false, with `out` as it was, when compact() would clean the
+  /// cell.
+  bool append_from_edges(const FaceArrays& out, Measures& m) const;
   /// Read the face loops and generators off the edge table.
   void build_faces() const;
   /// Switch to the face form for good (compact() and canonicalize()).

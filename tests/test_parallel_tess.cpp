@@ -253,19 +253,29 @@ TEST(ClipScratchSteadyState, SecondSweepAllocatesNothing) {
 namespace {
 
 // Builds every site of `pts` twice with one cell/scratch pair, finishing
-// each cell three ways (as built, compact(), canonicalize()), and expects
-// the second sweep to allocate nothing. Returns the builder's count of
+// each cell five ways (as built, compact(), canonicalize(), and staging
+// each complete cell as built, as a fixed ghost does, or after
+// canonicalize(), as auto ghost does), and expects the second sweep to
+// allocate nothing. The stage is cleared before each sweep and keeps its
+// capacity, as a warm chunk shard would. Returns the builder's count of
 // candidates the vertex-ball screen dropped.
 std::uint64_t expect_warm_sweeps_allocation_free(const std::vector<Vec3>& pts,
                                                  const Vec3& lo,
                                                  const Vec3& hi) {
   const CellBuilder builder(pts, {}, lo, hi);
   const int n = static_cast<int>(pts.size());
+  StagedCells stage;
 
   auto second_sweep_allocations = [&](auto&& finish) {
     VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
     ClipScratch scratch;
     auto sweep = [&] {
+      stage.cells.clear();
+      stage.first_vertex.assign(1, 0);
+      stage.vertices.clear();
+      stage.face_offsets.assign(1, 0);
+      stage.face_verts.clear();
+      stage.face_neighbors.clear();
       double volume = 0.0;
       for (int site = 0; site < n; ++site) {
         builder.build_into(cell, scratch, site, lo, hi);
@@ -289,6 +299,18 @@ std::uint64_t expect_warm_sweeps_allocation_free(const std::vector<Vec3>& pts,
   EXPECT_EQ(
       second_sweep_allocations([](VoronoiCell& c) { c.canonicalize(); }), 0u)
       << "build_into + canonicalize()";
+  EXPECT_EQ(second_sweep_allocations([&](VoronoiCell& c) {
+              if (c.complete()) stage.add_cell(0, c);
+            }),
+            0u)
+      << "build_into + staging as built";
+  EXPECT_GT(stage.cells.size(), 0u);
+  EXPECT_EQ(second_sweep_allocations([&](VoronoiCell& c) {
+              c.canonicalize();
+              if (c.complete()) stage.add_cell(0, c);
+            }),
+            0u)
+      << "build_into + canonicalize() + staging";
   return builder.backend_stats().cuts_screened;
 }
 
@@ -426,9 +448,8 @@ TEST(ParallelTessellation, OneCellShardMergeAllocatesLogarithmically) {
   std::vector<BlockMesh> welded;
   for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
     auto cell = builder.build(site, lo, hi);
-    cell.compact();
     StagedCells stage;
-    stage.add_cell(site, cell, cell.volume(), cell.area());
+    stage.add_cell(site, cell);
     BlockMesh shard;
     shard.append_cell(stage, 0);
     staged.push_back(std::move(stage));

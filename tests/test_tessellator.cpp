@@ -489,10 +489,11 @@ std::vector<SiteCell> lattice_cells() {
                      {-5, -5, -5}, {3, 3, 3});
 }
 
-/// Box cells whose corners straddle weld-quantum rounding boundaries: the
-/// pair at (k + 0.5) q -/+ eps lies 2 eps apart yet quantizes to distinct
-/// keys (two vertices), the pair at k q -/+ eps welds into one, on both
-/// sides of zero; the thin box's corners collapse pairwise within one cell.
+/// Compacted box cells whose corners straddle weld-quantum rounding
+/// boundaries: the pair at (k + 0.5) q -/+ eps lies 2 eps apart yet
+/// quantizes to distinct keys (two vertices), the pair at k q -/+ eps welds
+/// into one, on both sides of zero; the thin box's four corners at each end
+/// share one key within one cell.
 std::vector<SiteCell> quantum_boundary_cells(std::int64_t first_id) {
   const double q = kWeldQuantum, eps = 1e-5 * q;
   const double half = (12345678 + 0.5) * q, whole = 23456789 * q;
@@ -501,6 +502,7 @@ std::vector<SiteCell> quantum_boundary_cells(std::int64_t first_id) {
   auto add_box = [&](const Vec3& lo, const Vec3& hi) {
     const Vec3 site{0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y), 0.5 * (lo.z + hi.z)};
     out.push_back({id++, VoronoiCell(site, lo, hi)});
+    out.back().cell.compact();
   };
   for (const double sign : {1.0, -1.0}) {
     for (const double edge : {half, whole}) {
@@ -510,8 +512,11 @@ std::vector<SiteCell> quantum_boundary_cells(std::int64_t first_id) {
       add_box({a + eps, -0.75, -0.5}, {a + 1.0, 0.25, 0.5});
     }
   }
-  // Not compacted: compact() would merge the thin box's corners itself.
-  add_box({whole - eps, whole - eps, -1.0}, {whole + eps, whole + eps, 1.0});
+  // 4e-9 wide: compact() keeps its 8 corners (they lie past its weld bound
+  // of 1e-9 times the cell radius) and prunes its two near-zero-area ends,
+  // but the corners at each end share one weld key.
+  const double thin = 2e-9;
+  add_box({whole - thin, whole - thin, -1.0}, {whole + thin, whole + thin, 1.0});
   return out;
 }
 
@@ -529,12 +534,10 @@ std::vector<std::vector<SiteCell>> assembly_inputs() {
 const tess::diy::Bounds kAssemblyBounds{{-5, -5, -5}, {3, 3, 3}};
 
 /// Cells [begin, end) staged in that order.
-StagedCells stage_cells(const std::vector<SiteCell>& cells, std::size_t begin,
+StagedCells stage_cells(std::vector<SiteCell>& cells, std::size_t begin,
                         std::size_t end) {
   StagedCells stage;
-  for (std::size_t i = begin; i < end; ++i)
-    stage.add_cell(cells[i].site_id, cells[i].cell, cells[i].cell.volume(),
-                   cells[i].cell.area());
+  for (std::size_t i = begin; i < end; ++i) stage.add_cell(cells[i].site_id, cells[i].cell);
   return stage;
 }
 
@@ -544,7 +547,7 @@ void append_stage(BlockMesh& mesh, const StagedCells& stage) {
 }
 
 /// Cells [begin, end) staged as one shard and assembled into a block.
-BlockMesh add_cells(const std::vector<SiteCell>& cells, std::size_t begin,
+BlockMesh add_cells(std::vector<SiteCell>& cells, std::size_t begin,
                     std::size_t end) {
   BlockMesh mesh;
   mesh.bounds = kAssemblyBounds;
@@ -561,7 +564,7 @@ BlockMesh oracle_mesh(const std::vector<SiteCell>& cells) {
 }  // namespace
 
 TEST(MeshAssembly, AddCellMatchesPerCornerOracle) {
-  for (const auto& cells : assembly_inputs()) {
+  for (auto& cells : assembly_inputs()) {
     ASSERT_GT(cells.size(), 100u);
     const BlockMesh mesh = add_cells(cells, 0, cells.size());
     const BlockMesh expected = oracle_mesh(cells);
@@ -570,7 +573,7 @@ TEST(MeshAssembly, AddCellMatchesPerCornerOracle) {
   }
   // The straddling pairs stay apart and the on-grid pairs weld: each pair
   // of boxes shares its 4 face corners only when they quantize together.
-  const auto boxes = quantum_boundary_cells(0);
+  auto boxes = quantum_boundary_cells(0);
   const BlockMesh straddle = add_cells(boxes, 0, 2);
   EXPECT_EQ(straddle.vertices.size(), 16u);
   const BlockMesh welded = add_cells(boxes, 2, 4);
@@ -582,7 +585,7 @@ TEST(MeshAssembly, AddCellMatchesPerCornerOracle) {
 }
 
 TEST(MeshAssembly, ShardMergeMatchesPerCornerOracle) {
-  for (const auto& cells : assembly_inputs()) {
+  for (auto& cells : assembly_inputs()) {
     const auto expected = mesh_bytes(oracle_mesh(cells));
     for (const std::size_t grain : {1u, 7u, 64u}) {
       // Staged shards of `grain` sites, assembled into one block in site
@@ -603,14 +606,13 @@ TEST(MeshAssembly, ShardMergeMatchesPerCornerOracle) {
 }
 
 TEST(MeshAssembly, CanonicalMergeMatchesPerCornerOracle) {
-  for (const auto& cells : assembly_inputs()) {
+  for (auto& cells : assembly_inputs()) {
     // Three blocks with interleaved site ids, each assembled in its own
     // (descending) order, so the merge re-welds across blocks.
     std::vector<StagedCells> stages(3);
     for (std::size_t i = cells.size(); i-- > 0;) {
-      const auto& sc = cells[i];
-      stages[static_cast<std::size_t>(sc.site_id % 3)].add_cell(
-          sc.site_id, sc.cell, sc.cell.volume(), sc.cell.area());
+      auto& sc = cells[i];
+      stages[static_cast<std::size_t>(sc.site_id % 3)].add_cell(sc.site_id, sc.cell);
     }
     std::vector<BlockMesh> blocks(3);
     for (std::size_t b = 0; b < blocks.size(); ++b) {

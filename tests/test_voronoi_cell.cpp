@@ -10,10 +10,12 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/block_mesh.hpp"
 #include "geom/cell_builder.hpp"
 #include "geom/convex_hull.hpp"
 #include "geom/kernels.hpp"
@@ -1281,4 +1283,264 @@ TEST(CompactOracle, HandBuiltDegenerateCells) {
   EXPECT_GT(collinear.collinear, 0);
   EXPECT_EQ(collinear.welds, 0);
   EXPECT_GT(prune.welds, 0);
+}
+
+// ---------------------------------------------------------------------------
+// StagedCells::add_cell against the path it replaced. The stage writes a
+// kept cell's faces, its vertices in first-use order, and its volume and
+// area through VoronoiCell::append_compacted(): straight off the edge table
+// when neither compact() sweep flags the cell, else after compact() in
+// place, and a finished cell as it stands. The reference is the old path:
+// compact() a copy unless it is finished, read volume() and area(), and
+// stage its faces with the first-reference walk StagedCells used to run.
+// Records, vertices, face offsets, corners, neighbour ids, volume and area
+// must agree bit for bit; each cell is staged behind another, and dropping
+// it again must leave that stage exactly as it was.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using tess::core::CellRecord;
+using tess::core::StagedCells;
+
+// `stage` with `finished` appended by the old first-reference walk.
+StagedCells ref_stage_after(StagedCells stage, std::int64_t site_id,
+                            const VoronoiCell& finished) {
+  CellRecord rec;
+  rec.site_id = site_id;
+  rec.site = finished.site();
+  rec.volume = finished.volume();
+  rec.area = finished.area();
+  rec.first_face = static_cast<std::uint32_t>(stage.face_neighbors.size());
+  rec.num_faces = static_cast<std::uint32_t>(finished.faces().size());
+  const auto& verts = finished.vertices();
+  const std::size_t first = stage.vertices.size();
+  std::vector<std::uint32_t> remap(verts.size(), UINT32_MAX);
+  for (const auto& f : finished.faces()) {
+    for (const int v : f.verts) {
+      auto& mapped = remap[static_cast<std::size_t>(v)];
+      if (mapped == UINT32_MAX) {
+        mapped = static_cast<std::uint32_t>(stage.vertices.size() - first);
+        stage.vertices.push_back(verts[static_cast<std::size_t>(v)]);
+      }
+      stage.face_verts.push_back(mapped);
+    }
+    stage.face_offsets.push_back(static_cast<std::uint32_t>(stage.face_verts.size()));
+    stage.face_neighbors.push_back(f.source);
+  }
+  stage.first_vertex.push_back(static_cast<std::uint32_t>(stage.vertices.size()));
+  stage.cells.push_back(rec);
+  return stage;
+}
+
+bool expect_same_stage(const StagedCells& got, const StagedCells& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.vertices.size(), want.vertices.size()) << what << ": vertices";
+  for (std::size_t v = 0; v < std::min(got.vertices.size(), want.vertices.size()); ++v)
+    EXPECT_TRUE(same_vec3(got.vertices[v], want.vertices[v])) << what << ": vertex " << v;
+  EXPECT_EQ(got.first_vertex, want.first_vertex) << what << ": vertex ranges";
+  EXPECT_EQ(got.face_offsets, want.face_offsets) << what << ": face offsets";
+  EXPECT_EQ(got.face_verts, want.face_verts) << what << ": corners";
+  EXPECT_EQ(got.face_neighbors, want.face_neighbors) << what << ": neighbour ids";
+  EXPECT_EQ(got.cells.size(), want.cells.size()) << what << ": cells";
+  for (std::size_t c = 0; c < std::min(got.cells.size(), want.cells.size()); ++c) {
+    const CellRecord& a = got.cells[c];
+    const CellRecord& b = want.cells[c];
+    EXPECT_TRUE(a.site_id == b.site_id && same_vec3(a.site, b.site) &&
+                a.first_face == b.first_face && a.num_faces == b.num_faces)
+        << what << ": record " << c;
+    EXPECT_TRUE(same_bits(a.volume, b.volume)) << what << ": volume of " << c;
+    EXPECT_TRUE(same_bits(a.area, b.area)) << what << ": area of " << c;
+  }
+  return !::testing::Test::HasFailure();
+}
+
+// True once compact() or canonicalize() has finished the cell: clip() then
+// throws.
+bool is_finished(VoronoiCell cell) {
+  try {
+    cell.clip({{1, 0, 0}, 1e300, 0});
+  } catch (const std::logic_error&) {
+    return true;
+  }
+  return false;
+}
+
+// Which way add_cell took: off the edge table, compact() in place (a
+// flagged cell), or a copy of a finished cell.
+struct StageCounts {
+  int from_edges = 0;
+  int compacted = 0;
+  int finished = 0;
+};
+
+// A stage holding one earlier cell, so that indices must come out relative
+// to the staged cell's own vertex range and offsets absolute.
+const StagedCells& stage_prefix() {
+  static const StagedCells prefix = [] {
+    StagedCells s;
+    VoronoiCell box({0.25, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1});
+    box.clip({{1, 0.2, 0.1}, 0.6, 4});
+    s.add_cell(3, box);
+    return s;
+  }();
+  return prefix;
+}
+
+// Stages `cell` both ways behind stage_prefix() and compares, then drops it.
+bool expect_stage_matches_reference(const VoronoiCell& cell, StageCounts& counts,
+                                    const std::string& what) {
+  // An empty cell has no edge table to walk; staging one copies nothing.
+  VoronoiCell finished = cell;
+  const bool was_finished = cell.empty() || is_finished(cell);
+  if (!was_finished) finished.compact();
+  const StagedCells want = ref_stage_after(stage_prefix(), 11, finished);
+  StagedCells got = stage_prefix();
+  VoronoiCell staged = cell;
+  const CellRecord& rec = got.add_cell(11, staged);
+  EXPECT_EQ(&rec, &got.cells.back()) << what;
+  if (was_finished)
+    ++counts.finished;
+  else if (staged.empty() || is_finished(staged))
+    ++counts.compacted;
+  else
+    ++counts.from_edges;
+  if (!expect_same_stage(got, want, what)) return false;
+  got.drop_last();
+  return expect_same_stage(got, stage_prefix(), what + " dropped");
+}
+
+// `cell` staged as built, after compact() and after canonicalize().
+bool expect_stages_match(const VoronoiCell& cell, StageCounts& counts,
+                         const std::string& what) {
+  if (cell.empty()) return true;
+  VoronoiCell compacted = cell;
+  compacted.compact();
+  VoronoiCell canonical = cell;
+  canonical.canonicalize();
+  return expect_stage_matches_reference(cell, counts, what + " as built") &&
+         expect_stage_matches_reference(compacted, counts, what + " compacted") &&
+         expect_stage_matches_reference(canonical, counts, what + " canonicalized");
+}
+
+}  // namespace
+
+TEST(StageOracle, ClipFamiliesAfterEveryCut) {
+  StageCounts counts;
+  tg::ClipScratch scratch;
+  using Family = std::vector<ClipCase> (*)();
+  for (const Family family : {uniform_cases, blob_cases, coplanar_cases, lattice_cases,
+                              adversarial_cases})
+    for (const ClipCase& c : family())
+      drive(c, scratch, [](const VoronoiCell&) {},
+            [&](VoronoiCell& cell, const tg::Plane& plane, const std::string& what) {
+              cell.clip(plane, scratch);
+              return expect_stages_match(cell, counts, what);
+            });
+  // Incomplete cells keep seed-box vertices that share x coordinates, so
+  // the weld sweep flags many of them.
+  EXPECT_GT(counts.from_edges, 3000);
+  EXPECT_GT(counts.compacted, 3000);
+  EXPECT_GT(counts.finished, 10000);
+}
+
+TEST(StageOracle, Lattices) {
+  StageCounts counts;
+  const std::pair<const char*, LatticeKind> kinds[] = {
+      {"exact", LatticeKind::kExact},
+      {"jitter", LatticeKind::kJitter},
+      {"shifted", LatticeKind::kShiftedRows}};
+  for (const auto& [name, kind] : kinds) {
+    const auto cells = lattice_cells(kind);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      if (!expect_stages_match(cells[i], counts,
+                               std::string(name) + " cell " + std::to_string(i)))
+        break;
+  }
+  // Lattice vertices share x coordinates: the stage compacts these cells.
+  EXPECT_GT(counts.compacted, 300);
+}
+
+TEST(StageOracle, HandBuiltDegenerateCells) {
+  // The CompactOracle cells: a thin box the weld sweep flags, a long box
+  // only the collinear sweep flags (after faces before the kink are
+  // written), and a grazed corner whose vertices weld.
+  StageCounts counts;
+  const double eps = 1e-12;
+  EXPECT_TRUE(expect_stages_match(VoronoiCell({0, 0, 0}, {-eps, -eps, -1}, {eps, eps, 1}),
+                                  counts, "thin box"));
+  const Vec3 u = tg::normalized({1.0, 0.3, -0.2});
+  const Vec3 v = tg::normalized(tg::cross(u, {0.1, 0.2, 1.0}));
+  const Vec3 w = tg::cross(u, v);
+  VoronoiCell kinked({0, 0, 0}, {-10, -10, -10}, {10, 10, 10});
+  std::int64_t source = 1;
+  for (const auto& [axis, half] : {std::pair{u, 4.0}, std::pair{v, 1.0}, std::pair{w, 1.0}}) {
+    kinked.clip({axis, half, source++});
+    kinked.clip({axis * -1.0, half, source++});
+  }
+  kinked.clip({v, 0.5, source++});
+  kinked.clip({v - u * 1.5e-12, 0.5, source++});
+  EXPECT_TRUE(expect_stages_match(kinked, counts, "kinked box"));
+  VoronoiCell grazed({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
+  grazed.clip({{1, 1, 1}, 3.0 - 1e-11, 1});
+  EXPECT_TRUE(expect_stages_match(grazed, counts, "grazed corner"));
+  EXPECT_EQ(counts.compacted, 3);
+  EXPECT_EQ(counts.from_edges, 0);
+  // The long box without its kink, with a corner cut 1e-6 deep: a triangle
+  // below the prune bound whose vertices lie far past the weld bound, so
+  // neither sweep flags the cell and the walk itself must prune the face.
+  VoronoiCell nicked({0, 0, 0}, {-10, -10, -10}, {10, 10, 10});
+  source = 1;
+  for (const auto& [axis, half] : {std::pair{u, 4.0}, std::pair{v, 1.0}, std::pair{w, 1.0}}) {
+    nicked.clip({axis, half, source++});
+    nicked.clip({axis * -1.0, half, source++});
+  }
+  ASSERT_TRUE(nicked.clip({u + v + w, 6.0 - 1e-6, source++}));
+  VoronoiCell pruned = nicked;
+  pruned.compact();
+  EXPECT_EQ(pruned.faces().size() + 1, nicked.faces().size());
+  EXPECT_TRUE(expect_stages_match(nicked, counts, "nicked corner"));
+  EXPECT_EQ(counts.from_edges, 1);
+}
+
+TEST(StageOracle, CanonicalizedPeriodicCloud) {
+  // Complete cells of a random periodic cloud, as the auto-ghost loop
+  // stages them (canonicalized), and as the fixed-ghost loop stages them
+  // (as built).
+  const double side = 4.0, ghost = 1.5;
+  Rng rng(4242);
+  std::vector<Vec3> pts;
+  std::vector<std::int64_t> ids;
+  const int n = 300;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({rng.uniform(0, side), rng.uniform(0, side), rng.uniform(0, side)});
+    ids.push_back(i);
+  }
+  for (int i = 0; i < n; ++i)
+    for (int dx = -1; dx <= 1; ++dx)
+      for (int dy = -1; dy <= 1; ++dy)
+        for (int dz = -1; dz <= 1; ++dz) {
+          const Vec3 q{pts[static_cast<std::size_t>(i)].x + dx * side,
+                       pts[static_cast<std::size_t>(i)].y + dy * side,
+                       pts[static_cast<std::size_t>(i)].z + dz * side};
+          if ((dx == 0 && dy == 0 && dz == 0) || std::min({q.x, q.y, q.z}) < -ghost ||
+              std::max({q.x, q.y, q.z}) > side + ghost)
+            continue;
+          pts.push_back(q);
+          ids.push_back(i);
+        }
+  const Vec3 lo{-ghost, -ghost, -ghost}, hi{side + ghost, side + ghost, side + ghost};
+  const tg::CellBuilder builder(pts, ids, lo, hi);
+  StageCounts counts;
+  for (int i = 0; i < n; ++i) {
+    const VoronoiCell cell = builder.build(i, lo, hi);
+    ASSERT_TRUE(cell.complete()) << "site " << i;
+    VoronoiCell canonical = cell;
+    canonical.canonicalize();
+    if (!expect_stage_matches_reference(canonical, counts, "site " + std::to_string(i)) ||
+        !expect_stage_matches_reference(cell, counts, "site " + std::to_string(i) + " as built"))
+      break;
+  }
+  EXPECT_EQ(counts.finished, n);
+  EXPECT_EQ(counts.from_edges, n);
 }
