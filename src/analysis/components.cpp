@@ -1,6 +1,7 @@
 #include "analysis/components.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 
@@ -18,26 +19,45 @@ ConnectedComponents::ConnectedComponents(const std::vector<core::BlockMesh>& blo
   std::vector<const core::BlockMesh*> ptrs;
   ptrs.reserve(blocks.size());
   for (const auto& mesh : blocks) ptrs.push_back(&mesh);
-  build(ptrs);
+  build(ptrs, nullptr);
 }
 
 ConnectedComponents::ConnectedComponents(
     const std::vector<const core::BlockMesh*>& blocks) {
-  build(blocks);
+  build(blocks, nullptr);
+}
+
+ConnectedComponents::ConnectedComponents(
+    const std::vector<const core::BlockMesh*>& blocks,
+    const std::vector<std::vector<std::size_t>>& kept) {
+  if (kept.size() != blocks.size())
+    throw std::invalid_argument("ConnectedComponents: one kept list per block");
+  build(blocks, &kept);
 }
 
 void ConnectedComponents::build(
-    const std::vector<const core::BlockMesh*>& blocks) {
+    const std::vector<const core::BlockMesh*>& blocks,
+    const std::vector<std::vector<std::size_t>>* kept) {
   TESS_SPAN("analysis.components");
+  // Visits the present cells, block by block.
+  const auto for_each_cell = [&](auto&& fn) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const auto& mesh = *blocks[b];
+      if (kept == nullptr)
+        for (const auto& c : mesh.cells) fn(mesh, c);
+      else
+        for (const auto i : (*kept)[b]) fn(mesh, mesh.cells[i]);
+    }
+  };
+
   // Index the present cells.
   std::vector<double> volume;
-  for (const auto* mesh : blocks)
-    for (const auto& c : mesh->cells) {
-      if (index_of_site_.contains(c.site_id)) continue;  // defensive dedup
-      index_of_site_.emplace(c.site_id, site_of_index_.size());
-      site_of_index_.push_back(c.site_id);
-      volume.push_back(c.volume);
-    }
+  for_each_cell([&](const core::BlockMesh&, const core::CellRecord& c) {
+    if (index_of_site_.contains(c.site_id)) return;  // defensive dedup
+    index_of_site_.emplace(c.site_id, site_of_index_.size());
+    site_of_index_.push_back(c.site_id);
+    volume.push_back(c.volume);
+  });
   parent_.resize(site_of_index_.size());
   for (std::size_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
 
@@ -47,16 +67,15 @@ void ConnectedComponents::build(
     b = find(b);
     if (a != b) parent_[b] = a;
   };
-  for (const auto* mesh : blocks)
-    for (const auto& c : mesh->cells) {
-      const auto me = index_of_site_.at(c.site_id);
-      for (std::uint32_t f = c.first_face; f < c.first_face + c.num_faces; ++f) {
-        const auto nb = mesh->face_neighbors[f];
-        if (nb < 0) continue;
-        const auto it = index_of_site_.find(nb);
-        if (it != index_of_site_.end()) unite(me, it->second);
-      }
+  for_each_cell([&](const core::BlockMesh& mesh, const core::CellRecord& c) {
+    const auto me = index_of_site_.at(c.site_id);
+    for (std::uint32_t f = c.first_face; f < c.first_face + c.num_faces; ++f) {
+      const auto nb = mesh.face_neighbors[f];
+      if (nb < 0) continue;
+      const auto it = index_of_site_.find(nb);
+      if (it != index_of_site_.end()) unite(me, it->second);
     }
+  });
 
   // Collate components; label = smallest site id in the set.
   std::unordered_map<std::size_t, std::size_t> comp_index;  // root -> slot

@@ -35,6 +35,12 @@ class ConnectedComponents {
   explicit ConnectedComponents(
       const std::vector<const core::BlockMesh*>& blocks);
 
+  /// Labels only the listed cells: kept[b] indexes blocks[b]->cells, in
+  /// order. Identical labeling to the owning overload over filter_mesh
+  /// copies of those cells, without the copies.
+  ConnectedComponents(const std::vector<const core::BlockMesh*>& blocks,
+                      const std::vector<std::vector<std::size_t>>& kept);
+
   /// Component label for a site id, or -1 if the cell is absent.
   [[nodiscard]] std::int64_t label_of(std::int64_t site_id) const;
 
@@ -51,7 +57,9 @@ class ConnectedComponents {
   [[nodiscard]] std::vector<std::array<std::int64_t, 2>> labeled_sites() const;
 
  private:
-  void build(const std::vector<const core::BlockMesh*>& blocks);
+  /// kept == nullptr: every cell of every block.
+  void build(const std::vector<const core::BlockMesh*>& blocks,
+             const std::vector<std::vector<std::size_t>>* kept);
   std::size_t find(std::size_t i) const;
 
   std::unordered_map<std::int64_t, std::size_t> index_of_site_;

@@ -82,8 +82,10 @@ std::vector<PointLocation> QueryService::point_locate(
   std::lock_guard<std::mutex> lock(pool_mutex_);
   util::parallel_for(pool_, points.size(), config_.batch_grain,
                      [&](std::size_t begin, std::size_t end, int, int) {
+                       TESS_SPAN("serve.locate.chunk");
+                       Snapshot::LocateTally tally;
                        for (std::size_t i = begin; i < end; ++i)
-                         out[i] = snap->locate(points[i]);
+                         out[i] = snap->locate(points[i], tally);
                      });
   maybe_stream();
   return out;
@@ -104,8 +106,10 @@ std::vector<std::int64_t> QueryService::void_lookup(
   util::parallel_for(
       pool_, points.size(), config_.batch_grain,
       [&](std::size_t begin, std::size_t end, int, int) {
+        TESS_SPAN("serve.locate.chunk");
+        Snapshot::LocateTally tally;
         for (std::size_t i = begin; i < end; ++i) {
-          const auto loc = snap->locate(points[i]);
+          const auto loc = snap->locate(points[i], tally);
           out[i] =
               loc.found() ? catalog->components->label_of(loc.site_id) : -1;
         }

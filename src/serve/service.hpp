@@ -15,7 +15,10 @@
 //   serve.query.<kind>.slo_breach calls slower than the SLO threshold
 //                                 (ServiceConfig::slo_us / TESS_SERVE_SLO_US)
 // plus the serve.cache.* hit/miss/evict counters from the cache and the
-// serve.locate.* walk/fallback counters from the snapshot. When the live
+// serve.locate.* walk/fallback counters from the snapshot. The batch paths
+// tally those per parallel_for chunk (Snapshot::LocateTally) and add them
+// to the registry once per chunk, under one serve.locate.chunk span, so
+// the totals equal per-point updates without their atomics. When the live
 // telemetry streamer is on (obs/stream.hpp), the service also appends one
 // global stream record per TESS_OBS_STREAM_MS interval, carrying the
 // latency histograms with p50/p90/p99 — the feed tess_top watches.

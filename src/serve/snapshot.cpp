@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -80,6 +81,45 @@ Snapshot::Snapshot(const std::string& path) : file_(path) {
   }
 }
 
+void Snapshot::BlockSlot::index_faces() {
+  // A transient site id -> cell table, open addressing at most half full:
+  // one multiply and usually one probe per face. A site id that a corrupt
+  // block repeats keeps its first cell.
+  const std::size_t n = mesh.cells.size();
+  const int bits =
+      static_cast<int>(std::bit_width(std::max<std::size_t>(2 * n, 2) - 1));
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  const auto home = [&](std::int64_t id) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull) >>
+        (64 - bits));
+  };
+  struct Entry {
+    std::int64_t site_id = 0;
+    std::uint32_t cell = kAbsentCell;  ///< kAbsentCell: empty slot
+  };
+  std::vector<Entry> table(mask + 1);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto id = mesh.cells[i].site_id;
+    auto h = home(id);
+    while (table[h].cell != kAbsentCell && table[h].site_id != id)
+      h = (h + 1) & mask;
+    if (table[h].cell == kAbsentCell) table[h] = {id, i};
+  }
+  face_cell.resize(mesh.face_neighbors.size());
+  for (std::size_t f = 0; f < face_cell.size(); ++f) {
+    const auto nb = mesh.face_neighbors[f];
+    if (nb < 0) {
+      face_cell[f] = kWallFace;
+      continue;
+    }
+    auto h = home(nb);
+    while (table[h].cell != kAbsentCell && table[h].site_id != nb)
+      h = (h + 1) & mask;
+    face_cell[f] = table[h].cell;  // kAbsentCell when nb is not stored
+  }
+}
+
 const Snapshot::BlockSlot& Snapshot::slot(int block) const {
   auto& s = *slots_[static_cast<std::size_t>(block)];
   std::call_once(s.once, [&] {
@@ -98,9 +138,7 @@ const Snapshot::BlockSlot& Snapshot::slot(int block) const {
       }
     }
     s.grid.build(s.mesh);
-    s.cell_of_site.reserve(s.mesh.cells.size());
-    for (std::uint32_t i = 0; i < s.mesh.cells.size(); ++i)
-      s.cell_of_site.emplace(s.mesh.cells[i].site_id, i);
+    s.index_faces();
     resident_bytes_.fetch_add(file_.block_size(block),
                               std::memory_order_relaxed);
     blocks_loaded_.fetch_add(1, std::memory_order_relaxed);
@@ -240,6 +278,15 @@ std::int64_t Snapshot::SiteGrid::nearest(const Vec3& p,
 // ---------------------------------------------------------------------------
 // Point location
 
+Snapshot::LocateTally::~LocateTally() {
+  if (count_ != 0) TESS_COUNT("serve.locate.count", count_);
+  if (grid_fallback_ != 0)
+    TESS_COUNT("serve.locate.grid_fallback", grid_fallback_);
+  if (cross_block_ != 0) TESS_COUNT("serve.locate.cross_block", cross_block_);
+  if (walk_steps_.count != 0)
+    TESS_HIST_MERGE("serve.locate.walk_steps", walk_steps_);
+}
+
 std::int64_t Snapshot::nearest_in_block(int block, const Vec3& p,
                                         double* best_d2,
                                         PointLocation* out) const {
@@ -256,7 +303,12 @@ std::int64_t Snapshot::nearest_in_block(int block, const Vec3& p,
 
 PointLocation Snapshot::locate(const Vec3& p) const {
   TESS_SPAN("serve.locate");
-  TESS_COUNT("serve.locate.count", 1);
+  LocateTally tally;
+  return locate(p, tally);
+}
+
+PointLocation Snapshot::locate(const Vec3& p, LocateTally& tally) const {
+  ++tally.count_;
   PointLocation out;
   const int nb = num_blocks();
   if (nb == 0) return out;
@@ -313,17 +365,16 @@ PointLocation Snapshot::locate(const Vec3& p) const {
       std::int64_t next = -1;
       for (std::uint32_t f = c.first_face; f < c.first_face + c.num_faces;
            ++f) {
-        const auto nb_site = s.mesh.face_neighbors[f];
-        if (nb_site < 0) continue;  // wall face, not a missing cell
-        const auto it = s.cell_of_site.find(nb_site);
-        if (it == s.cell_of_site.end()) {
+        const auto nb = s.face_cell[f];
+        if (nb == BlockSlot::kWallFace) continue;  // not a missing cell
+        if (nb == BlockSlot::kAbsentCell) {
           absent_neighbor = true;  // ghost of another block, or culled
           continue;
         }
-        const double d2 = geom::dist2(p, s.mesh.cells[it->second].site);
+        const double d2 = geom::dist2(p, s.mesh.cells[nb].site);
         if (d2 < best_d2) {
           best_d2 = d2;
-          next = it->second;
+          next = nb;
         }
       }
       if (next < 0) {
@@ -337,21 +388,21 @@ PointLocation Snapshot::locate(const Vec3& p) const {
     out.cell = static_cast<std::uint32_t>(cur);
     out.site_id = s.mesh.cells[static_cast<std::size_t>(cur)].site_id;
     out.site_dist2 = best_d2;
-    TESS_HIST_ADD("serve.locate.walk_steps", out.walk_steps);
+    tally.walk_steps_.add(out.walk_steps);
   }
 
   if (!certified) {
     // Exact within the owning block, then refine across any block whose
     // box lies closer than the best site found so far.
     out.grid_fallback = true;
-    TESS_COUNT("serve.locate.grid_fallback", 1);
+    ++tally.grid_fallback_;
     nearest_in_block(owner, p, &best_d2, &out);
     for (int b = 0; b < nb; ++b) {
       if (b == owner || !valid_bounds(bounds_[static_cast<std::size_t>(b)]))
         continue;
       const double d = bounds_[static_cast<std::size_t>(b)].distance(p);
       if (d * d >= best_d2) continue;
-      TESS_COUNT("serve.locate.cross_block", 1);
+      ++tally.cross_block_;
       nearest_in_block(b, p, &best_d2, &out);
     }
   }
@@ -406,13 +457,13 @@ std::shared_ptr<const Snapshot::VoidCatalog> Snapshot::voids(
   TESS_COUNT("serve.voids.catalog_build", 1);
   auto catalog = std::make_shared<VoidCatalog>();
   catalog->min_volume = min_volume;
-  for (int b = 0; b < num_blocks(); ++b) {
-    const auto& mesh = slot(b).mesh;
-    catalog->filtered.push_back(
-        analysis::filter_mesh(mesh, analysis::threshold_cells(mesh, min_volume)));
-  }
+  const auto meshes = blocks();
+  std::vector<std::vector<std::size_t>> kept;
+  kept.reserve(meshes.size());
+  for (const auto* mesh : meshes)
+    kept.push_back(analysis::threshold_cells(*mesh, min_volume));
   catalog->components =
-      std::make_unique<analysis::ConnectedComponents>(catalog->filtered);
+      std::make_unique<analysis::ConnectedComponents>(meshes, kept);
   voids_.emplace(min_volume, catalog);
   return catalog;
 }

@@ -5,11 +5,12 @@
 // validated, whole file mapped read-only once) and deserializes blocks
 // *lazily*: opening a snapshot touches only the per-block bounds that lead
 // each block's wire format, and a block's mesh plus its query index (site
-// grid + site-id map) materialize on first use, guarded by a per-block
-// std::once_flag. After construction every public method is const and
-// thread-safe — many reader threads query one snapshot concurrently with
-// no locking beyond the one-time block loads, which is what lets the
-// snapshot cache hand the same instance to every in-flight query.
+// grid + face-neighbour index) materialize on first use, guarded by a
+// per-block std::once_flag. After construction every public method is
+// const and thread-safe — many reader threads query one snapshot
+// concurrently with no locking beyond the one-time block loads, which is
+// what lets the snapshot cache hand the same instance to every in-flight
+// query.
 //
 // Query surface:
 //  * locate(p)            — which Voronoi cell contains p: route to the
@@ -26,7 +27,13 @@
 //                           src/analysis/density over the resident blocks.
 //  * voids(min_volume)    — connected void components over the
 //                           threshold-surviving cells (face-adjacency
-//                           union-find), cached per threshold.
+//                           union-find), cached per threshold as labels
+//                           only.
+//
+// Locate telemetry (serve.locate.{count,grid_fallback,cross_block,
+// walk_steps}) is tallied in a caller-owned LocateTally and flushed once
+// per tally: per point for locate(p), per parallel_for chunk for the
+// QueryService batches.
 #pragma once
 
 #include <array>
@@ -37,13 +44,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/components.hpp"
 #include "core/block_mesh.hpp"
 #include "diy/blockio.hpp"
 #include "diy/decomposition.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace tess::serve {
@@ -93,7 +100,30 @@ class Snapshot {
   /// Every block, loaded; pointers stay valid for the snapshot's lifetime.
   [[nodiscard]] std::vector<const core::BlockMesh*> blocks() const;
 
+  /// Locate telemetry of a run of points, kept by the caller and added to
+  /// serve.locate.{count,grid_fallback,cross_block,walk_steps} once, when
+  /// it goes out of scope: a batch chunk pays a few atomic updates instead
+  /// of several per point, and a chunk that throws still counts the points
+  /// it reached.
+  class LocateTally {
+   public:
+    LocateTally() = default;
+    LocateTally(const LocateTally&) = delete;
+    LocateTally& operator=(const LocateTally&) = delete;
+    ~LocateTally();
+
+   private:
+    friend class Snapshot;
+    std::uint64_t count_ = 0;
+    std::uint64_t grid_fallback_ = 0;
+    std::uint64_t cross_block_ = 0;
+    obs::ExpHistogram::Local walk_steps_;
+  };
+
+  /// One point, under its own serve.locate span and tally.
   [[nodiscard]] PointLocation locate(const Vec3& p) const;
+  /// The same answer, tallied into `tally`; opens no span.
+  [[nodiscard]] PointLocation locate(const Vec3& p, LocateTally& tally) const;
 
   /// Cells whose site lies in `box`, merged into one re-welded mesh.
   [[nodiscard]] core::BlockMesh extract_region(const diy::Bounds& box) const;
@@ -104,10 +134,10 @@ class Snapshot {
       std::size_t bins) const;
 
   /// Void components at a volume threshold: cells with volume >=
-  /// min_volume, labeled through the face-adjacency union-find.
+  /// min_volume, labeled through the face-adjacency union-find. Only the
+  /// labeling is kept; no copy of the surviving cells.
   struct VoidCatalog {
     double min_volume = 0.0;
-    std::vector<core::BlockMesh> filtered;  ///< threshold-surviving cells
     std::unique_ptr<analysis::ConnectedComponents> components;
   };
   /// Built once per distinct threshold, then shared (thread-safe).
@@ -138,12 +168,22 @@ class Snapshot {
                                        double* best_d2) const;
   };
 
+  // One block's mesh and query index, filled once by slot(). face_cell
+  // holds, per face, the cell index in this block of the face's natural
+  // neighbour, so each step of the adjacency walk reads its neighbours
+  // with one load per face.
   struct BlockSlot {
+    static constexpr std::uint32_t kWallFace = 0xffffffffu;
+    /// A neighbour this block does not store: a ghost or a culled cell.
+    static constexpr std::uint32_t kAbsentCell = kWallFace - 1;
+
     std::once_flag once;
     core::BlockMesh mesh;
     SiteGrid grid;
-    std::unordered_map<std::int64_t, std::uint32_t> cell_of_site;
+    std::vector<std::uint32_t> face_cell;  ///< per face of mesh
     std::string error;  ///< set once if the block's bytes are corrupt
+
+    void index_faces();  ///< fills face_cell from mesh
   };
 
   const BlockSlot& slot(int block) const;

@@ -324,6 +324,24 @@ TEST(ObsMetrics, ExpHistogramBins) {
   EXPECT_EQ(h.bin_count(11), 1u);
 }
 
+TEST(ObsMetrics, ExpHistogramMergeEqualsAdds) {
+  const std::uint64_t samples[] = {0, 0, 1, 3, 7, 1024, 1ull << 63, 5};
+  tess::obs::ExpHistogram added, merged;
+  tess::obs::ExpHistogram::Local local;
+  merged.add(9);  // a merge adds to what is there
+  added.add(9);
+  for (const auto v : samples) {
+    added.add(v);
+    local.add(v);
+  }
+  merged.merge(local);
+  merged.merge(tess::obs::ExpHistogram::Local{});  // empty: no-op
+  EXPECT_EQ(merged.count(), added.count());
+  EXPECT_EQ(merged.sum(), added.sum());
+  for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
+    EXPECT_EQ(merged.bin_count(k), added.bin_count(k)) << k;
+}
+
 TEST(ObsMetrics, TaggedMessagesClampAndExport) {
   auto& reg = tess::obs::metrics();
   reg.reset();

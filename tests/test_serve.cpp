@@ -1,14 +1,17 @@
 // Tests for the mesh query service (DESIGN.md §4.12): snapshot lazy
-// loading, point location vs brute force, region extraction, histogram
-// parity with src/analysis, void lookups, snapshot-cache semantics, and —
-// under TSan via the Serve* name prefix — eviction racing live readers.
+// loading, point location vs brute force and vs the site-map walk it
+// replaced, region extraction, histogram parity with src/analysis, void
+// lookups, locate telemetry totals, snapshot-cache semantics, and — under
+// TSan via the Serve* name prefix — eviction racing live readers.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,13 +20,18 @@
 #include <mutex>
 #include <random>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "analysis/components.hpp"
 #include "analysis/density.hpp"
 #include "analysis/reader.hpp"
+#include "analysis/threshold.hpp"
 #include "comm/comm.hpp"
 #include "core/standalone.hpp"
 #include "diy/blockio.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/cache.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
@@ -366,6 +374,398 @@ TEST(ServeSnapshot, VoidLookupConsistent) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Locate oracle: Snapshot::locate as it was before the face-neighbour
+// index. Routing, site grid and fallback are copied unchanged; the walk
+// resolves each face's neighbour through a site-id map. Every
+// PointLocation field must match it bit for bit, from a single locate and
+// from the batch at any thread count.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool oracle_valid_bounds(const tess::diy::Bounds& b) {
+  return b.min.x < b.max.x && b.min.y < b.max.y && b.min.z < b.max.z;
+}
+
+class LocateOracle {
+ public:
+  explicit LocateOracle(const Snapshot& snap) : bounds_(snap.num_blocks()) {
+    const int nb = snap.num_blocks();
+    for (int b = 0; b < nb; ++b) {
+      bounds_[static_cast<std::size_t>(b)] = snap.block_bounds(b);
+      Block blk;
+      blk.mesh = &snap.block(b);
+      blk.build();
+      blocks_.push_back(std::move(blk));
+    }
+    std::vector<int> valid;
+    for (int b = 0; b < nb; ++b)
+      if (oracle_valid_bounds(bounds_[static_cast<std::size_t>(b)]))
+        valid.push_back(b);
+    for (std::size_t a = 0; a < 3; ++a) {
+      auto& lo = axis_lo_[a];
+      for (int b : valid) lo.push_back(bounds_[static_cast<std::size_t>(b)].min[a]);
+      std::sort(lo.begin(), lo.end());
+      lo.erase(std::unique(lo.begin(), lo.end()), lo.end());
+    }
+    const std::size_t nx = axis_lo_[0].size(), ny = axis_lo_[1].size(),
+                      nz = axis_lo_[2].size();
+    if (!valid.empty() && nx * ny * nz == valid.size()) {
+      grid_to_block_.assign(nx * ny * nz, -1);
+      grid_ok_ = true;
+      for (int b : valid) {
+        const auto& bb = bounds_[static_cast<std::size_t>(b)];
+        std::size_t idx[3];
+        for (std::size_t a = 0; a < 3; ++a) {
+          const auto& lo = axis_lo_[a];
+          idx[a] = static_cast<std::size_t>(
+              std::lower_bound(lo.begin(), lo.end(), bb.min[a]) - lo.begin());
+        }
+        auto& cell = grid_to_block_[(idx[0] * ny + idx[1]) * nz + idx[2]];
+        if (cell != -1) {
+          grid_ok_ = false;
+          break;
+        }
+        cell = b;
+      }
+      if (grid_ok_)
+        for (int g : grid_to_block_)
+          if (g == -1) {
+            grid_ok_ = false;
+            break;
+          }
+    }
+  }
+
+  /// The location of p; adds one per block searched beyond the owner to
+  /// *cross_block.
+  PointLocation locate(const Vec3& p, std::uint64_t* cross_block) const {
+    PointLocation out;
+    const int nb = static_cast<int>(blocks_.size());
+    if (nb == 0) return out;
+    int owner = -1;
+    if (grid_ok_) {
+      const std::size_t ny = axis_lo_[1].size(), nz = axis_lo_[2].size();
+      std::size_t idx[3];
+      for (std::size_t a = 0; a < 3; ++a) {
+        const auto& lo = axis_lo_[a];
+        const auto it = std::upper_bound(lo.begin(), lo.end(), p[a]);
+        idx[a] = it == lo.begin()
+                     ? 0
+                     : static_cast<std::size_t>(it - lo.begin()) - 1;
+      }
+      owner = grid_to_block_[(idx[0] * ny + idx[1]) * nz + idx[2]];
+    } else {
+      double best = std::numeric_limits<double>::infinity();
+      for (int b = 0; b < nb; ++b) {
+        const auto& bb = bounds_[static_cast<std::size_t>(b)];
+        if (!oracle_valid_bounds(bb)) continue;
+        if (bb.contains(p)) {
+          owner = b;
+          break;
+        }
+        const double d = bb.distance(p);
+        if (d < best) {
+          best = d;
+          owner = b;
+        }
+      }
+    }
+    if (owner < 0) return out;
+
+    double best_d2 = std::numeric_limits<double>::infinity();
+    bool certified = false;
+    const auto& s = blocks_[static_cast<std::size_t>(owner)];
+    if (!s.mesh->cells.empty()) {
+      std::int64_t cur = s.seed(p);
+      best_d2 =
+          tess::geom::dist2(p, s.mesh->cells[static_cast<std::size_t>(cur)].site);
+      for (;;) {
+        const auto& c = s.mesh->cells[static_cast<std::size_t>(cur)];
+        bool absent_neighbor = false;
+        std::int64_t next = -1;
+        for (std::uint32_t f = c.first_face; f < c.first_face + c.num_faces;
+             ++f) {
+          const auto nb_site = s.mesh->face_neighbors[f];
+          if (nb_site < 0) continue;
+          const auto it = s.cell_of_site.find(nb_site);
+          if (it == s.cell_of_site.end()) {
+            absent_neighbor = true;
+            continue;
+          }
+          const double d2 = tess::geom::dist2(p, s.mesh->cells[it->second].site);
+          if (d2 < best_d2) {
+            best_d2 = d2;
+            next = it->second;
+          }
+        }
+        if (next < 0) {
+          certified = !absent_neighbor;
+          break;
+        }
+        cur = next;
+        ++out.walk_steps;
+      }
+      out.block = owner;
+      out.cell = static_cast<std::uint32_t>(cur);
+      out.site_id = s.mesh->cells[static_cast<std::size_t>(cur)].site_id;
+      out.site_dist2 = best_d2;
+    }
+    if (!certified) {
+      out.grid_fallback = true;
+      nearest_in_block(owner, p, &best_d2, &out);
+      for (int b = 0; b < nb; ++b) {
+        if (b == owner || !oracle_valid_bounds(bounds_[static_cast<std::size_t>(b)]))
+          continue;
+        const double d = bounds_[static_cast<std::size_t>(b)].distance(p);
+        if (d * d >= best_d2) continue;
+        ++*cross_block;
+        nearest_in_block(b, p, &best_d2, &out);
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Block {
+    const BlockMesh* mesh = nullptr;
+    std::array<int, 3> dims{1, 1, 1};
+    Vec3 origin{};
+    Vec3 cell_size{1.0, 1.0, 1.0};
+    std::vector<std::uint32_t> bin_offsets;
+    std::vector<std::uint32_t> items;
+    std::unordered_map<std::int64_t, std::uint32_t> cell_of_site;
+
+    void build() {
+      const std::size_t n = mesh->cells.size();
+      for (std::uint32_t i = 0; i < n; ++i)
+        cell_of_site.emplace(mesh->cells[i].site_id, i);
+      if (n == 0) {
+        bin_offsets.assign(2, 0);
+        return;
+      }
+      const int k = std::clamp(
+          static_cast<int>(std::lround(std::cbrt(static_cast<double>(n) / 2.0))),
+          1, 64);
+      dims = {k, k, k};
+      origin = mesh->bounds.min;
+      const Vec3 extent = mesh->bounds.max - mesh->bounds.min;
+      cell_size = {extent.x > 0 ? extent.x / k : 1.0,
+                   extent.y > 0 ? extent.y / k : 1.0,
+                   extent.z > 0 ? extent.z / k : 1.0};
+      const std::size_t nbins = static_cast<std::size_t>(k) * k * k;
+      bin_offsets.assign(nbins + 1, 0);
+      std::vector<std::uint32_t> bin(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto c = bin_of(mesh->cells[i].site);
+        bin[i] = static_cast<std::uint32_t>(
+            (static_cast<std::size_t>(c[0]) * dims[1] + c[1]) * dims[2] + c[2]);
+        ++bin_offsets[bin[i] + 1];
+      }
+      for (std::size_t b = 0; b < nbins; ++b)
+        bin_offsets[b + 1] += bin_offsets[b];
+      items.resize(n);
+      std::vector<std::uint32_t> cursor(bin_offsets.begin(),
+                                        bin_offsets.end() - 1);
+      for (std::size_t i = 0; i < n; ++i)
+        items[cursor[bin[i]]++] = static_cast<std::uint32_t>(i);
+    }
+
+    std::array<int, 3> bin_of(const Vec3& p) const {
+      std::array<int, 3> c{};
+      for (std::size_t a = 0; a < 3; ++a) {
+        const double t = std::floor((p[a] - origin[a]) / cell_size[a]);
+        const double last = dims[a] - 1;
+        c[a] = t >= 0.0 ? static_cast<int>(std::min(t, last)) : 0;
+      }
+      return c;
+    }
+
+    // Visits the bins at Chebyshev radius r around c; fn(bin) returns
+    // false to stop the shell early.
+    template <typename Fn>
+    void shell(const std::array<int, 3>& c, int r, Fn&& fn) const {
+      for (int dx = -r; dx <= r; ++dx)
+        for (int dy = -r; dy <= r; ++dy)
+          for (int dz = -r; dz <= r; ++dz) {
+            if (std::max({std::abs(dx), std::abs(dy), std::abs(dz)}) != r)
+              continue;
+            const int x = c[0] + dx, y = c[1] + dy, z = c[2] + dz;
+            if (x < 0 || x >= dims[0] || y < 0 || y >= dims[1] || z < 0 ||
+                z >= dims[2])
+              continue;
+            fn((static_cast<std::size_t>(x) * dims[1] + y) * dims[2] + z);
+          }
+    }
+
+    std::int64_t seed(const Vec3& p) const {
+      if (items.empty()) return -1;
+      const auto c = bin_of(p);
+      const int rmax = std::max({dims[0], dims[1], dims[2]});
+      for (int r = 0; r <= rmax; ++r) {
+        std::int64_t best = -1;
+        shell(c, r, [&](std::size_t b) {
+          if (bin_offsets[b] != bin_offsets[b + 1]) best = items[bin_offsets[b]];
+        });
+        if (best >= 0) return best;
+      }
+      return -1;
+    }
+
+    std::int64_t nearest(const Vec3& p, double* best_d2) const {
+      if (items.empty()) return -1;
+      const auto c = bin_of(p);
+      const double w_min = std::min({cell_size.x, cell_size.y, cell_size.z});
+      const int rmax = std::max({dims[0], dims[1], dims[2]});
+      std::int64_t best = -1;
+      for (int r = 0; r <= rmax; ++r) {
+        if (r >= 1) {
+          const double lb = (r - 1) * w_min;
+          if (lb * lb > *best_d2) break;
+        }
+        shell(c, r, [&](std::size_t b) {
+          for (std::uint32_t i = bin_offsets[b]; i < bin_offsets[b + 1]; ++i) {
+            const double d2 = tess::geom::dist2(p, mesh->cells[items[i]].site);
+            if (d2 < *best_d2) {
+              *best_d2 = d2;
+              best = items[i];
+            }
+          }
+        });
+      }
+      return best;
+    }
+  };
+
+  void nearest_in_block(int block, const Vec3& p, double* best_d2,
+                        PointLocation* out) const {
+    const auto& s = blocks_[static_cast<std::size_t>(block)];
+    const auto cell = s.nearest(p, best_d2);
+    if (cell >= 0) {
+      out->block = block;
+      out->cell = static_cast<std::uint32_t>(cell);
+      out->site_id = s.mesh->cells[static_cast<std::size_t>(cell)].site_id;
+      out->site_dist2 = *best_d2;
+    }
+  }
+
+  std::vector<tess::diy::Bounds> bounds_;
+  std::vector<Block> blocks_;
+  std::array<std::vector<double>, 3> axis_lo_;
+  std::vector<int> grid_to_block_;
+  bool grid_ok_ = false;
+};
+
+/// Number of results that differ from `want` in any PointLocation field
+/// (site_dist2 by its bits); the first few differences are reported.
+std::size_t count_mismatches(const std::vector<PointLocation>& want,
+                             const std::vector<PointLocation>& got,
+                             const char* what) {
+  EXPECT_EQ(want.size(), got.size()) << what;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    const auto& a = want[i];
+    const auto& b = got[i];
+    if (a.block == b.block && a.site_id == b.site_id && a.cell == b.cell &&
+        std::bit_cast<std::uint64_t>(a.site_dist2) ==
+            std::bit_cast<std::uint64_t>(b.site_dist2) &&
+        a.walk_steps == b.walk_steps && a.grid_fallback == b.grid_fallback)
+      continue;
+    if (++bad <= 5)
+      ADD_FAILURE() << what << ": point " << i << ": oracle (block " << a.block
+                    << ", site " << a.site_id << ", cell " << a.cell
+                    << ", d2 " << a.site_dist2 << ", walk " << a.walk_steps
+                    << ", fallback " << a.grid_fallback << ") vs (block "
+                    << b.block << ", site " << b.site_id << ", cell " << b.cell
+                    << ", d2 " << b.site_dist2 << ", walk " << b.walk_steps
+                    << ", fallback " << b.grid_fallback << ")";
+  }
+  return bad;
+}
+
+/// 10,000 seeded points from [lo, hi)^3 through the oracle, Snapshot::locate
+/// and QueryService::point_locate at 1 and 4 threads.
+void expect_oracle_locations(const std::string& path, double lo, double hi,
+                             unsigned seed) {
+  const auto points = random_points(10000, lo, hi, seed);
+  Snapshot snap(path);
+  const LocateOracle oracle(snap);
+  std::vector<PointLocation> want(points.size());
+  std::uint64_t cross_block = 0;
+  std::size_t walked = 0, fallbacks = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    want[i] = oracle.locate(points[i], &cross_block);
+    walked += want[i].walk_steps > 0 ? 1 : 0;
+    fallbacks += want[i].grid_fallback ? 1 : 0;
+  }
+  // The inputs exercise both the walk and the fallback.
+  EXPECT_GT(walked, 0u);
+  EXPECT_GT(fallbacks, 0u);
+
+  std::vector<PointLocation> single(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i)
+    single[i] = snap.locate(points[i]);
+  EXPECT_EQ(count_mismatches(want, single, "Snapshot::locate"), 0u);
+  for (const int threads : {1, 4}) {
+    ServiceConfig cfg;
+    cfg.threads = threads;
+    QueryService svc(cfg);
+    const auto got = svc.point_locate(path, points);
+    EXPECT_EQ(count_mismatches(want, got, "QueryService::point_locate"), 0u)
+        << threads << " threads";
+  }
+}
+
+double median_cell_volume(const Snapshot& snap) {
+  auto volumes = tess::analysis::cell_volumes(snap.blocks());
+  std::nth_element(volumes.begin(), volumes.begin() + volumes.size() / 2,
+                   volumes.end());
+  return volumes[volumes.size() / 2];
+}
+
+}  // namespace
+
+TEST(ServeLocateOracle, GridFile) {
+  // A margin outside the domain also routes through the block grid's edge.
+  expect_oracle_locations(blocked_file(), -0.5, 8.5, 1001u);
+}
+
+TEST(ServeLocateOracle, KdFile) {
+  expect_oracle_locations(kd_file(), -0.5, 8.5, 1002u);
+}
+
+TEST(ServeLocateOracle, PeriodicFile) {
+  expect_oracle_locations(periodic_file(), 0.0, 8.0, 1003u);
+}
+
+// The void catalog labels the kept cells in place; labels, component order
+// and volumes equal those of components built over filter_mesh copies.
+TEST(ServeLocateOracle, VoidLabelsMatchFilteredCopies) {
+  for (const auto& path : {blocked_file(), kd_file(), periodic_file()}) {
+    Snapshot snap(path);
+    const double thr = median_cell_volume(snap);
+    std::vector<BlockMesh> filtered;
+    for (int b = 0; b < snap.num_blocks(); ++b)
+      filtered.push_back(tess::analysis::filter_mesh(
+          snap.block(b), tess::analysis::threshold_cells(snap.block(b), thr)));
+    const tess::analysis::ConnectedComponents want(filtered);
+    const auto& got = *snap.voids(thr)->components;
+    EXPECT_EQ(got.labeled_sites(), want.labeled_sites()) << path;
+    ASSERT_EQ(got.num_components(), want.num_components()) << path;
+    ASSERT_GT(want.num_components(), 0u) << path;
+    for (std::size_t k = 0; k < want.num_components(); ++k) {
+      const auto& a = want.components()[k];
+      const auto& b = got.components()[k];
+      EXPECT_EQ(a.label, b.label) << path << " component " << k;
+      EXPECT_EQ(a.num_cells, b.num_cells) << path << " component " << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.volume),
+                std::bit_cast<std::uint64_t>(b.volume))
+          << path << " component " << k;
+    }
+  }
+}
+
 TEST(ServeCache, HitMissEvictStats) {
   CacheConfig cfg;
   cfg.max_snapshots = 1;
@@ -458,6 +858,94 @@ TEST(ServeService, RegionAndHistogramsThroughCache) {
   // All three queries hit the same cached snapshot after the first open.
   EXPECT_EQ(svc.cache().stats().misses, 1u);
   EXPECT_EQ(svc.cache().stats().hits, 2u);
+}
+
+// The batch paths tally locate telemetry per chunk. After a point_locate
+// and a void_lookup of the same points, every serve.locate counter and the
+// walk_steps histogram moved by exactly twice the per-point sums.
+TEST(ServeService, LocateTelemetryTotals) {
+#if !TESS_OBS_ENABLED
+  GTEST_SKIP() << "locate telemetry requires TESS_OBS";
+#else
+  const auto path = blocked_file();
+  const auto points = random_points(5000, -0.5, 8.5, 2024u);
+  std::uint64_t oracle_cross_block = 0;
+  {
+    Snapshot snap(path);
+    const LocateOracle oracle(snap);
+    for (const auto& p : points) (void)oracle.locate(p, &oracle_cross_block);
+  }
+  auto& reg = tess::obs::metrics();
+  auto& count = reg.counter("serve.locate.count");
+  auto& fallback = reg.counter("serve.locate.grid_fallback");
+  auto& cross = reg.counter("serve.locate.cross_block");
+  auto& walk = reg.histogram("serve.locate.walk_steps");
+  for (const int threads : {4, 1}) {
+    ServiceConfig cfg;
+    cfg.threads = threads;
+    cfg.batch_grain = 128;
+    QueryService svc(cfg);
+    const double thr = median_cell_volume(*svc.snapshot(path));
+    const auto count0 = count.value(), fallback0 = fallback.value(),
+               cross0 = cross.value(), walk_count0 = walk.count(),
+               walk_sum0 = walk.sum();
+    std::array<std::uint64_t, tess::obs::ExpHistogram::kBins> bins0{};
+    for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
+      bins0[static_cast<std::size_t>(k)] = walk.bin_count(k);
+
+    const auto locs = svc.point_locate(path, points);
+    (void)svc.void_lookup(path, points, thr);
+
+    tess::obs::ExpHistogram::Local want_walk;
+    std::uint64_t want_fallback = 0;
+    for (const auto& loc : locs) {
+      ASSERT_TRUE(loc.found());  // every block of this file has cells
+      want_walk.add(loc.walk_steps);
+      want_fallback += loc.grid_fallback ? 1 : 0;
+    }
+    EXPECT_GT(want_fallback, 0u);
+    EXPECT_GT(oracle_cross_block, 0u);
+    EXPECT_EQ(count.value() - count0, 2 * points.size()) << threads;
+    EXPECT_EQ(fallback.value() - fallback0, 2 * want_fallback) << threads;
+    EXPECT_EQ(cross.value() - cross0, 2 * oracle_cross_block) << threads;
+    EXPECT_EQ(walk.count() - walk_count0, 2 * want_walk.count) << threads;
+    EXPECT_EQ(walk.sum() - walk_sum0, 2 * want_walk.sum) << threads;
+    for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
+      EXPECT_EQ(walk.bin_count(k) - bins0[static_cast<std::size_t>(k)],
+                2 * want_walk.bins[static_cast<std::size_t>(k)])
+          << threads << " threads, bin " << k;
+  }
+#endif
+}
+
+// A traced batch records one serve.locate.chunk span per parallel_for
+// chunk and no per-point serve.locate span; a single locate keeps its own.
+TEST(ServeService, OneLocateSpanPerChunk) {
+#if !TESS_OBS_ENABLED
+  GTEST_SKIP() << "spans require TESS_OBS";
+#else
+  ServiceConfig cfg;
+  cfg.threads = 4;
+  cfg.batch_grain = 100;
+  QueryService svc(cfg);
+  const auto points = random_points(1050, 0.0, 8.0, 77u);
+  const auto snap = svc.snapshot(blocked_file());
+  (void)snap->blocks();  // block loads stay out of the traced window
+  auto& tracer = tess::obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  (void)svc.point_locate(blocked_file(), points);
+  (void)snap->locate(points[0]);
+  tracer.set_enabled(false);
+  std::size_t chunks = 0, singles = 0;
+  for (const auto& lane : tracer.drain().lanes)
+    for (const auto& rec : lane.spans) {
+      chunks += std::strcmp(rec.name, "serve.locate.chunk") == 0 ? 1 : 0;
+      singles += std::strcmp(rec.name, "serve.locate") == 0 ? 1 : 0;
+    }
+  EXPECT_EQ(chunks, 11u);  // ceil(1050 / 100)
+  EXPECT_EQ(singles, 1u);
+#endif
 }
 
 // The satellite concurrency test: many reader threads querying through the
@@ -621,6 +1109,38 @@ TEST(SnapshotCorruption, OutOfRangeFaceVertexThrows) {
                std::runtime_error);
   EXPECT_THROW((void)tess::analysis::TessReader(path).read_all(),
                std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A corrupt block that repeats site ids: a face whose neighbour id names
+// two cells resolves to the first of them, as the site-map walk did, so
+// every PointLocation field still matches the oracle.
+TEST(SnapshotCorruption, RepeatedSiteIdResolvesToFirstCell) {
+  const auto good = serial_file();
+  auto bytes = read_bytes(good);
+  const auto cells_at = length_word_offsets(good, 0)[1] + 8;
+  std::uint64_t num_cells = 0;
+  std::memcpy(&num_cells, bytes.data() + cells_at - 8, sizeof(num_cells));
+  constexpr auto kRecord = sizeof(tess::core::CellRecord);
+  constexpr auto kId = offsetof(tess::core::CellRecord, site_id);
+  for (std::uint64_t i = 1; i < num_cells; i += 2)  // cell i takes i-1's id
+    std::memcpy(bytes.data() + cells_at + i * kRecord + kId,
+                bytes.data() + cells_at + (i - 1) * kRecord + kId,
+                sizeof(std::int64_t));
+  const auto path = corrupt_path("repeated_site");
+  write_bytes(path, bytes);
+  {
+    Snapshot snap(path);
+    const LocateOracle oracle(snap);
+    const auto points = random_points(10000, 0.0, 6.0, 1004u);
+    std::vector<PointLocation> want(points.size()), got(points.size());
+    std::uint64_t cross_block = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      want[i] = oracle.locate(points[i], &cross_block);
+      got[i] = snap.locate(points[i]);
+    }
+    EXPECT_EQ(count_mismatches(want, got, "repeated site ids"), 0u);
+  }
   std::remove(path.c_str());
 }
 
