@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <numbers>
 #include <utility>
 #include <vector>
 
@@ -56,20 +57,23 @@ std::vector<Vec3> two_blob_points(std::uint64_t seed, int n) {
 }
 
 /// The allocation-free steady-state path: one warm cell/scratch pair reused
-/// across sites (what each pool worker runs), finishing with the volume.
+/// across sites, its counts tallied and flushed at the end (what each pool
+/// worker runs per chunk), finishing with the volume.
 void build_reuse(benchmark::State& state, std::vector<Vec3> pts) {
   const int n = static_cast<int>(pts.size());
   geom::CellBuilder builder(std::move(pts), {}, {0, 0, 0}, {1, 1, 1});
   geom::VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
   geom::ClipScratch scratch;
+  geom::CellBuilder::Tally tally;
   std::size_t site = 0;
   for (auto _ : state) {
     builder.build_into(cell, scratch,
                        static_cast<int>(site % static_cast<std::size_t>(n)),
-                       {0, 0, 0}, {1, 1, 1});
+                       {0, 0, 0}, {1, 1, 1}, tally);
     benchmark::DoNotOptimize(cell.volume());
     ++site;
   }
+  builder.flush(tally);
 }
 
 }  // namespace
@@ -153,12 +157,14 @@ static void BM_CellBuilder_Threads(benchmark::State& state) {
         [&](std::size_t begin, std::size_t end, int, int worker) {
           auto& cell = cells[static_cast<std::size_t>(worker)];
           auto& scratch = scratches[static_cast<std::size_t>(worker)];
+          geom::CellBuilder::Tally tally;
           double v = 0.0;
           for (std::size_t i = begin; i < end; ++i) {
             builder.build_into(cell, scratch, static_cast<int>(i), {0, 0, 0},
-                               {1, 1, 1});
+                               {1, 1, 1}, tally);
             v += cell.volume();
           }
+          builder.flush(tally);
           volumes[static_cast<std::size_t>(worker)] += v;
         });
     benchmark::DoNotOptimize(volumes.data());
@@ -208,25 +214,6 @@ BENCHMARK(BM_FixedGhostBlock)->Arg(8000);
 // and the batched orient3d filter of the hull's conflict lists.
 // ---------------------------------------------------------------------------
 
-static void BM_Dist2Batch(benchmark::State& state) {
-  const int n = 4096;
-  const auto pts = random_points(7, n);
-  std::vector<double> x, y, z, d2(static_cast<std::size_t>(n));
-  for (const auto& p : pts) {
-    x.push_back(p.x);
-    y.push_back(p.y);
-    z.push_back(p.z);
-  }
-  const Vec3 site{0.5, 0.5, 0.5};
-  for (auto _ : state) {
-    geom::kernels::dist2_batch(x.data(), y.data(), z.data(),
-                               static_cast<std::size_t>(n), site, d2.data());
-    benchmark::DoNotOptimize(d2.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Dist2Batch);
-
 static void BM_PlaneDistanceBatch(benchmark::State& state) {
   const int n = 1024;
   const auto verts = random_points(8, n);
@@ -243,24 +230,34 @@ static void BM_PlaneDistanceBatch(benchmark::State& state) {
 BENCHMARK(BM_PlaneDistanceBatch);
 
 static void BM_ScreenCandidates(benchmark::State& state) {
-  // range(0) = percent of candidates kept. Outer grid rings are almost
-  // entirely beyond the shrinking 2*r_max ball (a few percent kept), which
-  // is where the batch-reject fast path pays; ~25% kept models the first
-  // ring around the site.
+  // range(0) = percent of candidates kept by the radius (the box keeps
+  // all). Outer grid rings are almost entirely beyond the shrinking 2*r_max
+  // ball (a few percent kept); ~25% kept models the first ring around the
+  // site. Every lane is stored either way, so the two cost about the same.
   const int n = 4096;
-  const double limit = static_cast<double>(state.range(0)) / 100.0;
-  util::Rng rng(9);
-  std::vector<double> d2;
+  const auto pts = random_points(9, n);
+  std::vector<double> x, y, z;
   std::vector<int> idx;
-  for (int i = 0; i < n; ++i) {
-    d2.push_back(rng.uniform());
-    idx.push_back(i);
+  for (const auto& p : pts) {
+    x.push_back(p.x);
+    y.push_back(p.y);
+    z.push_back(p.z);
+    idx.push_back(static_cast<int>(idx.size()));
   }
-  std::vector<std::pair<double, int>> kept;
+  // The fraction of the unit cube within radius sqrt(limit) of a corner
+  // site is pi/6 * limit^(3/2); invert it for the kept percentage.
+  const double frac = static_cast<double>(state.range(0)) / 100.0;
+  const double limit = std::pow(frac * 6.0 / std::numbers::pi, 2.0 / 3.0);
+  const geom::kernels::CandidateFilter f{
+      {0, 0, 0}, limit, {-1, -1, -1}, {2, 2, 2}, -1};
+  std::vector<std::pair<double, int>> kept(static_cast<std::size_t>(n));
+  std::uint64_t outside = 0;
   for (auto _ : state) {
-    kept.clear();
     benchmark::DoNotOptimize(geom::kernels::screen_candidates(
-        d2.data(), idx.data(), static_cast<std::size_t>(n), limit, kept));
+        x.data(), y.data(), z.data(), idx.data(), static_cast<std::size_t>(n),
+        f, kept.data(), &outside));
+    benchmark::DoNotOptimize(kept.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

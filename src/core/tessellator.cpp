@@ -92,6 +92,7 @@ void emit_backend_metrics(
   TESS_COUNT("geom.cuts_screened", after.cuts_screened - before.cuts_screened);
   TESS_COUNT("geom.bins_pruned", after.bins_pruned - before.bins_pruned);
   TESS_COUNT("geom.backend.cand_seen", seen);
+  TESS_COUNT("geom.backend.cand_boxed", after.cand_boxed - before.cand_boxed);
   TESS_COUNT("geom.backend.cand_kept", kept);
   TESS_COUNT("geom.backend.batches", batches);
   TESS_COUNT("geom.exact_fallbacks", exact);
@@ -393,10 +394,11 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
             StagedCells& shard = shards[shard_id];
             auto& cell = cells[static_cast<std::size_t>(worker)];
             auto& scratch = scratches[static_cast<std::size_t>(worker)];
+            geom::CellBuilder::Tally tally;
             for (std::size_t pi = begin; pi < end; ++pi) {
               const std::size_t i = pending[pi];
               builder->build_into(cell, scratch, static_cast<int>(i), seed.min,
-                                  seed.max);
+                                  seed.max, tally);
               state[i] = kIncomplete;
               if (!cell.complete()) {
                 ++cs.incomplete;
@@ -453,6 +455,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               else
                 shard.drop_last();
             }
+            builder->flush(tally);
             cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
             chunk_timer.stop();
             cs.cpu_seconds = chunk_timer.seconds();

@@ -224,6 +224,21 @@ BufferView MappedBlockFile::block_view(int block) const {
           static_cast<std::size_t>(index_.block_size(block))};
 }
 
+void MappedBlockFile::release(int block) const {
+  if (block < 0 || block >= num_blocks())
+    throw std::out_of_range("MappedBlockFile: block index");
+  const std::uint64_t offset = index_.block_offset(block);
+  const std::uint64_t size = index_.block_size(block);
+  if (size == 0) return;
+  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t begin = offset / page * page;
+  // Advice only: a failure leaves the pages resident, which is harmless.
+  // The kernel rounds the length up to whole pages.
+  (void)::madvise(const_cast<std::byte*>(map_) + begin,
+                  static_cast<std::size_t>(offset + size - begin),
+                  MADV_DONTNEED);
+}
+
 Buffer BlockFileReader::read_block(int block) const {
   if (block < 0 || block >= num_blocks())
     throw std::out_of_range("BlockFileReader: block index");

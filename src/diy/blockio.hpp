@@ -76,7 +76,8 @@ class BlockFileReader {
 /// whole file is mapped read-only once; block_view() hands out zero-copy
 /// cursors into the mapping, so concurrent readers share the page cache
 /// with no per-query open/pread and no heap staging. Immutable after
-/// construction, therefore freely shared across threads.
+/// construction, therefore freely shared across threads: release() only
+/// drops resident pages, and a later read faults the same bytes back in.
 class MappedBlockFile {
  public:
   explicit MappedBlockFile(const std::string& path);
@@ -97,6 +98,13 @@ class MappedBlockFile {
 
   /// Zero-copy read cursor over one block's bytes.
   [[nodiscard]] BufferView block_view(int block) const;
+
+  /// Drops the resident pages of one block's page-rounded range from the
+  /// mapping (madvise MADV_DONTNEED), for a caller that has copied the
+  /// block out. The mapping is private and read-only, so nothing is lost:
+  /// a later read, of this block or of a neighbour sharing an edge page,
+  /// refaults the file's bytes from the page cache.
+  void release(int block) const;
 
  private:
   std::string path_;

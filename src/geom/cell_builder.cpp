@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "geom/kernels.hpp"
+#include "geom/settle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/simd.hpp"
@@ -22,44 +23,6 @@ namespace {
 // gathers hundreds of candidates per shell once it has settled.
 constexpr int kScreenIdle = 2;
 constexpr std::size_t kScreenMin = 32;
-
-// Incremental quicksort: makes v[i] final in `less` order, for i = 0, 1, ...
-// in turn. Positions below `settled` are final; `pivots` holds the final
-// positions of pivots above them, v.size() at the bottom. Unsettled ranges
-// are partitioned around a median of three until i is a pivot or its range
-// is short enough to sort. Settling the first k of n costs O(n + k log k).
-template <class T, class Less>
-void settle(std::vector<T>& v, std::vector<std::size_t>& pivots,
-            std::size_t i, std::size_t& settled, Less less) {
-  constexpr std::size_t kSortRun = 16;
-  if (i < settled) return;
-  for (;;) {
-    const std::size_t top = pivots.back();
-    if (top == i) {
-      pivots.pop_back();
-      settled = i + 1;
-      return;
-    }
-    const auto lo = v.begin() + static_cast<std::ptrdiff_t>(i);
-    const auto hi = v.begin() + static_cast<std::ptrdiff_t>(top);
-    if (top - i <= kSortRun) {
-      std::sort(lo, hi, less);
-      settled = top;
-      return;
-    }
-    const auto mid = lo + static_cast<std::ptrdiff_t>((top - i) / 2);
-    if (less(*mid, *lo)) std::iter_swap(mid, lo);
-    if (less(*(hi - 1), *mid)) {
-      std::iter_swap(hi - 1, mid);
-      if (less(*mid, *lo)) std::iter_swap(mid, lo);
-    }
-    std::iter_swap(lo, mid);  // park the pivot at i, partition the rest
-    const auto split =
-        std::partition(lo + 1, hi, [&](const T& x) { return less(x, *lo); });
-    std::iter_swap(lo, split - 1);
-    pivots.push_back(static_cast<std::size_t>(split - 1 - v.begin()));
-  }
-}
 
 }  // namespace
 
@@ -183,7 +146,15 @@ VoronoiCell CellBuilder::build(int site, const Vec3& box_min,
 
 void CellBuilder::build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
                              const Vec3& box_min, const Vec3& box_max) const {
-  build_impl(cell, scratch, site, box_min, box_max, nullptr);
+  Tally tally;
+  build_impl(cell, scratch, site, box_min, box_max, tally, nullptr);
+  flush(tally);
+}
+
+void CellBuilder::build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
+                             const Vec3& box_min, const Vec3& box_max,
+                             Tally& tally) const {
+  build_impl(cell, scratch, site, box_min, box_max, tally, nullptr);
 }
 
 void CellBuilder::build_traced(VoronoiCell& cell, ClipScratch& scratch,
@@ -191,40 +162,43 @@ void CellBuilder::build_traced(VoronoiCell& cell, ClipScratch& scratch,
                                const Vec3& box_max, CellTrace& trace) const {
   trace.candidates.clear();
   trace.cut_ids.clear();
-  build_impl(cell, scratch, site, box_min, box_max, &trace);
+  Tally tally;
+  build_impl(cell, scratch, site, box_min, box_max, tally, &trace);
+  flush(tally);
+}
+
+void CellBuilder::flush(Tally& tally) const {
+  const BackendStats& st = tally.stats;
+  cuts_.fetch_add(st.cuts, std::memory_order_relaxed);
+  cuts_noop_.fetch_add(st.cuts_noop, std::memory_order_relaxed);
+  cuts_screened_.fetch_add(st.cuts_screened, std::memory_order_relaxed);
+  bins_pruned_.fetch_add(st.bins_pruned, std::memory_order_relaxed);
+  cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
+  cand_boxed_.fetch_add(st.cand_boxed, std::memory_order_relaxed);
+  cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
+  batches_.fetch_add(st.batches, std::memory_order_relaxed);
+  TESS_HIST_MERGE("geom.cell_cuts", tally.cell_cuts);
+  tally = Tally{};
 }
 
 void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
                              const Vec3& box_min, const Vec3& box_max,
-                             CellTrace* trace) const {
+                             Tally& tally, CellTrace* trace) const {
   const Vec3& s = points_[static_cast<std::size_t>(site)];
   cell.reset(s, box_min, box_max);
-  BackendStats st;
+  BackendStats& st = tally.stats;
+  const std::uint64_t cuts0 = st.cuts;
 
   // Site's bin coordinates.
   int sc[3];
   for (int a = 0; a < 3; ++a) sc[a] = bin_coord(a, s[static_cast<std::size_t>(a)]);
-  const int site_bin = (sc[2] * nb_[1] + sc[1]) * nb_[0] + sc[0];
   const double hmin = std::min({h_[0], h_[1], h_[2]});
   const int max_ring = std::max({nb_[0], nb_[1], nb_[2]});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  auto& ring_pts = scratch.ring_pts;  // surviving (dist2, point index)
-  auto& cx = scratch.cand_x;
-  auto& cy = scratch.cand_y;
-  auto& cz = scratch.cand_z;
-  auto& cd2 = scratch.cand_d2;
-  auto& cidx = scratch.cand_idx;
-
-  auto merge_counters = [&] {
-    cuts_.fetch_add(st.cuts, std::memory_order_relaxed);
-    cuts_noop_.fetch_add(st.cuts_noop, std::memory_order_relaxed);
-    cuts_screened_.fetch_add(st.cuts_screened, std::memory_order_relaxed);
-    bins_pruned_.fetch_add(st.bins_pruned, std::memory_order_relaxed);
-    cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
-    cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
-    batches_.fetch_add(st.batches, std::memory_order_relaxed);
-    TESS_HIST_ADD("geom.cell_cuts", st.cuts);
-  };
+  // Surviving (dist2, point index) pairs of the current ring: the first
+  // `kept` entries are live, and the vector only grows.
+  auto& ring_pts = scratch.ring_pts;
 
   // Vertex-ball screen of the unconsumed candidates ring_pts[from, end).
   // Returns false, leaving them untouched, when fewer than kScreenMin lie
@@ -292,6 +266,14 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     int lo[3] = {std::max(x0, 0), std::max(y0, 0), std::max(z0, 0)};
     int hi[3] = {std::min(x1, nb_[0] - 1), std::min(y1, nb_[1] - 1),
                  std::min(z1, nb_[2] - 1)};
+    // The candidate screen's filter. The same box drops single points in
+    // build_into(): a point outside it lies outside every inflated ball, so
+    // its cut would be a no-op, for the reason the bin prune's skipped bins
+    // are. The traced build keeps the box infinite and is the unfiltered
+    // reference.
+    kernels::CandidateFilter filter{s, 4.0 * cell.max_radius2(),
+                                    {-kInf, -kInf, -kInf},
+                                    {kInf, kInf, kInf}, site};
     if (r > 0) {
       Vec3 bmin = s, bmax = s;
       for (const Vec3& v : cell.vertices()) {
@@ -300,6 +282,10 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
           bmin[a] = std::min(bmin[a], v[a] - rad);
           bmax[a] = std::max(bmax[a], v[a] + rad);
         }
+      }
+      if (trace == nullptr) {
+        filter.lo = bmin;
+        filter.hi = bmax;
       }
       int ball_lo[3], ball_hi[3], reach = 0;
       for (int a = 0; a < 3; ++a) {
@@ -327,13 +313,14 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
       st.bins_pruned += in_grid - shell_bins(lo, hi);
     }
 
-    // Gather the shell's candidates into contiguous SoA batches: one
-    // three-array copy per bin segment (the CSR slabs are already SoA).
-    cx.clear();
-    cy.clear();
-    cz.clear();
-    cidx.clear();
-    std::ptrdiff_t site_slot = -1;
+    // Screen each shell bin straight off its CSR slabs: batched squared
+    // distances (the bits of geom::dist2), then the site itself, points
+    // outside the box and everything already beyond the security radius at
+    // ring entry are dropped. The radius screen cannot change the cut
+    // sequence: the threshold only shrinks as cuts land, so any candidate
+    // past the entry threshold would have terminated the sorted consume
+    // loop before being reached.
+    std::size_t kept = 0;
     for (int z = lo[2]; z <= hi[2]; ++z)
       for (int y = lo[1]; y <= hi[1]; ++y)
         for (int x = lo[0]; x <= hi[0]; ++x) {
@@ -341,47 +328,20 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
           if (r > 0 && x != x0 && x != x1 && y != y0 && y != y1 && z != z0 &&
               z != z1)
             continue;
-          const int b = (z * nb_[1] + y) * nb_[0] + x;
-          const auto begin = static_cast<std::size_t>(bin_offsets_[static_cast<std::size_t>(b)]);
-          const auto end = static_cast<std::size_t>(bin_offsets_[static_cast<std::size_t>(b) + 1]);
-          if (begin == end) continue;
-          const std::size_t base = cidx.size();
-          cx.insert(cx.end(), csr_x_.begin() + static_cast<std::ptrdiff_t>(begin),
-                    csr_x_.begin() + static_cast<std::ptrdiff_t>(end));
-          cy.insert(cy.end(), csr_y_.begin() + static_cast<std::ptrdiff_t>(begin),
-                    csr_y_.begin() + static_cast<std::ptrdiff_t>(end));
-          cz.insert(cz.end(), csr_z_.begin() + static_cast<std::ptrdiff_t>(begin),
-                    csr_z_.begin() + static_cast<std::ptrdiff_t>(end));
-          cidx.insert(cidx.end(),
-                      bin_items_.begin() + static_cast<std::ptrdiff_t>(begin),
-                      bin_items_.begin() + static_cast<std::ptrdiff_t>(end));
-          if (b == site_bin)
-            for (std::size_t k = begin; k < end; ++k)
-              if (bin_items_[k] == site) {
-                site_slot = static_cast<std::ptrdiff_t>(base + (k - begin));
-                break;
-              }
+          const auto b = static_cast<std::size_t>((z * nb_[1] + y) * nb_[0] + x);
+          const auto begin = static_cast<std::size_t>(bin_offsets_[b]);
+          const auto n = static_cast<std::size_t>(bin_offsets_[b + 1]) - begin;
+          if (n == 0) continue;
+          if (ring_pts.size() < kept + n)
+            ring_pts.resize(std::max(kept + n, 2 * ring_pts.size()));
+          st.cand_seen += n;
+          st.batches += (n + util::simd::kLanes - 1) / util::simd::kLanes;
+          kept += kernels::screen_candidates(
+              csr_x_.data() + begin, csr_y_.data() + begin,
+              csr_z_.data() + begin, bin_items_.data() + begin, n, filter,
+              ring_pts.data() + kept, &st.cand_boxed);
         }
-
-    const std::size_t n = cidx.size();
-    st.cand_seen += n;
-    st.batches += (n + util::simd::kLanes - 1) / util::simd::kLanes;
-
-    // Batched squared distances (the bits of geom::dist2), then the site
-    // itself is masked out and the screen drops everything already beyond
-    // the security radius at ring entry. The screen cannot change the cut
-    // sequence: the threshold only shrinks as cuts land, so any candidate
-    // past the entry threshold would have terminated the sorted consume
-    // loop before being reached.
-    cd2.resize(n);
-    kernels::dist2_batch(cx.data(), cy.data(), cz.data(), n, s, cd2.data());
-    if (site_slot >= 0)
-      cd2[static_cast<std::size_t>(site_slot)] =
-          std::numeric_limits<double>::infinity();
-    ring_pts.clear();
-    st.cand_kept += kernels::screen_candidates(cd2.data(), cidx.data(), n,
-                                               4.0 * cell.max_radius2(),
-                                               ring_pts);
+    st.cand_kept += kept;
 
     // Canonical candidate order: distance, then id, then position. The key
     // is a pure function of the particle (never its array index), so an
@@ -408,7 +368,6 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
       if (pa.y != pb.y) return pa.y < pb.y;
       return pa.z < pb.z;
     };
-    std::size_t kept = ring_pts.size();
     scratch.ring_pivots.assign(1, kept);
     std::size_t settled = 0;
     int idle = 0;  // consecutive no-op cuts in this ring
@@ -417,10 +376,14 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
     bool screen_ring = trace == nullptr;
     if (trace) {
       for (std::size_t i = 0; i < kept; ++i)
-        settle(ring_pts, scratch.ring_pivots, i, settled, canonical_less);
-      for (const auto& [d2, j] : ring_pts)
+        detail::settle(ring_pts, scratch.ring_pivots, i, settled,
+                       canonical_less);
+      for (std::size_t i = 0; i < kept; ++i) {
+        const int j = ring_pts[i].second;
         trace->candidates.emplace_back(
-            d2, ids_.empty() ? j : ids_[static_cast<std::size_t>(j)]);
+            ring_pts[i].first,
+            ids_.empty() ? j : ids_[static_cast<std::size_t>(j)]);
+      }
     }
 
     for (std::size_t i = 0; i < kept; ++i) {
@@ -432,13 +395,13 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
         idle = 0;
         screen_ring = screen(i, kept);
         if (screen_ring) {
-          ring_pts.resize(kept);
           scratch.ring_pivots.assign(1, kept);
           settled = i;
           if (i == kept) break;
         }
       }
-      settle(ring_pts, scratch.ring_pivots, i, settled, canonical_less);
+      detail::settle(ring_pts, scratch.ring_pivots, i, settled,
+                     canonical_less);
       const auto [d2, j] = ring_pts[i];
       if (d2 > 4.0 * cell.max_radius2()) break;  // sorted: rest are farther
       const std::int64_t id = ids_.empty() ? j : ids_[static_cast<std::size_t>(j)];
@@ -451,12 +414,12 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
         ++idle;
       }
       if (cell.empty()) {
-        merge_counters();
+        tally.cell_cuts.add(st.cuts - cuts0);
         return;
       }
     }
   }
-  merge_counters();
+  tally.cell_cuts.add(st.cuts - cuts0);
 }
 
 }  // namespace tess::geom

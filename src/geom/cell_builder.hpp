@@ -19,7 +19,8 @@
 // change nothing, and skipping them leaves every cell's geometry and the
 // order of its effective cuts unchanged. The radii are inflated by a small
 // relative margin so the prune stays conservative under rounding, and the
-// bounding box costs O(1) per bin.
+// bounding box costs O(1) per bin. build_into() applies the same box to
+// each point of the bins it does gather, in the candidate screen.
 //
 // The same criterion screens single candidates. Once a few cuts in a row
 // within a ring have changed nothing, the ring's unconsumed candidates are
@@ -35,10 +36,11 @@
 //
 // The grid is stored in CSR form (bin_offsets_ + bin_items_) with the point
 // coordinates permuted alongside into structure-of-arrays slabs (csr_x_/y_/
-// z_), so a ring sweep gathers each bin's candidates with three contiguous
-// copies and feeds them to the batched kernels in geom/kernels.hpp, which
-// sweep them four lanes wide with the bits of the scalar expressions (see
-// kernels.hpp for the contract and DESIGN.md §4.11).
+// z_), so a ring sweep screens each bin's candidates straight off the slabs
+// into the ring's candidate list (kernels::screen_candidates), four lanes
+// wide with the bits of the scalar expressions and no data-dependent branch
+// (see kernels.hpp for the contract and DESIGN.md §4.11). The ring's order
+// is settled by a branch-free partition (geom/settle.hpp).
 //
 // build_into() is the allocation-free hot path: it reuses a caller-owned
 // cell object and ClipScratch, so a worker thread sweeping many sites
@@ -52,6 +54,7 @@
 
 #include "geom/vec3.hpp"
 #include "geom/voronoi_cell.hpp"
+#include "obs/metrics.hpp"
 
 namespace tess::geom {
 
@@ -70,19 +73,32 @@ class CellBuilder {
   /// attempted, `cuts_noop` those that left the cell unchanged,
   /// `cuts_screened` the candidates the vertex-ball screen dropped without a
   /// cut, and `bins_pruned` the shell bins the vertex-ball prune skipped.
-  /// `cand_seen` counts grid candidates gathered into batches, `cand_kept`
-  /// the survivors of the security-radius screen (kept/seen = filter hit
-  /// rate); `batches` counts the 4-lane batches they were swept in, a
-  /// partial tail included (cand_seen / (4 * batches) = batch occupancy).
-  /// All are deterministic for a given point set.
+  /// `cand_seen` counts grid candidates swept by the candidate screen,
+  /// `cand_boxed` those it dropped for lying outside the bounding box of the
+  /// vertex balls, and `cand_kept` the ones that passed both the box and
+  /// the security radius (kept/seen = filter hit rate). `batches` counts
+  /// the 4-lane batches they were swept in, one partial tail per bin
+  /// (cand_seen / (4 * batches) = batch occupancy). All are deterministic
+  /// for a given point set.
   struct BackendStats {
     std::uint64_t cuts = 0;
     std::uint64_t cuts_noop = 0;
     std::uint64_t cuts_screened = 0;
     std::uint64_t bins_pruned = 0;
     std::uint64_t cand_seen = 0;
+    std::uint64_t cand_boxed = 0;
     std::uint64_t cand_kept = 0;
     std::uint64_t batches = 0;
+  };
+
+  /// A caller's running work counts, one per thread: the tallying
+  /// build_into() adds each build's counters and its geom.cell_cuts sample
+  /// (the cuts it attempted) here with plain stores, and flush() adds them
+  /// to backend_stats() and the histogram in one go. The tessellator
+  /// flushes once per parallel_for chunk.
+  struct Tally {
+    BackendStats stats;
+    obs::ExpHistogram::Local cell_cuts;
   };
 
   /// Per-cell trace captured by build_traced(): the post-screen candidate
@@ -129,8 +145,19 @@ class CellBuilder {
   /// Same computation, but resets and reuses `cell` and `scratch` instead
   /// of allocating: the steady-state path for tight per-site loops. Each
   /// thread must own its cell/scratch pair; the builder itself is shared.
+  /// This overload flushes the build's counts on its own.
   void build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
                   const Vec3& box_min, const Vec3& box_max) const;
+
+  /// build_into() that adds the build's counts to the caller's `tally`
+  /// instead; they reach backend_stats() at the next flush(tally).
+  void build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
+                  const Vec3& box_min, const Vec3& box_max,
+                  Tally& tally) const;
+
+  /// Adds `tally` to backend_stats() and to the geom.cell_cuts histogram,
+  /// then zeroes it. Safe to call concurrently with builds and flushes.
+  void flush(Tally& tally) const;
 
   /// build_into() that additionally records the per-stage trace, settling
   /// each ring's full candidate order first and never running the
@@ -143,9 +170,8 @@ class CellBuilder {
   [[nodiscard]] std::size_t num_points() const { return points_.size(); }
   [[nodiscard]] const std::vector<Vec3>& points() const { return points_; }
 
-  /// Counter totals. Each build counts locally and merges here once at its
-  /// end, so concurrent builds stay race-free; the merge also adds the
-  /// build's cut count as one sample of the geom.cell_cuts histogram.
+  /// Counter totals: every flushed Tally, so concurrent builds stay
+  /// race-free.
   [[nodiscard]] BackendStats backend_stats() const {
     BackendStats s;
     s.cuts = cuts_.load(std::memory_order_relaxed);
@@ -153,6 +179,7 @@ class CellBuilder {
     s.cuts_screened = cuts_screened_.load(std::memory_order_relaxed);
     s.bins_pruned = bins_pruned_.load(std::memory_order_relaxed);
     s.cand_seen = cand_seen_.load(std::memory_order_relaxed);
+    s.cand_boxed = cand_boxed_.load(std::memory_order_relaxed);
     s.cand_kept = cand_kept_.load(std::memory_order_relaxed);
     s.batches = batches_.load(std::memory_order_relaxed);
     return s;
@@ -172,7 +199,7 @@ class CellBuilder {
   void fill_csr();
   /// Shared core of build_into/build_traced; `trace` may be null.
   void build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
-                  const Vec3& box_min, const Vec3& box_max,
+                  const Vec3& box_min, const Vec3& box_max, Tally& tally,
                   CellTrace* trace) const;
 
   std::vector<Vec3> points_;
@@ -196,6 +223,7 @@ class CellBuilder {
   mutable std::atomic<std::uint64_t> cuts_screened_{0};
   mutable std::atomic<std::uint64_t> bins_pruned_{0};
   mutable std::atomic<std::uint64_t> cand_seen_{0};
+  mutable std::atomic<std::uint64_t> cand_boxed_{0};
   mutable std::atomic<std::uint64_t> cand_kept_{0};
   mutable std::atomic<std::uint64_t> batches_{0};
 };

@@ -32,28 +32,6 @@ namespace tess::geom::kernels {
 namespace simd = tess::util::simd;
 
 TESS_KERNEL_CLONES
-void dist2_batch(const double* x, const double* y, const double* z,
-                 std::size_t n, const Vec3& site, double* d2) {
-  const simd::DVec sx = simd::DVec::broadcast(site.x);
-  const simd::DVec sy = simd::DVec::broadcast(site.y);
-  const simd::DVec sz = simd::DVec::broadcast(site.z);
-  std::size_t i = 0;
-  for (; i + simd::kLanes <= n; i += simd::kLanes) {
-    const simd::DVec dx = simd::DVec::load(x + i) - sx;
-    const simd::DVec dy = simd::DVec::load(y + i) - sy;
-    const simd::DVec dz = simd::DVec::load(z + i) - sz;
-    const simd::DVec r = (dx * dx + dy * dy) + dz * dz;
-    r.store(d2 + i);
-  }
-  for (; i < n; ++i) {
-    const double dx = x[i] - site.x;
-    const double dy = y[i] - site.y;
-    const double dz = z[i] - site.z;
-    d2[i] = (dx * dx + dy * dy) + dz * dz;
-  }
-}
-
-TESS_KERNEL_CLONES
 void plane_distances(const Vec3* verts, std::size_t n, const Vec3& normal,
                      double plane_d, double* dist, double* abs_max_out) {
   const simd::DVec nx = simd::DVec::broadcast(normal.x);
@@ -87,32 +65,53 @@ void plane_distances(const Vec3* verts, std::size_t n, const Vec3& normal,
 }
 
 TESS_KERNEL_CLONES
-std::size_t screen_candidates(const double* d2, const int* idx, std::size_t n,
-                              double limit,
-                              std::vector<std::pair<double, int>>& out) {
+std::size_t screen_candidates(const double* x, const double* y, const double* z,
+                              const int* idx, std::size_t n,
+                              const CandidateFilter& f,
+                              std::pair<double, int>* out,
+                              std::uint64_t* outside_box) {
+  const simd::DVec sx = simd::DVec::broadcast(f.site.x);
+  const simd::DVec sy = simd::DVec::broadcast(f.site.y);
+  const simd::DVec sz = simd::DVec::broadcast(f.site.z);
+  const simd::DVec lim = simd::DVec::broadcast(f.limit);
+  const simd::DVec lox = simd::DVec::broadcast(f.lo.x);
+  const simd::DVec loy = simd::DVec::broadcast(f.lo.y);
+  const simd::DVec loz = simd::DVec::broadcast(f.lo.z);
+  const simd::DVec hix = simd::DVec::broadcast(f.hi.x);
+  const simd::DVec hiy = simd::DVec::broadcast(f.hi.y);
+  const simd::DVec hiz = simd::DVec::broadcast(f.hi.z);
   std::size_t kept = 0;
-  const simd::DVec lim = simd::DVec::broadcast(limit);
+  std::uint64_t outside = 0;
+  const auto sweep = [&](const simd::DVec& px, const simd::DVec& py,
+                         const simd::DVec& pz, const int* id,
+                         std::size_t lanes) {
+    const simd::DVec dx = px - sx, dy = py - sy, dz = pz - sz;
+    const simd::DVec d2 = (dx * dx + dy * dy) + dz * dz;
+    const simd::Mask in_box = (lox <= px) & (px <= hix) & (loy <= py) &
+                              (py <= hiy) & (loz <= pz) & (pz <= hiz);
+    const simd::Mask keep = in_box & (d2 <= lim);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out[kept] = {d2.lane(l), id[l]};
+      kept += static_cast<std::size_t>(keep.lane(l)) &
+              static_cast<std::size_t>(id[l] != f.skip);
+      outside += static_cast<std::uint64_t>(!in_box.lane(l));
+    }
+  };
   std::size_t i = 0;
-  for (; i + simd::kLanes <= n; i += simd::kLanes) {
-    // One vector compare decides whether the whole batch is rejectable —
-    // the common case once the security radius has shrunk. Mixed batches
-    // re-test each lane with the identical scalar predicate (cheaper than
-    // extracting mask lanes, and trivially the same decision).
-    const simd::Mask keep = simd::DVec::load(d2 + i) <= lim;
-    if (!keep.any()) continue;
-    for (std::size_t l = 0; l < simd::kLanes; ++l) {
-      const double v = d2[i + l];
-      if (v <= limit) {
-        out.emplace_back(v, idx[i + l]);
-        ++kept;
-      }
-    }
+  for (; i + simd::kLanes <= n; i += simd::kLanes)
+    sweep(simd::DVec::load(x + i), simd::DVec::load(y + i),
+          simd::DVec::load(z + i), idx + i, simd::kLanes);
+  if (i < n) {
+    // The n % 4 tail rides in one more vector, its last point repeated
+    // into the unused lanes, which are neither stored past n nor counted.
+    const std::size_t last = n - 1;
+    const auto tail = [&](const double* a) {
+      return simd::DVec::set(a[i], a[std::min(i + 1, last)],
+                             a[std::min(i + 2, last)], a[last]);
+    };
+    sweep(tail(x), tail(y), tail(z), idx + i, n - i);
   }
-  for (; i < n; ++i)
-    if (d2[i] <= limit) {
-      out.emplace_back(d2[i], idx[i]);
-      ++kept;
-    }
+  *outside_box += outside;
   return kept;
 }
 

@@ -1,10 +1,11 @@
 // Batched floating-point kernels of the per-cell clip loop.
 //
 // Everything whose VALUE (not just sign) feeds the clip loop lives in this
-// one translation unit: squared site-candidate distances, the candidate
-// screen against the security radius, the per-vertex plane distances of
-// VoronoiCell::clip, and the vertex-ball screen of the cell builder. Each kernel sweeps four lanes at a time and finishes
-// the n % 4 tail with the same expression in scalar form. Both perform plain
+// one translation unit: the candidate screen, which forms the squared
+// site-candidate distances, the per-vertex plane distances of
+// VoronoiCell::clip, and the vertex-ball screen of the cell builder. Each
+// kernel sweeps four lanes at a time and finishes the n % 4 tail with the
+// same expression, in scalar form or in one more vector. Both perform plain
 // IEEE-754 multiplies and adds in one fixed association order — dist2 is
 // always (dx*dx + dy*dy) + dz*dz, the expression geom::dist2 spells out —
 // and kernels.cpp is compiled with -ffp-contract=off, so the compiler
@@ -18,23 +19,37 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "geom/vec3.hpp"
 
 namespace tess::geom::kernels {
 
-/// d2[i] = squared distance from `site` to (x[i], y[i], z[i]), the bits of
-/// the unfused (dx*dx + dy*dy) + dz*dz that geom::dist2(site, p_i) spells out.
-void dist2_batch(const double* x, const double* y, const double* z,
-                 std::size_t n, const Vec3& site, double* d2);
+/// What screen_candidates() keeps of a grid bin's points: those other than
+/// point `skip`, within squared distance `limit` of `site` and inside the
+/// closed box [lo, hi]. An infinite box keeps every point the radius keeps.
+struct CandidateFilter {
+  Vec3 site;
+  double limit = 0.0;
+  Vec3 lo, hi;
+  int skip = -1;
+};
 
-/// Append (d2[i], idx[i]) to `out` for every i with d2[i] <= limit,
-/// preserving input order. Returns the number of survivors.
-std::size_t screen_candidates(const double* d2, const int* idx, std::size_t n,
-                              double limit,
-                              std::vector<std::pair<double, int>>& out);
+/// Candidate screen of the cell builder's ring sweep, run straight on one
+/// grid bin's CSR slab. For i < n, d2 is the squared distance from
+/// f.site to (x[i], y[i], z[i]), the bits of the unfused
+/// (dx*dx + dy*dy) + dz*dz that geom::dist2 spells out, and (d2, idx[i])
+/// is kept when f keeps point i. The kept pairs land in out[0, kept) in
+/// input order. Every lane is stored and only the count advances by the
+/// decision, so the sweep takes no data-dependent branch, and `out` must
+/// have room for n pairs. Returns the number kept and adds the number of
+/// points outside the box to *outside_box.
+std::size_t screen_candidates(const double* x, const double* y, const double* z,
+                              const int* idx, std::size_t n,
+                              const CandidateFilter& f,
+                              std::pair<double, int>* out,
+                              std::uint64_t* outside_box);
 
 /// dist[i] = dot(normal, verts[i]) - plane_d for i < n, and *abs_max_out =
 /// max_i |dot(normal, verts[i])| (the conditioning scale for the clip

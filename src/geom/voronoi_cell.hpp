@@ -275,18 +275,15 @@ struct ClipScratch {
   std::vector<int> removed;
 
   /// Candidate (dist2, index) pairs for the cell builder's ring sweep,
-  /// consumed in (dist2, id, position) order — a key independent of
-  /// point-array layout, so incremental and from-scratch builders cut in
-  /// the same order. The order is settled lazily, one position at a time.
+  /// screened straight off the builder's CSR slabs (kernels::
+  /// screen_candidates) and consumed in (dist2, id, position) order — a key
+  /// independent of point-array layout, so incremental and from-scratch
+  /// builders cut in the same order. The order is settled lazily, one
+  /// position at a time. Only a prefix is live; the vector only grows.
   std::vector<std::pair<double, int>> ring_pts;
   /// Pivot stack of the incremental quicksort over ring_pts: each entry is
   /// the settled position of a pivot, nearest the consume cursor on top.
   std::vector<std::size_t> ring_pivots;
-  /// SoA gather buffers for the ring sweep: candidate coordinates and point
-  /// indices copied from the builder's CSR slabs, plus the batched squared
-  /// distances (geom/kernels.hpp) screened into ring_pts.
-  std::vector<double> cand_x, cand_y, cand_z, cand_d2;
-  std::vector<int> cand_idx;
   /// SoA coordinates of the unconsumed ring_pts entries the cell builder's
   /// vertex-ball screen sweeps (kernels::screen_cutters).
   std::vector<double> screen_x, screen_y, screen_z;

@@ -134,8 +134,10 @@ const Snapshot::BlockSlot& Snapshot::slot(int block) const {
         // under ThreadSanitizer); a corrupt block stays corrupt.
         s.error = "corrupt tess block file '" + path() + "': block " +
                   std::to_string(block) + ": " + e.what();
-        return;
       }
+      // The mesh is a copy, and no query reads the block's bytes again.
+      file_.release(block);
+      if (!s.error.empty()) return;
     }
     s.grid.build(s.mesh);
     s.index_faces();

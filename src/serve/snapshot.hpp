@@ -6,7 +6,8 @@
 // *lazily*: opening a snapshot touches only the per-block bounds that lead
 // each block's wire format, and a block's mesh plus its query index (site
 // grid + face-neighbour index) materialize on first use, guarded by a
-// per-block std::once_flag. After construction every public method is
+// per-block std::once_flag; the block's mapped pages are released once its
+// mesh is copied out. After construction every public method is
 // const and thread-safe — many reader threads query one snapshot
 // concurrently with no locking beyond the one-time block loads, which is
 // what lets the snapshot cache hand the same instance to every in-flight

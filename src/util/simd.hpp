@@ -64,6 +64,8 @@ struct Mask {
 
   [[nodiscard]] bool lane(std::size_t i) const { return m[i] != 0; }
 
+  friend Mask operator&(const Mask& a, const Mask& b) { return {a.m & b.m}; }
+
   [[nodiscard]] bool any() const {
 #if defined(__GNUC__) && !defined(__clang__)
     // OR-reduce in vector registers (swap halves, then pairs) instead of

@@ -295,6 +295,42 @@ TEST(BlockIoMmap, ViewMatchesPreadReader) {
   std::remove(path.c_str());
 }
 
+// Releasing a block drops its pages, edge pages shared with its neighbours
+// included; every block still reads the file's bytes afterwards. Block
+// sizes are not page multiples, so blocks share edge pages.
+TEST(BlockIoMmap, ReleasedBlocksStillReadFileBytes) {
+  const auto path = temp_path("mmap_release");
+  Runtime::run(3, [&](Comm& c) {
+    Buffer block;
+    std::vector<double> payload(1500 + 700 * static_cast<std::size_t>(c.rank()));
+    for (std::size_t i = 0; i < payload.size(); ++i)
+      payload[i] = 1000.0 * c.rank() + static_cast<double>(i);
+    block.write_vector(payload);
+    write_blocks(c, path, block);
+  });
+
+  BlockFileReader reader(path);
+  const tess::diy::MappedBlockFile mapped(path);
+  ASSERT_EQ(mapped.num_blocks(), 3);
+  auto expect_file_bytes = [&](const char* when) {
+    for (int b = 0; b < 3; ++b) {
+      const auto bytes = reader.read_block(b).data();
+      ASSERT_EQ(mapped.block_size(b), bytes.size());
+      EXPECT_EQ(std::memcmp(mapped.block_data(b), bytes.data(), bytes.size()),
+                0)
+          << "block " << b << " " << when;
+    }
+  };
+  expect_file_bytes("before any release");
+  for (const int b : {1, 0, 2, 1}) {
+    mapped.release(b);
+    expect_file_bytes("after a release");
+  }
+  EXPECT_THROW(mapped.release(3), std::out_of_range);
+  EXPECT_THROW(mapped.release(-1), std::out_of_range);
+  std::remove(path.c_str());
+}
+
 TEST(BlockIoMmap, BufferViewBoundsChecked) {
   // The view covers only 12 of the 16 backing bytes: reads past the view's
   // size must throw without advancing the cursor.

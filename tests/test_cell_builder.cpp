@@ -1,7 +1,8 @@
 // Tests for the grid-accelerated cell builder: exactness against brute
 // force, the partition-of-space property (cell volumes sum to the box
-// volume), completeness classification near boundaries, and the work
-// counters of the vertex-ball bin prune.
+// volume), completeness classification near boundaries, the lazy
+// candidate order and filters against the traced reference, and the work
+// counters of the vertex-ball bin prune and their per-chunk tallies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,9 @@
 #include <cstring>
 
 #include "geom/cell_builder.hpp"
+#include "geom/settle.hpp"
+#include "obs/metrics.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace tg = tess::geom;
@@ -319,5 +323,161 @@ TEST(CellBuilder, LazyCandidateOrderIsCanonical) {
     if (c.clustered) {
       EXPECT_GT(builder.backend_stats().cuts_screened, 0u) << c.name;
     }
+  }
+}
+
+// settle() is the lazy candidate order: each settled prefix must be the
+// prefix std::sort gives, whatever the input order. Keys mimic the
+// canonical (dist2, id, position) key, strict and total: the tie-heavy
+// family repeats dist2, then id, and leaves only the position to decide.
+TEST(CellBuilder, SettledPrefixesEqualFullSort) {
+  struct Key {
+    double d2;
+    std::int64_t id;
+    Vec3 pos;
+  };
+  const auto less = [](const Key& a, const Key& b) {
+    if (a.d2 != b.d2) return a.d2 < b.d2;
+    if (a.id != b.id) return a.id < b.id;
+    if (a.pos.x != b.pos.x) return a.pos.x < b.pos.x;
+    if (a.pos.y != b.pos.y) return a.pos.y < b.pos.y;
+    return a.pos.z < b.pos.z;
+  };
+  const auto same = [](const Key& a, const Key& b) {
+    return a.d2 == b.d2 && a.id == b.id && a.pos.x == b.pos.x &&
+           a.pos.y == b.pos.y && a.pos.z == b.pos.z;
+  };
+  Rng rng(2718);
+  for (const std::size_t n : {0u, 1u, 2u, 15u, 16u, 17u, 40u, 700u}) {
+    std::vector<Key> random, tied;
+    for (std::size_t i = 0; i < n; ++i) {
+      random.push_back({rng.uniform(), static_cast<std::int64_t>(i),
+                        {rng.uniform(), rng.uniform(), rng.uniform()}});
+      tied.push_back({static_cast<double>(rng.uniform() < 0.5 ? 1 : 2),
+                      static_cast<std::int64_t>(rng.uniform() < 0.5 ? 7 : 8),
+                      {static_cast<double>(i % 2), static_cast<double>(i % 3),
+                       static_cast<double>(i)}});
+    }
+    std::vector<Key> sorted = random;
+    std::sort(sorted.begin(), sorted.end(), less);
+    std::vector<Key> reversed(sorted.rbegin(), sorted.rend());
+    const std::pair<const char*, std::vector<Key>> families[] = {
+        {"random", random}, {"sorted", sorted}, {"reversed", reversed},
+        {"tie-heavy", tied}};
+    for (const auto& [name, keys] : families) {
+      std::vector<Key> want = keys;
+      std::sort(want.begin(), want.end(), less);
+      std::vector<Key> v = keys;
+      std::vector<std::size_t> pivots(1, n);
+      std::size_t settled = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        tg::detail::settle(v, pivots, i, settled, less);
+        ASSERT_GT(settled, i) << name << " n=" << n;
+        for (std::size_t k = 0; k <= i; ++k)
+          ASSERT_TRUE(same(v[k], want[k]))
+              << name << " n=" << n << ": position " << k << " after " << i;
+      }
+    }
+  }
+}
+
+// build_into() drops single candidates outside the bounding box of the
+// vertex balls, where build_traced() gathers them and cuts with them. On a
+// two-blob cloud the box drops candidates, and every lazy cell still
+// equals its traced reference bit for bit: same vertices, and the same
+// effective cuts in the same order (face sources in creation order).
+TEST(CellBuilder, BoxFilterKeepsCellsBitIdentical) {
+  const auto pts = two_blob_points(777, 300, 150);
+  const Vec3 lo{0, 0, 0}, hi{1, 1, 1};
+  const CellBuilder builder(pts, {}, lo, hi);
+  tg::VoronoiCell lazy(pts[0], lo, hi), traced(pts[0], lo, hi);
+  tg::ClipScratch lazy_scratch, traced_scratch;
+  CellBuilder::CellTrace trace;
+  std::size_t boxed_sites = 0;
+  std::uint64_t boxed = 0;
+  for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
+    CellBuilder::Tally tally;
+    builder.build_into(lazy, lazy_scratch, site, lo, hi, tally);
+    builder.build_traced(traced, traced_scratch, site, lo, hi, trace);
+    ASSERT_TRUE(same_bits(lazy, traced)) << "site " << site;
+    boxed_sites += tally.stats.cand_boxed > 0 ? 1 : 0;
+    boxed += tally.stats.cand_boxed;
+    EXPECT_LE(tally.stats.cand_kept + tally.stats.cand_boxed,
+              tally.stats.cand_seen)
+        << "site " << site;
+  }
+  EXPECT_GT(boxed, 0u);
+  EXPECT_GT(boxed_sites, pts.size() / 4);
+  // The traced build never boxes: every count came from build_into().
+  EXPECT_EQ(builder.backend_stats().cand_boxed, 0u);
+}
+
+// Work counts tallied per thread and flushed once per parallel_for chunk
+// add up to the per-cell totals: every backend counter, and the
+// geom.cell_cuts histogram's count, sum and every bin, at 1 and 4 threads.
+TEST(CellBuilder, ChunkTalliesEqualPerCellTotals) {
+  const auto pts = two_blob_points(4242, 200, 100);
+  const Vec3 lo{0, 0, 0}, hi{1, 1, 1};
+  const auto n = pts.size();
+
+  // Per-cell totals: each build flushed on its own, and its cut count read
+  // off the builder's totals.
+  const CellBuilder per_cell(pts, {}, lo, hi);
+  tess::obs::ExpHistogram::Local want_hist;
+  {
+    tg::VoronoiCell cell(pts[0], lo, hi);
+    tg::ClipScratch scratch;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto cuts0 = per_cell.backend_stats().cuts;
+      per_cell.build_into(cell, scratch, static_cast<int>(i), lo, hi);
+      want_hist.add(per_cell.backend_stats().cuts - cuts0);
+    }
+  }
+  const auto want = per_cell.backend_stats();
+  ASSERT_GT(want.cand_boxed, 0u);
+
+  for (const int threads : {1, 4}) {
+    const CellBuilder builder(pts, {}, lo, hi);
+#if TESS_OBS_ENABLED
+    const auto& hist = tess::obs::metrics().histogram("geom.cell_cuts");
+    const std::uint64_t count0 = hist.count(), sum0 = hist.sum();
+    std::vector<std::uint64_t> bins0;
+    for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
+      bins0.push_back(hist.bin_count(k));
+#endif
+
+    tess::util::ThreadPool pool(threads);
+    std::vector<tg::VoronoiCell> cells(static_cast<std::size_t>(pool.size()),
+                                       tg::VoronoiCell(pts[0], lo, hi));
+    std::vector<tg::ClipScratch> scratches(cells.size());
+    tess::util::parallel_for(
+        pool, n, 16, [&](std::size_t begin, std::size_t end, int, int worker) {
+          CellBuilder::Tally tally;
+          for (std::size_t i = begin; i < end; ++i)
+            builder.build_into(cells[static_cast<std::size_t>(worker)],
+                               scratches[static_cast<std::size_t>(worker)],
+                               static_cast<int>(i), lo, hi, tally);
+          builder.flush(tally);
+        });
+
+    const auto got = builder.backend_stats();
+    EXPECT_EQ(got.cuts, want.cuts) << threads;
+    EXPECT_EQ(got.cuts_noop, want.cuts_noop) << threads;
+    EXPECT_EQ(got.cuts_screened, want.cuts_screened) << threads;
+    EXPECT_EQ(got.bins_pruned, want.bins_pruned) << threads;
+    EXPECT_EQ(got.cand_seen, want.cand_seen) << threads;
+    EXPECT_EQ(got.cand_boxed, want.cand_boxed) << threads;
+    EXPECT_EQ(got.cand_kept, want.cand_kept) << threads;
+    EXPECT_EQ(got.batches, want.batches) << threads;
+#if TESS_OBS_ENABLED
+    EXPECT_EQ(hist.count() - count0, want_hist.count) << threads;
+    EXPECT_EQ(hist.count() - count0, n) << threads;
+    EXPECT_EQ(hist.sum() - sum0, want_hist.sum) << threads;
+    EXPECT_EQ(want_hist.sum, want.cuts);
+    for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
+      EXPECT_EQ(hist.bin_count(k) - bins0[static_cast<std::size_t>(k)],
+                want_hist.bins[static_cast<std::size_t>(k)])
+          << threads << " threads, bin " << k;
+#endif
   }
 }

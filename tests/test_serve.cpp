@@ -766,6 +766,63 @@ TEST(ServeLocateOracle, VoidLabelsMatchFilteredCopies) {
   }
 }
 
+// A loaded block's mapped pages are released once its mesh is copied out.
+// With every block loaded, and so released, the answers equal references
+// built from blocks read with pread, never through the mapping: locate
+// (interior points, where a periodic file has brute-force semantics),
+// region, histograms and void labels, on the three test files.
+TEST(ServeSnapshot, AnswersUnchangedOnceBlocksReleased) {
+  for (const auto& path : {blocked_file(), kd_file(), periodic_file()}) {
+    const auto blocks = tess::analysis::TessReader(path).read_all();
+    Snapshot snap(path);
+    (void)snap.blocks();
+    ASSERT_EQ(snap.blocks_loaded(), snap.num_blocks()) << path;
+
+    for (const auto& p : random_points(300, 1.5, 6.5, 77u)) {
+      const auto loc = snap.locate(p);
+      const auto ref = brute_nearest(blocks, p);
+      ASSERT_TRUE(loc.found()) << path;
+      EXPECT_EQ(loc.site_id, ref.site_id) << path;
+      EXPECT_EQ(loc.site_dist2, ref.d2) << path;
+    }
+
+    const tess::diy::Bounds box{{1.5, 2.0, 0.5}, {6.5, 7.0, 5.5}};
+    std::vector<std::int64_t> want_ids, got_ids;
+    for (const auto& b : blocks)
+      for (const auto& c : b.cells)
+        if (box.contains(c.site)) want_ids.push_back(c.site_id);
+    for (const auto& c : snap.extract_region(box).cells)
+      got_ids.push_back(c.site_id);
+    std::sort(want_ids.begin(), want_ids.end());
+    std::sort(got_ids.begin(), got_ids.end());
+    EXPECT_EQ(got_ids, want_ids) << path;
+
+    EXPECT_EQ(snap.volume_histogram(0.0, 3.0, 24).counts(),
+              tess::analysis::volume_histogram(blocks, 0.0, 3.0, 24).counts())
+        << path;
+    EXPECT_EQ(snap.density_contrast_histogram(16).counts(),
+              tess::analysis::density_contrast_histogram(blocks, 16).counts())
+        << path;
+
+    auto volumes = tess::analysis::cell_volumes(blocks);
+    std::nth_element(volumes.begin(), volumes.begin() + volumes.size() / 2,
+                     volumes.end());
+    const double thr = volumes[volumes.size() / 2];
+    std::vector<BlockMesh> filtered;
+    for (const auto& b : blocks)
+      filtered.push_back(tess::analysis::filter_mesh(
+          b, tess::analysis::threshold_cells(b, thr)));
+    const tess::analysis::ConnectedComponents want(filtered);
+    const auto& got = *snap.voids(thr)->components;
+    EXPECT_EQ(got.labeled_sites(), want.labeled_sites()) << path;
+    ASSERT_EQ(got.num_components(), want.num_components()) << path;
+    for (const auto& p : random_points(100, 1.5, 6.5, 78u))
+      EXPECT_EQ(snap.void_of(p, thr),
+                want.label_of(brute_nearest(blocks, p).site_id))
+          << path;
+  }
+}
+
 TEST(ServeCache, HitMissEvictStats) {
   CacheConfig cfg;
   cfg.max_snapshots = 1;

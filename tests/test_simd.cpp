@@ -161,16 +161,31 @@ Cloud make_cloud(std::size_t n, double scale, std::uint64_t seed) {
 
 }  // namespace
 
+// With an infinite box and limit the candidate screen keeps every point
+// but the skipped one, in input order, and its squared distances are the
+// bits of geom::dist2, in the four-lane body and in the tail alike.
 TEST(BatchedKernels, Dist2BatchBitwiseParity) {
   namespace kernels = tess::geom::kernels;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 63u, 256u}) {
     const Cloud c = make_cloud(n, 10.0, 100 + n);
     const Vec3 site{0.25, -3.5, 1e-3};
-    std::vector<double> d2(n, -1.0);
-    kernels::dist2_batch(c.x.data(), c.y.data(), c.z.data(), n, site,
-                         d2.data());
-    for (std::size_t i = 0; i < n; ++i)
-      expect_bits_eq(d2[i], tess::geom::dist2(c.verts[i], site), "dist2", i);
+    std::vector<int> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<int>(i);
+    const kernels::CandidateFilter all{
+        site, kInf, {-kInf, -kInf, -kInf}, {kInf, kInf, kInf}, -1};
+    std::vector<std::pair<double, int>> out(n, {-1.0, -1});
+    std::uint64_t outside = 0;
+    const std::size_t kept = kernels::screen_candidates(
+        c.x.data(), c.y.data(), c.z.data(), idx.data(), n, all, out.data(),
+        &outside);
+    ASSERT_EQ(kept, n);
+    EXPECT_EQ(outside, 0u);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i].second, static_cast<int>(i));
+      expect_bits_eq(out[i].first, tess::geom::dist2(c.verts[i], site),
+                     "dist2", i);
+    }
   }
 }
 
@@ -194,33 +209,57 @@ TEST(BatchedKernels, PlaneDistancesBitwiseParity) {
   }
 }
 
+// The candidate screen keeps exactly what the scalar filter keeps, in
+// input order, and counts the points outside the box, for every tail
+// length. The cloud straddles the box and the radius, and includes a fully
+// rejected batch, a fully kept one, the skipped index and points on the
+// box's faces, which are inside.
 TEST(BatchedKernels, ScreenCandidatesParity) {
   namespace kernels = tess::geom::kernels;
   Rng rng(31);
+  const kernels::CandidateFilter f{
+      {0.5, 0.5, 0.5}, 0.5, {0.1, 0.2, 0.0}, {0.9, 0.8, 1.0}, 1005};
   for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 255u}) {
-    std::vector<double> d2;
+    Cloud c;
     std::vector<int> idx;
     for (std::size_t i = 0; i < n; ++i) {
-      d2.push_back(rng.uniform(0.0, 2.0));
+      Vec3 p{rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2),
+             rng.uniform(-0.2, 1.2)};
+      if (n >= 12 && i < 4) p = {1.15, 1.15, 1.15};  // rejected batch
+      if (n >= 12 && i >= 4 && i < 8) p = {0.55, 0.45, 0.5};  // kept batch
+      if (n >= 12 && i == 8) p = {0.1, 0.5, 0.5};  // on the box's faces
+      if (n >= 12 && i == 9) p = {0.5, 0.8, 1.0};
+      c.x.push_back(p.x);
+      c.y.push_back(p.y);
+      c.z.push_back(p.z);
+      c.verts.push_back(p);
       idx.push_back(static_cast<int>(1000 + i));
     }
-    if (n >= 8) {
-      // A fully rejected batch and a fully kept one, next to mixed ones.
-      for (std::size_t i = 0; i < 4; ++i) d2[i] = 1.5;
-      for (std::size_t i = 4; i < 8; ++i) d2[i] = 0.5;
+    std::vector<std::pair<double, int>> want;
+    std::uint64_t want_outside = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3& p = c.verts[i];
+      const bool in_box = f.lo.x <= p.x && p.x <= f.hi.x && f.lo.y <= p.y &&
+                          p.y <= f.hi.y && f.lo.z <= p.z && p.z <= f.hi.z;
+      const double d2 = tess::geom::dist2(p, f.site);
+      want_outside += in_box ? 0 : 1;
+      if (in_box && d2 <= f.limit && idx[i] != f.skip)
+        want.emplace_back(d2, idx[i]);
     }
-    const double limit = 1.0;
-    std::vector<std::pair<double, int>> got{{-1.0, -1}}, want{{-1.0, -1}};
-    const std::size_t kept =
-        kernels::screen_candidates(d2.data(), idx.data(), n, limit, got);
-    for (std::size_t i = 0; i < n; ++i)
-      if (d2[i] <= limit) want.emplace_back(d2[i], idx[i]);
-    // Appends after what `out` already holds, in input order.
-    EXPECT_EQ(kept, want.size() - 1) << "n=" << n;
-    ASSERT_EQ(got.size(), want.size()) << "n=" << n;
-    for (std::size_t i = 0; i < got.size(); ++i) {
+    std::vector<std::pair<double, int>> got(n, {-1.0, -1});
+    std::uint64_t outside = 7;  // added to, not overwritten
+    const std::size_t kept = kernels::screen_candidates(
+        c.x.data(), c.y.data(), c.z.data(), idx.data(), n, f, got.data(),
+        &outside);
+    EXPECT_EQ(outside, 7 + want_outside) << "n=" << n;
+    ASSERT_EQ(kept, want.size()) << "n=" << n;
+    for (std::size_t i = 0; i < kept; ++i) {
       expect_bits_eq(got[i].first, want[i].first, "screen d2", i);
       EXPECT_EQ(got[i].second, want[i].second) << "screen idx " << i;
+    }
+    if (n >= 12) {
+      EXPECT_GT(want_outside, 4u);
+      EXPECT_GT(kept, 5u);
     }
   }
 }
