@@ -57,23 +57,20 @@ std::vector<Vec3> two_blob_points(std::uint64_t seed, int n) {
 }
 
 /// The allocation-free steady-state path: one warm cell/scratch pair reused
-/// across sites, its counts tallied and flushed at the end (what each pool
-/// worker runs per chunk), finishing with the volume.
+/// across sites (what each pool worker runs), finishing with the volume.
 void build_reuse(benchmark::State& state, std::vector<Vec3> pts) {
   const int n = static_cast<int>(pts.size());
   geom::CellBuilder builder(std::move(pts), {}, {0, 0, 0}, {1, 1, 1});
   geom::VoronoiCell cell({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
   geom::ClipScratch scratch;
-  geom::CellBuilder::Tally tally;
   std::size_t site = 0;
   for (auto _ : state) {
     builder.build_into(cell, scratch,
                        static_cast<int>(site % static_cast<std::size_t>(n)),
-                       {0, 0, 0}, {1, 1, 1}, tally);
+                       {0, 0, 0}, {1, 1, 1});
     benchmark::DoNotOptimize(cell.volume());
     ++site;
   }
-  builder.flush(tally);
 }
 
 }  // namespace
@@ -157,14 +154,12 @@ static void BM_CellBuilder_Threads(benchmark::State& state) {
         [&](std::size_t begin, std::size_t end, int, int worker) {
           auto& cell = cells[static_cast<std::size_t>(worker)];
           auto& scratch = scratches[static_cast<std::size_t>(worker)];
-          geom::CellBuilder::Tally tally;
           double v = 0.0;
           for (std::size_t i = begin; i < end; ++i) {
             builder.build_into(cell, scratch, static_cast<int>(i), {0, 0, 0},
-                               {1, 1, 1}, tally);
+                               {1, 1, 1});
             v += cell.volume();
           }
-          builder.flush(tally);
           volumes[static_cast<std::size_t>(worker)] += v;
         });
     benchmark::DoNotOptimize(volumes.data());

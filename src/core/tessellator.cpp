@@ -394,11 +394,10 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
             StagedCells& shard = shards[shard_id];
             auto& cell = cells[static_cast<std::size_t>(worker)];
             auto& scratch = scratches[static_cast<std::size_t>(worker)];
-            geom::CellBuilder::Tally tally;
             for (std::size_t pi = begin; pi < end; ++pi) {
               const std::size_t i = pending[pi];
               builder->build_into(cell, scratch, static_cast<int>(i), seed.min,
-                                  seed.max, tally);
+                                  seed.max);
               state[i] = kIncomplete;
               if (!cell.complete()) {
                 ++cs.incomplete;
@@ -455,7 +454,6 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               else
                 shard.drop_last();
             }
-            builder->flush(tally);
             cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
             chunk_timer.stop();
             cs.cpu_seconds = chunk_timer.seconds();

@@ -146,15 +146,7 @@ VoronoiCell CellBuilder::build(int site, const Vec3& box_min,
 
 void CellBuilder::build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
                              const Vec3& box_min, const Vec3& box_max) const {
-  Tally tally;
-  build_impl(cell, scratch, site, box_min, box_max, tally, nullptr);
-  flush(tally);
-}
-
-void CellBuilder::build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
-                             const Vec3& box_min, const Vec3& box_max,
-                             Tally& tally) const {
-  build_impl(cell, scratch, site, box_min, box_max, tally, nullptr);
+  build_impl(cell, scratch, site, box_min, box_max, nullptr);
 }
 
 void CellBuilder::build_traced(VoronoiCell& cell, ClipScratch& scratch,
@@ -162,32 +154,15 @@ void CellBuilder::build_traced(VoronoiCell& cell, ClipScratch& scratch,
                                const Vec3& box_max, CellTrace& trace) const {
   trace.candidates.clear();
   trace.cut_ids.clear();
-  Tally tally;
-  build_impl(cell, scratch, site, box_min, box_max, tally, &trace);
-  flush(tally);
-}
-
-void CellBuilder::flush(Tally& tally) const {
-  const BackendStats& st = tally.stats;
-  cuts_.fetch_add(st.cuts, std::memory_order_relaxed);
-  cuts_noop_.fetch_add(st.cuts_noop, std::memory_order_relaxed);
-  cuts_screened_.fetch_add(st.cuts_screened, std::memory_order_relaxed);
-  bins_pruned_.fetch_add(st.bins_pruned, std::memory_order_relaxed);
-  cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
-  cand_boxed_.fetch_add(st.cand_boxed, std::memory_order_relaxed);
-  cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
-  batches_.fetch_add(st.batches, std::memory_order_relaxed);
-  TESS_HIST_MERGE("geom.cell_cuts", tally.cell_cuts);
-  tally = Tally{};
+  build_impl(cell, scratch, site, box_min, box_max, &trace);
 }
 
 void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
                              const Vec3& box_min, const Vec3& box_max,
-                             Tally& tally, CellTrace* trace) const {
+                             CellTrace* trace) const {
   const Vec3& s = points_[static_cast<std::size_t>(site)];
   cell.reset(s, box_min, box_max);
-  BackendStats& st = tally.stats;
-  const std::uint64_t cuts0 = st.cuts;
+  BackendStats st;
 
   // Site's bin coordinates.
   int sc[3];
@@ -199,6 +174,18 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
   // Surviving (dist2, point index) pairs of the current ring: the first
   // `kept` entries are live, and the vector only grows.
   auto& ring_pts = scratch.ring_pts;
+
+  auto merge_counters = [&] {
+    cuts_.fetch_add(st.cuts, std::memory_order_relaxed);
+    cuts_noop_.fetch_add(st.cuts_noop, std::memory_order_relaxed);
+    cuts_screened_.fetch_add(st.cuts_screened, std::memory_order_relaxed);
+    bins_pruned_.fetch_add(st.bins_pruned, std::memory_order_relaxed);
+    cand_seen_.fetch_add(st.cand_seen, std::memory_order_relaxed);
+    cand_boxed_.fetch_add(st.cand_boxed, std::memory_order_relaxed);
+    cand_kept_.fetch_add(st.cand_kept, std::memory_order_relaxed);
+    batches_.fetch_add(st.batches, std::memory_order_relaxed);
+    TESS_HIST_ADD("geom.cell_cuts", st.cuts);
+  };
 
   // Vertex-ball screen of the unconsumed candidates ring_pts[from, end).
   // Returns false, leaving them untouched, when fewer than kScreenMin lie
@@ -414,12 +401,12 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
         ++idle;
       }
       if (cell.empty()) {
-        tally.cell_cuts.add(st.cuts - cuts0);
+        merge_counters();
         return;
       }
     }
   }
-  tally.cell_cuts.add(st.cuts - cuts0);
+  merge_counters();
 }
 
 }  // namespace tess::geom

@@ -54,7 +54,6 @@
 
 #include "geom/vec3.hpp"
 #include "geom/voronoi_cell.hpp"
-#include "obs/metrics.hpp"
 
 namespace tess::geom {
 
@@ -89,16 +88,6 @@ class CellBuilder {
     std::uint64_t cand_boxed = 0;
     std::uint64_t cand_kept = 0;
     std::uint64_t batches = 0;
-  };
-
-  /// A caller's running work counts, one per thread: the tallying
-  /// build_into() adds each build's counters and its geom.cell_cuts sample
-  /// (the cuts it attempted) here with plain stores, and flush() adds them
-  /// to backend_stats() and the histogram in one go. The tessellator
-  /// flushes once per parallel_for chunk.
-  struct Tally {
-    BackendStats stats;
-    obs::ExpHistogram::Local cell_cuts;
   };
 
   /// Per-cell trace captured by build_traced(): the post-screen candidate
@@ -145,19 +134,8 @@ class CellBuilder {
   /// Same computation, but resets and reuses `cell` and `scratch` instead
   /// of allocating: the steady-state path for tight per-site loops. Each
   /// thread must own its cell/scratch pair; the builder itself is shared.
-  /// This overload flushes the build's counts on its own.
   void build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
                   const Vec3& box_min, const Vec3& box_max) const;
-
-  /// build_into() that adds the build's counts to the caller's `tally`
-  /// instead; they reach backend_stats() at the next flush(tally).
-  void build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
-                  const Vec3& box_min, const Vec3& box_max,
-                  Tally& tally) const;
-
-  /// Adds `tally` to backend_stats() and to the geom.cell_cuts histogram,
-  /// then zeroes it. Safe to call concurrently with builds and flushes.
-  void flush(Tally& tally) const;
 
   /// build_into() that additionally records the per-stage trace, settling
   /// each ring's full candidate order first and never running the
@@ -170,8 +148,9 @@ class CellBuilder {
   [[nodiscard]] std::size_t num_points() const { return points_.size(); }
   [[nodiscard]] const std::vector<Vec3>& points() const { return points_; }
 
-  /// Counter totals: every flushed Tally, so concurrent builds stay
-  /// race-free.
+  /// Counter totals. Each build counts locally and merges here once at its
+  /// end, so concurrent builds stay race-free; the merge also adds the
+  /// build's cut count as one sample of the geom.cell_cuts histogram.
   [[nodiscard]] BackendStats backend_stats() const {
     BackendStats s;
     s.cuts = cuts_.load(std::memory_order_relaxed);
@@ -199,7 +178,7 @@ class CellBuilder {
   void fill_csr();
   /// Shared core of build_into/build_traced; `trace` may be null.
   void build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
-                  const Vec3& box_min, const Vec3& box_max, Tally& tally,
+                  const Vec3& box_min, const Vec3& box_max,
                   CellTrace* trace) const;
 
   std::vector<Vec3> points_;

@@ -4,12 +4,11 @@
 // TessStats, Exchanger, and the benches.
 //
 // Metrics are process-global and always on (no runtime flag): an update is
-// one relaxed atomic RMW on a slot private to the calling thread's rank
-// (a counter's slots each fill a cache line), so cross-rank cache
-// contention only occurs between a rank and its own pool workers.
-// Per-rank attribution uses the thread rank tag from obs/trace.hpp; values
-// can be read whole (value()) or per rank slice (value(rank)), and
-// obs/reduce.hpp merges slices to rank 0 at a barrier.
+// one relaxed atomic RMW on a slot private to the calling thread's rank,
+// so cross-rank cache contention only occurs between a rank and its own
+// pool workers. Per-rank attribution uses the thread rank tag from
+// obs/trace.hpp; values can be read whole (value()) or per rank slice
+// (value(rank)), and obs/reduce.hpp merges slices to rank 0 at a barrier.
 //
 // The TESS_COUNT / TESS_GAUGE_SET / TESS_HIST_ADD / TESS_HIST_MERGE macros
 // cache the registry lookup in a function-local static, so instrumented
@@ -20,7 +19,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -50,38 +48,28 @@ inline std::size_t slot_of(int rank) {
 }
 }  // namespace detail
 
-/// Bytes of one cache line on the hosts this runs on (x86-64, most arm64).
-inline constexpr std::size_t kCacheLine = 64;
-
-/// Monotonic per-rank-sliced counter. Each rank's slot fills a cache line
-/// of its own, so ranks updating one counter never write a shared line.
+/// Monotonic per-rank-sliced counter.
 class Counter {
  public:
-  struct alignas(kCacheLine) Slot {
-    std::atomic<std::uint64_t> value{0};
-  };
-
   void add(std::uint64_t delta) {
-    slots_[detail::rank_slot()].value.fetch_add(delta,
-                                                std::memory_order_relaxed);
+    slots_[detail::rank_slot()].fetch_add(delta, std::memory_order_relaxed);
   }
   /// Sum over every rank slice (plus the unranked slot).
   [[nodiscard]] std::uint64_t value() const {
     std::uint64_t total = 0;
-    for (const auto& s : slots_)
-      total += s.value.load(std::memory_order_relaxed);
+    for (const auto& s : slots_) total += s.load(std::memory_order_relaxed);
     return total;
   }
   /// One rank's slice (-1 = updates from unranked threads).
   [[nodiscard]] std::uint64_t value(int rank) const {
-    return slots_[detail::slot_of(rank)].value.load(std::memory_order_relaxed);
+    return slots_[detail::slot_of(rank)].load(std::memory_order_relaxed);
   }
   void reset() {
-    for (auto& s : slots_) s.value.store(0, std::memory_order_relaxed);
+    for (auto& s : slots_) s.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::array<Slot, kRankSlots> slots_{};
+  std::array<std::atomic<std::uint64_t>, kRankSlots> slots_{};
 };
 
 /// Last-written value per rank slice; value() reduces with max (the

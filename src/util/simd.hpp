@@ -65,22 +65,6 @@ struct Mask {
   [[nodiscard]] bool lane(std::size_t i) const { return m[i] != 0; }
 
   friend Mask operator&(const Mask& a, const Mask& b) { return {a.m & b.m}; }
-
-  [[nodiscard]] bool any() const {
-#if defined(__GNUC__) && !defined(__clang__)
-    // OR-reduce in vector registers (swap halves, then pairs) instead of
-    // extracting four lanes through branches — any() guards the hot skip
-    // path of the candidate screen. __builtin_shuffle is GCC-only; clang
-    // turns the plain lane loop into a movmsk on its own.
-    const Native h = m | __builtin_shuffle(m, Native{2, 3, 0, 1});
-    const Native q = h | __builtin_shuffle(h, Native{1, 0, 3, 2});
-    return q[0] != 0;
-#else
-    for (std::size_t i = 0; i < kLanes; ++i)
-      if (lane(i)) return true;
-    return false;
-#endif
-  }
 };
 
 inline Mask operator>(const DVec& a, const DVec& b) { return {a.v > b.v}; }

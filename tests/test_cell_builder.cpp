@@ -2,7 +2,7 @@
 // force, the partition-of-space property (cell volumes sum to the box
 // volume), completeness classification near boundaries, the lazy
 // candidate order and filters against the traced reference, and the work
-// counters of the vertex-ball bin prune and their per-chunk tallies.
+// counters of the vertex-ball bin prune.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +11,6 @@
 
 #include "geom/cell_builder.hpp"
 #include "geom/settle.hpp"
-#include "obs/metrics.hpp"
-#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace tg = tess::geom;
@@ -396,88 +394,20 @@ TEST(CellBuilder, BoxFilterKeepsCellsBitIdentical) {
   std::size_t boxed_sites = 0;
   std::uint64_t boxed = 0;
   for (int site = 0; site < static_cast<int>(pts.size()); ++site) {
-    CellBuilder::Tally tally;
-    builder.build_into(lazy, lazy_scratch, site, lo, hi, tally);
+    const auto before = builder.backend_stats();
+    builder.build_into(lazy, lazy_scratch, site, lo, hi);
+    const auto after = builder.backend_stats();
     builder.build_traced(traced, traced_scratch, site, lo, hi, trace);
     ASSERT_TRUE(same_bits(lazy, traced)) << "site " << site;
-    boxed_sites += tally.stats.cand_boxed > 0 ? 1 : 0;
-    boxed += tally.stats.cand_boxed;
-    EXPECT_LE(tally.stats.cand_kept + tally.stats.cand_boxed,
-              tally.stats.cand_seen)
+    const std::uint64_t site_boxed = after.cand_boxed - before.cand_boxed;
+    boxed_sites += site_boxed > 0 ? 1 : 0;
+    boxed += site_boxed;
+    EXPECT_LE((after.cand_kept - before.cand_kept) + site_boxed,
+              after.cand_seen - before.cand_seen)
         << "site " << site;
   }
   EXPECT_GT(boxed, 0u);
   EXPECT_GT(boxed_sites, pts.size() / 4);
-  // The traced build never boxes: every count came from build_into().
-  EXPECT_EQ(builder.backend_stats().cand_boxed, 0u);
-}
-
-// Work counts tallied per thread and flushed once per parallel_for chunk
-// add up to the per-cell totals: every backend counter, and the
-// geom.cell_cuts histogram's count, sum and every bin, at 1 and 4 threads.
-TEST(CellBuilder, ChunkTalliesEqualPerCellTotals) {
-  const auto pts = two_blob_points(4242, 200, 100);
-  const Vec3 lo{0, 0, 0}, hi{1, 1, 1};
-  const auto n = pts.size();
-
-  // Per-cell totals: each build flushed on its own, and its cut count read
-  // off the builder's totals.
-  const CellBuilder per_cell(pts, {}, lo, hi);
-  tess::obs::ExpHistogram::Local want_hist;
-  {
-    tg::VoronoiCell cell(pts[0], lo, hi);
-    tg::ClipScratch scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cuts0 = per_cell.backend_stats().cuts;
-      per_cell.build_into(cell, scratch, static_cast<int>(i), lo, hi);
-      want_hist.add(per_cell.backend_stats().cuts - cuts0);
-    }
-  }
-  const auto want = per_cell.backend_stats();
-  ASSERT_GT(want.cand_boxed, 0u);
-
-  for (const int threads : {1, 4}) {
-    const CellBuilder builder(pts, {}, lo, hi);
-#if TESS_OBS_ENABLED
-    const auto& hist = tess::obs::metrics().histogram("geom.cell_cuts");
-    const std::uint64_t count0 = hist.count(), sum0 = hist.sum();
-    std::vector<std::uint64_t> bins0;
-    for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
-      bins0.push_back(hist.bin_count(k));
-#endif
-
-    tess::util::ThreadPool pool(threads);
-    std::vector<tg::VoronoiCell> cells(static_cast<std::size_t>(pool.size()),
-                                       tg::VoronoiCell(pts[0], lo, hi));
-    std::vector<tg::ClipScratch> scratches(cells.size());
-    tess::util::parallel_for(
-        pool, n, 16, [&](std::size_t begin, std::size_t end, int, int worker) {
-          CellBuilder::Tally tally;
-          for (std::size_t i = begin; i < end; ++i)
-            builder.build_into(cells[static_cast<std::size_t>(worker)],
-                               scratches[static_cast<std::size_t>(worker)],
-                               static_cast<int>(i), lo, hi, tally);
-          builder.flush(tally);
-        });
-
-    const auto got = builder.backend_stats();
-    EXPECT_EQ(got.cuts, want.cuts) << threads;
-    EXPECT_EQ(got.cuts_noop, want.cuts_noop) << threads;
-    EXPECT_EQ(got.cuts_screened, want.cuts_screened) << threads;
-    EXPECT_EQ(got.bins_pruned, want.bins_pruned) << threads;
-    EXPECT_EQ(got.cand_seen, want.cand_seen) << threads;
-    EXPECT_EQ(got.cand_boxed, want.cand_boxed) << threads;
-    EXPECT_EQ(got.cand_kept, want.cand_kept) << threads;
-    EXPECT_EQ(got.batches, want.batches) << threads;
-#if TESS_OBS_ENABLED
-    EXPECT_EQ(hist.count() - count0, want_hist.count) << threads;
-    EXPECT_EQ(hist.count() - count0, n) << threads;
-    EXPECT_EQ(hist.sum() - sum0, want_hist.sum) << threads;
-    EXPECT_EQ(want_hist.sum, want.cuts);
-    for (int k = 0; k < tess::obs::ExpHistogram::kBins; ++k)
-      EXPECT_EQ(hist.bin_count(k) - bins0[static_cast<std::size_t>(k)],
-                want_hist.bins[static_cast<std::size_t>(k)])
-          << threads << " threads, bin " << k;
-#endif
-  }
+  // The traced build never boxes: the total is build_into()'s alone.
+  EXPECT_EQ(builder.backend_stats().cand_boxed, boxed);
 }

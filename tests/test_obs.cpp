@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -289,28 +288,6 @@ TEST(ObsMetrics, CounterSlicesByRank) {
   EXPECT_EQ(s->kind, 'c');
   EXPECT_DOUBLE_EQ(s->value, 30.0);
   ASSERT_EQ(s->per_rank.size(), 2u);
-}
-
-// Each rank's counter slot fills a cache line of its own, so ranks 0-7
-// never write a shared line, and value() and value(rank) read as before.
-TEST(ObsMetrics, CounterSlotsFillCacheLines) {
-  using tess::obs::Counter;
-  using tess::obs::kCacheLine;
-  static_assert(sizeof(Counter::Slot) == kCacheLine);
-  static_assert(alignof(Counter::Slot) == kCacheLine);
-  EXPECT_EQ(sizeof(Counter), tess::obs::kRankSlots * kCacheLine);
-  auto& reg = tess::obs::metrics();
-  reg.reset();
-  auto& ctr = reg.counter("test.obs.padded");
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&ctr) % kCacheLine, 0u);
-  Runtime::run(8, [&](Comm& c) {
-    for (int i = 0; i <= c.rank(); ++i) ctr.add(3);
-  });
-  std::thread([&] { ctr.add(5); }).join();  // an unranked thread
-  for (int r = 0; r < 8; ++r) EXPECT_EQ(ctr.value(r), 3u * (r + 1)) << r;
-  EXPECT_EQ(ctr.value(-1), 5u);
-  EXPECT_EQ(ctr.value(8), 0u);
-  EXPECT_EQ(ctr.value(), 3u * 36 + 5);
 }
 
 TEST(ObsMetrics, GaugeReducesWithMax) {

@@ -122,8 +122,6 @@ TEST(SimdWrapper, ComparisonsAndHmax) {
   EXPECT_FALSE(gt.lane(1));  // -0.0 > +0.0 is false
   EXPECT_FALSE(gt.lane(2));
   EXPECT_FALSE(gt.lane(3));
-  EXPECT_TRUE(gt.any());
-  EXPECT_FALSE((a > DVec::broadcast(5.0)).any());
   const simd::Mask le = a <= b;
   EXPECT_FALSE(le.lane(0));
   EXPECT_TRUE(le.lane(1));
