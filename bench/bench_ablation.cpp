@@ -1,7 +1,5 @@
 // Ablation benches for the design choices called out in DESIGN.md:
 //  * early conservative volume culling on/off (paper §III-C),
-//  * the per-cell convex-hull pass on/off (paper's Qhull step vs the
-//    clipped polyhedron's own face ordering),
 //  * ghost size vs exchange volume vs accuracy (the tradeoff the paper
 //    flags as future work in §IV-A).
 #include <cstdio>
@@ -33,33 +31,18 @@ int main() {
     for (const auto& m : r.meshes)
       for (const auto& c : m.cells) vmax = std::max(vmax, c.volume);
   }
-  // Paper-faithful configuration: the hull pass is what early culling
-  // short-circuits (the paper culls before running Qhull on each cell).
   util::Table early({"EarlyCull", "Voronoi(s)", "CellsKept", "CulledEarly+Exact"});
   for (bool on : {true, false}) {
     core::TessOptions opt;
     opt.ghost = 4.0;
     opt.min_volume = 0.1 * vmax;
     opt.early_cull = on;
-    opt.hull_pass = true;
     const auto r = bench::run_standalone(4, snapshot, domain, opt);
     early.add_row({on ? "on" : "off", util::Table::cell(r.voronoi_max, 3),
                    util::Table::cell(static_cast<std::size_t>(r.cells_kept)),
                    util::Table::cell(static_cast<std::size_t>(r.cells_culled))});
   }
   std::printf("Early conservative volume culling:\n%s\n", early.render().c_str());
-
-  // ---- Convex-hull pass on/off. ----
-  util::Table hull({"HullPass", "Voronoi(s)", "CellsKept"});
-  for (bool on : {false, true}) {
-    core::TessOptions opt;
-    opt.ghost = 4.0;
-    opt.hull_pass = on;
-    const auto r = bench::run_standalone(4, snapshot, domain, opt);
-    hull.add_row({on ? "on" : "off", util::Table::cell(r.voronoi_max, 3),
-                  util::Table::cell(static_cast<std::size_t>(r.cells_kept))});
-  }
-  std::printf("Per-cell convex-hull (Qhull-style) pass:\n%s\n", hull.render().c_str());
 
   // ---- Ghost size vs exchange volume vs completeness. ----
   util::Table ghost({"Ghost", "Exchange(s)", "GhostParticles", "CellsKept",
@@ -76,8 +59,8 @@ int main() {
   std::printf("Ghost size vs exchange volume vs completeness (8 ranks):\n%s\n",
               ghost.render().c_str());
   std::printf("expected: early culling reduces Voronoi time at identical output;\n"
-              "the hull pass adds measurable cost with identical cells; larger\n"
-              "ghosts exchange more particles but eliminate incomplete cells\n");
+              "larger ghosts exchange more particles but eliminate incomplete\n"
+              "cells\n");
   tess::bench::obs_export_from_env();
   return 0;
 }

@@ -2,11 +2,13 @@
 // simulation with the tessellation in situ and reports the same timing
 // breakdown as the paper's Table II.
 //
-// Timing semantics on this build machine: ranks execute as threads on a
-// single core, so *wall-clock* time measures total serialized work. For
-// scaling metrics we therefore report the per-rank critical path (the
-// maximum of per-rank stage timers), which is what the wall clock of a real
-// distributed run converges to; EXPERIMENTS.md discusses the substitution.
+// Timing semantics: ranks execute as threads of one process on a 4-vCPU
+// host, so runs with more ranks than cores oversubscribe it and their
+// wall-clock time is partly serialized. Stage timers therefore use
+// per-thread CPU time, and scaling metrics report the per-rank critical
+// path (the maximum of per-rank stage timers), which is what the wall
+// clock of a real distributed run converges to; DESIGN.md §1 and
+// EXPERIMENTS.md discuss the substitution.
 #pragma once
 
 #include <string>

@@ -1,7 +1,8 @@
 // Tessellation options, mirroring the knobs described in the paper:
-// ghost-zone thickness (user-provided, §IV-A), the minimum-volume threshold
-// with conservative early culling (§III-C), and the per-cell convex-hull
-// pass that orders vertices into faces and computes volume/area (§III-C).
+// ghost-zone thickness (user-provided, §IV-A) and the minimum-volume
+// threshold with conservative early culling (§III-C). The paper's per-cell
+// Qhull step has no option: the clipped cell already carries its ordered
+// faces, volume and area.
 #pragma once
 
 namespace tess::core {
@@ -20,16 +21,10 @@ struct TessOptions {
   /// plugin supports a [min, max] threshold range).
   double max_volume = 0.0;
 
-  /// Conservative pre-hull culling: drop a cell early when the largest
-  /// vertex separation is smaller than the diameter of the sphere whose
-  /// volume is `min_volume`, which proves the cell is below threshold.
+  /// Conservative early culling: drop a cell before it is staged when the
+  /// largest vertex separation is smaller than the diameter of the sphere
+  /// whose volume is `min_volume`, which proves the cell is below threshold.
   bool early_cull = true;
-
-  /// Re-derive each kept cell's volume and area from the convex hull of its
-  /// Voronoi vertices (the paper's Qhull step). The clipped polyhedron
-  /// already carries ordered faces, so this is a verification/compat pass;
-  /// the ablation bench quantifies its cost.
-  bool hull_pass = false;
 
   /// Automatic ghost-size determination (the paper's §V future work).
   /// When enabled, `ghost` is only the starting guess: the tessellation is

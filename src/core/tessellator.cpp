@@ -13,8 +13,6 @@
 #include "diy/repartition.hpp"
 #include "geom/cell_builder.hpp"
 #include "obs/analyze.hpp"
-#include "geom/convex_hull.hpp"
-#include "geom/predicates.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
@@ -71,43 +69,24 @@ Tessellator::Tessellator(comm::Comm& comm, const diy::Decomposition& decomp,
 
 namespace {
 
-/// Emit the per-pass geom.cuts* and geom.backend.* metrics from the
-/// builder's counter deltas, and this rank's exact fallbacks and
-/// canonicalize()'s kept-clipped vertices summed over the pass's cell
-/// chunks — on every run, so production traces always carry the
-/// wasted-work counts, filter hit rate, batch occupancy, and exact-fallback
-/// rate.
+/// Emit the per-pass geom.cuts* and geom.backend.* counters from the
+/// builder's counter deltas, and canonicalize()'s kept-clipped vertices
+/// summed over the pass's cell chunks — on every run, so production traces
+/// always carry the wasted-work counts.
 void emit_backend_metrics(
     [[maybe_unused]] const geom::CellBuilder::BackendStats& before,
     [[maybe_unused]] const geom::CellBuilder::BackendStats& after,
-    [[maybe_unused]] unsigned long long exact,
     [[maybe_unused]] unsigned long long canon_kept_clipped) {
 #if TESS_OBS_ENABLED
-  const std::uint64_t cuts_delta = after.cuts - before.cuts;
-  const std::uint64_t seen = after.cand_seen - before.cand_seen;
-  const std::uint64_t kept = after.cand_kept - before.cand_kept;
-  const std::uint64_t batches = after.batches - before.batches;
-  TESS_COUNT("geom.cuts", cuts_delta);
+  TESS_COUNT("geom.cuts", after.cuts - before.cuts);
   TESS_COUNT("geom.cuts_noop", after.cuts_noop - before.cuts_noop);
   TESS_COUNT("geom.cuts_screened", after.cuts_screened - before.cuts_screened);
   TESS_COUNT("geom.bins_pruned", after.bins_pruned - before.bins_pruned);
-  TESS_COUNT("geom.backend.cand_seen", seen);
+  TESS_COUNT("geom.backend.cand_seen", after.cand_seen - before.cand_seen);
   TESS_COUNT("geom.backend.cand_boxed", after.cand_boxed - before.cand_boxed);
-  TESS_COUNT("geom.backend.cand_kept", kept);
-  TESS_COUNT("geom.backend.batches", batches);
-  TESS_COUNT("geom.exact_fallbacks", exact);
+  TESS_COUNT("geom.backend.cand_kept", after.cand_kept - before.cand_kept);
+  TESS_COUNT("geom.backend.batches", after.batches - before.batches);
   TESS_COUNT("geom.canon_kept_clipped", canon_kept_clipped);
-  if (seen > 0)
-    TESS_GAUGE_SET("geom.backend.filter_hit_rate",
-                   static_cast<double>(kept) / static_cast<double>(seen));
-  if (batches > 0)
-    TESS_GAUGE_SET("geom.backend.batch_occupancy",
-                   static_cast<double>(seen) /
-                       (4.0 * static_cast<double>(batches)));
-  if (cuts_delta > 0)
-    TESS_GAUGE_SET("geom.exact_fallback_rate",
-                   static_cast<double>(exact) /
-                       static_cast<double>(cuts_delta));
 #endif
 }
 
@@ -367,7 +346,6 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     const std::size_t num_chunks = (np + kGrain - 1) / kGrain;
     struct ChunkStat {
       std::size_t incomplete = 0;
-      unsigned long long exact_fallbacks = 0;
       unsigned long long canon_kept_clipped = 0;
       double cpu_seconds = 0.0;
     };
@@ -387,7 +365,6 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
             TESS_SPAN("tess.cell_chunk");
             util::ThreadCpuTimer chunk_timer;
             chunk_timer.start();
-            const auto exact0 = geom::thread_exact_fallback_count();
             ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
             const auto shard_id = static_cast<std::uint32_t>(
                 first_shard + static_cast<std::size_t>(chunk));
@@ -429,21 +406,9 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               // A cell outside the volume window, or one a later pass will
               // rebuild, is then dropped from the shard again.
               const auto index = static_cast<std::uint32_t>(shard.cells.size());
-              CellRecord& rec = shard.add_cell(mine[i].id, cell);
-              if (options_.hull_pass) {
-                // Paper-faithful step: order the cell's vertices into faces
-                // via the convex hull and take volume/area from it. The
-                // staged vertices are the compacted cell's, in its order.
-                const auto hull = geom::convex_hull(std::vector<geom::Vec3>(
-                    shard.vertices.begin() + shard.first_vertex[index],
-                    shard.vertices.end()));
-                if (!hull.degenerate) {
-                  rec.volume = hull.volume;
-                  rec.area = hull.area;
-                }
-              }
-              if ((options_.min_volume > 0.0 && rec.volume < options_.min_volume) ||
-                  (options_.max_volume > 0.0 && rec.volume > options_.max_volume)) {
+              const double volume = shard.add_cell(mine[i].id, cell).volume;
+              if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
+                  (options_.max_volume > 0.0 && volume > options_.max_volume)) {
                 shard.drop_last();
                 state[i] = kCulledVolume;
                 continue;
@@ -454,7 +419,6 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
               else
                 shard.drop_last();
             }
-            cs.exact_fallbacks = geom::thread_exact_fallback_count() - exact0;
             chunk_timer.stop();
             cs.cpu_seconds = chunk_timer.seconds();
           });
@@ -462,12 +426,10 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
 
     timer.start();
     std::size_t pass_incomplete = 0;
-    unsigned long long pass_exact = 0;
     unsigned long long pass_kept_clipped = 0;
     double loop_cpu = 0.0;
     for (const auto& cs : chunk_stats) {
       pass_incomplete += cs.incomplete;
-      pass_exact += cs.exact_fallbacks;
       pass_kept_clipped += cs.canon_kept_clipped;
       loop_cpu += cs.cpu_seconds;
     }
@@ -485,7 +447,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
     TESS_COUNT("tess.ghost_received", iter.ghost_received);
     TESS_COUNT("tess.cells_built", np);
     emit_backend_metrics(backend_stats_before, builder->backend_stats(),
-                         pass_exact, pass_kept_clipped);
+                         pass_kept_clipped);
 
     stats_.exchange_seconds += iter.exchange_seconds;
     stats_.compute_seconds += iter.compute_seconds;

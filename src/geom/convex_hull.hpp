@@ -1,7 +1,9 @@
 // 3D convex hull via the quickhull algorithm (Barber, Dobkin, Huhdanpaa
-// 1996). This is the serial computational-geometry workhorse that plays the
-// role Qhull plays in the paper: tess runs it per Voronoi cell to order the
-// cell's vertices into faces and obtain volume and surface area.
+// 1996), the step the paper runs through Qhull on each Voronoi cell to
+// order its vertices into faces and obtain volume and surface area. tess's
+// clipped cells carry their own ordered faces, volume and area, so the
+// library does not call it; the tests use it as an independent cross-check
+// of them.
 //
 // Visibility tests use the robust orient3d predicate, so the hull is correct
 // for degenerate/cospherical inputs; exactly coplanar points are treated as

@@ -12,11 +12,9 @@ namespace tess::geom {
 namespace {
 
 std::atomic<unsigned long long> g_exact_fallbacks{0};
-thread_local unsigned long long t_exact_fallbacks = 0;
 
 void count_exact_fallback() {
   g_exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  ++t_exact_fallbacks;
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +315,5 @@ unsigned long long exact_fallback_count() {
 void reset_exact_fallback_count() {
   g_exact_fallbacks.store(0, std::memory_order_relaxed);
 }
-
-unsigned long long thread_exact_fallback_count() { return t_exact_fallbacks; }
 
 }  // namespace tess::geom

@@ -50,14 +50,9 @@ int insphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
              const Vec3& e);
 
 /// Number of predicate evaluations that fell back to exact arithmetic since
-/// process start (diagnostics for the robustness benches).
+/// process start or the last reset, over all threads (a diagnostic; the
+/// predicate tests read it to check that the exact path ran).
 unsigned long long exact_fallback_count();
 void reset_exact_fallback_count();
-
-/// The calling thread's share of exact_fallback_count(), since the thread
-/// started (reset_exact_fallback_count() leaves it alone). Thread-ranks run
-/// predicates concurrently, so a build loop attributes fallbacks to itself
-/// by reading this around the work each thread does for it.
-unsigned long long thread_exact_fallback_count();
 
 }  // namespace tess::geom

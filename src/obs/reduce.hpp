@@ -16,7 +16,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
-#include "obs/trace.hpp"
 
 namespace tess::obs {
 
@@ -110,18 +109,6 @@ inline void stream_reduced_step(comm::Comm& comm, int step) {
   sample.with_hists = true;
   sample.with_spans = writer->interval_elapsed();
   writer->emit(sample, reduced);
-}
-
-/// Rank 0 drains every span lane once all ranks have reached the barrier
-/// (so no rank is mid-phase and the dump is a consistent cut). Collective;
-/// ranks != 0 return an empty dump. With `reset` the tracer starts the
-/// next accumulation window empty.
-inline TraceDump collect_trace(comm::Comm& comm, bool reset = false) {
-  comm.barrier();
-  TraceDump dump;
-  if (comm.rank() == 0) dump = Tracer::instance().drain(reset);
-  comm.barrier();
-  return dump;
 }
 
 }  // namespace tess::obs

@@ -76,6 +76,7 @@ class QueryService {
   core::BlockMesh extract_region(const std::string& path,
                                  const diy::Bounds& box);
 
+  /// Both histograms throw std::invalid_argument when `bins` is 0.
   util::Histogram volume_histogram(const std::string& path, double lo,
                                    double hi, std::size_t bins);
   util::Histogram density_contrast_histogram(const std::string& path,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 namespace tess::util {
 
@@ -79,7 +80,9 @@ double Moments::kurtosis() const {
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {}
+    : lo_(lo), hi_(hi), counts_(bins, 0) {
+  if (bins == 0) throw std::invalid_argument("Histogram: bins must be positive");
+}
 
 double Histogram::bin_width() const {
   return (hi_ - lo_) / static_cast<double>(counts_.size());

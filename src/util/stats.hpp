@@ -42,7 +42,8 @@ class Moments {
 class Histogram {
  public:
   /// `lo`/`hi` bound the binned range; samples outside are counted in
-  /// underflow/overflow but still contribute to the moments.
+  /// underflow/overflow but still contribute to the moments. Throws
+  /// std::invalid_argument when `bins` is 0.
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);

@@ -24,7 +24,6 @@
 #include "comm/comm.hpp"
 #include "core/standalone.hpp"
 #include "core/tessellator.hpp"
-#include "geom/predicates.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reduce.hpp"
@@ -451,41 +450,6 @@ TEST(ObsStats, WastedWorkCountersEmittedWithCuts) {
     EXPECT_GT(kept, 0u) << "auto_ghost=" << auto_ghost;
     EXPECT_LE(kept, seen) << "auto_ghost=" << auto_ghost;
     EXPECT_GE(4 * batches, seen) << "auto_ghost=" << auto_ghost;
-  }
-}
-
-// Each rank reports only its own exact-predicate fallbacks, even though
-// thread-ranks build concurrently and the predicates' process-wide count
-// sees them all. The hull pass over the cube cells of an exact lattice puts
-// four coplanar points on every face plane, which forces exact fallbacks;
-// summed over ranks they must equal the process-wide delta of the run.
-TEST(ObsStats, ExactFallbacksCountedPerRank) {
-  constexpr int kRanks = 4, kSide = 12;
-  std::vector<Particle> lattice;
-  for (int z = 0; z < kSide; ++z)
-    for (int y = 0; y < kSide; ++y)
-      for (int x = 0; x < kSide; ++x)
-        lattice.push_back({{x + 0.5, y + 0.5, z + 0.5},
-                           static_cast<std::int64_t>(lattice.size())});
-  for (const bool auto_ghost : {false, true}) {
-    tess::obs::metrics().reset();
-    const auto global0 = tess::geom::exact_fallback_count();
-    Runtime::run(kRanks, [&](Comm& c) {
-      Decomposition d({0, 0, 0}, {kSide, kSide, kSide},
-                      Decomposition::factor(kRanks), true);
-      TessOptions opt;
-      opt.ghost = auto_ghost ? 0.5 : 2.0;
-      opt.auto_ghost = auto_ghost;
-      opt.hull_pass = true;
-      opt.threads = 2;
-      tess::core::standalone_tessellate(
-          c, d, c.rank() == 0 ? lattice : std::vector<Particle>{}, opt);
-    });
-    const auto global = tess::geom::exact_fallback_count() - global0;
-    const std::uint64_t per_rank_sum =
-        tess::obs::metrics().counter("geom.exact_fallbacks").value();
-    EXPECT_GT(global, 0u) << "auto_ghost=" << auto_ghost;
-    EXPECT_EQ(per_rank_sum, global) << "auto_ghost=" << auto_ghost;
   }
 }
 

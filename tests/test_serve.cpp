@@ -19,6 +19,7 @@
 #include <limits>
 #include <mutex>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -915,6 +916,20 @@ TEST(ServeService, RegionAndHistogramsThroughCache) {
   // All three queries hit the same cached snapshot after the first open.
   EXPECT_EQ(svc.cache().stats().misses, 1u);
   EXPECT_EQ(svc.cache().stats().hits, 2u);
+}
+
+// A zero-bin histogram query throws before it bins a sample, and the
+// service answers the next query normally.
+TEST(ServeService, ZeroBinHistogramThrows) {
+  QueryService svc;
+  EXPECT_THROW(svc.volume_histogram(blocked_file(), 0.0, 3.0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(svc.density_contrast_histogram(blocked_file(), 0),
+               std::invalid_argument);
+  const auto vh = svc.volume_histogram(blocked_file(), 0.0, 3.0, 12);
+  EXPECT_EQ(vh.counts(),
+            svc.snapshot(blocked_file())->volume_histogram(0.0, 3.0, 12).counts());
+  EXPECT_GT(vh.total(), 0u);
 }
 
 // The batch paths tally locate telemetry per chunk. After a point_locate

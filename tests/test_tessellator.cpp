@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -16,6 +17,7 @@
 #include "core/tessellator.hpp"
 #include "diy/blockio.hpp"
 #include "geom/cell_builder.hpp"
+#include "geom/convex_hull.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -209,26 +211,43 @@ TEST(Tessellator, EarlyCullMatchesExactCull) {
   EXPECT_EQ(with_early, without_early);
 }
 
+// The paper orders each cell's vertices into faces with Qhull and takes
+// the cell's volume and area from the hull (§III-C). The clipped cell
+// carries all three itself; the convex hull of each kept cell's vertices,
+// read through its faces in the block mesh, must agree with them under a
+// fixed and under an automatic ghost.
 TEST(Tessellator, HullPassAgreesWithClippedCell) {
   const double domain = 5.0;
   const auto particles = random_particles(13, 200, domain);
-  std::map<std::int64_t, double> plain, hulled;
-  for (bool hull : {false, true}) {
+  for (const bool auto_ghost : {false, true}) {
+    std::atomic<std::size_t> checked{0};
     Runtime::run(2, [&](Comm& c) {
       Decomposition d({0, 0, 0}, {domain, domain, domain},
                       Decomposition::factor(2), true);
       TessOptions opt;
-      opt.ghost = 2.5;
-      opt.hull_pass = hull;
-      auto mesh = tess::core::standalone_tessellate(
+      opt.ghost = auto_ghost ? 0.5 : 2.5;
+      opt.auto_ghost = auto_ghost;
+      const auto mesh = tess::core::standalone_tessellate(
           c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt);
-      auto vols = gather_cell_volumes(c, mesh);
-      if (c.rank() == 0) (hull ? hulled : plain) = vols;
+      for (const auto& cell : mesh.cells) {
+        // Every face corner; the hull drops the repeats of shared vertices.
+        std::vector<Vec3> corners;
+        for (std::uint32_t f = cell.first_face;
+             f < cell.first_face + cell.num_faces; ++f)
+          for (std::uint32_t k = mesh.face_offsets[f];
+               k < mesh.face_offsets[f + 1]; ++k)
+            corners.push_back(mesh.vertices[mesh.face_verts[k]]);
+        const auto hull = tess::geom::convex_hull(corners);
+        ASSERT_FALSE(hull.degenerate) << "cell " << cell.site_id;
+        EXPECT_NEAR(hull.volume, cell.volume, 1e-8 * (1.0 + cell.volume))
+            << "cell " << cell.site_id << " auto_ghost=" << auto_ghost;
+        EXPECT_NEAR(hull.area, cell.area, 1e-8 * (1.0 + cell.area))
+            << "cell " << cell.site_id << " auto_ghost=" << auto_ghost;
+      }
+      checked += mesh.cells.size();
     });
+    EXPECT_EQ(checked, particles.size()) << "auto_ghost=" << auto_ghost;
   }
-  ASSERT_EQ(plain.size(), hulled.size());
-  for (const auto& [id, v] : plain)
-    EXPECT_NEAR(hulled.at(id), v, 1e-8 * (1.0 + v)) << "cell " << id;
 }
 
 TEST(Tessellator, WriteReadRoundTrip) {

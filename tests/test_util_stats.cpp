@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -91,6 +92,13 @@ TEST(Histogram, BinningAndEdges) {
   EXPECT_EQ(h.overflow(), 1u);
   EXPECT_EQ(h.total(), 7u);
   EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
+}
+
+// Every caller (tess_tool, the query service, the in-situ reduction) passes
+// its bin count through the constructor, which refuses zero bins before a
+// sample can be binned into a bin that does not exist.
+TEST(Histogram, ZeroBinsThrows) {
+  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Histogram, FractionBelow) {

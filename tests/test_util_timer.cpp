@@ -1,11 +1,9 @@
-// Tests for the timing utilities (wall clock and per-thread CPU time) and
-// the leveled logger.
+// Tests for the timing utilities (wall clock and per-thread CPU time).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 using tess::util::ScopedTimer;
@@ -95,17 +93,4 @@ TEST(ThreadCpuTimer, MeasuresBusyWork) {
   burn_cpu(10);
   t.stop();
   EXPECT_GE(t.seconds(), 0.009);
-}
-
-TEST(Log, LevelsFilter) {
-  using tess::util::LogLevel;
-  const auto prev = tess::util::log_level();
-  tess::util::set_log_level(LogLevel::kError);
-  EXPECT_EQ(tess::util::log_level(), LogLevel::kError);
-  // These go to stderr; the test verifies no crash and level handling.
-  tess::util::log_debug("dropped ", 1);
-  tess::util::log_info("dropped ", 2.5);
-  tess::util::log_warn("dropped");
-  tess::util::log_error("emitted once");
-  tess::util::set_log_level(prev);
 }
