@@ -4,16 +4,9 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "util/union_find.hpp"
 
 namespace tess::analysis {
-
-std::size_t ConnectedComponents::find(std::size_t i) const {
-  while (parent_[i] != i) {
-    parent_[i] = parent_[parent_[i]];  // path halving
-    i = parent_[i];
-  }
-  return i;
-}
 
 ConnectedComponents::ConnectedComponents(const std::vector<core::BlockMesh>& blocks) {
   std::vector<const core::BlockMesh*> ptrs;
@@ -58,22 +51,16 @@ void ConnectedComponents::build(
     site_of_index_.push_back(c.site_id);
     volume.push_back(c.volume);
   });
-  parent_.resize(site_of_index_.size());
-  for (std::size_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
+  util::UnionFind uf(site_of_index_.size());
 
   // Union across shared faces.
-  auto unite = [&](std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[b] = a;
-  };
   for_each_cell([&](const core::BlockMesh& mesh, const core::CellRecord& c) {
     const auto me = index_of_site_.at(c.site_id);
     for (std::uint32_t f = c.first_face; f < c.first_face + c.num_faces; ++f) {
       const auto nb = mesh.face_neighbors[f];
       if (nb < 0) continue;
       const auto it = index_of_site_.find(nb);
-      if (it != index_of_site_.end()) unite(me, it->second);
+      if (it != index_of_site_.end()) uf.unite(me, it->second);
     }
   });
 
@@ -81,7 +68,7 @@ void ConnectedComponents::build(
   std::unordered_map<std::size_t, std::size_t> comp_index;  // root -> slot
   label_.assign(site_of_index_.size(), -1);
   for (std::size_t i = 0; i < site_of_index_.size(); ++i) {
-    const auto root = find(i);
+    const auto root = uf.find(i);
     auto [it, inserted] = comp_index.emplace(root, components_.size());
     if (inserted) components_.push_back(Component{});
     auto& comp = components_[it->second];
@@ -95,7 +82,7 @@ void ConnectedComponents::build(
   for (const auto& [root, slot] : comp_index)
     root_label[root] = components_[slot].label;
   for (std::size_t i = 0; i < site_of_index_.size(); ++i)
-    label_[i] = root_label.at(find(i));
+    label_[i] = root_label.at(uf.find(i));
 
   std::sort(components_.begin(), components_.end(),
             [](const Component& a, const Component& b) { return a.volume > b.volume; });

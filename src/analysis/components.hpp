@@ -60,11 +60,9 @@ class ConnectedComponents {
   /// kept == nullptr: every cell of every block.
   void build(const std::vector<const core::BlockMesh*>& blocks,
              const std::vector<std::vector<std::size_t>>* kept);
-  std::size_t find(std::size_t i) const;
 
   std::unordered_map<std::int64_t, std::size_t> index_of_site_;
   std::vector<std::int64_t> site_of_index_;
-  mutable std::vector<std::size_t> parent_;
   std::vector<std::int64_t> label_;  ///< per cell index, after collation
   std::vector<Component> components_;
 };

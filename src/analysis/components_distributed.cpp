@@ -4,6 +4,8 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "util/union_find.hpp"
+
 namespace tess::analysis {
 
 namespace {
@@ -23,36 +25,13 @@ struct RootInfo {
   std::int64_t num_cells;  // likewise
 };
 
-class UnionFind {
- public:
-  std::size_t add() {
-    parent_.push_back(parent_.size());
-    return parent_.size() - 1;
-  }
-  std::size_t find(std::size_t i) {
-    while (parent_[i] != i) {
-      parent_[i] = parent_[parent_[i]];
-      i = parent_[i];
-    }
-    return i;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[b] = a;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
 }  // namespace
 
 DistributedLabels distributed_components(comm::Comm& comm,
                                          const core::BlockMesh& mesh) {
   // ---- 1. Local union-find over this block's cells. ----
   std::unordered_map<std::int64_t, std::size_t> local_index;
-  UnionFind uf;
+  util::UnionFind uf;
   for (const auto& c : mesh.cells) {
     local_index.emplace(c.site_id, uf.add());
   }
@@ -109,7 +88,7 @@ DistributedLabels distributed_components(comm::Comm& comm,
   std::vector<Component> components;
   if (comm.rank() == 0) {
     std::unordered_map<std::int64_t, std::size_t> idx;  // root site -> uf slot
-    UnionFind guf;
+    util::UnionFind guf;
     auto slot_of = [&](std::int64_t root) {
       auto [it, inserted] = idx.emplace(root, 0);
       if (inserted) it->second = guf.add();

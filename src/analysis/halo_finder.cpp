@@ -4,33 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/union_find.hpp"
+
 namespace tess::analysis {
-
-namespace {
-
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-  std::size_t find(std::size_t i) {
-    while (parent_[i] != i) {
-      parent_[i] = parent_[parent_[i]];
-      i = parent_[i];
-    }
-    return i;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[b] = a;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
 
 HaloFinder::HaloFinder(FofOptions options) : options_(options) {
   if (options_.linking_length <= 0.0)
@@ -95,7 +71,7 @@ std::vector<Halo> HaloFinder::find(const std::vector<diy::Particle>& particles) 
     return d2;
   };
 
-  UnionFind uf(n);
+  util::UnionFind uf(n);
   for (int i = 0; i < static_cast<int>(n); ++i) {
     int c[3];
     cell_of(particles[static_cast<std::size_t>(i)].pos, c);

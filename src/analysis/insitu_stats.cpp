@@ -1,9 +1,9 @@
 #include "analysis/insitu_stats.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/stream.hpp"
 
 namespace tess::analysis {
@@ -66,24 +66,32 @@ StepStats reduce_step_stats(comm::Comm& comm, int step,
 }
 
 std::string step_stats_stream_record(const StepStats& s) {
-  std::ostringstream os;
-  os << "{\"k\":\"step\",\"v\":1,\"t_ms\":" << obs::StreamWriter::now_ms()
-     << ",\"step\":" << s.step << ",\"cells\":" << s.cells
-     << ",\"volume\":{\"mean\":" << s.volume.mean()
-     << ",\"stddev\":" << s.volume.stddev()
-     << ",\"min\":" << s.volume.min() << ",\"max\":" << s.volume.max()
-     << ",\"skewness\":" << s.volume.skewness()
-     << ",\"kurtosis\":" << s.volume.kurtosis() << "}"
-     << ",\"hist\":{\"lo\":" << s.volume_hist.lo()
-     << ",\"hi\":" << s.volume_hist.hi()
-     << ",\"underflow\":" << s.volume_hist.underflow()
-     << ",\"overflow\":" << s.volume_hist.overflow() << ",\"counts\":[";
+  std::string out = "{\"k\":\"step\",\"v\":1";
+  // Reals at the records' one number format; counts as exact integers.
+  const auto real = [&out](const char* key, double v) {
+    out += key;
+    obs::json_number(out, v);
+  };
+  real(",\"t_ms\":", obs::StreamWriter::now_ms());
+  out += ",\"step\":" + std::to_string(s.step) +
+         ",\"cells\":" + std::to_string(s.cells);
+  real(",\"volume\":{\"mean\":", s.volume.mean());
+  real(",\"stddev\":", s.volume.stddev());
+  real(",\"min\":", s.volume.min());
+  real(",\"max\":", s.volume.max());
+  real(",\"skewness\":", s.volume.skewness());
+  real(",\"kurtosis\":", s.volume.kurtosis());
+  real("},\"hist\":{\"lo\":", s.volume_hist.lo());
+  real(",\"hi\":", s.volume_hist.hi());
+  out += ",\"underflow\":" + std::to_string(s.volume_hist.underflow()) +
+         ",\"overflow\":" + std::to_string(s.volume_hist.overflow()) +
+         ",\"counts\":[";
   for (std::size_t b = 0; b < s.volume_hist.bins(); ++b) {
-    if (b > 0) os << ',';
-    os << s.volume_hist.count(b);
+    if (b > 0) out += ',';
+    out += std::to_string(s.volume_hist.count(b));
   }
-  os << "]}}";
-  return os.str();
+  out += "]}}";
+  return out;
 }
 
 std::function<void(comm::Comm&, int, const std::vector<double>&)>

@@ -8,11 +8,14 @@
 #include <vector>
 
 #include "core/block_mesh.hpp"
+#include "diy/blockio.hpp"
 
 namespace tess::analysis {
 
 class TessReader {
  public:
+  /// Opens `path` and validates its footer index once; throws on a
+  /// missing, truncated or corrupt file.
   explicit TessReader(const std::string& path);
 
   [[nodiscard]] int num_blocks() const;
@@ -26,6 +29,7 @@ class TessReader {
 
  private:
   std::string path_;
+  diy::BlockFileReader file_;
 };
 
 }  // namespace tess::analysis

@@ -4,33 +4,9 @@
 #include <map>
 #include <stdexcept>
 
+#include "util/union_find.hpp"
+
 namespace tess::analysis {
-
-namespace {
-
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-  std::size_t find(std::size_t i) {
-    while (parent_[i] != i) {
-      parent_[i] = parent_[parent_[i]];
-      i = parent_[i];
-    }
-    return i;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[b] = a;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
 
 WatershedResult watershed_voids(const std::vector<double>& density, int grid,
                                 const WatershedOptions& opt) {
@@ -83,7 +59,7 @@ WatershedResult watershed_voids(const std::vector<double>& density, int grid,
 
   // Optional ridge merging: adjacent cells of different basins whose shared
   // ridge (max of the two densities) is below the threshold merge.
-  UnionFind uf(total);
+  util::UnionFind uf(total);
   if (opt.ridge_threshold > 0.0) {
     for (int z = 0; z < grid; ++z)
       for (int y = 0; y < grid; ++y)

@@ -89,21 +89,6 @@ std::uint32_t BlockMesh::weld_vertex(const Vec3& v) {
   return index;
 }
 
-void BlockMesh::append_faces(const BlockMesh& src, std::size_t first,
-                             std::size_t count,
-                             std::vector<std::uint32_t>& remap) {
-  for (std::size_t f = first; f < first + count; ++f) {
-    for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i) {
-      auto& mapped = remap[src.face_verts[i]];
-      if (mapped == kUnwelded)
-        mapped = weld_vertex(src.vertices[src.face_verts[i]]);
-      face_verts.push_back(mapped);
-    }
-    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
-    face_neighbors.push_back(src.face_neighbors[f]);
-  }
-}
-
 void BlockMesh::append_cell(const StagedCells& src, std::size_t cell) {
   CellRecord rec = src.cells[cell];
   const std::size_t first = rec.first_face;
@@ -124,23 +109,21 @@ void BlockMesh::append_cell(const StagedCells& src, std::size_t cell) {
   cells.push_back(rec);
 }
 
-void BlockMesh::append(const BlockMesh& other) {
-  const auto face_base = static_cast<std::uint32_t>(num_faces());
-  for (const auto& c : other.cells) {
-    CellRecord rec = c;
-    rec.first_face += face_base;
-    cells.push_back(rec);
-  }
-  remap_.assign(other.vertices.size(), kUnwelded);
-  append_faces(other, 0, other.num_faces(), remap_);
-}
-
 void BlockMesh::append_cell(const BlockMesh& src, std::size_t cell,
                             std::vector<std::uint32_t>& remap) {
   CellRecord rec = src.cells[cell];
   const std::size_t first = rec.first_face;
   rec.first_face = static_cast<std::uint32_t>(num_faces());
-  append_faces(src, first, rec.num_faces, remap);
+  for (std::size_t f = first; f < first + rec.num_faces; ++f) {
+    for (std::size_t i = src.face_offsets[f]; i < src.face_offsets[f + 1]; ++i) {
+      auto& mapped = remap[src.face_verts[i]];
+      if (mapped == kUnwelded)
+        mapped = weld_vertex(src.vertices[src.face_verts[i]]);
+      face_verts.push_back(mapped);
+    }
+    face_offsets.push_back(static_cast<std::uint32_t>(face_verts.size()));
+    face_neighbors.push_back(src.face_neighbors[f]);
+  }
   cells.push_back(rec);
 }
 

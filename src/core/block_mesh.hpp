@@ -83,9 +83,9 @@ struct StagedCells {
 /// One block of the tessellation. Faces are stored structure-of-arrays:
 /// face f spans face_verts[face_offsets[f] .. face_offsets[f+1]) and its
 /// natural neighbor (the particle whose bisector generated it) is
-/// face_neighbors[f]. Every cell appended through append / append_cell is
-/// welded: a mesh lists each weld key's vertex once, at the position of the
-/// first vertex appended with that key, numbered in first-reference order.
+/// face_neighbors[f]. Every cell appended through append_cell is welded: a
+/// mesh lists each weld key's vertex once, at the position of the first
+/// vertex appended with that key, numbered in first-reference order.
 class BlockMesh {
  public:
   diy::Bounds bounds{};
@@ -104,17 +104,13 @@ class BlockMesh {
   /// vertices once, in staged order, against this mesh.
   void append_cell(const StagedCells& src, std::size_t cell);
 
-  /// Append every cell of `other`, re-welding its vertices against this
-  /// mesh. Linear in the size of `other` (amortized): storage grows
-  /// geometrically.
-  void append(const BlockMesh& other);
-
-  /// Append a single cell of `src`, re-welding its vertices against this
-  /// mesh (the per-cell form of append, used by canonical_merge). `remap`
+  /// Append cell `cell` of the welded mesh `src`, re-welding its vertices
+  /// against this mesh (canonical_merge, region extraction). `remap`
   /// caches src vertex -> this mesh's vertex across calls: size it to
   /// src.vertices.size() filled with kUnwelded before the first call for
   /// `src`, then pass the same vector for every cell of `src` appended to
-  /// this mesh.
+  /// this mesh. Storage grows geometrically, so appending many cells is
+  /// linear in their size (amortized).
   void append_cell(const BlockMesh& src, std::size_t cell,
                    std::vector<std::uint32_t>& remap);
 
@@ -152,10 +148,6 @@ class BlockMesh {
   [[nodiscard]] std::uint32_t weld_vertex(const Vec3& v);
   /// Rebuild the weld table with `slots` slots (a power of two).
   void rehash_weld(std::size_t slots);
-  /// Append src's face range [first, first + count) to the face arrays,
-  /// welding each source vertex once through `remap`.
-  void append_faces(const BlockMesh& src, std::size_t first,
-                    std::size_t count, std::vector<std::uint32_t>& remap);
 
   // Open-addressing weld table: a power-of-two array of vertex indices
   // (kUnwelded marks a free slot), linear probing, load kept at most 1/2.
@@ -165,7 +157,7 @@ class BlockMesh {
   std::vector<std::uint32_t> weld_slots_;
   std::vector<WeldKey> weld_keys_;  ///< key of vertices[i], for welded i
   std::size_t weld_count_ = 0;
-  std::vector<std::uint32_t> remap_;  ///< reused by append and append_cell
+  std::vector<std::uint32_t> remap_;  ///< reused by append_cell(StagedCells)
 };
 
 /// Merge per-block meshes into one canonical global mesh whose bytes are

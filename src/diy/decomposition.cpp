@@ -28,36 +28,83 @@ double Bounds::box_distance(const Bounds& o) const {
   return std::sqrt(d2);
 }
 
+namespace {
+
+void check_domain(const Vec3& lo, const Vec3& hi) {
+  for (std::size_t a = 0; a < 3; ++a)
+    if (!(hi[a] > lo[a]))
+      throw std::invalid_argument("Decomposition: empty domain");
+}
+
+Vec3 wrap_into(const Vec3& p, const Vec3& lo, const Vec3& hi) {
+  Vec3 q = p;
+  const Vec3 size = hi - lo;
+  for (std::size_t a = 0; a < 3; ++a) {
+    while (q[a] < lo[a]) q[a] += size[a];
+    while (q[a] >= hi[a]) q[a] -= size[a];
+  }
+  return q;
+}
+
+// Halve the grid cells [lo, hi) along the axis with the most of them until
+// one cell is left; that leaf is the cell's block id, x fastest. The plane
+// before cell c of axis a is origin[a] + width[a] * c.
+int split_grid(std::vector<KdSplit>& splits, const std::array<int, 3>& dims,
+               const Vec3& origin, const Vec3& width,
+               const std::array<int, 3>& lo, const std::array<int, 3>& hi) {
+  int axis = 0;
+  for (int a = 1; a < 3; ++a)
+    if (hi[a] - lo[a] > hi[axis] - lo[axis]) axis = a;
+  if (hi[axis] - lo[axis] == 1)
+    return ~((lo[2] * dims[1] + lo[1]) * dims[0] + lo[0]);
+  const int mid = (lo[axis] + hi[axis]) / 2;
+  const int node = static_cast<int>(splits.size());
+  splits.push_back({axis, origin[axis] + width[axis] * mid, 0, 0});
+  auto left_hi = hi, right_lo = lo;
+  left_hi[axis] = mid;
+  right_lo[axis] = mid;
+  const int l = split_grid(splits, dims, origin, width, lo, left_hi);
+  const int r = split_grid(splits, dims, origin, width, right_lo, hi);
+  splits[node].left = l;
+  splits[node].right = r;
+  return node;
+}
+
+std::vector<KdSplit> grid_splits(const Vec3& domain_min, const Vec3& domain_max,
+                                 const std::array<int, 3>& dims) {
+  for (int d : dims)
+    if (d < 1) throw std::invalid_argument("Decomposition: dims must be >= 1");
+  Vec3 width = domain_max - domain_min;
+  for (std::size_t a = 0; a < 3; ++a) width[a] /= dims[a];
+  std::vector<KdSplit> splits;
+  split_grid(splits, dims, domain_min, width, {0, 0, 0}, dims);
+  return splits;
+}
+
+}  // namespace
+
 Decomposition::Decomposition(const Vec3& domain_min, const Vec3& domain_max,
                              const std::array<int, 3>& blocks_per_dim,
                              bool periodic)
-    : domain_min_(domain_min), domain_max_(domain_max), dims_(blocks_per_dim),
-      periodic_(periodic), kind_(DecompKind::kGrid) {
-  for (int d : dims_)
-    if (d < 1) throw std::invalid_argument("Decomposition: dims must be >= 1");
-  for (std::size_t a = 0; a < 3; ++a)
-    if (!(domain_max_[a] > domain_min_[a]))
-      throw std::invalid_argument("Decomposition: empty domain");
-  nblocks_ = dims_[0] * dims_[1] * dims_[2];
-}
+    : Decomposition(domain_min, domain_max, periodic,
+                    blocks_per_dim[0] * blocks_per_dim[1] * blocks_per_dim[2],
+                    grid_splits(domain_min, domain_max, blocks_per_dim)) {}
 
 Decomposition::Decomposition(const Vec3& domain_min, const Vec3& domain_max,
                              bool periodic, int nblocks,
                              std::vector<KdSplit> splits)
     : domain_min_(domain_min), domain_max_(domain_max), periodic_(periodic),
-      kind_(DecompKind::kTree), nblocks_(nblocks), splits_(std::move(splits)) {
-  for (std::size_t a = 0; a < 3; ++a)
-    if (!(domain_max_[a] > domain_min_[a]))
-      throw std::invalid_argument("Decomposition: empty domain");
+      nblocks_(nblocks), splits_(std::move(splits)) {
+  check_domain(domain_min_, domain_max_);
   if (nblocks_ < 1)
     throw std::invalid_argument("Decomposition: nblocks must be >= 1");
   if (splits_.size() + 1 != static_cast<std::size_t>(nblocks_))
     throw std::invalid_argument("Decomposition: split count must be nblocks-1");
-  build_tree_bounds();
+  build_bounds();
 }
 
-void Decomposition::build_tree_bounds() {
-  tree_bounds_.assign(nblocks_, Bounds{});
+void Decomposition::build_bounds() {
+  bounds_.assign(nblocks_, Bounds{});
   std::vector<char> seen(nblocks_, 0);
   struct Item {
     int child;  // >= 0: split node index, < 0: leaf block ~child
@@ -74,7 +121,7 @@ void Decomposition::build_tree_bounds() {
       if (b < 0 || b >= nblocks_ || seen[b])
         throw std::invalid_argument("Decomposition: bad k-d leaf block id");
       seen[b] = 1;
-      tree_bounds_[b] = it.box;
+      bounds_[b] = it.box;
       ++leaves;
       continue;
     }
@@ -195,12 +242,14 @@ Decomposition Decomposition::kd(const Vec3& domain_min, const Vec3& domain_max,
     throw std::invalid_argument("Decomposition::kd: nblocks must be >= 1");
   if (weights && weights->size() != points.size())
     throw std::invalid_argument("Decomposition::kd: weights/points mismatch");
+  check_domain(domain_min, domain_max);
   // Wrap samples into the primary domain so the split tree tiles it.
-  Decomposition domain_only(domain_min, domain_max, {1, 1, 1}, periodic);
   std::vector<KdSample> pts;
   pts.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i)
-    pts.push_back({domain_only.wrap(points[i]), weights ? (*weights)[i] : 1.0});
+    pts.push_back({periodic ? wrap_into(points[i], domain_min, domain_max)
+                            : points[i],
+                   weights ? (*weights)[i] : 1.0});
   std::vector<KdSplit> splits;
   if (nblocks > 1) {
     splits.reserve(nblocks - 1);
@@ -234,106 +283,26 @@ std::array<int, 3> Decomposition::factor(int nblocks) {
   return dims;
 }
 
-const std::array<int, 3>& Decomposition::dims() const {
-  if (kind_ != DecompKind::kGrid)
-    throw std::logic_error("Decomposition::dims: grid layout only");
-  return dims_;
-}
-
 Bounds Decomposition::block_bounds(int block) const {
-  if (kind_ == DecompKind::kTree) {
-    if (block < 0 || block >= nblocks_)
-      throw std::out_of_range("Decomposition: block index");
-    return tree_bounds_[block];
-  }
-  const auto c = block_coords(block);
-  const Vec3 size = domain_size();
-  Bounds b;
-  for (std::size_t a = 0; a < 3; ++a) {
-    const double w = size[a] / dims_[a];
-    b.min[a] = domain_min_[a] + w * c[a];
-    b.max[a] = (c[a] + 1 == dims_[a]) ? domain_max_[a] : domain_min_[a] + w * (c[a] + 1);
-  }
-  return b;
-}
-
-std::array<int, 3> Decomposition::block_coords(int block) const {
-  if (kind_ != DecompKind::kGrid)
-    throw std::logic_error("Decomposition::block_coords: grid layout only");
-  if (block < 0 || block >= num_blocks())
+  if (block < 0 || block >= nblocks_)
     throw std::out_of_range("Decomposition: block index");
-  return {block % dims_[0], (block / dims_[0]) % dims_[1],
-          block / (dims_[0] * dims_[1])};
-}
-
-int Decomposition::block_index(const std::array<int, 3>& c) const {
-  if (kind_ != DecompKind::kGrid)
-    throw std::logic_error("Decomposition::block_index: grid layout only");
-  return (c[2] * dims_[1] + c[1]) * dims_[0] + c[0];
+  return bounds_[block];
 }
 
 Vec3 Decomposition::wrap(const Vec3& p) const {
-  if (!periodic_) return p;
-  Vec3 q = p;
-  const Vec3 size = domain_size();
-  for (std::size_t a = 0; a < 3; ++a) {
-    while (q[a] < domain_min_[a]) q[a] += size[a];
-    while (q[a] >= domain_max_[a]) q[a] -= size[a];
-  }
-  return q;
+  return periodic_ ? wrap_into(p, domain_min_, domain_max_) : p;
 }
 
 int Decomposition::block_of_point(const Vec3& p) const {
+  if (splits_.empty()) return 0;
   const Vec3 q = wrap(p);
-  if (kind_ == DecompKind::kTree) {
-    if (splits_.empty()) return 0;
-    int node = 0;
-    for (;;) {
-      const KdSplit& s = splits_[node];
-      const int child = (q[s.axis] < s.coord) ? s.left : s.right;
-      if (child < 0) return ~child;
-      node = child;
-    }
+  int node = 0;
+  for (;;) {
+    const KdSplit& s = splits_[node];
+    const int child = (q[s.axis] < s.coord) ? s.left : s.right;
+    if (child < 0) return ~child;
+    node = child;
   }
-  const Vec3 size = domain_size();
-  std::array<int, 3> c{};
-  for (std::size_t a = 0; a < 3; ++a) {
-    const double rel = (q[a] - domain_min_[a]) / size[a] * dims_[a];
-    c[a] = std::clamp(static_cast<int>(rel), 0, dims_[a] - 1);
-  }
-  return block_index(c);
-}
-
-std::vector<Neighbor> Decomposition::neighbors(int block) const {
-  if (kind_ == DecompKind::kTree) return neighbors_within(block, 0.0);
-  const auto c = block_coords(block);
-  const Vec3 size = domain_size();
-  std::vector<Neighbor> out;
-  for (int dz = -1; dz <= 1; ++dz)
-    for (int dy = -1; dy <= 1; ++dy)
-      for (int dx = -1; dx <= 1; ++dx) {
-        if (dx == 0 && dy == 0 && dz == 0) continue;
-        std::array<int, 3> nc{c[0] + dx, c[1] + dy, c[2] + dz};
-        Vec3 shift{};
-        bool valid = true;
-        for (std::size_t a = 0; a < 3; ++a) {
-          if (nc[a] < 0) {
-            if (!periodic_) { valid = false; break; }
-            nc[a] += dims_[a];
-            // A point sent to this neighbor crosses the low domain face, so
-            // it reappears near the high face: translate by +size.
-            shift[a] += size[a];
-          } else if (nc[a] >= dims_[a]) {
-            if (!periodic_) { valid = false; break; }
-            nc[a] -= dims_[a];
-            shift[a] -= size[a];
-          }
-        }
-        if (!valid) continue;
-        const Neighbor nb{block_index(nc), shift};
-        if (std::find(out.begin(), out.end(), nb) == out.end()) out.push_back(nb);
-      }
-  return out;
 }
 
 std::vector<Neighbor> Decomposition::compute_neighbors_within(

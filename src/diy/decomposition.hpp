@@ -7,13 +7,13 @@
 // coordinate transform, and destination selection by proximity to a target
 // point — live here and in exchange.hpp.
 //
-// Two layouts share one concrete class:
-//   * kGrid — the original regular bx*by*bz tiling (uniform blocks).
-//   * kTree — a mass-weighted k-d (recursive bisection) tiling of
-//     non-uniform convex blocks, built from a particle sample so each
-//     block carries roughly equal work (PARAVT-style irregular domains).
-// Both expose the same point-routing and neighbor-discovery API; only the
-// grid keeps the tensor helpers (dims/block_coords/block_index).
+// Every decomposition is a k-d split tree over the domain. The grid
+// constructor builds the regular bx*by*bz tiling as one, with planes at
+// domain_min + (size / dims) * c and leaves numbered x fastest; kd() builds
+// a mass-weighted (PARAVT-style) tree from a particle sample so each block
+// carries roughly equal work. Routing, bounds and neighbor discovery all
+// read the same tree, so a block owns exactly the points its half-open
+// bounds contain.
 #pragma once
 
 #include <array>
@@ -62,9 +62,6 @@ struct Neighbor {
   }
 };
 
-/// Which layout a Decomposition uses.
-enum class DecompKind { kGrid, kTree };
-
 /// One internal node of a k-d split tree. Trivially copyable so a split
 /// tree built collectively on one rank can be broadcast as raw bytes.
 /// Children encode either another split node (index >= 0 into the node
@@ -79,7 +76,7 @@ struct KdSplit {
 /// Decomposition of [domain_min, domain_max) into disjoint convex blocks.
 class Decomposition {
  public:
-  /// Regular grid of bx*by*bz uniform blocks.
+  /// Regular grid of bx*by*bz uniform blocks, numbered x fastest.
   Decomposition(const Vec3& domain_min, const Vec3& domain_max,
                 const std::array<int, 3>& blocks_per_dim, bool periodic);
 
@@ -104,11 +101,8 @@ class Decomposition {
   /// the total count (one block per rank).
   static std::array<int, 3> factor(int nblocks);
 
-  [[nodiscard]] DecompKind kind() const { return kind_; }
   [[nodiscard]] int num_blocks() const { return nblocks_; }
-  /// Grid layout only.
-  [[nodiscard]] const std::array<int, 3>& dims() const;
-  /// Tree layout only: the split tree (empty when nblocks == 1).
+  /// The split tree (empty when nblocks == 1).
   [[nodiscard]] const std::vector<KdSplit>& splits() const { return splits_; }
   [[nodiscard]] bool periodic() const { return periodic_; }
   [[nodiscard]] const Vec3& domain_min() const { return domain_min_; }
@@ -116,32 +110,21 @@ class Decomposition {
   [[nodiscard]] Vec3 domain_size() const { return domain_max_ - domain_min_; }
 
   [[nodiscard]] Bounds block_bounds(int block) const;
-  /// Grid layout only.
-  [[nodiscard]] std::array<int, 3> block_coords(int block) const;
-  /// Grid layout only.
-  [[nodiscard]] int block_index(const std::array<int, 3>& c) const;
 
-  /// The block containing p (p is wrapped into the domain when periodic,
-  /// clamped otherwise).
+  /// The block whose half-open bounds contain p (p is wrapped into the
+  /// domain when periodic, clamped otherwise).
   [[nodiscard]] int block_of_point(const Vec3& p) const;
 
-  /// All distinct neighbor relationships of `block` (for a grid: up to 26,
-  /// fewer at non-periodic domain edges; periodic neighbors carry nonzero
-  /// shifts; with very few blocks per dimension the same block can appear
-  /// multiple times under different shifts, including itself). For a tree
-  /// layout this is neighbors_within(block, 0): every block touching mine.
-  [[nodiscard]] std::vector<Neighbor> neighbors(int block) const;
-
-  /// Generic neighbor discovery from block extents: every (block, shift)
-  /// pair whose box lies within `reach` of some periodic image of `block`'s
+  /// Neighbor discovery from block extents: every (block, shift) pair
+  /// whose box lies within `reach` of some periodic image of `block`'s
   /// box — i.e. a particle of mine, translated by `shift`, could fall
-  /// inside that block's bounds grown by `reach`. Works for both layouts
-  /// and any reach (a grid block two cells away shows up once reach
-  /// exceeds the intervening block's width, which the fixed 26-stencil
-  /// could not express). Periodic images consider one wrap per axis, which
-  /// covers any reach up to the domain size. Results are memoised per
-  /// (block, reach); the cache is mutex-guarded because rank threads share
-  /// one Decomposition.
+  /// inside that block's bounds grown by `reach`. Reach 0 gives every
+  /// block touching mine (on a grid, the 26-neighborhood; with few blocks
+  /// per dimension the same block can appear under several shifts,
+  /// including itself); a larger reach also finds blocks further away.
+  /// Periodic images consider one wrap per axis, which covers any reach up
+  /// to the domain size. Results are memoised per (block, reach); the
+  /// cache is mutex-guarded because rank threads share one Decomposition.
   [[nodiscard]] std::vector<Neighbor> neighbors_within(int block,
                                                       double reach) const;
 
@@ -151,15 +134,13 @@ class Decomposition {
  private:
   [[nodiscard]] std::vector<Neighbor> compute_neighbors_within(
       int block, double reach) const;
-  void build_tree_bounds();
+  void build_bounds();
 
   Vec3 domain_min_, domain_max_;
-  std::array<int, 3> dims_{1, 1, 1};
   bool periodic_ = false;
-  DecompKind kind_ = DecompKind::kGrid;
   int nblocks_ = 1;
-  std::vector<KdSplit> splits_;        // tree layout
-  std::vector<Bounds> tree_bounds_;    // tree layout: per-block extents
+  std::vector<KdSplit> splits_;
+  std::vector<Bounds> bounds_;  // per-block extents, read off splits_
 
   // Lazy neighbor cache shared by all rank threads (see neighbors_within).
   mutable std::mutex nbr_mutex_;

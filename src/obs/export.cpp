@@ -2,46 +2,13 @@
 
 #include <cstdio>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
 
 namespace tess::obs {
 
-namespace {
-
 using detail::JsonReader;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::vector<SpanAgg> aggregate_spans(const TraceDump& dump) {
   std::map<std::string_view, SpanAgg> by_name;
@@ -63,51 +30,54 @@ std::vector<SpanAgg> aggregate_spans(const TraceDump& dump) {
 }
 
 std::string chrome_trace_json(const TraceDump& dump) {
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "\n";
+    out += '\n';
   };
   // One chrome "process" per rank (pid = rank + 1; 0 holds unranked
   // threads) and one chrome "thread" per lane: a rank×thread grid.
   std::map<int, bool> pids;
   for (const auto& lane : dump.lanes) {
     const int pid = lane.rank + 1;
+    const std::string ids = "\"pid\":" + std::to_string(pid) +
+                            ",\"tid\":" + std::to_string(lane.lane);
     if (!pids.contains(pid)) {
       pids[pid] = true;
       sep();
-      os << "{\"ph\":\"M\",\"pid\":" << pid
-         << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-         << (lane.rank < 0 ? std::string("unranked")
-                           : "rank " + std::to_string(lane.rank))
-         << "\"}}";
+      out += "{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
+             ",\"name\":\"process_name\",\"args\":{\"name\":\"" +
+             (lane.rank < 0 ? std::string("unranked")
+                            : "rank " + std::to_string(lane.rank)) +
+             "\"}}";
     }
     sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << lane.lane
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"thread "
-       << lane.lane << "\"}}";
+    out += "{\"ph\":\"M\"," + ids +
+           ",\"name\":\"thread_name\",\"args\":{\"name\":\"thread " +
+           std::to_string(lane.lane) + "\"}}";
     for (const auto& span : lane.spans) {
       sep();
-      os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << lane.lane
-         << ",\"name\":\"" << json_escape(span.name)
-         << "\",\"ts\":" << fmt_double(static_cast<double>(span.t0_ns) * 1e-3)
-         << ",\"dur\":"
-         << fmt_double(static_cast<double>(span.t1_ns - span.t0_ns) * 1e-3)
-         << ",\"args\":{\"depth\":" << span.depth;
-      if (span.arg != kSpanNoArg) os << ",\"arg\":" << span.arg;
-      os << "}}";
+      out += "{\"ph\":\"X\"," + ids + ",\"name\":";
+      json_string(out, span.name);
+      out += ",\"ts\":";
+      json_number(out, static_cast<double>(span.t0_ns) * 1e-3);
+      out += ",\"dur\":";
+      json_number(out, static_cast<double>(span.t1_ns - span.t0_ns) * 1e-3);
+      out += ",\"args\":{\"depth\":" + std::to_string(span.depth);
+      if (span.arg != kSpanNoArg) out += ",\"arg\":" + std::to_string(span.arg);
+      out += "}}";
     }
   }
-  os << "\n]}\n";
-  return os.str();
+  out += "\n]}\n";
+  return out;
 }
 
 std::vector<SummaryRow> parse_benchmark_json(const std::string& text,
                                              std::string* build_type) {
   std::vector<SummaryRow> rows;
+  std::map<std::string, std::size_t> row_of;  // name -> index in rows
   if (build_type != nullptr) build_type->clear();
   std::string context_build_type;  // library_build_type fallback
   JsonReader in(text);
@@ -153,7 +123,13 @@ std::vector<SummaryRow> parse_benchmark_json(const std::string& text,
       row.total = real_time * unit;  // per-iteration wall seconds
       row.min = cpu_time * unit;
       row.max = cpu_time * unit;
-      rows.push_back(std::move(row));
+      // Repetitions share a name: keep the fastest (the smallest
+      // per-iteration real time), one row per benchmark.
+      const auto [it, inserted] = row_of.emplace(row.name, rows.size());
+      if (inserted)
+        rows.push_back(std::move(row));
+      else if (row.total < rows[it->second].total)
+        rows[it->second] = std::move(row);
     });
   });
   if (build_type != nullptr && build_type->empty())

@@ -48,7 +48,9 @@ struct SummaryRow {
 /// Parse a google-benchmark `--benchmark_format=json` file into rows of
 /// kind "bench": one row per benchmark, `count` = iterations, `total` =
 /// per-iteration real time in seconds, `min`/`max` = per-iteration CPU
-/// time in seconds (aggregate rows from repetitions are skipped). When
+/// time in seconds. A benchmark run with --benchmark_repetitions yields
+/// one row, its fastest repetition (smallest per-iteration real time);
+/// aggregate rows (mean, median, stddev) are skipped. When
 /// `build_type` is non-null it receives the context's "tess_build_type"
 /// (falling back to google-benchmark's own "library_build_type", empty if
 /// neither is present) so callers can flag debug-build numbers. Feeds the

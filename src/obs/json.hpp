@@ -1,14 +1,53 @@
-// Minimal recursive-descent JSON reader shared by the observability
-// parsers (stream and summary records in obs/stream.cpp, google-benchmark
-// files in obs/export.cpp) — just enough for their schemas: objects,
-// arrays, strings, numbers, and skippable nested values. Not a
-// general-purpose JSON library; malformed input throws std::runtime_error.
-// It reads a std::string, whose terminating NUL stops strtod at the end.
+// Minimal JSON reader and writers shared by the observability records.
+// The reader is a recursive-descent parser for the stream and summary
+// records (obs/stream.cpp) and google-benchmark files (obs/export.cpp) —
+// just enough for their schemas: objects, arrays, strings, numbers, and
+// skippable nested values. Not a general-purpose JSON library; malformed
+// input throws std::runtime_error. It reads a std::string, whose
+// terminating NUL stops strtod at the end. The writers format every
+// number and string of the snap, step and chrome-trace records.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+namespace tess::obs {
+
+/// Append `v` at 9 significant digits (%.9g), the one number format of the
+/// records: a t_ms of 10^6 ms still resolves 0.01 ms.
+inline void json_number(std::string& out, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  out += buf;
+}
+
+/// Append `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+inline void json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+}  // namespace tess::obs
 
 namespace tess::obs::detail {
 

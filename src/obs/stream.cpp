@@ -21,27 +21,6 @@ namespace tess::obs {
 
 namespace {
 
-void fmt_num(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
 /// Counters (nonzero only) and gauges of rank `rank`'s slice of `metrics`;
 /// rank -1 takes the global totals.
 void add_slice(SnapState& st, const MetricsSnapshot& metrics, int rank) {
@@ -117,33 +96,33 @@ std::string encode_snap(const StreamSample& sample, std::uint64_t seq,
                         const SnapState& cur, SnapState& prev, bool full) {
   if (full) prev = SnapState{};
   std::string line = "{\"k\":\"snap\",\"v\":1,\"seq\":";
-  fmt_num(line, static_cast<double>(seq));
+  json_number(line, static_cast<double>(seq));
   line += ",\"t_ms\":";
-  fmt_num(line, StreamWriter::now_ms());
+  json_number(line, StreamWriter::now_ms());
   if (sample.step >= 0) {
     line += ",\"step\":";
-    fmt_num(line, sample.step);
+    json_number(line, sample.step);
   }
   line += ",\"rank\":";
-  fmt_num(line, sample.rank);
+  json_number(line, sample.rank);
   if (full) line += ",\"full\":1";
   std::map<std::string, double> unused;  // values carry no delta state
   append_section(line, "val", sample.values, unused,
                  [](std::string& out, double v, const double*) {
-                   fmt_num(out, v);
+                   json_number(out, v);
                    return true;
                  });
   append_section(line, "ctr", cur.counters, prev.counters,
                  [](std::string& out, double v, const double* base) {
                    const double delta = v - (base != nullptr ? *base : 0.0);
                    if (base != nullptr && delta == 0.0) return false;
-                   fmt_num(out, delta);
+                   json_number(out, delta);
                    return true;
                  });
   append_section(line, "gauge", cur.gauges, prev.gauges,
                  [](std::string& out, double v, const double* base) {
                    if (base != nullptr && *base == v) return false;
-                   fmt_num(out, v);
+                   json_number(out, v);
                    return true;
                  });
   append_section(
@@ -152,15 +131,15 @@ std::string encode_snap(const StreamSample& sample, std::uint64_t seq,
         const double dcount = h.count - (base != nullptr ? base->count : 0.0);
         if (base != nullptr && dcount == 0.0) return false;
         out += "{\"n\":";
-        fmt_num(out, dcount);
+        json_number(out, dcount);
         out += ",\"sum\":";
-        fmt_num(out, h.sum - (base != nullptr ? base->sum : 0.0));
+        json_number(out, h.sum - (base != nullptr ? base->sum : 0.0));
         out += ",\"p50\":";
-        fmt_num(out, h.p50);
+        json_number(out, h.p50);
         out += ",\"p90\":";
-        fmt_num(out, h.p90);
+        json_number(out, h.p90);
         out += ",\"p99\":";
-        fmt_num(out, h.p99);
+        json_number(out, h.p99);
         out += ",\"bins\":{";
         bool first = true;
         for (const auto& [floor_v, n] : h.bins) {
@@ -176,7 +155,7 @@ std::string encode_snap(const StreamSample& sample, std::uint64_t seq,
           out += '"';
           out += std::to_string(floor_v);
           out += "\":";
-          fmt_num(out, dn);
+          json_number(out, dn);
         }
         out += "}}";
         return true;
@@ -189,9 +168,9 @@ std::string encode_snap(const StreamSample& sample, std::uint64_t seq,
         const double ds = cs.second - (base != nullptr ? base->second : 0.0);
         if (base != nullptr && dn == 0.0 && ds == 0.0) return false;
         out += "{\"n\":";
-        fmt_num(out, dn);
+        json_number(out, dn);
         out += ",\"s\":";
-        fmt_num(out, ds);
+        json_number(out, ds);
         out += '}';
         return true;
       });
@@ -225,13 +204,13 @@ StreamWriter::StreamWriter(StreamConfig config)
   fd_ = ::open(config_.path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) return;
   std::string line = "{\"k\":\"meta\",\"v\":1,\"seq\":";
-  fmt_num(line, static_cast<double>(seq_.fetch_add(1)));
+  json_number(line, static_cast<double>(seq_.fetch_add(1)));
   line += ",\"t_ms\":";
-  fmt_num(line, now_ms());
+  json_number(line, now_ms());
   line += ",\"pid\":";
-  fmt_num(line, static_cast<double>(::getpid()));
+  json_number(line, static_cast<double>(::getpid()));
   line += ",\"interval_ms\":";
-  fmt_num(line, static_cast<double>(config_.interval_ms));
+  json_number(line, static_cast<double>(config_.interval_ms));
   line += "}\n";
   append_record_line(line);
 }

@@ -315,13 +315,14 @@ PointLocation Snapshot::locate(const Vec3& p, LocateTally& tally) const {
   const int nb = num_blocks();
   if (nb == 0) return out;
 
-  // Route to the owning block: three binary searches on the reconstructed
-  // block grid when the file is a regular tiling. Files written from k-d
-  // (adaptive) decompositions are valid tilings but not tensor grids, so
-  // they route via the stored block extents instead: the block whose
-  // half-open bounds contain p is the owner by construction. Points
-  // outside every block (outside the domain, or a truncated file) fall
-  // back to the nearest box by distance.
+  // Route to the owning block, the one whose half-open bounds contain p:
+  // the writer's decomposition gave each block exactly those points, grid
+  // or k-d alike. A regular tiling finds it by three binary searches on
+  // the reconstructed block grid; files written from k-d (adaptive)
+  // decompositions are valid tilings but not tensor grids, so they scan
+  // the stored block extents instead. Points outside every block (outside
+  // the domain, or a truncated file) fall back to the nearest box by
+  // distance.
   int owner = -1;
   if (grid_ok_) {
     const std::size_t ny = axis_lo_[1].size(), nz = axis_lo_[2].size();
@@ -417,6 +418,7 @@ PointLocation Snapshot::locate(const Vec3& p, LocateTally& tally) const {
 core::BlockMesh Snapshot::extract_region(const diy::Bounds& box) const {
   TESS_SPAN("serve.extract_region");
   core::BlockMesh out;
+  std::vector<std::uint32_t> remap;  // block vertex -> region vertex
   for (int b = 0; b < num_blocks(); ++b) {
     const auto& bb = bounds_[static_cast<std::size_t>(b)];
     if (!valid_bounds(bb)) continue;
@@ -424,12 +426,11 @@ core::BlockMesh Snapshot::extract_region(const diy::Bounds& box) const {
                           bb.min.y < box.max.y && box.min.y < bb.max.y &&
                           bb.min.z < box.max.z && box.min.z < bb.max.z;
     if (!overlaps) continue;
+    // Weld each kept cell straight from the block, in block order.
     const auto& mesh = slot(b).mesh;
-    std::vector<std::size_t> keep;
+    remap.assign(mesh.vertices.size(), core::BlockMesh::kUnwelded);
     for (std::size_t i = 0; i < mesh.cells.size(); ++i)
-      if (box.contains(mesh.cells[i].site)) keep.push_back(i);
-    if (keep.empty()) continue;
-    out.append(analysis::filter_mesh(mesh, keep));
+      if (box.contains(mesh.cells[i].site)) out.append_cell(mesh, i, remap);
   }
   out.bounds = box;
   TESS_COUNT("serve.region.cells", out.cells.size());

@@ -253,4 +253,6 @@ TEST(Reader, RoundTripThroughFile) {
   ConnectedComponents cc(all);
   EXPECT_EQ(cc.num_components(), 1u);
   std::remove(path.c_str());
+  // The footer index was read and validated once, when the reader opened.
+  EXPECT_EQ(reader.num_blocks(), 4);
 }

@@ -1,9 +1,11 @@
-// Tests for the regular block decomposition: bounds tiling, point lookup,
-// neighbor symmetry, and periodic shifts.
+// Tests for the block decomposition: bounds tiling, point lookup, neighbor
+// symmetry, periodic shifts, and the mass-weighted k-d tiling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -64,26 +66,85 @@ TEST(Decomposition, BlockOfPointConsistent) {
 }
 
 TEST(Decomposition, IndexRoundTrip) {
-  Decomposition d({0, 0, 0}, {1, 1, 1}, {3, 4, 5}, true);
-  for (int b = 0; b < d.num_blocks(); ++b)
-    EXPECT_EQ(d.block_index(d.block_coords(b)), b);
-  EXPECT_THROW((void)d.block_coords(d.num_blocks()), std::out_of_range);
+  // Grid blocks are numbered x fastest: block (cz * 4 + cy) * 3 + cx spans
+  // grid cell (cx, cy, cz), and routing that cell's centre finds it again.
+  const std::array<int, 3> dims{3, 4, 5};
+  Decomposition d({0, 0, 0}, {1, 1, 1}, dims, true);
+  for (int b = 0; b < d.num_blocks(); ++b) {
+    const std::array<int, 3> c{b % 3, (b / 3) % 4, b / 12};
+    const auto bb = d.block_bounds(b);
+    Vec3 centre;
+    for (std::size_t a = 0; a < 3; ++a) {
+      centre[a] = (c[a] + 0.5) / dims[a];
+      EXPECT_LT(bb.min[a], centre[a]) << "block " << b;
+      EXPECT_GT(bb.max[a], centre[a]) << "block " << b;
+    }
+    EXPECT_EQ(d.block_of_point(centre), b);
+  }
+  EXPECT_THROW((void)d.block_bounds(d.num_blocks()), std::out_of_range);
+}
+
+TEST(Decomposition, BlockOfPointAgreesWithBoundsNearPlanes) {
+  // Every double within 64 ulps of an interior grid plane routes to a block
+  // whose half-open bounds contain it: x = 1.9999999999999998 on [0, 6)
+  // with 3 blocks belongs to block 0, [0, 2), although truncating
+  // (x - min) / size * dims gives 1.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<Vec3, Vec3> domains[] = {
+      {{0, 0, 0}, {6, 6, 6}}, {{0.1, -2.5, 3.3}, {1.7, 0.9, 8.45}}};
+  for (const auto& [lo, hi] : domains)
+    for (int n : {2, 3, 5, 6})
+      for (bool periodic : {false, true}) {
+        const Decomposition d(lo, hi, {n, n, n}, periodic);
+        const int stride[3] = {1, n, n * n};
+        for (std::size_t a = 0; a < 3; ++a)
+          for (int c = 1; c < n; ++c) {
+            const double plane = d.block_bounds(c * stride[a]).min[a];
+            Vec3 p = lo + 0.37 * (hi - lo);
+            p[a] = plane;
+            for (int k = 0; k < 64; ++k) p[a] = std::nextafter(p[a], -inf);
+            for (int k = 0; k <= 128; ++k, p[a] = std::nextafter(p[a], inf))
+              EXPECT_TRUE(d.block_bounds(d.block_of_point(p)).contains(p))
+                  << "n " << n << " axis " << a << " plane " << c << " at "
+                  << p[a];
+          }
+      }
+
+  // Grid bounds are the grid planes, bit for bit: min + (size / dims) * c,
+  // with the domain maximum on the last block of each axis.
+  const Vec3 lo{0.1, -2.5, 3.3}, hi{1.7, 0.9, 8.45};
+  const std::array<int, 3> dims{3, 4, 5};
+  const Decomposition d(lo, hi, dims, false);
+  const Vec3 size = hi - lo;
+  for (int b = 0; b < d.num_blocks(); ++b) {
+    const std::array<int, 3> c{b % 3, (b / 3) % 4, b / 12};
+    const auto bb = d.block_bounds(b);
+    for (std::size_t a = 0; a < 3; ++a) {
+      const double w = size[a] / dims[a];
+      EXPECT_EQ(bb.min[a], lo[a] + w * c[a]) << "block " << b;
+      EXPECT_EQ(bb.max[a], c[a] + 1 == dims[a] ? hi[a] : lo[a] + w * (c[a] + 1))
+          << "block " << b;
+    }
+  }
 }
 
 TEST(Decomposition, NonPeriodicCornerHas7Neighbors) {
   Decomposition d({0, 0, 0}, {1, 1, 1}, {2, 2, 2}, false);
-  EXPECT_EQ(d.neighbors(0).size(), 7u);  // corner block of a 2x2x2 grid
-  for (const auto& nb : d.neighbors(0))
+  // Corner block of a 2x2x2 grid.
+  EXPECT_EQ(d.neighbors_within(0, 0.0).size(), 7u);
+  for (const auto& nb : d.neighbors_within(0, 0.0))
     EXPECT_EQ(nb.shift, (Vec3{0, 0, 0}));
 }
 
 TEST(Decomposition, PeriodicBlockHas26NeighborRelations) {
   Decomposition d({0, 0, 0}, {1, 1, 1}, {3, 3, 3}, true);
   // 3^3 grid: all 26 neighbor blocks are distinct.
-  EXPECT_EQ(d.neighbors(13).size(), 26u);  // center block, no shifts
-  for (const auto& nb : d.neighbors(13)) EXPECT_EQ(nb.shift, (Vec3{0, 0, 0}));
+  // Center block, no shifts.
+  EXPECT_EQ(d.neighbors_within(13, 0.0).size(), 26u);
+  for (const auto& nb : d.neighbors_within(13, 0.0))
+    EXPECT_EQ(nb.shift, (Vec3{0, 0, 0}));
   // Corner block: all 26 relations exist, some with shifts.
-  const auto nbrs = d.neighbors(0);
+  const auto nbrs = d.neighbors_within(0, 0.0);
   EXPECT_EQ(nbrs.size(), 26u);
   int shifted = 0;
   for (const auto& nb : nbrs)
@@ -95,7 +156,7 @@ TEST(Decomposition, PeriodicShiftMovesPointAcrossDomain) {
   Decomposition d({0, 0, 0}, {10, 10, 10}, {2, 1, 1}, true);
   // Block 0 spans x in [0,5); its -x neighbor is block 1 with shift +10.
   bool found = false;
-  for (const auto& nb : d.neighbors(0)) {
+  for (const auto& nb : d.neighbors_within(0, 0.0)) {
     if (nb.block == 1 && nb.shift == (Vec3{10, 0, 0})) {
       found = true;
       // A particle at x=0.1 imaged for that neighbor lands at x=10.1, just
@@ -112,8 +173,8 @@ TEST(Decomposition, NeighborSymmetry) {
   for (bool periodic : {false, true}) {
     Decomposition d({0, 0, 0}, {1, 1, 1}, {2, 3, 2}, periodic);
     for (int a = 0; a < d.num_blocks(); ++a)
-      for (const auto& nb : d.neighbors(a)) {
-        const auto back = d.neighbors(nb.block);
+      for (const auto& nb : d.neighbors_within(a, 0.0)) {
+        const auto back = d.neighbors_within(nb.block, 0.0);
         const Neighbor expect{a, -nb.shift};
         EXPECT_NE(std::find(back.begin(), back.end(), expect), back.end())
             << "block " << a << " -> " << nb.block << " periodic " << periodic;
@@ -123,7 +184,7 @@ TEST(Decomposition, NeighborSymmetry) {
 
 TEST(Decomposition, SingleBlockPeriodicSelfNeighbors) {
   Decomposition d({0, 0, 0}, {1, 1, 1}, {1, 1, 1}, true);
-  const auto nbrs = d.neighbors(0);
+  const auto nbrs = d.neighbors_within(0, 0.0);
   EXPECT_FALSE(nbrs.empty());
   for (const auto& nb : nbrs) {
     EXPECT_EQ(nb.block, 0);
@@ -147,31 +208,74 @@ TEST(Decomposition, InvalidArgumentsThrow) {
   EXPECT_THROW(Decomposition({0, 0, 0}, {0, 1, 1}, {1, 1, 1}, false),
                std::invalid_argument);
   EXPECT_THROW(Decomposition::factor(0), std::invalid_argument);
+  EXPECT_THROW((Decomposition{{0, 0, 0}, {1, 1, 1}, false, 2, {}}),
+               std::invalid_argument);  // split count != nblocks - 1
 }
 
 // ---------------------------------------------------------------------------
-// Generic neighbor discovery (neighbors_within)
+// Neighbor discovery (neighbors_within)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// The 26-stencil of a grid block, numbered x fastest: each offset's block,
+/// wrapped across a periodic face with the shift a point sent there needs
+/// (dropped at a non-periodic face), each distinct (block, shift) once.
+std::vector<Neighbor> grid_stencil(const std::array<int, 3>& dims,
+                                   const Vec3& size, bool periodic,
+                                   int block) {
+  const std::array<int, 3> c{block % dims[0], (block / dims[0]) % dims[1],
+                             block / (dims[0] * dims[1])};
+  std::vector<Neighbor> out;
+  for (int dz = -1; dz <= 1; ++dz)
+    for (int dy = -1; dy <= 1; ++dy)
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (dx == 0 && dy == 0 && dz == 0) continue;
+        std::array<int, 3> nc{c[0] + dx, c[1] + dy, c[2] + dz};
+        Vec3 shift{};
+        bool valid = true;
+        for (std::size_t a = 0; a < 3; ++a) {
+          if (nc[a] < 0 || nc[a] >= dims[a]) {
+            valid = valid && periodic;
+            // Crossing the low face reappears near the high face: +size.
+            shift[a] = nc[a] < 0 ? size[a] : -size[a];
+            nc[a] = (nc[a] + dims[a]) % dims[a];
+          }
+        }
+        if (!valid) continue;
+        const Neighbor nb{(nc[2] * dims[1] + nc[1]) * dims[0] + nc[0], shift};
+        if (std::find(out.begin(), out.end(), nb) == out.end())
+          out.push_back(nb);
+      }
+  return out;
+}
+
+}  // namespace
 
 TEST(Decomposition, NeighborsWithinMatchesGridStencilForSmallReach) {
   // For a reach below the block width, box-overlap discovery must find the
   // exact 26-stencil set (same blocks, same shifts) on a regular grid.
-  for (bool periodic : {false, true}) {
-    Decomposition d({0, 0, 0}, {9, 9, 9}, {3, 3, 3}, periodic);
-    for (int b = 0; b < d.num_blocks(); ++b) {
-      auto stencil = d.neighbors(b);
-      auto within = d.neighbors_within(b, 0.5);
-      auto key = [](const Neighbor& n) {
-        return std::make_tuple(n.block, n.shift.x, n.shift.y, n.shift.z);
-      };
-      auto cmp = [&](const Neighbor& a, const Neighbor& c) {
-        return key(a) < key(c);
-      };
-      std::sort(stencil.begin(), stencil.end(), cmp);
-      std::sort(within.begin(), within.end(), cmp);
-      EXPECT_EQ(stencil, within) << "block " << b << " periodic " << periodic;
+  auto key = [](const Neighbor& n) {
+    return std::make_tuple(n.block, n.shift.x, n.shift.y, n.shift.z);
+  };
+  auto cmp = [&](const Neighbor& a, const Neighbor& c) {
+    return key(a) < key(c);
+  };
+  for (const std::array<int, 3> dims :
+       {std::array<int, 3>{3, 3, 3}, std::array<int, 3>{1, 2, 4}})
+    for (bool periodic : {false, true}) {
+      Decomposition d({0, 0, 0}, {9, 9, 9}, dims, periodic);
+      for (int b = 0; b < d.num_blocks(); ++b) {
+        auto stencil = grid_stencil(dims, d.domain_size(), periodic, b);
+        std::sort(stencil.begin(), stencil.end(), cmp);
+        for (double reach : {0.0, 0.5}) {
+          auto within = d.neighbors_within(b, reach);
+          std::sort(within.begin(), within.end(), cmp);
+          EXPECT_EQ(stencil, within) << "block " << b << " periodic "
+                                     << periodic << " reach " << reach;
+        }
+      }
     }
-  }
 }
 
 TEST(Decomposition, NeighborsWithinReachesPastAdjacentBlocks) {
@@ -251,7 +355,6 @@ TEST(Decomposition, KdTilesDomainAndRoutesPoints) {
     const auto d =
         Decomposition::kd({0, 0, 0}, {domain, domain, domain}, false, nblocks,
                           pts);
-    EXPECT_EQ(d.kind(), tess::diy::DecompKind::kTree);
     EXPECT_EQ(d.num_blocks(), nblocks);
     double vol = 0.0;
     for (int b = 0; b < nblocks; ++b) {
@@ -339,14 +442,4 @@ TEST(Decomposition, KdSplitsRoundTripThroughExplicitCtor) {
   }
   for (const auto& p : pts)
     EXPECT_EQ(built.block_of_point(p), rebuilt.block_of_point(p));
-}
-
-TEST(Decomposition, KdGridOnlyAccessorsThrow) {
-  const auto d = Decomposition::kd({0, 0, 0}, {1, 1, 1}, false, 3,
-                                   clustered_points(100, 1.0, 5));
-  EXPECT_THROW((void)d.dims(), std::logic_error);
-  EXPECT_THROW((void)d.block_coords(0), std::logic_error);
-  EXPECT_THROW((void)d.block_index({0, 0, 0}), std::logic_error);
-  EXPECT_THROW((Decomposition{{0, 0, 0}, {1, 1, 1}, false, 2, {}}),
-               std::invalid_argument);  // split count != nblocks - 1
 }

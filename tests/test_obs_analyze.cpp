@@ -379,6 +379,51 @@ TEST(ObsCompare, ParseBenchmarkJson) {
   EXPECT_EQ(result.regressions(), 1u);
 }
 
+TEST(ObsCompare, ParseBenchmarkJsonKeepsFastestRepetition) {
+  // --benchmark_repetitions=3: three iteration rows under one name plus
+  // their aggregates parse to one row at the fastest repetition, so the
+  // gate compares 12 ns, not the 47 ns sum of the three.
+  const std::string json = R"({
+    "benchmarks": [
+      {"name": "BM_K", "run_type": "iteration", "repetitions": 3,
+       "repetition_index": 0, "iterations": 100, "real_time": 15.0,
+       "cpu_time": 14.0, "time_unit": "ns"},
+      {"name": "BM_K", "run_type": "iteration", "repetitions": 3,
+       "repetition_index": 1, "iterations": 100, "real_time": 12.0,
+       "cpu_time": 11.0, "time_unit": "ns"},
+      {"name": "BM_K", "run_type": "iteration", "repetitions": 3,
+       "repetition_index": 2, "iterations": 100, "real_time": 20.0,
+       "cpu_time": 19.0, "time_unit": "ns"},
+      {"name": "BM_K_mean", "run_type": "aggregate", "aggregate_name": "mean",
+       "iterations": 3, "real_time": 15.67, "cpu_time": 14.67,
+       "time_unit": "ns"},
+      {"name": "BM_K_median", "run_type": "aggregate",
+       "aggregate_name": "median", "iterations": 3, "real_time": 15.0,
+       "cpu_time": 14.0, "time_unit": "ns"},
+      {"name": "BM_K_stddev", "run_type": "aggregate",
+       "aggregate_name": "stddev", "iterations": 3, "real_time": 4.04,
+       "cpu_time": 4.04, "time_unit": "ns"}
+    ]
+  })";
+  const auto rows = obs::parse_benchmark_json(json);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].name, "BM_K");
+  EXPECT_NEAR(rows[0].total, 12.0e-9, 1e-18);
+  EXPECT_NEAR(rows[0].min, 11.0e-9, 1e-18);
+
+  // Against a 12 ns baseline the repeated run does not regress.
+  std::vector<obs::SummaryRow> baseline(1);
+  baseline[0].kind = "bench";
+  baseline[0].name = "BM_K";
+  baseline[0].total = 12.0e-9;
+  obs::CompareOptions opt;
+  opt.min_seconds = 0.0;
+  const auto result = obs::compare_summaries(baseline, rows, opt);
+  EXPECT_FALSE(result.regressed);
+  ASSERT_EQ(result.deltas.size(), 1u);
+  EXPECT_NEAR(result.deltas[0].current_s, 12.0e-9, 1e-18);
+}
+
 TEST(ObsCompare, ParseBenchmarkJsonBuildTypeFallback) {
   const std::string json = R"({
     "context": {"library_build_type": "debug"},

@@ -440,6 +440,21 @@ TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
   EXPECT_GE(steps[1]->t_ms, steps[0]->t_ms);
 }
 
+TEST(ObsStream, StepRecordKeepsNineSignificantDigits) {
+  // Step records share the snap records' %.9g numbers, so a mean of
+  // 1.23456789 reads back whole (at 6 digits it would read 1.23457).
+  tess::analysis::StepStats stats(1, 0.0, 8.0, 16);
+  stats.volume.add(1.23456789);
+  const std::string path = temp_path("tess_stream_step_digits");
+  write_file(path, tess::analysis::step_stats_stream_record(stats) + "\n");
+  const auto file = obs::read_stream_file(path);
+  ASSERT_EQ(file.records.size(), 1u);
+  EXPECT_EQ(file.records[0].kind, "step");
+  EXPECT_EQ(file.records[0].values.at("volume.mean"), 1.23456789);
+  EXPECT_EQ(file.records[0].values.at("volume.min"), 1.23456789);
+  std::remove(path.c_str());
+}
+
 TEST(ObsStream, PipelinedTwoRanksEmitOneRecordPerStepPerRank) {
   const std::string path = temp_path("tess_stream_pipeline");
   std::remove(path.c_str());

@@ -480,10 +480,14 @@ TEST(ParallelTessellation, OneCellShardMergeAllocatesLogarithmically) {
       << allocs << " times";
   EXPECT_EQ(assembled.cells.size(), staged.size());
 
-  // Welded one-cell meshes, re-welded by append.
+  // Welded one-cell meshes, re-welded through one reused remap.
   BlockMesh merged;
+  std::vector<std::uint32_t> remap;
   before = g_alloc_count.load(std::memory_order_relaxed);
-  for (const auto& shard : welded) merged.append(shard);
+  for (const auto& shard : welded) {
+    remap.assign(shard.vertices.size(), BlockMesh::kUnwelded);
+    merged.append_cell(shard, 0, remap);
+  }
   allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
   EXPECT_LE(allocs, bound(merged))
       << "merging " << welded.size() << " one-cell meshes allocated " << allocs

@@ -328,6 +328,24 @@ TEST(ServeSnapshot, ExtractRegionMatchesBruteForce) {
   EXPECT_FALSE(region.cells.empty());
   EXPECT_EQ(region.bounds.min.x, box.min.x);
   EXPECT_EQ(region.bounds.max.z, box.max.z);
+
+  // Byte oracle: each block's kept cells copied out by filter_mesh, then
+  // re-welded cell by cell into one mesh, block by block.
+  BlockMesh oracle;
+  for (const auto& b : blocks) {
+    std::vector<std::size_t> keep;
+    for (std::size_t i = 0; i < b.cells.size(); ++i)
+      if (box.contains(b.cells[i].site)) keep.push_back(i);
+    const auto copy = tess::analysis::filter_mesh(b, keep);
+    std::vector<std::uint32_t> remap(copy.vertices.size(), BlockMesh::kUnwelded);
+    for (std::size_t c = 0; c < copy.cells.size(); ++c)
+      oracle.append_cell(copy, c, remap);
+  }
+  oracle.bounds = box;
+  tess::diy::Buffer got_bytes, want_bytes;
+  region.serialize(got_bytes);
+  oracle.serialize(want_bytes);
+  EXPECT_EQ(got_bytes.data(), want_bytes.data());
 }
 
 TEST(ServeSnapshot, HistogramParityWithAnalysis) {

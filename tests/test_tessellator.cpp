@@ -614,11 +614,18 @@ TEST(MeshAssembly, ShardMergeMatchesPerCornerOracle) {
       for (std::size_t b = 0; b < cells.size(); b += grain)
         append_stage(staged, stage_cells(cells, b, std::min(cells.size(), b + grain)));
       EXPECT_EQ(mesh_bytes(staged), expected) << "grain " << grain;
-      // Welded blocks of `grain` sites, re-welded by append.
+      // Welded blocks of `grain` sites, re-welded cell by cell through one
+      // reused remap, as region extraction welds a block's kept cells.
       BlockMesh merged;
       merged.bounds = kAssemblyBounds;
-      for (std::size_t b = 0; b < cells.size(); b += grain)
-        merged.append(add_cells(cells, b, std::min(cells.size(), b + grain)));
+      std::vector<std::uint32_t> remap;
+      for (std::size_t b = 0; b < cells.size(); b += grain) {
+        const BlockMesh shard =
+            add_cells(cells, b, std::min(cells.size(), b + grain));
+        remap.assign(shard.vertices.size(), BlockMesh::kUnwelded);
+        for (std::size_t c = 0; c < shard.cells.size(); ++c)
+          merged.append_cell(shard, c, remap);
+      }
       EXPECT_EQ(mesh_bytes(merged), expected) << "grain " << grain;
     }
   }
