@@ -5,16 +5,18 @@
 
 namespace tess::analysis {
 
-TessReader::TessReader(const std::string& path) : path_(path), file_(path) {}
+TessReader::TessReader(const std::string& path) : file_(path) {}
 
 int TessReader::num_blocks() const { return file_.num_blocks(); }
 
 core::BlockMesh TessReader::read_block(int block) const {
-  auto buf = file_.read_block(block);
+  const auto view = file_.block_view(block);
   try {
-    return core::BlockMesh::deserialize(buf);
+    auto mesh = core::BlockMesh::deserialize(view);
+    file_.release(block);  // the mesh is a copy
+    return mesh;
   } catch (const std::runtime_error& e) {
-    throw std::runtime_error("corrupt tess block file '" + path_ +
+    throw std::runtime_error("corrupt tess block file '" + file_.path() +
                              "': block " + std::to_string(block) + ": " +
                              e.what());
   }
@@ -28,6 +30,10 @@ std::vector<core::BlockMesh> TessReader::read_all() const {
 }
 
 std::vector<core::BlockMesh> TessReader::read_my_blocks(int rank, int size) const {
+  if (rank < 0 || rank >= size)
+    throw std::invalid_argument("TessReader::read_my_blocks: rank " +
+                                std::to_string(rank) + " of " +
+                                std::to_string(size));
   std::vector<core::BlockMesh> mine;
   for (int b = rank; b < num_blocks(); b += size) mine.push_back(read_block(b));
   return mine;

@@ -35,9 +35,8 @@ std::uint64_t write_annotated_checkpoint(
 
 std::vector<AnnotatedParticle> read_annotated_checkpoint(const std::string& path,
                                                          int block) {
-  diy::BlockFileReader reader(path);
-  auto buf = reader.read_block(block);
-  return buf.read_vector<AnnotatedParticle>();
+  const diy::BlockFileReader reader(path);
+  return reader.block_view(block).read_vector<AnnotatedParticle>();
 }
 
 }  // namespace tess::core

@@ -219,28 +219,19 @@ void validate_indices(const BlockMesh& m) {
   }
 }
 
-template <typename Source>
-BlockMesh deserialize_from(Source& buf) {
-  BlockMesh m;
-  m.bounds.min = buf.template read<Vec3>();
-  m.bounds.max = buf.template read<Vec3>();
-  m.vertices = buf.template read_vector<Vec3>();
-  m.cells = buf.template read_vector<CellRecord>();
-  m.face_offsets = buf.template read_vector<std::uint32_t>();
-  m.face_verts = buf.template read_vector<std::uint32_t>();
-  m.face_neighbors = buf.template read_vector<std::int64_t>();
-  validate_indices(m);
-  return m;
-}
-
 }  // namespace
 
-BlockMesh BlockMesh::deserialize(diy::Buffer& buf) {
-  return deserialize_from(buf);
-}
-
-BlockMesh BlockMesh::deserialize(diy::BufferView& buf) {
-  return deserialize_from(buf);
+BlockMesh BlockMesh::deserialize(diy::BufferView buf) {
+  BlockMesh m;
+  m.bounds.min = buf.read<Vec3>();
+  m.bounds.max = buf.read<Vec3>();
+  m.vertices = buf.read_vector<Vec3>();
+  m.cells = buf.read_vector<CellRecord>();
+  m.face_offsets = buf.read_vector<std::uint32_t>();
+  m.face_verts = buf.read_vector<std::uint32_t>();
+  m.face_neighbors = buf.read_vector<std::int64_t>();
+  validate_indices(m);
+  return m;
 }
 
 diy::Bounds BlockMesh::peek_bounds(diy::BufferView buf) {

@@ -129,13 +129,12 @@ class BlockMesh {
   [[nodiscard]] double bytes_per_cell() const;
 
   void serialize(diy::Buffer& buf) const;
+  /// Reads what serialize() wrote, from a mapped file block
+  /// (diy::BlockFileReader::block_view) or from memory (diy::Buffer::view).
   /// Throws std::runtime_error when the bytes are truncated or their
   /// index data (face offsets, face vertices, cell face ranges) would index
   /// out of bounds.
-  static BlockMesh deserialize(diy::Buffer& buf);
-  /// Zero-copy deserialization straight out of a memory-mapped block
-  /// (diy::MappedBlockFile::block_view) — same wire format as above.
-  static BlockMesh deserialize(diy::BufferView& buf);
+  static BlockMesh deserialize(diy::BufferView buf);
 
   /// Read just the block bounds from serialized bytes (they lead the wire
   /// format), letting a reader route spatial queries to blocks without

@@ -24,12 +24,12 @@ std::vector<BlockMesh> gather_meshes(comm::Comm& comm, const BlockMesh& mesh) {
   const auto sizes = comm.gather<std::uint64_t>(buf.size(), 0);
   std::vector<BlockMesh> all;
   if (comm.rank() == 0) {
+    // Each rank's slice is read in place.
     std::size_t off = 0;
     for (auto s : sizes) {
-      diy::Buffer b(std::vector<std::byte>(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                                           bytes.begin() + static_cast<std::ptrdiff_t>(off + s)));
-      all.push_back(BlockMesh::deserialize(b));
-      off += s;
+      const auto len = static_cast<std::size_t>(s);
+      all.push_back(BlockMesh::deserialize({bytes.data() + off, len}));
+      off += len;
     }
   }
   return all;

@@ -14,43 +14,37 @@
 
 #include "comm/comm.hpp"
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 
 namespace tess::obs {
 
 /// Merge every rank's metric slices to rank 0. Collective; ranks != 0
-/// return an empty snapshot. Each rank serializes its own slice
-/// ("kind\tname\tvalue" lines) and rank 0 sums them by name, so the
-/// result equals Registry::snapshot() totals restricted to ranked
+/// return an empty snapshot. Each rank serializes its own slices
+/// ("kind\tname\tvalue" lines, values at the %.9g of obs::json_number)
+/// and rank 0 combines them by name, counters by sum and gauges by max,
+/// so the result equals Registry::snapshot() totals restricted to ranked
 /// updates — plus rank 0's own unranked slice.
 inline MetricsSnapshot reduce_metrics(comm::Comm& comm) {
   const MetricsSnapshot mine = metrics().snapshot();
   const int me = comm.rank();
 
   std::string slice;
-  for (const auto& s : mine.samples) {
-    double v = 0.0;
-    bool have = false;
-    for (const auto& [rank, value] : s.per_rank) {
-      if (rank == me || (me == 0 && rank == -1)) {
-        v += value;
-        have = true;
-      }
-    }
-    // Histograms and per-tag counters carry no per-rank slices; rank 0
-    // contributes the global value so they survive the reduction.
-    if (s.per_rank.empty() && me == 0 && s.value != 0.0) {
-      v = s.value;
-      have = true;
-    }
-    if (!have) continue;
+  const auto add_slice = [&](const MetricSample& s, double v) {
     slice += s.kind;
     slice += '\t';
     slice += s.name;
     slice += '\t';
-    slice += std::to_string(v);
+    json_number(slice, v);
     slice += '\n';
+  };
+  for (const auto& s : mine.samples) {
+    for (const auto& [rank, value] : s.per_rank)
+      if (rank == me || (me == 0 && rank == -1)) add_slice(s, value);
+    // Histograms and per-tag counters carry no per-rank slices; rank 0
+    // contributes the global value so they survive the reduction.
+    if (s.per_rank.empty() && me == 0 && s.value != 0.0) add_slice(s, s.value);
   }
 
   std::vector<char> bytes(slice.begin(), slice.end());
@@ -74,13 +68,12 @@ inline MetricsSnapshot reduce_metrics(comm::Comm& comm) {
     MetricSample* sample = nullptr;
     for (auto& s : out.samples)
       if (s.name == name) sample = &s;
-    if (sample == nullptr) {
-      out.samples.push_back({name, kind, 0.0, 0.0, {}, {}});
-      sample = &out.samples.back();
-    }
-    // Counters/histogram counts sum across ranks; gauges reduce with max.
-    if (kind == 'g')
-      sample->value = sample->value > v ? sample->value : v;
+    // A name starts from its first slice. Counters/histogram counts sum
+    // across ranks; gauges reduce with max.
+    if (sample == nullptr)
+      out.samples.push_back({name, kind, v, 0.0, {}, {}});
+    else if (kind == 'g')
+      sample->value = std::max(sample->value, v);
     else
       sample->value += v;
   }

@@ -34,51 +34,6 @@ Snapshot::Snapshot(const std::string& path) : file_(path) {
       bounds_[static_cast<std::size_t>(b)] =
           core::BlockMesh::peek_bounds(file_.block_view(b));
   }
-
-  // Reconstruct the writer's block grid from the per-block lower corners:
-  // when the valid blocks tile a full nx*ny*nz grid, routing a point is
-  // three binary searches instead of a bounds scan. The corners come from
-  // one Decomposition evaluated identically on every rank, so exact
-  // double comparison is the right equality here.
-  std::vector<int> valid;
-  for (int b = 0; b < nb; ++b)
-    if (valid_bounds(bounds_[static_cast<std::size_t>(b)])) valid.push_back(b);
-  for (int a = 0; a < 3; ++a) {
-    auto& lo = axis_lo_[static_cast<std::size_t>(a)];
-    for (int b : valid)
-      lo.push_back(bounds_[static_cast<std::size_t>(b)].min[
-          static_cast<std::size_t>(a)]);
-    std::sort(lo.begin(), lo.end());
-    lo.erase(std::unique(lo.begin(), lo.end()), lo.end());
-  }
-  const std::size_t nx = axis_lo_[0].size(), ny = axis_lo_[1].size(),
-                    nz = axis_lo_[2].size();
-  if (!valid.empty() && nx * ny * nz == valid.size()) {
-    grid_to_block_.assign(nx * ny * nz, -1);
-    grid_ok_ = true;
-    for (int b : valid) {
-      const auto& bb = bounds_[static_cast<std::size_t>(b)];
-      std::size_t idx[3];
-      for (int a = 0; a < 3; ++a) {
-        const auto& lo = axis_lo_[static_cast<std::size_t>(a)];
-        const auto it = std::lower_bound(lo.begin(), lo.end(),
-                                         bb.min[static_cast<std::size_t>(a)]);
-        idx[a] = static_cast<std::size_t>(it - lo.begin());
-      }
-      auto& cell = grid_to_block_[(idx[0] * ny + idx[1]) * nz + idx[2]];
-      if (cell != -1) {
-        grid_ok_ = false;  // two blocks share a corner: not a regular grid
-        break;
-      }
-      cell = b;
-    }
-    if (grid_ok_)
-      for (int g : grid_to_block_)
-        if (g == -1) {
-          grid_ok_ = false;
-          break;
-        }
-  }
 }
 
 void Snapshot::BlockSlot::index_faces() {
@@ -316,32 +271,18 @@ PointLocation Snapshot::locate(const Vec3& p, LocateTally& tally) const {
   if (nb == 0) return out;
 
   // Route to the owning block, the one whose half-open bounds contain p:
-  // the writer's decomposition gave each block exactly those points, grid
-  // or k-d alike. A regular tiling finds it by three binary searches on
-  // the reconstructed block grid; files written from k-d (adaptive)
-  // decompositions are valid tilings but not tensor grids, so they scan
-  // the stored block extents instead. Points outside every block (outside
-  // the domain, or a truncated file) fall back to the nearest box by
-  // distance.
+  // the writer's k-d split tree gave each block exactly those points, and
+  // a block without valid bounds contains none. Files hold a few blocks,
+  // so a scan. Only a point outside every block (outside the domain, or a
+  // truncated file) pays for distances, to go to the nearest box.
   int owner = -1;
-  if (grid_ok_) {
-    const std::size_t ny = axis_lo_[1].size(), nz = axis_lo_[2].size();
-    std::size_t idx[3];
-    for (std::size_t a = 0; a < 3; ++a) {
-      const auto& lo = axis_lo_[a];
-      const auto it = std::upper_bound(lo.begin(), lo.end(), p[a]);
-      idx[a] = it == lo.begin() ? 0 : static_cast<std::size_t>(it - lo.begin()) - 1;
-    }
-    owner = grid_to_block_[(idx[0] * ny + idx[1]) * nz + idx[2]];
-  } else {
+  for (int b = 0; b < nb && owner < 0; ++b)
+    if (bounds_[static_cast<std::size_t>(b)].contains(p)) owner = b;
+  if (owner < 0) {
     double best = std::numeric_limits<double>::infinity();
     for (int b = 0; b < nb; ++b) {
       const auto& bb = bounds_[static_cast<std::size_t>(b)];
       if (!valid_bounds(bb)) continue;
-      if (bb.contains(p)) {
-        owner = b;
-        break;
-      }
       const double d = bb.distance(p);
       if (d < best) {
         best = d;

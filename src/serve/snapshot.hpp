@@ -1,13 +1,15 @@
 // Immutable, memory-mapped view of one tessellation output file — the unit
 // the query service (DESIGN.md §4.12) serves from.
 //
-// A Snapshot opens a blocked file through diy::MappedBlockFile (footer
-// validated, whole file mapped read-only once) and deserializes blocks
-// *lazily*: opening a snapshot touches only the per-block bounds that lead
-// each block's wire format, and a block's mesh plus its query index (site
-// grid + face-neighbour index) materialize on first use, guarded by a
-// per-block std::once_flag; the block's mapped pages are released once its
-// mesh is copied out. After construction every public method is
+// A Snapshot opens a blocked file through diy::BlockFileReader (one open,
+// whole file mapped read-only, footer validated on the mapped bytes) and
+// deserializes blocks *lazily*: opening a snapshot touches only the
+// per-block bounds that lead each block's wire format, and a block's mesh
+// plus its query index (site grid + face-neighbour index) materialize on
+// first use, guarded by a per-block std::once_flag; the block's mapped
+// pages are released once its mesh is copied out. The snapshot keeps
+// reading the file it opened even when a writer renames a new file over
+// the path. After construction every public method is
 // const and thread-safe — many reader threads query one snapshot
 // concurrently with no locking beyond the one-time block loads, which is
 // what lets the snapshot cache hand the same instance to every in-flight
@@ -15,13 +17,13 @@
 //
 // Query surface:
 //  * locate(p)            — which Voronoi cell contains p: route to the
-//                           owning block through the reconstructed block
-//                           grid, seed from the block's uniform site grid,
-//                           then walk the face-adjacency graph downhill in
-//                           site distance (exact nearest-site search as
-//                           fallback when culled/ghost neighbors break the
-//                           walk, and cross-block refinement near block
-//                           faces).
+//                           block whose half-open bounds hold p (else the
+//                           nearest box), seed from the block's uniform
+//                           site grid, then walk the face-adjacency graph
+//                           downhill in site distance (exact nearest-site
+//                           search as fallback when culled/ghost
+//                           neighbors break the walk, and cross-block
+//                           refinement near block faces).
 //  * extract_region(box)  — all cells whose site lies in an axis-aligned
 //                           box, re-welded into one standalone BlockMesh.
 //  * volume_histogram / density_contrast_histogram — §IV-B slices reusing
@@ -192,19 +194,11 @@ class Snapshot {
   std::int64_t nearest_in_block(int block, const Vec3& p, double* best_d2,
                                 PointLocation* out) const;
 
-  diy::MappedBlockFile file_;
+  diy::BlockFileReader file_;
   std::vector<diy::Bounds> bounds_;  ///< per block, from the wire header
   mutable std::vector<std::unique_ptr<BlockSlot>> slots_;
   mutable std::atomic<std::uint64_t> resident_bytes_{0};
   mutable std::atomic<int> blocks_loaded_{0};
-
-  // Reconstructed block grid: sorted distinct lower corners per axis. When
-  // the blocks tile a regular grid (the writer's decomposition), routing a
-  // point is three binary searches; otherwise grid_ok_ is false and locate
-  // falls back to scanning block bounds.
-  std::array<std::vector<double>, 3> axis_lo_;
-  std::vector<int> grid_to_block_;
-  bool grid_ok_ = false;
 
   mutable std::mutex voids_mutex_;
   mutable std::map<double, std::shared_ptr<const VoidCatalog>> voids_;

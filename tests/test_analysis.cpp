@@ -3,9 +3,14 @@
 // for boxes), and density-contrast statistics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <numbers>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/components.hpp"
 #include "analysis/density.hpp"
@@ -225,19 +230,45 @@ TEST(Density, VolumesAndHistogram) {
   EXPECT_EQ(hd.moments().count(), 64u);
 }
 
-TEST(Reader, RoundTripThroughFile) {
-  const std::string path = ::testing::TempDir() + "tess_analysis_reader.bin";
+namespace {
+
+// Writes the 4-block tessellation of the periodic n^3 lattice, shifted by
+// `offset` along each axis, to `path`; returns each block's bytes as
+// written.
+std::vector<std::vector<std::byte>> write_lattice_file(const std::string& path,
+                                                       int n, double offset) {
+  std::vector<std::vector<std::byte>> written(4);
   Runtime::run(4, [&](Comm& c) {
-    Decomposition d({0, 0, 0}, {6, 6, 6}, Decomposition::factor(4), true);
+    const double L = static_cast<double>(n);
+    Decomposition d({0, 0, 0}, {L, L, L}, Decomposition::factor(4), true);
     TessOptions opt;
     opt.ghost = 2.0;
     tess::core::Tessellator t(c, d, opt);
+    auto ps = c.rank() == 0 ? lattice_particles(n) : std::vector<Particle>{};
+    for (auto& p : ps) p.pos = p.pos + tess::geom::Vec3{offset, offset, offset};
     auto mine = tess::diy::migrate_items(
-        c, d, c.rank() == 0 ? lattice_particles(6) : std::vector<Particle>{},
+        c, d, std::move(ps),
         [](Particle& p) -> tess::geom::Vec3& { return p.pos; });
     auto mesh = t.tessellate(mine);
     t.write(path, mesh);
+    tess::diy::Buffer buf;
+    mesh.serialize(buf);
+    written[static_cast<std::size_t>(c.rank())] = buf.data();
   });
+  return written;
+}
+
+std::vector<std::byte> bytes_of(const BlockMesh& mesh) {
+  tess::diy::Buffer buf;
+  mesh.serialize(buf);
+  return buf.data();
+}
+
+}  // namespace
+
+TEST(Reader, RoundTripThroughFile) {
+  const std::string path = ::testing::TempDir() + "tess_analysis_reader.bin";
+  const auto written = write_lattice_file(path, 6, 0.0);
   tess::analysis::TessReader reader(path);
   EXPECT_EQ(reader.num_blocks(), 4);
   auto all = reader.read_all();
@@ -253,6 +284,40 @@ TEST(Reader, RoundTripThroughFile) {
   ConnectedComponents cc(all);
   EXPECT_EQ(cc.num_components(), 1u);
   std::remove(path.c_str());
-  // The footer index was read and validated once, when the reader opened.
-  EXPECT_EQ(reader.num_blocks(), 4);
+  // The file was opened and its footer validated once, when the reader
+  // opened: every block still reads, as written, once the path is gone.
+  ASSERT_EQ(reader.num_blocks(), 4);
+  const auto again = reader.read_all();
+  for (std::size_t b = 0; b < again.size(); ++b)
+    EXPECT_EQ(bytes_of(again[b]), written[b]) << "block " << b;
+}
+
+// A reader reads the file it validated: another tessellation renamed over
+// its path changes nothing it returns.
+TEST(Reader, ReadsTheFileItValidated) {
+  const std::string path = ::testing::TempDir() + "tess_analysis_reader_" +
+                           std::to_string(::getpid()) + ".bin";
+  const std::string other = path + ".other";
+  const auto written = write_lattice_file(path, 6, 0.0);
+  const auto replacement = write_lattice_file(other, 8, 0.25);
+  ASSERT_NE(written, replacement);
+  tess::analysis::TessReader reader(path);
+  ASSERT_EQ(std::rename(other.c_str(), path.c_str()), 0);
+  const auto all = reader.read_all();
+  ASSERT_EQ(all.size(), written.size());
+  for (std::size_t b = 0; b < all.size(); ++b)
+    EXPECT_EQ(bytes_of(all[b]), written[b]) << "block " << b;
+  std::remove(path.c_str());
+}
+
+TEST(Reader, ReadMyBlocksRejectsRankOutsideSize) {
+  const std::string path = ::testing::TempDir() + "tess_analysis_rank_" +
+                           std::to_string(::getpid()) + ".bin";
+  (void)write_lattice_file(path, 4, 0.0);
+  const tess::analysis::TessReader reader(path);
+  EXPECT_THROW((void)reader.read_my_blocks(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)reader.read_my_blocks(-1, 2), std::invalid_argument);
+  EXPECT_THROW((void)reader.read_my_blocks(2, 2), std::invalid_argument);
+  EXPECT_EQ(reader.read_my_blocks(1, 2).size(), 2u);
+  std::remove(path.c_str());
 }

@@ -1,6 +1,7 @@
 // Tests for serialization buffers and the parallel blocked file format:
-// write/read round trips across rank counts, footer integrity, and error
-// handling on malformed files.
+// write/read round trips across rank counts, footer integrity, error
+// handling on malformed files, and the mapped reader's bytes against the
+// file read with std::ifstream.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "comm/comm.hpp"
 #include "diy/blockio.hpp"
@@ -32,6 +35,24 @@ std::string temp_path(const std::string& tag) {
          std::to_string(::getpid()) + ".bin";
 }
 
+// Block b's bytes, read with std::ifstream and located through the footer
+// parsed here: a reference that never comes from a mapping.
+std::vector<char> stream_block(const std::string& path, int b) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> file{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+  const auto word = [&](std::uint64_t at) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, file.data() + at, sizeof(w));
+    return w;
+  };
+  const std::uint64_t footer = word(file.size() - 16);
+  const auto at = static_cast<std::uint64_t>(b);
+  const auto offset = static_cast<std::ptrdiff_t>(word(footer + 8 + 16 * at));
+  const auto size = static_cast<std::ptrdiff_t>(word(footer + 16 + 16 * at));
+  return {file.begin() + offset, file.begin() + offset + size};
+}
+
 }  // namespace
 
 TEST(Buffer, ScalarRoundTrip) {
@@ -39,7 +60,7 @@ TEST(Buffer, ScalarRoundTrip) {
   b.write<int>(42);
   b.write<double>(3.5);
   b.write<std::int64_t>(-7);
-  Buffer r(b.data());
+  auto r = b.view();
   EXPECT_EQ(r.read<int>(), 42);
   EXPECT_DOUBLE_EQ(r.read<double>(), 3.5);
   EXPECT_EQ(r.read<std::int64_t>(), -7);
@@ -50,7 +71,7 @@ TEST(Buffer, VectorRoundTrip) {
   Buffer b;
   b.write_vector(std::vector<double>{1, 2, 3});
   b.write_vector(std::vector<int>{});
-  Buffer r(b.data());
+  auto r = b.view();
   EXPECT_EQ(r.read_vector<double>(), (std::vector<double>{1, 2, 3}));
   EXPECT_TRUE(r.read_vector<int>().empty());
 }
@@ -58,7 +79,7 @@ TEST(Buffer, VectorRoundTrip) {
 TEST(Buffer, ReadPastEndThrows) {
   Buffer b;
   b.write<int>(1);
-  Buffer r(b.data());
+  auto r = b.view();
   r.read<int>();
   EXPECT_THROW(r.read<int>(), std::runtime_error);
 }
@@ -67,7 +88,7 @@ TEST(Buffer, ParticleRoundTrip) {
   Buffer b;
   std::vector<Particle> ps{{{1, 2, 3}, 10}, {{4, 5, 6}, 20}};
   b.write_vector(ps);
-  Buffer r(b.data());
+  auto r = b.view();
   auto out = r.read_vector<Particle>();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].id, 20);
@@ -92,13 +113,15 @@ TEST_P(BlockIoRanks, WriteReadRoundTrip) {
   BlockFileReader reader(path);
   ASSERT_EQ(reader.num_blocks(), nranks);
   for (int b = 0; b < nranks; ++b) {
-    auto buf = reader.read_block(b);
+    auto buf = reader.block_view(b);
     EXPECT_EQ(buf.read<int>(), b);
     const auto payload = buf.read_vector<double>();
     EXPECT_EQ(payload.size(), static_cast<std::size_t>(b) * 10 + 1);
     for (double v : payload) EXPECT_DOUBLE_EQ(v, static_cast<double>(b));
     EXPECT_TRUE(buf.exhausted());
   }
+  // The ranks wrote beside the path and renamed the file into place.
+  EXPECT_FALSE(std::ifstream(path + ".partial").good());
   std::remove(path.c_str());
 }
 
@@ -114,7 +137,7 @@ TEST(BlockIo, EmptyBlocksAllowed) {
   BlockFileReader reader(path);
   EXPECT_EQ(reader.block_size(0), 0u);
   EXPECT_GT(reader.block_size(1), 0u);
-  EXPECT_EQ(reader.read_block(1).read<int>(), 11);
+  EXPECT_EQ(reader.block_view(1).read<int>(), 11);
   std::remove(path.c_str());
 }
 
@@ -141,15 +164,16 @@ TEST(BlockIo, OutOfRangeBlockThrows) {
     write_blocks(c, path, block);
   });
   BlockFileReader reader(path);
-  EXPECT_THROW(reader.read_block(2), std::out_of_range);
-  EXPECT_THROW(reader.read_block(-1), std::out_of_range);
+  EXPECT_THROW((void)reader.block_view(2), std::out_of_range);
+  EXPECT_THROW((void)reader.block_view(-1), std::out_of_range);
+  EXPECT_THROW(reader.release(2), std::out_of_range);
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
 // Footer validation: every malformed-file class the reader must reject with
-// a diagnostic instead of undefined behavior. The mmap path goes through
-// the same BlockFileReader index, so each corruption is probed both ways.
+// a diagnostic instead of undefined behavior. BlockFileReader is the one
+// reader (TessReader, Snapshot and the checkpoint reader hold one).
 
 namespace {
 
@@ -188,8 +212,8 @@ void truncate_to(const std::string& path, std::uint64_t size) {
   f.write(bytes.data(), static_cast<std::streamsize>(size));
 }
 
-// The corruption must be caught by the pread reader and the mmap reader
-// alike, with the "corrupt tess block file" diagnostic.
+// The corruption must be caught when the reader opens, with the
+// "corrupt tess block file" diagnostic.
 void expect_rejected(const std::string& path) {
   try {
     BlockFileReader reader(path);
@@ -199,7 +223,6 @@ void expect_rejected(const std::string& path) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(tess::diy::MappedBlockFile mapped(path), std::runtime_error);
 }
 
 }  // namespace
@@ -274,24 +297,23 @@ TEST(BlockIoMmap, ViewMatchesPreadReader) {
     write_blocks(c, path, block);
   });
 
-  BlockFileReader reader(path);
-  tess::diy::MappedBlockFile mapped(path);
-  ASSERT_EQ(mapped.num_blocks(), 3);
-  EXPECT_EQ(mapped.file_size(), file_size_of(path));
+  const BlockFileReader reader(path);
+  ASSERT_EQ(reader.num_blocks(), 3);
+  EXPECT_EQ(reader.file_size(), file_size_of(path));
   for (int b = 0; b < 3; ++b) {
-    ASSERT_EQ(mapped.block_size(b), reader.block_size(b));
-    const auto bytes = reader.read_block(b).data();
-    EXPECT_EQ(std::memcmp(mapped.block_data(b), bytes.data(), bytes.size()),
+    const auto bytes = stream_block(path, b);
+    ASSERT_EQ(reader.block_size(b), bytes.size());
+    EXPECT_EQ(std::memcmp(reader.block_data(b), bytes.data(), bytes.size()),
               0);
-    auto view = mapped.block_view(b);
+    auto view = reader.block_view(b);
     EXPECT_EQ(view.read<int>(), b * 7);
     const auto payload = view.read_vector<double>();
     ASSERT_EQ(payload.size(), static_cast<std::size_t>(b) + 1);
     EXPECT_DOUBLE_EQ(payload[0], 0.5 * b);
     EXPECT_TRUE(view.exhausted());
   }
-  EXPECT_THROW((void)mapped.block_view(3), std::out_of_range);
-  EXPECT_THROW((void)mapped.block_view(-1), std::out_of_range);
+  EXPECT_THROW((void)reader.block_view(3), std::out_of_range);
+  EXPECT_THROW((void)reader.block_view(-1), std::out_of_range);
   std::remove(path.c_str());
 }
 
@@ -309,25 +331,24 @@ TEST(BlockIoMmap, ReleasedBlocksStillReadFileBytes) {
     write_blocks(c, path, block);
   });
 
-  BlockFileReader reader(path);
-  const tess::diy::MappedBlockFile mapped(path);
-  ASSERT_EQ(mapped.num_blocks(), 3);
+  const BlockFileReader reader(path);
+  ASSERT_EQ(reader.num_blocks(), 3);
   auto expect_file_bytes = [&](const char* when) {
     for (int b = 0; b < 3; ++b) {
-      const auto bytes = reader.read_block(b).data();
-      ASSERT_EQ(mapped.block_size(b), bytes.size());
-      EXPECT_EQ(std::memcmp(mapped.block_data(b), bytes.data(), bytes.size()),
+      const auto bytes = stream_block(path, b);
+      ASSERT_EQ(reader.block_size(b), bytes.size());
+      EXPECT_EQ(std::memcmp(reader.block_data(b), bytes.data(), bytes.size()),
                 0)
           << "block " << b << " " << when;
     }
   };
   expect_file_bytes("before any release");
   for (const int b : {1, 0, 2, 1}) {
-    mapped.release(b);
+    reader.release(b);
     expect_file_bytes("after a release");
   }
-  EXPECT_THROW(mapped.release(3), std::out_of_range);
-  EXPECT_THROW(mapped.release(-1), std::out_of_range);
+  EXPECT_THROW(reader.release(3), std::out_of_range);
+  EXPECT_THROW(reader.release(-1), std::out_of_range);
   std::remove(path.c_str());
 }
 

@@ -371,6 +371,24 @@ TEST(ObsMetrics, ReduceMergesSlicesToRankZero) {
   EXPECT_TRUE(result[2].samples.empty());
 }
 
+// Values cross the reduction at the 9 significant digits of the records it
+// feeds, and a gauge whose slices are all negative reduces to their max.
+TEST(ObsMetrics, ReduceKeepsSmallAndNegativeGauges) {
+  auto& reg = tess::obs::metrics();
+  reg.reset();
+  std::vector<tess::obs::MetricsSnapshot> result(4);
+  Runtime::run(4, [&](Comm& c) {
+    reg.gauge("test.obs.red_small").set((c.rank() + 1) * 1e-7);
+    reg.gauge("test.obs.red_negative").set(-(c.rank() + 1.0));
+    reg.gauge("test.obs.red_digits").set(1.23456789);
+    c.barrier();
+    result[static_cast<std::size_t>(c.rank())] = tess::obs::reduce_metrics(c);
+  });
+  EXPECT_DOUBLE_EQ(result[0].value("test.obs.red_small"), 4e-7);
+  EXPECT_DOUBLE_EQ(result[0].value("test.obs.red_negative"), -1.0);
+  EXPECT_DOUBLE_EQ(result[0].value("test.obs.red_digits"), 1.23456789);
+}
+
 // ---------------------------------------------------------------------------
 // TessStats: per-pass entries are the single source of truth
 // ---------------------------------------------------------------------------

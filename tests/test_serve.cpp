@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -108,8 +109,8 @@ std::string periodic_file() {
 }
 
 // Blocked file from a mass-weighted k-d decomposition of a clustered cloud
-// — a tiling but NOT a tensor grid, so Snapshot's grid reconstruction must
-// reject it and locate must route via the stored block extents.
+// — a tiling but NOT a tensor grid (the locate oracle's grid
+// reconstruction rejects it and scans the stored block extents).
 std::string kd_file() {
   const auto path = ::testing::TempDir() + "tess_serve_kd_" +
                     std::to_string(::getpid()) + ".bin";
@@ -151,6 +152,29 @@ std::string kd_file() {
   });
   built = true;
   return path;
+}
+
+// Every block of `path`, read with std::ifstream, located through the
+// footer parsed here and deserialized from memory: a reference that never
+// comes from a mapping.
+std::vector<BlockMesh> stream_blocks(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> file{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+  const auto word = [&](std::uint64_t at) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, file.data() + at, sizeof(w));
+    return w;
+  };
+  const std::uint64_t footer = word(file.size() - 16);
+  std::vector<BlockMesh> blocks;
+  for (std::uint64_t b = 0; b < word(footer); ++b) {
+    const auto offset = word(footer + 8 + 16 * b);
+    const auto size = word(footer + 16 + 16 * b);
+    blocks.push_back(BlockMesh::deserialize(
+        {reinterpret_cast<const std::byte*>(file.data()) + offset, size}));
+  }
+  return blocks;
 }
 
 // Nearest kept site over every block of the file — the ground truth locate
@@ -238,10 +262,9 @@ TEST(ServeSnapshot, LocateMatchesBruteForceAcrossBlocks) {
   }
 }
 
-// Regression: locate on snapshots whose blocks come from a k-d (non-grid)
-// decomposition. The old router assumed any blocked file could be
-// reconstructed as a uniform tensor grid; k-d leaves fail that check and
-// must fall back to containment routing over the stored block extents.
+// Locate on snapshots whose blocks come from a k-d (non-grid)
+// decomposition: routing by the stored block extents must not assume the
+// blocks form a uniform tensor grid.
 TEST(ServeSnapshot, LocateMatchesBruteForceOnKdFile) {
   Snapshot snap(kd_file());
   EXPECT_EQ(snap.num_blocks(), 4);
@@ -255,7 +278,7 @@ TEST(ServeSnapshot, LocateMatchesBruteForceOnKdFile) {
     EXPECT_NEAR(loc.site_dist2, ref.d2, 1e-12);
   }
   // The k-d leaves are a tiling with unequal extents — assert the file
-  // really is non-grid so this test keeps exercising the fallback router.
+  // really is non-grid so this test keeps covering such a tiling.
   double vol0 = -1.0;
   bool uniform = true;
   for (int b = 0; b < snap.num_blocks(); ++b) {
@@ -395,10 +418,13 @@ TEST(ServeSnapshot, VoidLookupConsistent) {
 
 // ---------------------------------------------------------------------------
 // Locate oracle: Snapshot::locate as it was before the face-neighbour
-// index. Routing, site grid and fallback are copied unchanged; the walk
-// resolves each face's neighbour through a site-id map. Every
-// PointLocation field must match it bit for bit, from a single locate and
-// from the batch at any thread count.
+// index and before routing by block bounds alone. Site grid and fallback
+// are copied unchanged; routing rebuilds the block grid from the blocks'
+// lower corners (three binary searches) whenever they tile a full grid,
+// and scans the block bounds otherwise; the walk resolves each face's
+// neighbour through a site-id map. Every PointLocation field must match it
+// bit for bit, from a single locate and from the batch at any thread
+// count, inside the domain and in a margin outside it.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -787,12 +813,12 @@ TEST(ServeLocateOracle, VoidLabelsMatchFilteredCopies) {
 
 // A loaded block's mapped pages are released once its mesh is copied out.
 // With every block loaded, and so released, the answers equal references
-// built from blocks read with pread, never through the mapping: locate
-// (interior points, where a periodic file has brute-force semantics),
-// region, histograms and void labels, on the three test files.
+// built from blocks read with std::ifstream, never through a mapping:
+// locate (interior points, where a periodic file has brute-force
+// semantics), region, histograms and void labels, on the three test files.
 TEST(ServeSnapshot, AnswersUnchangedOnceBlocksReleased) {
   for (const auto& path : {blocked_file(), kd_file(), periodic_file()}) {
-    const auto blocks = tess::analysis::TessReader(path).read_all();
+    const auto blocks = stream_blocks(path);
     Snapshot snap(path);
     (void)snap.blocks();
     ASSERT_EQ(snap.blocks_loaded(), snap.num_blocks()) << path;
@@ -840,6 +866,55 @@ TEST(ServeSnapshot, AnswersUnchangedOnceBlocksReleased) {
                 want.label_of(brute_nearest(blocks, p).site_id))
           << path;
   }
+}
+
+// write_blocks renames a finished file over its path, so a snapshot that
+// holds the old file keeps reading it: blocks loaded after a much smaller
+// file replaced the path still hold the old bytes. A writer that truncated
+// the file in place would fault (SIGBUS) on the old file's pages past the
+// new end, so the scenario runs in a child process that must exit cleanly.
+TEST(ServeSnapshotDeathTest, HeldSnapshotReadsOldFileAfterRewrite) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto path = ::testing::TempDir() + "tess_serve_rewrite_" +
+                    std::to_string(::getpid()) + ".bin";
+  EXPECT_EXIT(
+      {
+        std::vector<std::vector<std::byte>> written(8);
+        Runtime::run(8, [&](Comm& c) {
+          Decomposition d({0, 0, 0}, {8, 8, 8}, {2, 2, 2}, false);
+          TessOptions opt;
+          opt.ghost = 2.0;
+          const auto mesh = tess::core::standalone_tessellate(
+              c, d, c.rank() == 0 ? jittered_lattice(8, 99u)
+                                  : std::vector<Particle>{},
+              opt);
+          tess::diy::Buffer buf;
+          mesh.serialize(buf);
+          written[static_cast<std::size_t>(c.rank())] = buf.data();
+          tess::diy::write_blocks(c, path, buf);
+        });
+        bool same = false;
+        {
+          const Snapshot snap(path);
+          Runtime::run(1, [&](Comm& c) {
+            tess::diy::Buffer tiny;
+            tiny.write<int>(1);
+            tess::diy::write_blocks(c, path, tiny);
+          });
+          // The old file went with the temporary name it swapped into.
+          same = !std::ifstream(path + ".partial").good();
+          // The last blocks lie far past the new file's end.
+          for (int b = snap.num_blocks() - 1; b >= 0; --b) {
+            tess::diy::Buffer got;
+            snap.block(b).serialize(got);
+            same = same && got.data() == written[static_cast<std::size_t>(b)];
+          }
+          same = same && snap.num_blocks() == 8;
+        }
+        std::remove(path.c_str());
+        std::exit(same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ServeCache, HitMissEvictStats) {
@@ -1147,8 +1222,7 @@ std::string corrupt_path(const std::string& tag) {
 std::array<std::uint64_t, 5> length_word_offsets(const std::string& path,
                                                  int b) {
   const tess::diy::BlockFileReader reader(path);
-  auto buf = reader.read_block(b);
-  const auto m = BlockMesh::deserialize(buf);
+  const auto m = BlockMesh::deserialize(reader.block_view(b));
   std::array<std::uint64_t, 5> at{};
   at[0] = reader.block_offset(b) + 2 * sizeof(Vec3);
   at[1] = at[0] + 8 + m.vertices.size() * sizeof(Vec3);

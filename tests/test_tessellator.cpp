@@ -271,8 +271,7 @@ TEST(Tessellator, WriteReadRoundTrip) {
     c.barrier();
     // Read back this rank's block and compare.
     tess::diy::BlockFileReader reader(path);
-    auto buf = reader.read_block(c.rank());
-    auto back = BlockMesh::deserialize(buf);
+    auto back = BlockMesh::deserialize(reader.block_view(c.rank()));
     ASSERT_EQ(back.cells.size(), mesh.cells.size());
     for (std::size_t i = 0; i < mesh.cells.size(); ++i) {
       EXPECT_EQ(back.cells[i].site_id, mesh.cells[i].site_id);
